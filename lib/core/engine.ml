@@ -449,6 +449,11 @@ let run_loop ?patterns ?pool ?checkpoint st =
       "round"
     @@ fun () ->
     let round_watchdog = Watchdog.start config.Config.round_deadline in
+    (* The previous round's candidate list and scores are garbage now. The
+       runtime paces major work by allocation volume, and candidate
+       generation allocates little besides that list, so finish the cycle
+       here: the peak heap then holds one round's candidates, not several. *)
+    Gc.major ();
     let ctx, est = phase "simulate" (fun () -> Round_eval.begin_round ev) in
     let candidates =
       phase "candidates" (fun () ->

@@ -1,5 +1,9 @@
 open Accals_network
 module Bitvec = Accals_bitvec.Bitvec
+module Truth = Accals_twolevel.Truth
+module Qm = Accals_twolevel.Qm
+module Sop_synth = Accals_twolevel.Sop_synth
+module Cut_enum = Accals_twolevel.Cut_enum
 
 let default_window = 24
 let default_wires_per_target = 6
@@ -43,35 +47,64 @@ let similarity_buckets (ctx : Round_ctx.t) =
     ctx.order;
   buckets
 
-let global_matches buckets (ctx : Round_ctx.t) config target =
+(* Per-target scratch, created once per [generate] call (sequential) or
+   per chunk (parallel) and never shared between domains. Every field is
+   pure scratch: no per-target result depends on what earlier targets left
+   in it. *)
+type scratch = {
+  mffc : Mffc.t;
+  tfo : Structure.tfo_probe;
+  seen : int array;  (** window membership: [seen.(id) = window_stamp] *)
+  mutable window_stamp : int;
+  gate : Bitvec.t;  (** a target's complement, or a pair/triple function *)
+  negated : Bitvec.t array;  (** complemented cut leaves *)
+  products : Bitvec.t array;  (** per-level partial minterm products *)
+}
+
+let scratch (ctx : Round_ctx.t) =
+  let n = Array.length ctx.fanout_counts in
+  let samples = ctx.patterns.Sim.count in
+  {
+    mffc = Mffc.create ctx.net ~live:ctx.live ~fanout_counts:ctx.fanout_counts;
+    tfo = Structure.tfo_probe ctx.net ~topo_pos:ctx.topo_pos;
+    seen = Array.make n 0;
+    window_stamp = 0;
+    gate = Bitvec.create samples;
+    negated = Array.init Truth.max_vars (fun _ -> Bitvec.create samples);
+    products = Array.init Truth.max_vars (fun _ -> Bitvec.create samples);
+  }
+
+let global_matches s buckets (ctx : Round_ctx.t) config target =
   if config.global_wires = 0 then []
   else begin
     let tsig = ctx.sigs.(target) in
     let direct = try Hashtbl.find buckets (Bitvec.prefix_word tsig) with Not_found -> [] in
     let inverted =
-      let complement = Bitvec.lognot tsig in
-      try Hashtbl.find buckets (Bitvec.prefix_word complement) with Not_found -> []
+      Bitvec.lognot_into tsig ~dst:s.gate;
+      try Hashtbl.find buckets (Bitvec.prefix_word s.gate) with Not_found -> []
     in
-    let rec take n = function
+    let rec take_others n = function
       | [] -> []
       | _ when n = 0 -> []
-      | x :: rest -> if x = target then take n rest else x :: take (n - 1) rest
+      | x :: rest ->
+        if x = target then take_others n rest else x :: take_others (n - 1) rest
     in
-    take config.global_wires direct @ take config.global_wires inverted
+    take_others config.global_wires direct @ take_others config.global_wires inverted
   end
 
 (* Structural window around [target]: transitive fanins (BFS) plus siblings
    (other fanins of the target's fanouts), capped at [config.window]. *)
-let window_of (ctx : Round_ctx.t) config target =
+let window_of s (ctx : Round_ctx.t) config target =
   let net = ctx.net in
-  let seen = Hashtbl.create 32 in
-  Hashtbl.add seen target ();
+  s.window_stamp <- s.window_stamp + 1;
+  let stamp = s.window_stamp in
+  let seen id = s.seen.(id) = stamp in
+  s.seen.(target) <- stamp;
   let result = ref [] in
   let count = ref 0 in
   let push id =
-    if (not (Hashtbl.mem seen id)) && ctx.live.(id) && !count < config.window
-    then begin
-      Hashtbl.add seen id ();
+    if (not (seen id)) && ctx.live.(id) && !count < config.window then begin
+      s.seen.(id) <- stamp;
       result := id :: !result;
       incr count
     end
@@ -87,7 +120,7 @@ let window_of (ctx : Round_ctx.t) config target =
     let id = Queue.pop queue in
     Array.iter
       (fun f ->
-        if not (Hashtbl.mem seen f) then begin
+        if not (seen f) then begin
           push f;
           Queue.add f queue
         end)
@@ -95,56 +128,53 @@ let window_of (ctx : Round_ctx.t) config target =
   done;
   !result
 
-let mffc_nodes (ctx : Round_ctx.t) target =
-  Structure.mffc ctx.net ~fanout_counts:ctx.fanout_counts ~live:ctx.live target
-
-(* Area freed when [target]'s definition is replaced by a function of
-   [sns]: the target's MFFC minus whatever part of it the substitute
-   signals still need. MFFC members have no fanouts outside the cone, so
-   only SNs that are themselves inside the cone can retain MFFC nodes. *)
-let freed_area (ctx : Round_ctx.t) ~mffc target sns =
-  let in_mffc = Hashtbl.create 16 in
-  List.iter (fun id -> Hashtbl.replace in_mffc id ()) mffc;
-  let kept = Hashtbl.create 8 in
-  let rec keep id =
-    if id <> target && Hashtbl.mem in_mffc id && not (Hashtbl.mem kept id)
-    then begin
-      Hashtbl.replace kept id ();
-      Array.iter keep (Network.fanins ctx.net id)
-    end
-  in
-  List.iter keep sns;
-  Cost.area_of_nodes ctx.net
-    (List.filter (fun id -> not (Hashtbl.mem kept id)) mffc)
-
-module Truth = Accals_twolevel.Truth
-module Qm = Accals_twolevel.Qm
-module Sop_synth = Accals_twolevel.Sop_synth
-module Cut_enum = Accals_twolevel.Cut_enum
-
-(* Sampled probability of each cut-input minterm, from leaf signatures. *)
-let minterm_probabilities (ctx : Round_ctx.t) leaves =
+(* Sampled probability of each cut-input minterm, from leaf signatures.
+   The products are built depth-first over a tree whose level [i] ANDs in
+   leaf [i]'s literal: 4 + 8 + ... + 2^k ANDs for [k] leaves, in
+   [s.products]. *)
+let minterm_probabilities s (ctx : Round_ctx.t) leaves =
   let samples = ctx.patterns.Sim.count in
   let vars = Array.length leaves in
-  let product = Bitvec.create samples in
-  let negated = Bitvec.create samples in
-  Array.init (Truth.rows vars) (fun m ->
-      Bitvec.fill product true;
-      Array.iteri
-        (fun i leaf ->
-          if m lsr i land 1 = 1 then
-            Bitvec.logand_into product ctx.sigs.(leaf) ~dst:product
+  Array.iteri
+    (fun i leaf -> Bitvec.lognot_into ctx.sigs.(leaf) ~dst:s.negated.(i))
+    leaves;
+  let probs = Array.make (Truth.rows vars) 0.0 in
+  let rec expand i m prefix =
+    if i = vars then
+      probs.(m) <-
+        float_of_int (Bitvec.popcount prefix) /. float_of_int samples
+    else begin
+      let branch literal bit =
+        let product =
+          if i = 0 then literal
           else begin
-            Bitvec.lognot_into ctx.sigs.(leaf) ~dst:negated;
-            Bitvec.logand_into product negated ~dst:product
-          end)
-        leaves;
-      float_of_int (Bitvec.popcount product) /. float_of_int samples)
+            Bitvec.logand_into prefix literal ~dst:s.products.(i);
+            s.products.(i)
+          end
+        in
+        expand (i + 1) (m lor (bit lsl i)) product
+      in
+      branch s.negated.(i) 0;
+      branch ctx.sigs.(leaves.(i)) 1
+    end
+  in
+  (* Level 0 takes the literal itself; its [prefix] is never read. *)
+  expand 0 0 s.gate;
+  probs
+
+let rec take n = function
+  | [] -> []
+  | _ when n = 0 -> []
+  | x :: rest -> x :: take (n - 1) rest
+
+(* The [k] items with the smallest [fst], ties in list order. *)
+let take_best k items =
+  List.map snd (take k (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) items))
 
 (* SOP rewriting candidates for one target: re-minimize the cut function
    exactly, and with the rarest minterms declared don't-care (the
    approximate-cut idea of [15]). *)
-let sop_candidates (ctx : Round_ctx.t) config ~mffc target cuts_of_target =
+let sop_candidates s (ctx : Round_ctx.t) config cone target cuts_of_target =
   let net = ctx.net in
   let results = ref [] in
   List.iter
@@ -154,7 +184,7 @@ let sop_candidates (ctx : Round_ctx.t) config ~mffc target cuts_of_target =
         | exception Invalid_argument _ -> ()
         | truth ->
           let vars = Array.length leaves in
-          let probs = minterm_probabilities ctx leaves in
+          let probs = minterm_probabilities s ctx leaves in
           let order =
             let idx = Array.init (Truth.rows vars) (fun i -> i) in
             Array.sort (fun a b -> compare probs.(a) probs.(b)) idx;
@@ -167,7 +197,7 @@ let sop_candidates (ctx : Round_ctx.t) config ~mffc target cuts_of_target =
             done;
             !dc
           in
-          let freed = freed_area ctx ~mffc target (Array.to_list leaves) in
+          let freed = Mffc.freed_area s.mffc cone (Array.to_list leaves) in
           let consider dc =
             let on = truth land lnot dc land Truth.mask vars in
             let cubes = Qm.minimize ~vars ~on ~dc () in
@@ -190,194 +220,161 @@ let sop_candidates (ctx : Round_ctx.t) config ~mffc target cuts_of_target =
         match compare gb ga with 0 -> compare la.Lac.kind lb.Lac.kind | c -> c)
       !results
   in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | (_, lac) :: rest -> lac :: take (n - 1) rest
-  in
-  take config.sops_per_target sorted
+  List.map snd (take config.sops_per_target sorted)
 
-(* Take the k elements with the smallest measure. *)
-let take_best k measure items =
-  let scored = List.map (fun x -> (measure x, x)) items in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) scored in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | (_, x) :: rest -> x :: take (n - 1) rest
-  in
-  take k sorted
-
-(* All candidates for one target, in emission order. Reads only immutable
-   views of [ctx] (plus the prebuilt similarity buckets and cut sets), so
-   distinct targets can be enumerated on different domains concurrently. *)
-let candidates_for_target (ctx : Round_ctx.t) config ~buckets ~all_cuts target =
-  let net = ctx.net in
+(* 2-input resubstitution over the closest pool signals. An op's distance
+   is only computed when its gain is positive; a complemented op's distance
+   is [samples] minus the plain op's, as signatures carry no padding bits. *)
+let pair_candidates s (ctx : Round_ctx.t) config cone target shortlist =
   let samples = ctx.patterns.Sim.count in
-  let wire_limit =
-    int_of_float (config.wire_distance_fraction *. float_of_int samples)
+  let tsig = ctx.sigs.(target) in
+  let found = ref [] in
+  let consider a b =
+    let freed = Mffc.freed_area s.mffc cone [ a; b ] in
+    let gain op = freed -. Cost.gate_area op 2 in
+    let distance op complement combine =
+      if gain op > 0.0 || gain complement > 0.0 then begin
+        combine ctx.sigs.(a) ctx.sigs.(b) ~dst:s.gate;
+        Bitvec.hamming tsig s.gate
+      end
+      else 0
+    in
+    let d_and = distance Gate.And Gate.Nand Bitvec.logand_into in
+    let d_or = distance Gate.Or Gate.Nor Bitvec.logor_into in
+    let d_xor = distance Gate.Xor Gate.Xnor Bitvec.logxor_into in
+    let emit op d =
+      let gain = gain op in
+      if gain > 0.0 then
+        found := (d, Lac.make ~target (Lac.Gate2 (op, a, b)) ~area_gain:gain) :: !found
+    in
+    emit Gate.And d_and;
+    emit Gate.Or d_or;
+    emit Gate.Xor d_xor;
+    emit Gate.Nand (samples - d_and);
+    emit Gate.Nor (samples - d_or);
+    emit Gate.Xnor (samples - d_xor)
   in
-  let inv_area = Cost.gate_area Gate.Not 1 in
-  let acc = ref [] in
-  let emit lac = acc := lac :: !acc in
-  (fun target ->
-      let op = Network.op net target in
-      let worth_replacing =
-        match op with
-        | Gate.Input | Gate.Const _ | Gate.Buf -> false
-        | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
-        | Gate.Xnor | Gate.Mux -> true
-      in
-      if worth_replacing then begin
-        let mffc = mffc_nodes ctx target in
-        let gain_base = Cost.area_of_nodes net mffc in
-        if gain_base > 0.0 then begin
-          (* Constant LACs. *)
-          emit (Lac.make ~target Lac.Const0 ~area_gain:gain_base);
-          emit (Lac.make ~target Lac.Const1 ~area_gain:gain_base);
-          (* Substitution pool: structural window, minus the target's TFO
-             (using an SN inside the TFO would close a cycle). *)
-          let tfo = Structure.tfo_set net ~fanouts:ctx.fanouts target in
-          let usable v = v <> target && not (Bitvec.get tfo v) in
-          let pool = List.filter usable (window_of ctx config target) in
-          let tsig = ctx.sigs.(target) in
-          let distance v =
-            let d = Bitvec.hamming tsig ctx.sigs.(v) in
-            min d (samples - d)
-          in
-          (* Wire / inverted-wire candidates: structural window plus global
-             signature matches. *)
-          let global = List.filter usable (global_matches buckets ctx config target) in
-          let wires =
-            List.sort_uniq compare
-              (take_best config.wires_per_target distance pool @ global)
-          in
-          List.iter
-            (fun v ->
-              let d = Bitvec.hamming tsig ctx.sigs.(v) in
-              if min d (samples - d) <= wire_limit then begin
-                let freed = freed_area ctx ~mffc target [ v ] in
-                if d <= samples - d then begin
-                  if freed > 0.0 then
-                    emit (Lac.make ~target (Lac.Wire v) ~area_gain:freed)
-                end
-                else if freed -. inv_area > 0.0 then
-                  emit
-                    (Lac.make ~target (Lac.Inv_wire v)
-                       ~area_gain:(freed -. inv_area))
-              end)
-            wires;
-          (* 2-input resubstitution over the closest pool signals. *)
-          if config.pairs_per_target > 0 then begin
-            let shortlist = take_best 5 distance pool in
-            let scratch = Bitvec.create samples in
-            let pair_candidates = ref [] in
-            let consider op a b =
-              if a <> b then begin
-                (match op with
-                 | Gate.And | Gate.Nand ->
-                   Bitvec.logand_into ctx.sigs.(a) ctx.sigs.(b) ~dst:scratch
-                 | Gate.Or | Gate.Nor ->
-                   Bitvec.logor_into ctx.sigs.(a) ctx.sigs.(b) ~dst:scratch
-                 | Gate.Xor | Gate.Xnor ->
-                   Bitvec.logxor_into ctx.sigs.(a) ctx.sigs.(b) ~dst:scratch
-                 | Gate.Const _ | Gate.Input | Gate.Buf | Gate.Not | Gate.Mux ->
-                   invalid_arg "Candidate_gen: unsupported pair op");
-                (match op with
-                 | Gate.Nand | Gate.Nor | Gate.Xnor ->
-                   Bitvec.lognot_into scratch ~dst:scratch
-                 | Gate.And | Gate.Or | Gate.Xor | Gate.Const _ | Gate.Input
-                 | Gate.Buf | Gate.Not | Gate.Mux -> ());
-                let d = Bitvec.hamming tsig scratch in
-                let gain =
-                  freed_area ctx ~mffc target [ a; b ] -. Cost.gate_area op 2
-                in
-                if gain > 0.0 then
-                  pair_candidates := (d, Lac.make ~target (Lac.Gate2 (op, a, b)) ~area_gain:gain) :: !pair_candidates
-              end
-            in
-            let rec pairs = function
-              | [] -> ()
-              | a :: rest ->
-                List.iter
-                  (fun b ->
-                    consider Gate.And a b;
-                    consider Gate.Or a b;
-                    consider Gate.Xor a b;
-                    consider Gate.Nand a b;
-                    consider Gate.Nor a b;
-                    consider Gate.Xnor a b)
-                  rest;
-                pairs rest
-            in
-            pairs shortlist;
-            let best =
-              take_best config.pairs_per_target fst !pair_candidates
-            in
-            List.iter (fun (_, lac) -> emit lac) best
-          end;
-          (* 3-input resubstitution (ALSRAC with k = 3): AND/OR/XOR trees
-             and muxes over the closest pool signals. *)
-          if config.triples_per_target > 0 then begin
-            let shortlist = take_best 4 distance pool in
-            let scratch = Bitvec.create samples in
-            let triple_candidates = ref [] in
-            let consider3 op a b c =
-              if a <> b && b <> c && a <> c then begin
-                (match op with
-                 | Gate.And ->
-                   Bitvec.logand_into ctx.sigs.(a) ctx.sigs.(b) ~dst:scratch;
-                   Bitvec.logand_into scratch ctx.sigs.(c) ~dst:scratch
-                 | Gate.Or ->
-                   Bitvec.logor_into ctx.sigs.(a) ctx.sigs.(b) ~dst:scratch;
-                   Bitvec.logor_into scratch ctx.sigs.(c) ~dst:scratch
-                 | Gate.Xor ->
-                   Bitvec.logxor_into ctx.sigs.(a) ctx.sigs.(b) ~dst:scratch;
-                   Bitvec.logxor_into scratch ctx.sigs.(c) ~dst:scratch
-                 | Gate.Mux ->
-                   Bitvec.mux_into ~sel:ctx.sigs.(a) ctx.sigs.(b) ctx.sigs.(c)
-                     ~dst:scratch
-                 | Gate.Nand | Gate.Nor | Gate.Xnor | Gate.Const _
-                 | Gate.Input | Gate.Buf | Gate.Not ->
-                   invalid_arg "Candidate_gen: unsupported triple op");
-                let d = Bitvec.hamming tsig scratch in
-                let gain =
-                  freed_area ctx ~mffc target [ a; b; c ] -. Cost.gate_area op 3
-                in
-                if gain > 0.0 then
-                  triple_candidates :=
-                    (d, Lac.make ~target (Lac.Gate3 (op, a, b, c)) ~area_gain:gain)
-                    :: !triple_candidates
-              end
-            in
-            let rec triples = function
-              | a :: (b :: rest2 as rest) ->
-                List.iter
-                  (fun c ->
-                    consider3 Gate.And a b c;
-                    consider3 Gate.Or a b c;
-                    consider3 Gate.Xor a b c;
-                    consider3 Gate.Mux a b c;
-                    consider3 Gate.Mux b a c;
-                    consider3 Gate.Mux c a b)
-                  rest2;
-                triples rest
-              | [ _ ] | [] -> ()
-            in
-            triples shortlist;
-            let best =
-              take_best config.triples_per_target fst !triple_candidates
-            in
-            List.iter (fun (_, lac) -> emit lac) best
-          end;
-          (* Cut-rewriting (SOP) candidates. *)
-          if config.sops_per_target > 0 && all_cuts.(target) <> [] then
-            List.iter emit
-              (sop_candidates ctx config ~mffc target all_cuts.(target))
-        end
-      end)
-    target;
-  List.rev !acc
+  let rec pairs = function
+    | [] -> ()
+    | a :: rest ->
+      List.iter (fun b -> if a <> b then consider a b) rest;
+      pairs rest
+  in
+  pairs shortlist;
+  take_best config.pairs_per_target !found
+
+(* 3-input resubstitution (ALSRAC with k = 3): AND/OR/XOR trees and muxes
+   over the closest pool signals. *)
+let triple_candidates s (ctx : Round_ctx.t) config cone target shortlist =
+  let tsig = ctx.sigs.(target) in
+  let found = ref [] in
+  let consider a b c =
+    let freed = Mffc.freed_area s.mffc cone [ a; b; c ] in
+    let emit op x y z =
+      let gain = freed -. Cost.gate_area op 3 in
+      if gain > 0.0 then begin
+        let sx = ctx.sigs.(x) and sy = ctx.sigs.(y) and sz = ctx.sigs.(z) in
+        (match op with
+         | Gate.And ->
+           Bitvec.logand_into sx sy ~dst:s.gate;
+           Bitvec.logand_into s.gate sz ~dst:s.gate
+         | Gate.Or ->
+           Bitvec.logor_into sx sy ~dst:s.gate;
+           Bitvec.logor_into s.gate sz ~dst:s.gate
+         | Gate.Xor ->
+           Bitvec.logxor_into sx sy ~dst:s.gate;
+           Bitvec.logxor_into s.gate sz ~dst:s.gate
+         | Gate.Mux -> Bitvec.mux_into ~sel:sx sy sz ~dst:s.gate
+         | Gate.Nand | Gate.Nor | Gate.Xnor | Gate.Const _ | Gate.Input
+         | Gate.Buf | Gate.Not ->
+           invalid_arg "Candidate_gen: unsupported triple op");
+        let d = Bitvec.hamming tsig s.gate in
+        found := (d, Lac.make ~target (Lac.Gate3 (op, x, y, z)) ~area_gain:gain) :: !found
+      end
+    in
+    emit Gate.And a b c;
+    emit Gate.Or a b c;
+    emit Gate.Xor a b c;
+    emit Gate.Mux a b c;
+    emit Gate.Mux b a c;
+    emit Gate.Mux c a b
+  in
+  let rec triples = function
+    | a :: (b :: rest2 as rest) ->
+      List.iter (fun c -> if a <> b && b <> c && a <> c then consider a b c) rest2;
+      triples rest
+    | [ _ ] | [] -> ()
+  in
+  triples shortlist;
+  take_best config.triples_per_target !found
+
+(* All candidates for one target, in reverse emission order. Reads only
+   immutable views of [ctx] (plus the prebuilt similarity buckets and cut
+   sets) and the caller's private scratch [s], so distinct targets can be
+   enumerated on different domains concurrently. *)
+let candidates_for_target (ctx : Round_ctx.t) config ~buckets ~all_cuts s target =
+  let samples = ctx.patterns.Sim.count in
+  let worth_replacing =
+    match Network.op ctx.net target with
+    | Gate.Input | Gate.Const _ | Gate.Buf -> false
+    | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
+    | Gate.Xnor | Gate.Mux -> true
+  in
+  let cone = if worth_replacing then Some (Mffc.cone s.mffc target) else None in
+  match cone with
+  | Some cone when Mffc.area cone > 0.0 ->
+    let gain_base = Mffc.area cone in
+    let acc = ref [] in
+    let emit lac = acc := lac :: !acc in
+    (* Constant LACs. *)
+    emit (Lac.make ~target Lac.Const0 ~area_gain:gain_base);
+    emit (Lac.make ~target Lac.Const1 ~area_gain:gain_base);
+    (* Substitution pool: structural window, minus the target's TFO (using
+       an SN inside the TFO would close a cycle). *)
+    let usable v = not (Structure.in_tfo s.tfo ~target v) in
+    let pool = List.filter usable (window_of s ctx config target) in
+    let tsig = ctx.sigs.(target) in
+    (* The pool ranked once by distance to the target (ties in pool
+       order); each LAC family takes a prefix. *)
+    let ranked =
+      take_best (List.length pool)
+        (List.map
+           (fun v ->
+             let d = Bitvec.hamming tsig ctx.sigs.(v) in
+             (min d (samples - d), v))
+           pool)
+    in
+    (* Wire / inverted-wire candidates: structural window plus global
+       signature matches. *)
+    let wire_limit =
+      int_of_float (config.wire_distance_fraction *. float_of_int samples)
+    in
+    let inv_area = Cost.gate_area Gate.Not 1 in
+    let global = List.filter usable (global_matches s buckets ctx config target) in
+    let wires =
+      List.sort_uniq compare (take config.wires_per_target ranked @ global)
+    in
+    List.iter
+      (fun v ->
+        let d = Bitvec.hamming tsig ctx.sigs.(v) in
+        if min d (samples - d) <= wire_limit then begin
+          let freed = Mffc.freed_area s.mffc cone [ v ] in
+          if d <= samples - d then begin
+            if freed > 0.0 then emit (Lac.make ~target (Lac.Wire v) ~area_gain:freed)
+          end
+          else if freed -. inv_area > 0.0 then
+            emit (Lac.make ~target (Lac.Inv_wire v) ~area_gain:(freed -. inv_area))
+        end)
+      wires;
+    if config.pairs_per_target > 0 then
+      List.iter emit (pair_candidates s ctx config cone target (take 5 ranked));
+    if config.triples_per_target > 0 then
+      List.iter emit (triple_candidates s ctx config cone target (take 4 ranked));
+    (* Cut-rewriting (SOP) candidates. *)
+    if config.sops_per_target > 0 && all_cuts.(target) <> [] then
+      List.iter emit (sop_candidates s ctx config cone target all_cuts.(target));
+    !acc
+  | Some _ | None -> []
 
 let enumerate_cuts (ctx : Round_ctx.t) config =
   if config.sops_per_target > 0 then
@@ -401,16 +398,26 @@ let generate ?pool (ctx : Round_ctx.t) config =
     in
     let buckets = similarity_buckets ctx in
     Accals_runtime.Fan_out.join pool ticket;
-    let per_target =
-      candidates_for_target ctx config ~buckets ~all_cuts:!all_cuts
-    in
-    (* Per-target enumeration fans out; concatenating the per-target lists
-       in topological-order position reproduces the sequential emission
-       order exactly. *)
-    Accals_runtime.Fan_out.concat_map_array ~label:"candidates" pool
-      ~f:per_target ctx.order
+    (* Per-target enumeration fans out in chunks, each with its own
+       scratch; concatenating the per-target lists in topological-order
+       position reproduces the sequential emission order exactly. *)
+    Array.fold_right List.rev_append
+      (Accals_runtime.Fan_out.map_array_with ~label:"candidates" pool
+         ~state:(fun () -> scratch ctx)
+         ~f:(candidates_for_target ctx config ~buckets ~all_cuts:!all_cuts)
+         ctx.order)
+      []
   | _ ->
     let buckets = similarity_buckets ctx in
     let all_cuts = enumerate_cuts ctx config in
-    let per_target = candidates_for_target ctx config ~buckets ~all_cuts in
-    List.concat_map per_target (Array.to_list ctx.order)
+    let s = scratch ctx in
+    (* Last target first, so each result cell is built once: the
+       candidate list is the round's largest allocation. *)
+    let result = ref [] in
+    for i = Array.length ctx.order - 1 downto 0 do
+      result :=
+        List.rev_append
+          (candidates_for_target ctx config ~buckets ~all_cuts s ctx.order.(i))
+          !result
+    done;
+    !result

@@ -121,6 +121,44 @@ let tfo_set t ~fanouts id =
   walk ();
   bv
 
+(* [memo.(x)] is [2 * stamp + answer] when [x]'s answer for the current
+   target is known. *)
+type tfo_probe = {
+  net : Network.t;
+  topo_pos : int array;
+  memo : int array;
+  mutable target : int;
+  mutable stamp : int;
+}
+
+let tfo_probe net ~topo_pos =
+  { net; topo_pos; memo = Array.make (Array.length topo_pos) 0; target = -1; stamp = 0 }
+
+(* [v] is in the TFO of [target] iff walking back over fanins from [v]
+   reaches [target]. Only nodes after [target] in topological order can
+   lie on such a walk. *)
+let in_tfo p ~target v =
+  if target <> p.target then begin
+    p.target <- target;
+    p.stamp <- p.stamp + 1
+  end;
+  let limit = p.topo_pos.(target) in
+  let rec reaches x =
+    x = target
+    || p.topo_pos.(x) > limit
+       &&
+       let m = p.memo.(x) in
+       if m lsr 1 = p.stamp then m land 1 = 1
+       else begin
+         let fis = Network.fanins p.net x in
+         let rec any i = i < Array.length fis && (reaches fis.(i) || any (i + 1)) in
+         let r = any 0 in
+         p.memo.(x) <- (p.stamp lsl 1) lor Bool.to_int r;
+         r
+       end
+  in
+  reaches v
+
 let tfo_list t ~fanouts ~topo_pos id =
   let bv = tfo_set t ~fanouts id in
   let nodes = ref [] in
@@ -176,24 +214,3 @@ let fanout_counts t ~live =
   done;
   Array.iter (fun id -> counts.(id) <- counts.(id) + 1) (Network.outputs t);
   counts
-
-let mffc t ~fanout_counts ~live id =
-  let counts = Array.copy fanout_counts in
-  let acc = ref [ id ] in
-  (* Decrement once per distinct fanin, mirroring how fanout_counts counts. *)
-  let rec deref x =
-    let seen = Hashtbl.create 4 in
-    Array.iter
-      (fun f ->
-        if not (Hashtbl.mem seen f) then begin
-          Hashtbl.add seen f ();
-          counts.(f) <- counts.(f) - 1;
-          if counts.(f) = 0 && live.(f) && not (Network.is_input t f) then begin
-            acc := f :: !acc;
-            deref f
-          end
-        end)
-      (Network.fanins t x)
-  in
-  deref id;
-  !acc

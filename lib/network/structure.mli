@@ -25,6 +25,19 @@ val tfo_set : Network.t -> fanouts:int array array -> int -> Accals_bitvec.Bitve
 (** Transitive fanout of a node as a bitset over node ids (the node itself
     included). *)
 
+type tfo_probe
+(** Scratch for {!in_tfo}; not to be shared between domains. *)
+
+val tfo_probe : Network.t -> topo_pos:int array -> tfo_probe
+(** [topo_pos] maps node id -> position in a topological order of the
+    live nodes, [-1] for dead nodes. *)
+
+val in_tfo : tfo_probe -> target:int -> int -> bool
+(** [in_tfo p ~target v] is [Bitvec.get (tfo_set t ~fanouts target) v]
+    for a live [target], without walking the whole TFO: only [v]'s
+    transitive fanins after [target] in topological order are visited, and
+    answers are memoized until the probe is asked about another target. *)
+
 val tfo_list : Network.t -> fanouts:int array array -> topo_pos:int array -> int -> int array
 (** Transitive fanout of a node (the node excluded), sorted in topological
     order using [topo_pos] (node id -> position). Used for cone
@@ -35,13 +48,6 @@ val shortest_path_bounded :
 (** Length (in edges) of the shortest directed path from [src] to [dst]
     following fanout edges, or [None] if it exceeds [limit] or there is no
     path. [Some 0] iff [src = dst]. *)
-
-val mffc : Network.t -> fanout_counts:int array -> live:bool array -> int -> int list
-(** Maximum fanout-free cone of a node: the node plus every live non-input
-    node that only feeds the cone (and drives no primary output). These are
-    the nodes that die when the node's definition stops using them.
-    [fanout_counts].(id) must give the number of distinct live fanouts of
-    [id]; the array is not modified. *)
 
 val fanout_counts : Network.t -> live:bool array -> int array
 (** Number of distinct live fanout nodes per node, plus 1 for each primary

@@ -17,6 +17,10 @@ val cube_literals : cube -> int
 val cubes_truth : vars:int -> cube list -> Truth.t
 (** ON-set of the SOP. *)
 
+val primes : vars:int -> care:Truth.t -> cube list
+(** All prime implicants of [care] over [vars] variables, sorted by
+    [compare]. *)
+
 val minimize : vars:int -> on:Truth.t -> ?dc:Truth.t -> unit -> cube list
 (** Minimal(ish) SOP cover of [on], free to use [dc] minterms. The result
     covers every [on] minterm, covers nothing outside [on] ∪ [dc], and

@@ -1,21 +1,5 @@
 open Accals_network
 
-(* Area of the MFFC a rewrite would free, with the cut leaves kept. *)
-let freed_area net ~mffc target leaves =
-  let in_mffc = Hashtbl.create 16 in
-  List.iter (fun id -> Hashtbl.replace in_mffc id ()) mffc;
-  let kept = Hashtbl.create 8 in
-  let rec keep id =
-    if id <> target && Hashtbl.mem in_mffc id && not (Hashtbl.mem kept id)
-    then begin
-      Hashtbl.replace kept id ();
-      Array.iter keep (Network.fanins net id)
-    end
-  in
-  Array.iter keep leaves;
-  Cost.area_of_nodes net
-    (List.filter (fun id -> not (Hashtbl.mem kept id)) mffc)
-
 (* Two phases so every analysis is computed on a frozen network: first
    collect profitable rewrites, then apply a non-overlapping subset (MFFCs
    pairwise disjoint, no leaf inside an applied MFFC). Exact SOP rewrites
@@ -24,12 +8,12 @@ let run ?(cut_size = 4) ?(cuts_per_node = 4) net =
   let order = Structure.topo_order net in
   let cuts = Cut_enum.enumerate net ~order ~k:cut_size ~per_node:cuts_per_node in
   let live = Structure.live_set net in
-  let fanout_counts = Structure.fanout_counts net ~live in
+  let mffc = Mffc.create net ~live ~fanout_counts:(Structure.fanout_counts net ~live) in
   let proposals = ref [] in
   Array.iter
     (fun target ->
       if live.(target) && not (Network.is_input net target) then begin
-        let mffc = Structure.mffc net ~fanout_counts ~live target in
+        let cone = Mffc.cone mffc target in
         let best = ref None in
         List.iter
           (fun leaves ->
@@ -40,7 +24,7 @@ let run ?(cut_size = 4) ?(cuts_per_node = 4) net =
               | truth ->
                 let cubes = Qm.minimize ~vars:(Array.length leaves) ~on:truth () in
                 let gain =
-                  freed_area net ~mffc target leaves
+                  Mffc.freed_area mffc cone (Array.to_list leaves)
                   -. Sop_synth.estimated_area cubes
                 in
                 if gain > 0.0 then
@@ -51,7 +35,7 @@ let run ?(cut_size = 4) ?(cuts_per_node = 4) net =
         match !best with
         | None -> ()
         | Some (gain, leaves, cubes) ->
-          proposals := (gain, target, mffc, leaves, cubes) :: !proposals
+          proposals := (gain, target, Mffc.nodes cone, leaves, cubes) :: !proposals
       end)
     order;
   let ordered =

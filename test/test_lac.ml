@@ -196,6 +196,41 @@ let test_round_ctx_consistency () =
     (fun i bv -> check "output sig" true (Bitvec.equal bv fresh.(i)))
     (Round_ctx.output_sigs ctx)
 
+(* Round-0 candidate lists of the er-suite circuits under the engine's
+   default patterns (seed 1, 2048 samples), pinned by length and by the
+   MD5 of their structure ([Marshal] without sharing). Any change to
+   candidate generation that alters a single LAC, its order or its gain
+   shows here. *)
+let golden_candidates =
+  [
+    ("alu4", 1009, "543c425ef316e6be54201753a9cf2cf6");
+    ("c880", 1890, "599b2deb3e9f80e45f1ea43496f312d9");
+    ("c1908", 1650, "8f3ff073e87feb9fe23b7f12378f987e");
+    ("c3540", 2480, "bf230f7e5a39cbd68772d48b287fbf23");
+    ("cla32", 3817, "a1ba658855d3d1af747571983733a032");
+    ("ksa32", 6356, "01229d45e7bb378e70e72dfebe267265");
+    ("mtp8", 4293, "11b33c057f11e794024b9214b4bb53b2");
+    ("wal8", 4186, "fdb00fd4f97469de73b0378a38bcf264");
+    ("sqrt", 11435, "7d7edd05c5dc92dcd385cd7c15498c0e");
+    ("sin", 6211, "eb68c8729a406c3b7065d487bfccc9aa");
+    ("log2", 4132, "e6afaed5bd74881a01a2801dc3b330a6");
+    ("apex6", 4247, "b2e2dbe03143d3871e004d6964061e89");
+    ("frg2", 5180, "1bcbdd8fff7a27794e1b8368a0ae8c5c");
+  ]
+
+let test_golden_candidates () =
+  List.iter
+    (fun (name, length, digest) ->
+      let net = Accals_circuits.Bench_suite.load name in
+      let patterns = Sim.for_network ~seed:1 ~count:2048 ~exhaustive_limit:14 net in
+      let ctx = Round_ctx.create net patterns in
+      let cands = Candidate_gen.generate ctx Candidate_gen.default_config in
+      check_int (name ^ " candidate count") length (List.length cands);
+      Alcotest.(check string)
+        (name ^ " candidate digest") digest
+        (Digest.to_hex (Digest.string (Marshal.to_string cands [ Marshal.No_sharing ]))))
+    golden_candidates
+
 let suite =
   [
     ( "lac",
@@ -218,5 +253,6 @@ let suite =
         Alcotest.test_case "gains not overstated" `Slow test_candidate_gain_is_real;
         Alcotest.test_case "bulk apply stays valid" `Quick test_apply_preserves_validity;
         Alcotest.test_case "round context consistency" `Quick test_round_ctx_consistency;
+        Alcotest.test_case "golden er-suite candidates" `Quick test_golden_candidates;
       ] );
   ]

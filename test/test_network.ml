@@ -149,7 +149,7 @@ let test_mffc () =
   let t, _, _, _, ab, f, _, _ = small_net () in
   let live = Structure.live_set t in
   let counts = Structure.fanout_counts t ~live in
-  let m = Structure.mffc t ~fanout_counts:counts ~live f in
+  let m = Mffc.nodes (Mffc.cone (Mffc.create t ~live ~fanout_counts:counts) f) in
   (* ab only feeds f, so it is inside f's MFFC. *)
   check "f in own mffc" true (List.mem f m);
   check "ab in f's mffc" true (List.mem ab m)
@@ -164,7 +164,7 @@ let test_mffc_shared_node_excluded () =
   Network.set_outputs t [| ("x", x); ("y", y) |];
   let live = Structure.live_set t in
   let counts = Structure.fanout_counts t ~live in
-  let m = Structure.mffc t ~fanout_counts:counts ~live x in
+  let m = Mffc.nodes (Mffc.cone (Mffc.create t ~live ~fanout_counts:counts) x) in
   check "shared not in mffc" false (List.mem shared m)
 
 (* Cleanup tests *)
@@ -282,6 +282,107 @@ let prop_topo_valid_random =
           Array.for_all (fun f -> pos.(f) < pos.(id)) (Network.fanins t id))
         order)
 
+(* Reference MFFC: dereference a fresh copy of the counts, with a Hashtbl
+   per node for distinct fanins. *)
+let reference_mffc t ~fanout_counts ~live id =
+  let counts = Array.copy fanout_counts in
+  let acc = ref [ id ] in
+  let rec deref x =
+    let seen = Hashtbl.create 4 in
+    Array.iter
+      (fun f ->
+        if not (Hashtbl.mem seen f) then begin
+          Hashtbl.add seen f ();
+          counts.(f) <- counts.(f) - 1;
+          if counts.(f) = 0 && live.(f) && not (Network.is_input t f) then begin
+            acc := f :: !acc;
+            deref f
+          end
+        end)
+      (Network.fanins t x)
+  in
+  deref id;
+  !acc
+
+(* Reference freed area: the MFFC minus the members the substitute nodes
+   reach through fanins inside it. *)
+let reference_freed_area t ~mffc target sns =
+  let in_mffc = Hashtbl.create 16 in
+  List.iter (fun id -> Hashtbl.replace in_mffc id ()) mffc;
+  let kept = Hashtbl.create 8 in
+  let rec keep id =
+    if id <> target && Hashtbl.mem in_mffc id && not (Hashtbl.mem kept id)
+    then begin
+      Hashtbl.replace kept id ();
+      Array.iter keep (Network.fanins t id)
+    end
+  in
+  List.iter keep sns;
+  Cost.area_of_nodes t (List.filter (fun id -> not (Hashtbl.mem kept id)) mffc)
+
+(* Random networks with reconvergence, repeated fanins and a dangling
+   node. *)
+let build_cone_net seed =
+  let t = Random_logic.make ~name:"cones" ~inputs:8 ~outputs:5 ~gates:120 ~seed in
+  let n = Network.num_nodes t in
+  ignore (Network.add_node t Gate.And [| n - 1; n - 1; n - 2 |]);
+  t
+
+let prop_mffc_in_place =
+  Test_util.qcheck_case ~count:40 "in-place mffc matches copying mffc"
+    gen_random_net_seed (fun seed ->
+      let t = build_cone_net seed in
+      let live = Structure.live_set t in
+      let fanout_counts = Structure.fanout_counts t ~live in
+      let scratch = Mffc.create t ~live ~fanout_counts in
+      let rng = Accals_bitvec.Prng.create seed in
+      let n = Network.num_nodes t in
+      let ok = ref true in
+      for id = 0 to n - 1 do
+        if live.(id) && not (Network.is_input t id) then begin
+          let reference = reference_mffc t ~fanout_counts ~live id in
+          let cone = Mffc.cone scratch id in
+          if Mffc.nodes cone <> reference then ok := false;
+          if Mffc.counts scratch <> fanout_counts then ok := false;
+          if Mffc.area cone <> Cost.area_of_nodes t reference then ok := false;
+          for _ = 1 to 4 do
+            let sns =
+              List.init (1 + Accals_bitvec.Prng.int rng 3) (fun _ ->
+                  Accals_bitvec.Prng.int rng n)
+            in
+            if Mffc.freed_area scratch cone sns
+               <> reference_freed_area t ~mffc:reference id sns
+            then ok := false
+          done
+        end
+      done;
+      !ok)
+
+let prop_in_tfo_matches_tfo_set =
+  Test_util.qcheck_case ~count:40 "pruned tfo test matches tfo_set"
+    gen_random_net_seed (fun seed ->
+      let t = build_cone_net seed in
+      let live = Structure.live_set t in
+      let order = Structure.topo_order ~live t in
+      let topo_pos = Array.make (Network.num_nodes t) (-1) in
+      Array.iteri (fun i id -> topo_pos.(id) <- i) order;
+      let fanouts = Structure.fanouts t in
+      let probe = Structure.tfo_probe t ~topo_pos in
+      let rng = Accals_bitvec.Prng.create seed in
+      let n = Network.num_nodes t in
+      let ok = ref true in
+      (* Shuffled queries revisit targets, so stale memo entries would
+         show. *)
+      for _ = 1 to 3 * Array.length order do
+        let target = order.(Accals_bitvec.Prng.int rng (Array.length order)) in
+        let tfo = Structure.tfo_set t ~fanouts target in
+        for _ = 1 to 8 do
+          let v = Accals_bitvec.Prng.int rng n in
+          if Structure.in_tfo probe ~target v <> Bitvec.get tfo v then ok := false
+        done
+      done;
+      !ok)
+
 (* Simulation vs eval oracle *)
 
 let test_sim_matches_eval () =
@@ -372,6 +473,8 @@ let suite =
         Alcotest.test_case "mffc" `Quick test_mffc;
         Alcotest.test_case "mffc excludes shared" `Quick test_mffc_shared_node_excluded;
         prop_topo_valid_random;
+        prop_mffc_in_place;
+        prop_in_tfo_matches_tfo_set;
       ] );
     ( "cleanup",
       [

@@ -188,7 +188,22 @@ let test_estimator_score_deterministic () =
         Accals_lac.Candidate_gen.generate ~pool ctx
           Accals_lac.Candidate_gen.default_config)
   in
-  check "generated candidates identical" true (compare cands par_gen = 0)
+  check "generated candidates identical" true (compare cands par_gen = 0);
+  (* frg2 and sqrt exercise SOP cuts, sibling windows and per-chunk
+     scratch reuse across many targets. *)
+  List.iter
+    (fun name ->
+      let net = Accals_circuits.Bench_suite.load name in
+      let patterns = Sim.for_network ~seed:1 ~count:512 ~exhaustive_limit:10 net in
+      let ctx = Accals_lac.Round_ctx.create net patterns in
+      let config = Accals_lac.Candidate_gen.default_config in
+      let seq = Accals_lac.Candidate_gen.generate ctx config in
+      let par =
+        Pool.with_pool ~jobs:3 (fun pool ->
+            Accals_lac.Candidate_gen.generate ~pool ctx config)
+      in
+      check (name ^ " generated candidates identical") true (compare seq par = 0))
+    [ "frg2"; "sqrt" ]
 
 let test_exhaustive_pool_deterministic () =
   let net = Accals_circuits.Bench_suite.load "mtp8" in

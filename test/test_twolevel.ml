@@ -134,6 +134,147 @@ let prop_qm_no_worse_than_minterms =
         Qm.literal_cost cubes <= vars * Truth.ones vars on
       end)
 
+(* Reference prime generation: the classic merge loop. Start from the
+   minterms of the care set and merge cubes differing in exactly one care
+   bit until fixpoint; cubes never merged at any stage are prime. *)
+let reference_primes ~vars ~care =
+  let full_mask = (1 lsl vars) - 1 in
+  let current = Hashtbl.create 64 in
+  for m = 0 to Truth.rows vars - 1 do
+    if Truth.get care m then
+      Hashtbl.replace current { Qm.mask = full_mask; value = m } false
+  done;
+  let result = ref [] in
+  let continue_ = ref (Hashtbl.length current > 0) in
+  let generation = ref current in
+  while !continue_ do
+    let next = Hashtbl.create 64 in
+    let cubes = Hashtbl.fold (fun c _ acc -> c :: acc) !generation [] in
+    let merged = Hashtbl.create 64 in
+    List.iteri
+      (fun i (a : Qm.cube) ->
+        List.iteri
+          (fun j (b : Qm.cube) ->
+            if j > i && a.mask = b.mask then begin
+              let diff = a.value lxor b.value in
+              if diff <> 0 && diff land (diff - 1) = 0 then begin
+                let c =
+                  { Qm.mask = a.mask land lnot diff; value = a.value land lnot diff }
+                in
+                Hashtbl.replace next c false;
+                Hashtbl.replace merged a ();
+                Hashtbl.replace merged b ()
+              end
+            end)
+          cubes)
+      cubes;
+    List.iter
+      (fun c -> if not (Hashtbl.mem merged c) then result := c :: !result)
+      cubes;
+    generation := next;
+    continue_ := Hashtbl.length next > 0
+  done;
+  List.sort_uniq compare !result
+
+(* Reference cover: the list-based essential-then-greedy cover over the
+   reference primes. *)
+let reference_minimize ~vars ~on ~dc =
+  let on = on land Truth.mask vars in
+  let dc = dc land Truth.mask vars land lnot on in
+  if on = 0 then []
+  else begin
+    let prime_list = reference_primes ~vars ~care:(on lor dc) in
+    let required = List.filter (Truth.get on) (List.init (Truth.rows vars) Fun.id) in
+    let chosen = ref [] in
+    let covers_of c = List.filter (Qm.cube_covers c) required in
+    List.iter
+      (fun m ->
+        match List.filter (fun c -> Qm.cube_covers c m) prime_list with
+        | [ only ] when not (List.mem only !chosen) -> chosen := only :: !chosen
+        | _ -> ())
+      required;
+    let uncovered () =
+      List.filter
+        (fun m -> not (List.exists (fun c -> Qm.cube_covers c m) !chosen))
+        required
+    in
+    while uncovered () <> [] do
+      let best = ref None in
+      List.iter
+        (fun c ->
+          if not (List.mem c !chosen) then begin
+            let gain =
+              List.length (List.filter (fun m -> List.mem m (uncovered ())) (covers_of c))
+            in
+            if gain > 0 then
+              match !best with
+              | Some (g, bc)
+                when g > gain || (g = gain && Qm.cube_literals bc <= Qm.cube_literals c) ->
+                ()
+              | Some _ | None -> best := Some (gain, c)
+          end)
+        prime_list;
+      match !best with
+      | None -> assert false
+      | Some (_, c) -> chosen := c :: !chosen
+    done;
+    let rec prune kept = function
+      | [] -> kept
+      | c :: rest ->
+        let others = kept @ rest in
+        let still_covered =
+          List.for_all
+            (fun m ->
+              (not (Qm.cube_covers c m))
+              || List.exists (fun c' -> Qm.cube_covers c' m) others)
+            required
+        in
+        if still_covered then prune kept rest else prune (c :: kept) rest
+    in
+    prune [] !chosen
+  end
+
+let test_qm_minimize_exhaustive () =
+  for vars = 1 to 3 do
+    let rows = Truth.rows vars in
+    (* Every assignment of each minterm to off / on / don't-care. *)
+    let rec assignments m on dc =
+      if m = rows then begin
+        if Qm.minimize ~vars ~on ~dc () <> reference_minimize ~vars ~on ~dc then
+          Alcotest.failf "minimize differs: vars=%d on=%#x dc=%#x" vars on dc
+      end
+      else begin
+        assignments (m + 1) on dc;
+        assignments (m + 1) (Truth.set on m true) dc;
+        assignments (m + 1) on (Truth.set dc m true)
+      end
+    in
+    assignments 0 0 0
+  done
+
+let prop_qm_minimize_reference =
+  Test_util.qcheck_case ~count:500 "qm minimize random 4-5 vars"
+    QCheck2.Gen.(triple (int_range 4 5) int int)
+    (fun (vars, on, dc) ->
+      Qm.minimize ~vars ~on ~dc () = reference_minimize ~vars ~on ~dc)
+
+let test_qm_primes_exhaustive () =
+  for vars = 0 to 4 do
+    for care = 0 to Truth.mask vars do
+      if Qm.primes ~vars ~care <> reference_primes ~vars ~care then
+        Alcotest.failf "primes differ: vars=%d care=%#x" vars care
+    done
+  done
+
+let prop_qm_primes_wide =
+  Test_util.qcheck_case ~count:200 "qm primes random 5-6 vars"
+    QCheck2.Gen.(quad (int_range 5 6) int int bool)
+    (fun (vars, a, b, dense) ->
+      (* OR-ing two random words gives denser care sets, hence larger
+         primes. *)
+      let care = if dense then a lor b else a in
+      Qm.primes ~vars ~care = reference_primes ~vars ~care)
+
 (* --- Sop_synth --- *)
 
 let test_sop_build_matches_truth () =
@@ -294,6 +435,12 @@ let suite =
         Alcotest.test_case "don't cares help" `Quick test_qm_dont_care_helps;
         prop_qm_random;
         prop_qm_no_worse_than_minterms;
+        Alcotest.test_case "qm primes exhaustive 0-4 vars" `Quick
+          test_qm_primes_exhaustive;
+        prop_qm_primes_wide;
+        Alcotest.test_case "qm minimize exhaustive 1-3 vars" `Quick
+          test_qm_minimize_exhaustive;
+        prop_qm_minimize_reference;
       ] );
     ( "sop synthesis",
       [
