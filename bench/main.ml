@@ -668,117 +668,6 @@ let speedup () =
   close_out oc;
   Printf.printf "wrote %s\n" speedup_json_file
 
-(* ---------- Incremental signature engine: rebuild vs incremental ---------- *)
-
-let incremental_json_file = "bench_incremental.json"
-
-let incremental () =
-  section
-    (Printf.sprintf
-       "Incremental signature engine: rebuild vs incremental (JSON -> %s)"
-       incremental_json_file);
-  let metric = Metric.Error_rate and bound = 0.03 in
-  (* The three largest circuits of the small set by mapped area. *)
-  let names =
-    small_set
-    |> List.map (fun n -> (Cost.area (circuit n), n))
-    |> List.sort (fun (a, _) (b, _) -> compare b a)
-    |> (fun l -> List.filteri (fun i _ -> i < 3) l)
-    |> List.map snd
-  in
-  let strip (r : Trace.round) =
-    { r with Trace.resim_nodes = 0; resim_converged = 0; resim_recycled = 0 }
-  in
-  Printf.printf "%-8s %8s %12s %12s %9s %11s %11s %6s\n" "Ckt" "live"
-    "rebuild (s)" "increm. (s)" "speedup" "resim/round" "full/round" "ident";
-  let rows =
-    List.map
-      (fun name ->
-        let net = circuit name in
-        let live = Structure.live_set net in
-        let live_nodes = ref 0 in
-        Array.iteri
-          (fun i l -> if l && not (Network.is_input net i) then incr live_nodes)
-          live;
-        let run_with incr_flag j =
-          let config =
-            Config.for_network
-              ~base:
-                {
-                  Config.default with
-                  seed = 1;
-                  samples = samples ();
-                  jobs = j;
-                  incremental = incr_flag;
-                }
-              net
-          in
-          Engine.run ~config net ~metric ~error_bound:bound
-        in
-        let reb = run_with false 1 in
-        let inc = run_with true 1 in
-        let inc_par = run_with true (max 2 !jobs) in
-        let identical =
-          List.map strip reb.Engine.rounds = List.map strip inc.Engine.rounds
-          && inc.Engine.rounds = inc_par.Engine.rounds
-          && reb.Engine.error = inc.Engine.error
-          && reb.Engine.area_ratio = inc.Engine.area_ratio
-          && reb.Engine.exact_evaluations = inc.Engine.exact_evaluations
-        in
-        let sum f rounds = List.fold_left (fun a r -> a + f r) 0 rounds in
-        let n_rounds = max 1 (List.length inc.Engine.rounds) in
-        let resim_avg =
-          sum (fun r -> r.Trace.resim_nodes) inc.Engine.rounds / n_rounds
-        in
-        let full_avg =
-          sum (fun r -> r.Trace.resim_nodes) reb.Engine.rounds
-          / max 1 (List.length reb.Engine.rounds)
-        in
-        Printf.printf "%-8s %8d %12.3f %12.3f %8.2fx %11d %11d %6b\n" name
-          !live_nodes reb.Engine.runtime_seconds inc.Engine.runtime_seconds
-          (reb.Engine.runtime_seconds /. max 1e-9 inc.Engine.runtime_seconds)
-          resim_avg full_avg identical;
-        (name, !live_nodes, reb, inc, identical))
-      names
-  in
-  (* Hand-rolled JSON, same style as bench_speedup.json. *)
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"metric\": \"%s\",\n" (Metric.kind_to_string metric);
-  Printf.bprintf buf "  \"bound\": %g,\n" bound;
-  Printf.bprintf buf "  \"samples\": %d,\n" (samples ());
-  Buffer.add_string buf "  \"circuits\": [\n";
-  List.iteri
-    (fun i (name, live_nodes, reb, inc, identical) ->
-      let ints f rounds =
-        String.concat ", "
-          (List.map (fun r -> string_of_int (f r)) rounds)
-      in
-      let sum f rounds = List.fold_left (fun a r -> a + f r) 0 rounds in
-      Printf.bprintf buf
-        "    { \"name\": \"%s\", \"live_nodes\": %d, \"rounds\": %d,\n\
-        \      \"identical\": %b,\n\
-        \      \"rebuild_s\": %.6f, \"incremental_s\": %.6f, \"speedup\": %.4f,\n\
-        \      \"resim_nodes\": [%s],\n\
-        \      \"full_nodes\": [%s],\n\
-        \      \"resim_converged_total\": %d, \"buffers_recycled_total\": %d }%s\n"
-        name live_nodes
-        (List.length inc.Engine.rounds)
-        identical reb.Engine.runtime_seconds inc.Engine.runtime_seconds
-        (reb.Engine.runtime_seconds /. max 1e-9 inc.Engine.runtime_seconds)
-        (ints (fun r -> r.Trace.resim_nodes) inc.Engine.rounds)
-        (ints (fun r -> r.Trace.resim_nodes) reb.Engine.rounds)
-        (sum (fun r -> r.Trace.resim_converged) inc.Engine.rounds)
-        (sum (fun r -> r.Trace.resim_recycled) inc.Engine.rounds)
-        (if i = List.length rows - 1 then "" else ",")
-    )
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out incremental_json_file in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "wrote %s\n" incremental_json_file
-
 (* ---------- Self-auditing runtime: audit and certification overhead ---------- *)
 
 let audit_json_file = "bench_audit.json"
@@ -1858,7 +1747,6 @@ let experiments =
     ("ablation", ablation);
     ("sensitivity", sensitivity);
     ("speedup", speedup);
-    ("incremental", incremental);
     ("audit", audit);
     ("telemetry", telemetry);
     ("observe", observe);

@@ -31,7 +31,7 @@ module Backoff = Accals_server.Backoff
 (* Exit codes (also listed in `accals --help`):
      0   success
      1   run failure — runtime fault exhausted its retries, invariant
-         violation, corrupt checkpoint
+         violation, corrupt or incompatible checkpoint
      2   usage error — bad command line, unknown circuit, unreadable or
          malformed input file
      125 unexpected internal error *)
@@ -209,11 +209,10 @@ let max_memory_arg =
     & info [ "max-memory-mb" ] ~docv:"MB"
         ~doc:
           "Memory budget for the run, enforced at round boundaries: under \
-           pressure the engine first drops its caches and buffer pools, \
-           then falls back to the rebuild backend, and only as a last \
-           resort checkpoints and sheds the run (degraded = true, never \
-           the OOM killer). Results stay bit-identical until the shed \
-           rung. 0 = unlimited.")
+           pressure the engine first drops its caches and buffer pools \
+           (results stay bit-identical); if it is still over budget it \
+           checkpoints and sheds the run (degraded = true, never the OOM \
+           killer). 0 = unlimited.")
 
 let round_deadline_arg =
   Arg.(
@@ -233,17 +232,6 @@ let validate_arg =
           "Check the network invariants (acyclicity, arity, fanin ranges) \
            at every round boundary, not only before checkpoints.")
 
-let no_incremental_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-incremental" ]
-        ~doc:
-          "Disable the incremental signature engine and rebuild the \
-           per-round state (signatures, criticality, error masks) from \
-           scratch every round. Results are bit-identical either way; the \
-           rebuild path exists as the reference for differential testing.")
-
 let audit_every_arg =
   Arg.(
     value
@@ -253,8 +241,11 @@ let audit_every_arg =
           "Shadow-audit cadence: every $(docv) rounds, re-derive the \
            round's signatures and error from scratch and compare them with \
            the incremental engine's state. A divergence is logged as an \
-           incident and permanently degrades the run to the rebuild \
-           backend. 0 (default) disables scheduled audits.")
+           incident and the signature database is rebuilt from the working \
+           circuit; the run continues with the same result. A repeat \
+           divergence demotes the run to single-LAC selection, and one \
+           after that stops it (degraded = true). 0 (default) disables \
+           scheduled audits.")
 
 let certify_arg =
   Arg.(
@@ -394,7 +385,7 @@ let synth_cmd =
   let doc = "Synthesize an approximate circuit under an error bound." in
   let run spec metric bound method_ samples seed jobs out verilog verbose trace
       ckpt_dir resume run_deadline round_deadline max_memory_mb validate
-      no_incremental audit_every certify ckpt_keep incident_log trace_out
+      audit_every certify ckpt_keep incident_log trace_out
       metrics_out events_out progress profile_out profile_hz profile_mode json =
     if resume && ckpt_dir = None then
       user_error "--resume requires --checkpoint DIR";
@@ -417,7 +408,6 @@ let synth_cmd =
           round_deadline;
           max_memory_mb;
           validate_rounds = validate;
-          incremental = not no_incremental;
           audit_every;
           certify;
         }
@@ -501,24 +491,29 @@ let synth_cmd =
         let snapshot =
           if resume then
             Option.bind ckpt_path (fun path ->
-                Option.map fst
-                  (Checkpoint.load_rotated ~path ~tag:ckpt_tag ~keep:ckpt_keep
-                     ~on_corrupt:(fun ~path detail ->
-                       notice "checkpoint   : skipping corrupt %s (%s)\n"
-                         path detail;
-                       resume_incidents :=
-                         Incident.make ~round:0
-                           (Incident.Checkpoint_corrupt { path; detail })
-                         :: !resume_incidents)
-                     ()))
+                Checkpoint.load_rotated ~path ~tag:ckpt_tag ~keep:ckpt_keep
+                  ~on_corrupt:(fun ~path detail ->
+                    notice "checkpoint   : skipping corrupt %s (%s)\n" path
+                      detail;
+                    resume_incidents :=
+                      Incident.make ~round:0
+                        (Incident.Checkpoint_corrupt { path; detail })
+                      :: !resume_incidents)
+                  ())
           else None
         in
         match snapshot with
-        | Some snap ->
+        | Some (snap, file) ->
           notice "resumed      : %s at round %d\n"
             (Engine.snapshot_circuit snap)
             (Engine.snapshot_round snap);
-          Engine.resume ~jobs ~checkpoint snap
+          (try Engine.resume ~jobs ~checkpoint snap
+           with Engine.Incompatible_snapshot { found; expected } ->
+             Printf.eprintf
+               "accals: checkpoint %s has snapshot version %d, this build \
+                expects %d; remove it or resume with the build that wrote it\n"
+               file found expected;
+             exit failure_exit)
         | None ->
           if resume then
             notice "resumed      : no checkpoint yet, starting fresh\n";
@@ -623,7 +618,7 @@ let synth_cmd =
       const run $ circuit_arg $ metric_arg $ bound_arg $ method_arg $ samples_arg
       $ seed_arg $ jobs_arg $ out_arg $ verilog_arg $ verbose_arg $ trace_arg
       $ checkpoint_arg $ resume_arg $ run_deadline_arg $ round_deadline_arg
-      $ max_memory_arg $ validate_arg $ no_incremental_arg $ audit_every_arg
+      $ max_memory_arg $ validate_arg $ audit_every_arg
       $ certify_arg
       $ ckpt_keep_arg $ incident_log_arg $ trace_out_arg $ metrics_out_arg
       $ events_out_arg $ progress_arg $ profile_out_arg $ profile_hz_arg
@@ -1481,7 +1476,8 @@ let () =
       Cmd.Exit.info failure_exit
         ~doc:
           "on run failure: a runtime fault exhausted its retries, a network \
-           invariant was violated, or a checkpoint was corrupt.";
+           invariant was violated, or a checkpoint was corrupt or written \
+           by an incompatible build.";
       Cmd.Exit.info usage_exit
         ~doc:
           "on usage errors: bad command line, unknown circuit, unreadable \

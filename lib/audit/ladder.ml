@@ -1,34 +1,26 @@
-type level = Incremental | Rebuild | Single_lac
+type level = Incremental | Single_lac
 
-(* New constructors go at the END: the reason is marshaled inside engine
-   snapshots and appending keeps existing tags decodable. *)
+(* Both variants are marshaled inside engine snapshots. New constructors go
+   at the END, which keeps existing tags decodable; removing one renumbers
+   the tags after it and needs an [Engine.snapshot_version] bump. *)
 type reason =
   | Audit_divergence
   | Watchdog_run
   | Watchdog_round
   | Certification_rollback
-  | Manual
   | Resource_pressure
 
 type event = { round : int; level : level; reason : reason; transient : bool }
 
-type t = {
-  initial : level;
-  mutable level : level;
-  mutable events : event list; (* newest first *)
-}
+type t = { mutable level : level; mutable events : event list (* newest first *) }
 
-let create ~initial = { initial; level = initial; events = [] }
-let copy t = { initial = t.initial; level = t.level; events = t.events }
-let initial t = t.initial
+let create () = { level = Incremental; events = [] }
+let copy t = { level = t.level; events = t.events }
 let level t = t.level
 let events t = List.rev t.events
 
-let rank = function Incremental -> 2 | Rebuild -> 1 | Single_lac -> 0
-
 let level_to_string = function
   | Incremental -> "incremental"
-  | Rebuild -> "rebuild"
   | Single_lac -> "single-lac"
 
 let reason_to_string = function
@@ -36,19 +28,20 @@ let reason_to_string = function
   | Watchdog_run -> "watchdog_run"
   | Watchdog_round -> "watchdog_round"
   | Certification_rollback -> "certification_rollback"
-  | Manual -> "manual"
   | Resource_pressure -> "resource_pressure"
 
-let descend t ~round ~level:target ~reason =
-  if rank target < rank t.level then begin
-    t.level <- target;
-    t.events <- { round; level = target; reason; transient = false } :: t.events
+let descend t ~round ~reason =
+  if t.level = Incremental then begin
+    t.level <- Single_lac;
+    t.events <-
+      { round; level = Single_lac; reason; transient = false } :: t.events
   end
 
 let note t ~round ~reason =
-  (* Transient events (round watchdog demotions, run-deadline stops) are
-     recorded once per reason — they describe a mode, not each occurrence,
-     and keep the checkpointed event list bounded. *)
+  (* Transient events (a first audit divergence, round watchdog demotions,
+     run-deadline stops) are recorded once per reason — they describe a
+     mode, not each occurrence, and keep the checkpointed event list
+     bounded. *)
   if List.exists (fun e -> e.transient && e.reason = reason) t.events then
     false
   else begin
@@ -58,7 +51,7 @@ let note t ~round ~reason =
 
 let summary t =
   let buf = Buffer.create 32 in
-  Buffer.add_string buf (level_to_string t.initial);
+  Buffer.add_string buf (level_to_string Incremental);
   List.iter
     (fun e ->
       if e.transient then

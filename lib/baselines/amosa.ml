@@ -222,12 +222,9 @@ let run ?config ?(amosa = default_config) ?patterns ?pool net ~metric
       adp_ratio = Cost.adp approximate /. (area0 *. delay0);
       degraded = false;
       degraded_reason = None;
-      final_level =
-        (if config.Config.incremental then Accals_audit.Ladder.Incremental
-         else Accals_audit.Ladder.Rebuild);
+      final_level = Accals_audit.Ladder.Incremental;
       ladder_events = [];
-      ladder_summary =
-        (if config.Config.incremental then "incremental" else "rebuild");
+      ladder_summary = "incremental";
       audits = 0;
       incidents = [];
       certification = None;

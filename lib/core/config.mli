@@ -32,14 +32,15 @@ type t = {
       (** resimulate shortlisted candidates exactly (default); off: take
           the cheap criticality estimate as ΔE (VECBEE's fast mode) *)
   incremental : bool;
-      (** drive each round through the event-driven signature database
-          ([lib/sigdb]): candidate sets are evaluated under an undo journal
-          on the working circuit and only changed fanout cones are
-          resimulated, instead of copying the network and resimulating
-          everything per evaluation. On (default) and off produce
-          bit-identical traces and results for every [jobs] value; off is
-          the reference rebuild-everything path kept for differential
-          testing ([--no-incremental] in the CLI). *)
+      (** the differential-test reference switch. On (default, and every
+          CLI run): each round runs through the event-driven signature
+          database ([lib/sigdb]) — candidate sets are evaluated under an
+          undo journal on the working circuit and only changed fanout cones
+          are resimulated. Off: the rebuild-everything reference path,
+          which copies the network and resimulates it per evaluation. Both
+          produce bit-identical traces and results for every [jobs] value;
+          the tests compare them. Chosen at construction, never switched
+          mid-run (see {!Round_eval}). *)
   jobs : int;
       (** domains for the parallel runtime; 1 (default) runs the reference
           sequential path with no pool. Results are bit-identical for every
@@ -61,8 +62,10 @@ type t = {
       (** shadow-audit cadence: every [audit_every] rounds, re-derive the
           round's signatures and error from scratch and compare them with
           the incremental engine's view (see [lib/audit]); a divergence is
-          recorded as an incident and permanently demotes the run down the
-          degradation ladder. 0 (default) disables scheduled audits;
+          recorded as an incident and the signature database is rebuilt
+          from the working circuit. A first divergence is a transient
+          ladder note, a repeat one demotes the run to single-LAC, and one
+          at single-LAC stops it. 0 (default) disables scheduled audits;
           watermark anomalies still trigger one. *)
   certify : bool;
       (** after the final round, re-measure the result circuit's error with
@@ -72,12 +75,12 @@ type t = {
   max_memory_mb : int;
       (** memory budget for the run in MiB; 0 (default) disables the
           governor. When the sampled footprint (GC major heap plus sigdb
-          pool counters) crosses the budget the engine escalates through
+          pool counters) crosses the budget the engine first applies
           result-preserving relief (drop the cone cache and signature
-          buffer pool, compact), then a rebuild-backend descent, and
-          finally a checkpoint-and-stop with [report.degraded = true] —
-          every rung is bit-identity-preserving for the circuits it does
-          emit, and the OOM killer is never the failure mode *)
+          buffer pool, compact); if the footprint is still over budget it
+          checkpoints and stops with [report.degraded = true]. Both rungs
+          are bit-identity-preserving for the circuits the run does emit,
+          and the OOM killer is never the failure mode *)
 }
 
 val default : t

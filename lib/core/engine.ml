@@ -77,8 +77,13 @@ type snapshot = {
    degradation ladder, the degradation reason and the incident list, so a
    resumed run reports the same audit history as an uninterrupted one.
    4: [Config.t] gained [max_memory_mb] and [Ladder.reason] gained
-   [Resource_pressure]. *)
-let snapshot_version = 4
+   [Resource_pressure].
+   5: [Ladder.level] lost [Rebuild] and [Ladder.reason] lost [Manual]
+   (renumbering the marshaled tags), and the ladder no longer stores its
+   initial level. *)
+let snapshot_version = 5
+
+exception Incompatible_snapshot of { found : int; expected : int }
 
 let snapshot_round s = s.s_round
 let snapshot_finished s = s.s_finished
@@ -223,10 +228,6 @@ let run_loop ?patterns ?pool ?checkpoint st =
     Round_eval.create ~incremental:config.Config.incremental ~current
       ~patterns ~golden ~metric
   in
-  (* The effective configuration can lose [incremental] mid-run (audit
-     divergence); checkpoints persist the effective one so a resume
-     continues on the degraded backend. *)
-  let eff_config = ref config in
   let take_best e_new =
     rollback := List.filteri (fun i _ -> i < max_rollback - 1) !rollback;
     rollback := (!best, !best_error) :: !rollback;
@@ -250,7 +251,6 @@ let run_loop ?patterns ?pool ?checkpoint st =
       save
         {
           st with
-          s_config = !eff_config;
           s_current = Network.copy !current;
           s_best = !best;
           s_error = !error;
@@ -296,10 +296,14 @@ let run_loop ?patterns ?pool ?checkpoint st =
           ("jobs", Tjson.Int config.Config.jobs);
         ]);
   (* The shadow audit: re-derive the round's signatures and error from
-     scratch and compare with what the fast path believes. A divergence
-     moves the run permanently down the ladder — incremental to rebuild
-     (abandoning the signature database), rebuild to single-LAC, and at the
-     bottom the run stops with the best circuit so far. *)
+     scratch and compare with what the fast path believes. Every divergence
+     drops the signature database, and the next round reattaches a fresh
+     one built from the working circuit. The first divergence is a
+     transient ladder note and the run carries on multi-LAC, with the
+     result an undisturbed run would have. A repeat divergence descends to
+     single-LAC, and one at single-LAC stops the run with the best circuit
+     so far. The ladder is in the snapshot, so the escalation survives a
+     resume. *)
   let maybe_audit () =
     if not !finished then begin
       let due =
@@ -332,17 +336,19 @@ let run_loop ?patterns ?pool ?checkpoint st =
           degraded := true;
           if !degraded_reason = None then
             degraded_reason := Some Ladder.Audit_divergence;
-          (match Ladder.level ladder with
-           | Ladder.Incremental ->
-             Round_eval.degrade_to_rebuild ev;
-             eff_config := { !eff_config with Config.incremental = false };
-             Ladder.descend ladder ~round:!round_index ~level:Ladder.Rebuild
-               ~reason:Ladder.Audit_divergence
-           | Ladder.Rebuild ->
-             Ladder.descend ladder ~round:!round_index ~level:Ladder.Single_lac
-               ~reason:Ladder.Audit_divergence
-           | Ladder.Single_lac -> finished := true);
-          ladder_event ~kind:"descend" ~reason:Ladder.Audit_divergence
+          Round_eval.reset ev;
+          let reason = Ladder.Audit_divergence in
+          match Ladder.level ladder with
+          | Ladder.Single_lac ->
+            ladder_event ~kind:"stop" ~reason;
+            finished := true
+          | Ladder.Incremental ->
+            if Ladder.note ladder ~round:!round_index ~reason then
+              ladder_event ~kind:"note" ~reason
+            else begin
+              Ladder.descend ladder ~round:!round_index ~reason;
+              ladder_event ~kind:"descend" ~reason
+            end
       end
     end
   in
@@ -352,10 +358,7 @@ let run_loop ?patterns ?pool ?checkpoint st =
      - soft pressure (>= 85% of the budget): drop the discardable derived
        state — estimator cone cache, idle signature buffers — and compact.
        Pure space/time trade; scores and tie-breaks cannot change.
-     - hard pressure (>= 100%) surviving that relief: descend the ladder to
-       the rebuild backend, abandoning the signature database (the
-       documented bit-identical reference path).
-     - hard pressure even on the cheapest backend: checkpoint and stop
+     - hard pressure (>= 100%) surviving that relief: checkpoint and stop
        degraded with a [Resource_exhausted] incident — the caller (or the
        serve daemon) sheds the job with a structured error instead of
        letting the OOM killer pick a victim. *)
@@ -401,31 +404,20 @@ let run_loop ?patterns ?pool ?checkpoint st =
           degraded := true;
           if !degraded_reason = None then
             degraded_reason := Some Ladder.Resource_pressure;
-          match Ladder.level ladder with
-          | Ladder.Incremental ->
-            (* Next-cheapest mode: the rebuild backend holds no persistent
-               signature database at all, and stays bit-identical. *)
-            Round_eval.degrade_to_rebuild ev;
-            Gc.compact ();
-            eff_config := { !eff_config with Config.incremental = false };
-            Ladder.descend ladder ~round:!round_index ~level:Ladder.Rebuild
-              ~reason:Ladder.Resource_pressure;
-            ladder_event ~kind:"descend" ~reason:Ladder.Resource_pressure
-          | Ladder.Rebuild | Ladder.Single_lac ->
-            (* Nothing cheaper left: checkpoint (below) and stop with the
-               best circuit so far, reporting the exhaustion. *)
-            if
-              Ladder.note ladder ~round:!round_index
-                ~reason:Ladder.Resource_pressure
-            then ladder_event ~kind:"note" ~reason:Ladder.Resource_pressure;
-            incident
-              (Incident.Resource_exhausted
-                 {
-                   resource = "memory";
-                   limit = float_of_int (Budget.Memory.limit_bytes mb);
-                   observed = float_of_int used';
-                 });
-            finished := true
+          if
+            Ladder.note ladder ~round:!round_index
+              ~reason:Ladder.Resource_pressure
+          then ladder_event ~kind:"note" ~reason:Ladder.Resource_pressure;
+          incident
+            (Incident.Resource_exhausted
+               {
+                 resource = "memory";
+                 limit = float_of_int (Budget.Memory.limit_bytes mb);
+                 observed = float_of_int used';
+               });
+          (* The checkpoint below is terminal, so a restart with more memory
+             resumes instead of redoing the work. *)
+          finished := true
         end
       end
   in
@@ -756,20 +748,16 @@ let run ?config ?patterns ?pool ?checkpoint net ~metric ~error_bound =
       s_config = config;
       s_metric = metric;
       s_error_bound = error_bound;
-      s_ladder =
-        Ladder.create
-          ~initial:
-            (if config.Config.incremental then Ladder.Incremental
-             else Ladder.Rebuild);
+      s_ladder = Ladder.create ();
       s_degraded_reason = None;
       s_incidents = [];
     }
 
 let resume ?jobs ?patterns ?pool ?checkpoint snapshot =
   if snapshot.s_version <> snapshot_version then
-    invalid_arg
-      (Printf.sprintf "Engine.resume: snapshot version %d, this build expects %d"
-         snapshot.s_version snapshot_version);
+    raise
+      (Incompatible_snapshot
+         { found = snapshot.s_version; expected = snapshot_version });
   let config =
     match jobs with
     | None -> snapshot.s_config

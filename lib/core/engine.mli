@@ -26,13 +26,14 @@ type report = {
           rather than a converged result *)
   degraded_reason : Ladder.reason option;
       (** why the run degraded: the run-deadline watchdog expired
-          ([Watchdog_run]) or a shadow audit caught the fast path diverging
-          ([Audit_divergence]); [None] iff [degraded = false] *)
+          ([Watchdog_run]), a shadow audit caught the fast path diverging
+          ([Audit_divergence]) or the memory governor shed the run
+          ([Resource_pressure]); [None] iff [degraded = false] *)
   final_level : Ladder.level;
       (** where on the degradation ladder the run ended *)
   ladder_events : Ladder.event list;  (** chronological; survives resume *)
   ladder_summary : string;
-      (** e.g. ["incremental -> rebuild@4 (audit_divergence)"] *)
+      (** e.g. ["incremental [audit_divergence@1]"] *)
   audits : int;
       (** shadow audits performed this process (work accounting: a resumed
           run counts only its own) *)
@@ -69,6 +70,10 @@ type snapshot
 
 val snapshot_version : int
 (** Stored inside every snapshot; {!resume} rejects mismatches. *)
+
+exception Incompatible_snapshot of { found : int; expected : int }
+(** Raised by {!resume} for a snapshot written by a build with a different
+    {!snapshot_version} ([found]) than this one ([expected]). *)
 
 val snapshot_round : snapshot -> int
 val snapshot_finished : snapshot -> bool
@@ -122,7 +127,7 @@ val resume :
     from, for any [jobs] value. [jobs] overrides the snapshot's stored job
     count (the fan-out order, and therefore the result, does not depend on
     it). The snapshot is not consumed: resuming the same snapshot twice
-    yields identical reports. Raises [Invalid_argument] when the
+    yields identical reports. Raises {!Incompatible_snapshot} when the
     snapshot's version does not match {!snapshot_version}. *)
 
 val golden_signatures :

@@ -6,16 +6,19 @@ module Evaluate = Accals_esterr.Evaluate
 module Sigdb = Accals_sigdb.Sigdb
 module Bitvec = Accals_bitvec.Bitvec
 
-(* Round evaluation backend: one interface, two implementations.
+(* Round evaluation backend: one interface, two implementations, chosen
+   once at construction.
 
-   [Rebuild] is the reference path the engine historically used — every
-   candidate-set evaluation copies the working circuit, applies the LACs to
-   the copy and resimulates it from scratch, and every round rebuilds the
-   analysis context and the estimator. [Incremental] keeps one signature
-   database attached to the working circuit: evaluations run under an undo
-   journal with cone-only overlay resimulation, commits resimulate the
-   changed cones in place, and the persistent estimator is refreshed from
-   the database's change delta.
+   [Incremental] is what runs: one signature database attached to the
+   working circuit, evaluations under an undo journal with cone-only
+   overlay resimulation, commits resimulating the changed cones in place,
+   and a persistent estimator refreshed from the database's change delta.
+   [reset] drops that state; the next [begin_round] rebuilds it from the
+   working circuit, exactly as a resumed run does. [Rebuild] is the
+   differential-test reference — every candidate-set evaluation copies the
+   working circuit, applies the LACs to the copy and resimulates it from
+   scratch, and every round rebuilds the analysis context and the
+   estimator.
 
    Both paths are bit-identical observable-for-observable: same applied /
    skipped partitions (the acyclicity guard sees the same network states),
@@ -48,13 +51,13 @@ type t = {
   patterns : Sim.patterns;
   golden : Bitvec.t array;
   metric : Metric.kind;
-  mutable backend : backend;
+  backend : backend;
   mutable evals_mark : int;
   mutable hits_mark : int;  (* estimator cone-cache hit mark *)
   mutable misses_mark : int;
   mutable hits_pending : int;
-      (* cache deltas banked when a rebuild-path estimator retires at
-         commit, so [take_aux] can report them after the round closed *)
+      (* cache deltas banked when an estimator retires (rebuild-path commit,
+         [reset]), so [take_aux] can report them after it is gone *)
   mutable misses_pending : int;
   mutable undo_mark : int;  (* sigdb journal undo mark *)
   mutable jent_mark : int;  (* sigdb journal entries-undone mark *)
@@ -110,40 +113,15 @@ let db_exn s =
 let sort_by_delta lacs =
   List.sort (fun a b -> compare a.Lac.delta_error b.Lac.delta_error) lacs
 
-let backend_kind t =
-  match t.backend with
-  | Rebuild _ -> `Rebuild
-  | Incremental _ -> `Incremental
-
 (* The incremental views are replaced wholesale at every refresh, so a view
    sized differently from the network it describes can only mean the
    database missed a change event — the watermark anomaly that forces an
    immediate audit. *)
 let watermark_ok t =
   match t.backend with
-  | Rebuild _ -> true
   | Incremental { i_db = Some db; _ } ->
     Array.length (Sigdb.live_view db) = Network.num_nodes !(t.current)
-  | Incremental _ -> true
-
-(* Permanently abandon the incremental database and continue on the
-   reference rebuild path. The database's tracker must come off the
-   network first: rebuild-path commits replace the working circuit with
-   untracked copies, and a stale tracker would keep mutating orphaned
-   state. Counter marks reset with it — the counters they tracked are
-   gone. *)
-let degrade_to_rebuild t =
-  match t.backend with
-  | Rebuild _ -> ()
-  | Incremental s ->
-    (match s.i_db with Some db -> Sigdb.detach db | None -> ());
-    t.evals_mark <- 0;
-    t.hits_mark <- 0;
-    t.misses_mark <- 0;
-    t.undo_mark <- 0;
-    t.jent_mark <- 0;
-    t.backend <-
-      Rebuild { r_ctx = None; r_est = None; r_sim_cost = 0; r_nodes = 0 }
+  | Rebuild _ | Incremental _ -> true
 
 let audit t ~recorded_error =
   let observed =
@@ -192,6 +170,11 @@ let begin_round t =
       s.i_db <- Some db;
       s.i_ctx <- Some ctx;
       s.i_est <- Some est;
+      (* Fresh database and estimator (first round, or after [reset]): every
+         raw counter restarts from zero, so every mark must follow. *)
+      s.i_nodes_mark <- 0;
+      s.i_conv_mark <- 0;
+      s.i_rec_mark <- 0;
       t.evals_mark <- 0;
       t.hits_mark <- 0;
       t.misses_mark <- 0;
@@ -228,8 +211,8 @@ let take_counters t =
     (nodes, conv, recycled)
 
 (* Bank the live estimator's cache deltas into the pending accumulators.
-   Called when the estimator is about to retire (rebuild-path commit) and
-   by [take_aux] itself. *)
+   Called when the estimator is about to retire (rebuild-path commit,
+   [reset]) and by [take_aux] itself. *)
 let bank_cache_stats t =
   match t.backend with
   | Rebuild { r_est = Some est; _ } | Incremental { i_est = Some est; _ } ->
@@ -239,6 +222,20 @@ let bank_cache_stats t =
     t.hits_mark <- hits;
     t.misses_mark <- misses
   | _ -> ()
+
+(* Drop the derived state; the next [begin_round] rebuilds it from the
+   working circuit (the rebuild path does that every round anyway). The
+   database's tracker comes off the network first, so the abandoned
+   database never sees another change event. *)
+let reset t =
+  match t.backend with
+  | Rebuild _ -> ()
+  | Incremental s ->
+    bank_cache_stats t;
+    Option.iter Sigdb.detach s.i_db;
+    s.i_db <- None;
+    s.i_ctx <- None;
+    s.i_est <- None
 
 let take_aux t =
   bank_cache_stats t;

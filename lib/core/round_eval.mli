@@ -1,8 +1,16 @@
 (** Round evaluation backend: candidate-set evaluation, single-LAC
-    evaluation and commits, either by the reference rebuild-everything
-    path (copy the circuit, resimulate from scratch) or through an
-    attached {!Accals_sigdb.Sigdb} database (undo-journaled evaluation
-    with cone-only resimulation). Both paths produce bit-identical
+    evaluation and commits.
+
+    Every run evaluates through an attached {!Accals_sigdb.Sigdb} database
+    (undo-journaled evaluation with cone-only resimulation). When that
+    database cannot be trusted — a shadow audit diverged — {!reset} drops
+    it, and the next {!begin_round} builds a fresh one from the working
+    circuit, exactly as a resumed run does. There is no runtime switch to
+    another backend.
+
+    The rebuild-everything path (copy the circuit, resimulate from scratch)
+    is selected only at construction, with [~incremental:false]. It is the
+    differential-test reference: both paths produce bit-identical
     applied/skipped partitions, error floats and committed circuits; only
     the work counters differ. *)
 
@@ -24,23 +32,23 @@ val create :
     On the incremental path the referenced network gets a change tracker
     attached (on the first {!begin_round}) and is mutated in place by
     commits; checkpoint a {!Accals_network.Network.copy} of it, never the
-    network itself. On the rebuild path commits replace the ref's content
-    with a fresh copy, as the engine always did. *)
-
-val backend_kind : t -> [ `Incremental | `Rebuild ]
-(** The backend currently in use (it can change, see
-    {!degrade_to_rebuild}). *)
+    network itself. On the rebuild path ([~incremental:false], the
+    differential-test reference) commits replace the ref's content with a
+    fresh copy. *)
 
 val watermark_ok : t -> bool
 (** False when the incremental database's frozen views are inconsistent
     with the working circuit (a missed change event); always true on the
-    rebuild backend. The engine treats false as a forced-audit trigger. *)
+    rebuild backend and between {!reset} and the next {!begin_round}. The
+    engine treats false as a forced-audit trigger. *)
 
-val degrade_to_rebuild : t -> unit
-(** Permanently switch to the rebuild backend: the signature database is
-    detached and abandoned, and every subsequent round rebuilds its context
-    from scratch. No-op when already on the rebuild backend. Callable at a
-    round boundary only (not between {!begin_round} and its commit). *)
+val reset : t -> unit
+(** Drop the signature database (detaching its change tracker), the
+    analysis context and the estimator, banking the retiring estimator's
+    cache counters for {!take_aux}. The next {!begin_round} rebuilds all
+    three from the working circuit, so the rest of the run is bit-identical
+    to one that never reset; only the work counters show the rebuild.
+    Round boundary only. *)
 
 val audit : t -> recorded_error:float -> Accals_audit.Shadow.verdict
 (** Shadow audit of the working circuit at a round boundary: re-derive
@@ -56,7 +64,8 @@ val corrupt_for_selftest : t -> int option
 val begin_round : t -> Round_ctx.t * Estimator.t
 (** Analysis context and estimator for the round about to start. Rebuild:
     fresh ones over the current circuit. Incremental: the persistent pair,
-    already refreshed by the previous round's commit. *)
+    already refreshed by the previous round's commit — or, on the first
+    round and after {!reset}, a fresh database and pair. *)
 
 val take_evaluations : t -> int
 (** Estimator cone resimulations since the previous call (the estimator is

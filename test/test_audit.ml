@@ -200,38 +200,42 @@ let test_fault_spec_rejection () =
 (* --- Degradation ladder --- *)
 
 let test_ladder () =
-  let l = Ladder.create ~initial:Ladder.Incremental in
-  check "starts at initial" true (Ladder.level l = Ladder.Incremental);
+  let l = Ladder.create () in
+  check "starts incremental" true (Ladder.level l = Ladder.Incremental);
   check_str "summary at start" "incremental" (Ladder.summary l);
-  Ladder.descend l ~round:4 ~level:Ladder.Rebuild ~reason:Ladder.Audit_divergence;
-  check "descended" true (Ladder.level l = Ladder.Rebuild);
-  check_str "summary names the descent"
-    "incremental -> rebuild@4 (audit_divergence)" (Ladder.summary l);
-  (* The ladder never climbs back up, and a same-level descent is a no-op. *)
-  Ladder.descend l ~round:5 ~level:Ladder.Incremental ~reason:Ladder.Manual;
-  Ladder.descend l ~round:5 ~level:Ladder.Rebuild ~reason:Ladder.Manual;
-  check "no climb, no repeat" true
-    (Ladder.level l = Ladder.Rebuild && List.length (Ladder.events l) = 1);
-  check "initial survives" true (Ladder.initial l = Ladder.Incremental);
-  (* Transient notes are deduplicated per reason. *)
-  check "first note recorded" true (Ladder.note l ~round:6 ~reason:Ladder.Watchdog_round);
-  check "second note dropped" true
-    (not (Ladder.note l ~round:7 ~reason:Ladder.Watchdog_round));
+  (* Transient notes keep the level and are deduplicated per reason. *)
+  check "first note recorded" true
+    (Ladder.note l ~round:2 ~reason:Ladder.Audit_divergence);
+  check "repeat note dropped" true
+    (not (Ladder.note l ~round:3 ~reason:Ladder.Audit_divergence));
+  check "note keeps the level" true (Ladder.level l = Ladder.Incremental);
+  Ladder.descend l ~round:4 ~reason:Ladder.Audit_divergence;
+  check "descended" true (Ladder.level l = Ladder.Single_lac);
+  check_str "summary names the note and the descent"
+    "incremental [audit_divergence@2] -> single-lac@4 (audit_divergence)"
+    (Ladder.summary l);
+  (* The ladder never climbs back up, and a repeat descent is a no-op. *)
+  Ladder.descend l ~round:5 ~reason:Ladder.Resource_pressure;
+  check "no repeat" true
+    (Ladder.level l = Ladder.Single_lac && List.length (Ladder.events l) = 2);
   check "other reason still recorded" true
     (Ladder.note l ~round:7 ~reason:Ladder.Watchdog_run);
   let events = Ladder.events l in
   check_int "three events" 3 (List.length events);
   check "chronological" true
-    (List.map (fun e -> e.Ladder.round) events = [ 4; 6; 7 ]);
+    (List.map (fun e -> e.Ladder.round) events = [ 2; 4; 7 ]);
   check "transient flags" true
-    (List.map (fun e -> e.Ladder.transient) events = [ false; true; true ]);
+    (List.map (fun e -> e.Ladder.transient) events = [ true; false; true ]);
+  check "note records its level" true
+    (List.map (fun e -> e.Ladder.level) events
+    = [ Ladder.Incremental; Ladder.Single_lac; Ladder.Single_lac ]);
   (* A copy is independent of the original. *)
-  let c = Ladder.copy l in
-  Ladder.descend c ~round:9 ~level:Ladder.Single_lac ~reason:Ladder.Manual;
+  let fresh = Ladder.create () in
+  let c = Ladder.copy fresh in
+  Ladder.descend c ~round:9 ~reason:Ladder.Watchdog_round;
   check "copy descended" true (Ladder.level c = Ladder.Single_lac);
-  check "original untouched" true (Ladder.level l = Ladder.Rebuild);
-  check_int "rank order" 2 (Ladder.rank Ladder.Incremental);
-  check_int "rank bottom" 0 (Ladder.rank Ladder.Single_lac)
+  check "original untouched" true
+    (Ladder.level fresh = Ladder.Incremental && Ladder.events fresh = [])
 
 (* --- Incident records --- *)
 
@@ -387,25 +391,25 @@ let with_selftest round f =
   Shadow.arm_selftest ~round;
   Fun.protect ~finally:Shadow.disarm_selftest f
 
-let test_engine_divergence_fallback () =
+let run_mtp8 ?checkpoint config net =
+  Engine.run ~config ?checkpoint net ~metric:Metric.Error_rate
+    ~error_bound:0.03
+
+let test_engine_divergence_reattach () =
   let net = Accals_circuits.Bench_suite.load "mtp8" in
-  let reference =
-    Engine.run ~config:(small_config ~incremental:false net) net
-      ~metric:Metric.Error_rate ~error_bound:0.03
-  in
+  let reference = run_mtp8 (small_config ~incremental:false net) net in
   let snapshots = ref [] in
   let diverged =
     with_selftest 1 (fun () ->
-        Engine.run
-          ~config:(small_config ~audit_every:1 net)
+        run_mtp8 (small_config ~audit_every:1 net)
           ~checkpoint:(fun s -> snapshots := s :: !snapshots)
-          net ~metric:Metric.Error_rate ~error_bound:0.03)
+          net)
   in
   check "degraded" true diverged.Engine.degraded;
   check "reason is the audit" true
     (diverged.Engine.degraded_reason = Some Ladder.Audit_divergence);
-  check "ended on the rebuild backend" true
-    (diverged.Engine.final_level = Ladder.Rebuild);
+  check "stayed multi-LAC on a fresh database" true
+    (diverged.Engine.final_level = Ladder.Incremental);
   check "one divergence incident" true
     (List.exists
        (fun i ->
@@ -414,17 +418,27 @@ let test_engine_divergence_fallback () =
            i.Incident.round = 1 && backend = "incremental"
          | _ -> false)
        diverged.Engine.incidents);
-  check "ladder records the descent" true
-    (List.exists
-       (fun e ->
-         e.Ladder.level = Ladder.Rebuild
-         && e.Ladder.reason = Ladder.Audit_divergence
-         && not e.Ladder.transient)
-       diverged.Engine.ladder_events);
+  check "ladder records one transient note at round 1" true
+    (match diverged.Engine.ladder_events with
+     | [ e ] ->
+       e.Ladder.round = 1 && e.Ladder.level = Ladder.Incremental
+       && e.Ladder.reason = Ladder.Audit_divergence && e.Ladder.transient
+     | _ -> false);
+  check_str "summary shows the note" "incremental [audit_divergence@1]"
+    diverged.Engine.ladder_summary;
+  (* The reattached database's counters restart from zero, and so do the
+     marks they are read against. *)
+  check "resim counters never negative" true
+    (List.for_all
+       (fun (r : Trace.round) ->
+         r.Trace.resim_nodes >= 0 && r.Trace.resim_converged >= 0
+         && r.Trace.resim_recycled >= 0)
+       diverged.Engine.rounds);
   check "audit counted" true (diverged.Engine.audits >= 1);
-  (* The injected corruption happens after the round committed, so every
-     decision — and the final circuit — matches the pure-rebuild run. *)
-  check "result identical to pure rebuild" true
+  (* The injected corruption happens after the round committed, and the
+     fresh database is built from the working circuit, so every decision —
+     and the final circuit — matches the rebuild reference run. *)
+  check "result identical to the rebuild reference" true
     (decision_fingerprint diverged = decision_fingerprint reference);
   (* The incident and the ladder are part of the snapshot: a run resumed
      after the divergence reports the same history without re-arming the
@@ -442,6 +456,60 @@ let test_engine_divergence_fallback () =
       (List.length resumed.Engine.incidents);
     check "resumed result identical" true
       (decision_fingerprint resumed = decision_fingerprint diverged)
+
+let test_engine_divergence_second_rung () =
+  (* The first divergence is only noted; the ladder carries that note in
+     the snapshot, so a divergence after a resume is a repeat and descends
+     to single-LAC. *)
+  let net = Accals_circuits.Bench_suite.load "mtp8" in
+  let config = small_config ~audit_every:1 net in
+  let round1 = ref None in
+  ignore
+    (with_selftest 1 (fun () ->
+         run_mtp8 config net ~checkpoint:(fun s ->
+             if Engine.snapshot_round s = 1 && !round1 = None then
+               round1 := Some s)));
+  let snap =
+    match !round1 with
+    | Some s -> s
+    | None -> Alcotest.fail "no round-1 snapshot"
+  in
+  let resumed = with_selftest 2 (fun () -> Engine.resume snap) in
+  check "descended to single-LAC" true
+    (resumed.Engine.final_level = Ladder.Single_lac);
+  check "descent at round 2 for the audit" true
+    (List.exists
+       (fun e ->
+         e.Ladder.round = 2 && e.Ladder.level = Ladder.Single_lac
+         && e.Ladder.reason = Ladder.Audit_divergence
+         && not e.Ladder.transient)
+       resumed.Engine.ladder_events);
+  check_str "summary shows note then descent"
+    "incremental [audit_divergence@1] -> single-lac@2 (audit_divergence)"
+    resumed.Engine.ladder_summary;
+  check "rounds after the descent are single-LAC" true
+    (List.for_all
+       (fun (r : Trace.round) -> r.Trace.index <= 2 || r.Trace.mode = Trace.Single)
+       resumed.Engine.rounds);
+  check "still within the bound" true (resumed.Engine.error <= 0.03)
+
+let test_stale_snapshot_rejected () =
+  let net = Accals_circuits.Bench_suite.load "mtp8" in
+  let first = ref None in
+  ignore
+    (run_mtp8 (small_config net) net ~checkpoint:(fun s ->
+         if !first = None then first := Some s));
+  let snap =
+    match !first with Some s -> s | None -> Alcotest.fail "no snapshot"
+  in
+  (* Forge a snapshot from an older build: [s_version] is field 0. *)
+  let stale : Engine.snapshot = Obj.obj (Obj.dup (Obj.repr snap)) in
+  Obj.set_field (Obj.repr stale) 0 (Obj.repr (Engine.snapshot_version - 1));
+  match Engine.resume stale with
+  | _ -> Alcotest.fail "stale snapshot resumed"
+  | exception Engine.Incompatible_snapshot { found; expected } ->
+    check_int "found" (Engine.snapshot_version - 1) found;
+    check_int "expected" Engine.snapshot_version expected
 
 (* --- Certified reports --- *)
 
@@ -698,8 +766,12 @@ let suite =
       [
         Alcotest.test_case "fingerprint" `Quick test_shadow_fingerprint;
         Alcotest.test_case "compare verdicts" `Quick test_shadow_compare;
-        Alcotest.test_case "engine falls back to rebuild" `Slow
-          test_engine_divergence_fallback;
+        Alcotest.test_case "engine reattaches after divergence" `Slow
+          test_engine_divergence_reattach;
+        Alcotest.test_case "repeat divergence descends" `Slow
+          test_engine_divergence_second_rung;
+        Alcotest.test_case "stale snapshot rejected" `Quick
+          test_stale_snapshot_rejected;
       ] );
     ( "audit certification",
       [

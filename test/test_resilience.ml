@@ -587,10 +587,10 @@ let test_memory_budget_generous_identical () =
     (report_fingerprint clean = report_fingerprint budgeted)
 
 let test_memory_budget_sheds_not_crashes () =
-  (* A 1 MiB budget is below any real heap: the governor descends the
-     whole ladder — relief, rebuild, then checkpoint-and-shed — and the
-     run ends degraded with a Resource_exhausted incident and a final
-     finished snapshot, never an allocation failure. *)
+  (* A 1 MiB budget is below any real heap: relief cannot bring the run
+     under it, so the governor checkpoints and sheds — the run ends
+     degraded with a Resource_exhausted incident and a final finished
+     snapshot, never an allocation failure. *)
   let net = Accals_circuits.Bench_suite.load "mtp8" in
   let last_snap = ref None in
   let r =

@@ -233,6 +233,9 @@ let engine_key (r : Engine.report) =
     r.Engine.exact_evaluations,
     r.Engine.degraded )
 
+(* The rebuild backend ([incremental = false]) is the reference the
+   signature database is checked against, on the CLI's configuration. The
+   comparison covers the written BLIF text as well as the trace. *)
 let test_engine_incremental_identity () =
   List.iter
     (fun (name, seed) ->
@@ -240,29 +243,29 @@ let test_engine_incremental_identity () =
       let run ~incremental ~jobs =
         let config =
           Config.for_network
-            ~base:{ Config.default with samples = 512; seed; jobs; incremental }
+            ~base:{ Config.default with seed; jobs; incremental }
             net
         in
         Engine.run ~config net ~metric:Metric.Error_rate ~error_bound:0.03
       in
+      let blif (r : Engine.report) = Accals_io.Blif.to_string r.Engine.approximate in
       let reference = run ~incremental:false ~jobs:1 in
       let incr1 = run ~incremental:true ~jobs:1 in
       let incr4 = run ~incremental:true ~jobs:4 in
-      check
-        (name ^ ": incremental = rebuild")
-        true
+      let label = Printf.sprintf "%s seed %d" name seed in
+      check (label ^ ": incremental = rebuild") true
         (engine_key incr1 = engine_key reference);
+      check (label ^ ": incremental BLIF = rebuild BLIF") true
+        (blif incr1 = blif reference);
+      check (label ^ ": incremental jobs=4 = jobs=1") true
+        (engine_key incr4 = engine_key incr1 && blif incr4 = blif incr1);
       check
-        (name ^ ": incremental jobs=4 = jobs=1")
-        true
-        (engine_key incr4 = engine_key incr1);
-      check
-        (name ^ ": incremental round touches fewer nodes than rebuild")
+        (label ^ ": incremental round touches fewer nodes than rebuild")
         true
         (match (incr1.Engine.rounds, reference.Engine.rounds) with
         | ri :: _, rr :: _ -> ri.Trace.resim_nodes <= rr.Trace.resim_nodes
         | _ -> true))
-    [ ("mtp8", 1); ("rca32", 2) ]
+    [ ("mtp8", 1); ("mtp8", 2); ("mtp8", 3); ("rca32", 2) ]
 
 let suite =
   [
