@@ -746,35 +746,37 @@ let audit () =
         (name, results))
       names
   in
-  (* Hand-rolled JSON, same style as bench_speedup.json. *)
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"metric\": \"%s\",\n" (Metric.kind_to_string metric);
-  Printf.bprintf buf "  \"bound\": %g,\n" bound;
-  Printf.bprintf buf "  \"samples\": %d,\n" (samples ());
-  Buffer.add_string buf "  \"circuits\": [\n";
-  List.iteri
-    (fun i (name, results) ->
-      Printf.bprintf buf "    { \"name\": \"%s\", \"variants\": [\n" name;
-      List.iteri
-        (fun j (label, (r : Engine.report), overhead, identical) ->
-          Printf.bprintf buf
-            "      { \"variant\": \"%s\", \"seconds\": %.6f, \"overhead\": \
-             %.4f,\n\
-            \        \"audits\": %d, \"certified\": %s, \"identical\": %b }%s\n"
-            label r.Engine.runtime_seconds overhead r.Engine.audits
-            (match r.Engine.certification with
-             | Some o -> string_of_bool o.Accals_audit.Certify.certified
-             | None -> "null")
-            identical
-            (if j = List.length results - 1 then "" else ","))
-        results;
-      Printf.bprintf buf "    ] }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out audit_json_file in
-  Buffer.output_buffer oc buf;
-  close_out oc;
+  let variant (label, (r : Engine.report), overhead, identical) =
+    Json.Obj
+      [
+        ("variant", Json.String label);
+        ("seconds", Json.Float r.Engine.runtime_seconds);
+        ("overhead", Json.Float overhead);
+        ("audits", Json.Int r.Engine.audits);
+        ( "certified",
+          match r.Engine.certification with
+          | Some o -> Json.Bool o.Accals_audit.Certify.certified
+          | None -> Json.Null );
+        ("identical", Json.Bool identical);
+      ]
+  in
+  Json.write_file audit_json_file
+    (Json.Obj
+       [
+         ("metric", Json.String (Metric.kind_to_string metric));
+         ("bound", Json.Float bound);
+         ("samples", Json.Int (samples ()));
+         ( "circuits",
+           Json.List
+             (List.map
+                (fun (name, results) ->
+                  Json.Obj
+                    [
+                      ("name", Json.String name);
+                      ("variants", Json.List (List.map variant results));
+                    ])
+                rows) );
+       ]);
   Printf.printf "wrote %s\n" audit_json_file
 
 (* ---------- Telemetry overhead: disabled vs tracer+metrics+events ---------- *)

@@ -80,8 +80,10 @@ type snapshot = {
    [Resource_pressure].
    5: [Ladder.level] lost [Rebuild] and [Ladder.reason] lost [Manual]
    (renumbering the marshaled tags), and the ladder no longer stores its
-   initial level. *)
-let snapshot_version = 5
+   initial level.
+   6: [Candidate_gen.config] (inside [Config.t]) shrank from nine fields to
+   three; the others became generator constants. *)
+let snapshot_version = 6
 
 exception Incompatible_snapshot of { found : int; expected : int }
 

@@ -244,41 +244,6 @@ let candidate_signature_in t s lac =
   let sigs = t.ctx.Round_ctx.sigs in
   let dst = take_buf t s in
   (match lac.Lac.kind with
-   | Lac.Const0 -> Bitvec.fill dst false
-   | Lac.Const1 -> Bitvec.fill dst true
-   | Lac.Wire v -> Bitvec.blit ~src:sigs.(v) ~dst
-   | Lac.Inv_wire v -> Bitvec.lognot_into sigs.(v) ~dst
-   | Lac.Gate2 (op, a, b) ->
-     (match op with
-      | Gate.And -> Bitvec.logand_into sigs.(a) sigs.(b) ~dst
-      | Gate.Or -> Bitvec.logor_into sigs.(a) sigs.(b) ~dst
-      | Gate.Xor -> Bitvec.logxor_into sigs.(a) sigs.(b) ~dst
-      | Gate.Nand ->
-        Bitvec.logand_into sigs.(a) sigs.(b) ~dst;
-        Bitvec.lognot_into dst ~dst
-      | Gate.Nor ->
-        Bitvec.logor_into sigs.(a) sigs.(b) ~dst;
-        Bitvec.lognot_into dst ~dst
-      | Gate.Xnor ->
-        Bitvec.logxor_into sigs.(a) sigs.(b) ~dst;
-        Bitvec.lognot_into dst ~dst
-      | Gate.Const _ | Gate.Input | Gate.Buf | Gate.Not | Gate.Mux ->
-        invalid_arg "Estimator: unsupported Gate2 op")
-   | Lac.Gate3 (op, a, b, c) ->
-     (match op with
-      | Gate.And ->
-        Bitvec.logand_into sigs.(a) sigs.(b) ~dst;
-        Bitvec.logand_into dst sigs.(c) ~dst
-      | Gate.Or ->
-        Bitvec.logor_into sigs.(a) sigs.(b) ~dst;
-        Bitvec.logor_into dst sigs.(c) ~dst
-      | Gate.Xor ->
-        Bitvec.logxor_into sigs.(a) sigs.(b) ~dst;
-        Bitvec.logxor_into dst sigs.(c) ~dst
-      | Gate.Mux -> Bitvec.mux_into ~sel:sigs.(a) sigs.(b) sigs.(c) ~dst
-      | Gate.Nand | Gate.Nor | Gate.Xnor | Gate.Const _ | Gate.Input
-      | Gate.Buf | Gate.Not ->
-        invalid_arg "Estimator: unsupported Gate3 op")
    | Lac.Sop { leaves; cubes } ->
      let product = take_buf t s in
      let negated = take_buf t s in
@@ -299,7 +264,11 @@ let candidate_signature_in t s lac =
          Bitvec.logor_into dst product ~dst)
        cubes;
      give_buf s product;
-     give_buf s negated);
+     give_buf s negated
+   | Lac.Const0 | Lac.Const1 | Lac.Wire _ | Lac.Inv_wire _ | Lac.Gate2 _
+   | Lac.Gate3 _ ->
+     let op, fanins = Lac.new_definition lac in
+     Sim.eval_op_into op ~lookup:(Array.get sigs) fanins ~dst);
   dst
 
 let candidate_signature t lac = candidate_signature_in t t.scratch lac

@@ -5,34 +5,21 @@ module Qm = Accals_twolevel.Qm
 module Sop_synth = Accals_twolevel.Sop_synth
 module Cut_enum = Accals_twolevel.Cut_enum
 
-let default_window = 24
-let default_wires_per_target = 6
-let default_pairs_per_target = 6
-
 type config = {
-  window : int;
-  wires_per_target : int;
-  pairs_per_target : int;
   triples_per_target : int;
   global_wires : int;
-  wire_distance_fraction : float;
   sops_per_target : int;
-  cut_size : int;
-  cuts_per_node : int;
 }
 
-let default_config =
-  {
-    window = default_window;
-    wires_per_target = default_wires_per_target;
-    pairs_per_target = default_pairs_per_target;
-    triples_per_target = 4;
-    global_wires = 4;
-    wire_distance_fraction = 0.25;
-    sops_per_target = 2;
-    cut_size = 4;
-    cuts_per_node = 4;
-  }
+let default_config = { triples_per_target = 4; global_wires = 4; sops_per_target = 2 }
+
+(* Fixed generator constants. *)
+let window = 24  (* structural window size per target *)
+let wires_per_target = 6  (* closest window signals tried as wires *)
+let pairs_per_target = 6  (* 2-input resubstitution cap *)
+let wire_distance_fraction = 0.25  (* a wire agrees on >= 75% of samples *)
+let cut_size = 4  (* max SOP cut leaves *)
+let cuts_per_node = 4  (* cuts kept per node during enumeration *)
 
 (* Global SASIMI candidates: buckets of signals sharing a signature prefix
    (and, separately, the complemented prefix) find almost-identical signals
@@ -93,8 +80,8 @@ let global_matches s buckets (ctx : Round_ctx.t) config target =
   end
 
 (* Structural window around [target]: transitive fanins (BFS) plus siblings
-   (other fanins of the target's fanouts), capped at [config.window]. *)
-let window_of s (ctx : Round_ctx.t) config target =
+   (other fanins of the target's fanouts), capped at [window]. *)
+let window_of s (ctx : Round_ctx.t) target =
   let net = ctx.net in
   s.window_stamp <- s.window_stamp + 1;
   let stamp = s.window_stamp in
@@ -103,7 +90,7 @@ let window_of s (ctx : Round_ctx.t) config target =
   let result = ref [] in
   let count = ref 0 in
   let push id =
-    if (not (seen id)) && ctx.live.(id) && !count < config.window then begin
+    if (not (seen id)) && ctx.live.(id) && !count < window then begin
       s.seen.(id) <- stamp;
       result := id :: !result;
       incr count
@@ -116,7 +103,7 @@ let window_of s (ctx : Round_ctx.t) config target =
   (* BFS through fanins. *)
   let queue = Queue.create () in
   Queue.add target queue;
-  while (not (Queue.is_empty queue)) && !count < config.window do
+  while (not (Queue.is_empty queue)) && !count < window do
     let id = Queue.pop queue in
     Array.iter
       (fun f ->
@@ -222,91 +209,91 @@ let sop_candidates s (ctx : Round_ctx.t) config cone target cuts_of_target =
   in
   List.map snd (take config.sops_per_target sorted)
 
-(* 2-input resubstitution over the closest pool signals. An op's distance
-   is only computed when its gain is positive; a complemented op's distance
-   is [samples] minus the plain op's, as signatures carry no padding bits. *)
-let pair_candidates s (ctx : Round_ctx.t) config cone target shortlist =
-  let samples = ctx.patterns.Sim.count in
-  let tsig = ctx.sigs.(target) in
-  let found = ref [] in
-  let consider a b =
-    let freed = Mffc.freed_area s.mffc cone [ a; b ] in
-    let gain op = freed -. Cost.gate_area op 2 in
-    let distance op complement combine =
-      if gain op > 0.0 || gain complement > 0.0 then begin
-        combine ctx.sigs.(a) ctx.sigs.(b) ~dst:s.gate;
-        Bitvec.hamming tsig s.gate
-      end
-      else 0
-    in
-    let d_and = distance Gate.And Gate.Nand Bitvec.logand_into in
-    let d_or = distance Gate.Or Gate.Nor Bitvec.logor_into in
-    let d_xor = distance Gate.Xor Gate.Xnor Bitvec.logxor_into in
-    let emit op d =
-      let gain = gain op in
-      if gain > 0.0 then
-        found := (d, Lac.make ~target (Lac.Gate2 (op, a, b)) ~area_gain:gain) :: !found
-    in
-    emit Gate.And d_and;
-    emit Gate.Or d_or;
-    emit Gate.Xor d_xor;
-    emit Gate.Nand (samples - d_and);
-    emit Gate.Nor (samples - d_or);
-    emit Gate.Xnor (samples - d_xor)
-  in
-  let rec pairs = function
-    | [] -> ()
-    | a :: rest ->
-      List.iter (fun b -> if a <> b then consider a b) rest;
-      pairs rest
-  in
-  pairs shortlist;
-  take_best config.pairs_per_target !found
+(* Resubstitution rows (ALSRAC with k = [arity]): [ops] are gates over a
+   permutation of the k chosen signals, in emission order ([Mux] takes the
+   select first), and the signals come from the [prefix] closest pool
+   signals. [kind op chosen perm] is the LAC kind of one op. *)
+type resub = {
+  arity : int;
+  prefix : int;
+  ops : (Gate.op * int array) array;
+  kind : Gate.op -> int array -> int array -> Lac.kind;
+}
 
-(* 3-input resubstitution (ALSRAC with k = 3): AND/OR/XOR trees and muxes
-   over the closest pool signals. *)
-let triple_candidates s (ctx : Round_ctx.t) config cone target shortlist =
-  let tsig = ctx.sigs.(target) in
-  let found = ref [] in
-  let consider a b c =
-    let freed = Mffc.freed_area s.mffc cone [ a; b; c ] in
-    let emit op x y z =
-      let gain = freed -. Cost.gate_area op 3 in
-      if gain > 0.0 then begin
-        let sx = ctx.sigs.(x) and sy = ctx.sigs.(y) and sz = ctx.sigs.(z) in
-        (match op with
-         | Gate.And ->
-           Bitvec.logand_into sx sy ~dst:s.gate;
-           Bitvec.logand_into s.gate sz ~dst:s.gate
-         | Gate.Or ->
-           Bitvec.logor_into sx sy ~dst:s.gate;
-           Bitvec.logor_into s.gate sz ~dst:s.gate
-         | Gate.Xor ->
-           Bitvec.logxor_into sx sy ~dst:s.gate;
-           Bitvec.logxor_into s.gate sz ~dst:s.gate
-         | Gate.Mux -> Bitvec.mux_into ~sel:sx sy sz ~dst:s.gate
-         | Gate.Nand | Gate.Nor | Gate.Xnor | Gate.Const _ | Gate.Input
-         | Gate.Buf | Gate.Not ->
-           invalid_arg "Candidate_gen: unsupported triple op");
-        let d = Bitvec.hamming tsig s.gate in
-        found := (d, Lac.make ~target (Lac.Gate3 (op, x, y, z)) ~area_gain:gain) :: !found
-      end
+let pairs =
+  let ab = [| 0; 1 |] in
+  {
+    arity = 2;
+    prefix = 5;
+    ops = Array.map (fun op -> (op, ab)) Gate.[| And; Or; Xor; Nand; Nor; Xnor |];
+    kind = (fun op c p -> Lac.Gate2 (op, c.(p.(0)), c.(p.(1))));
+  }
+
+let triples =
+  let abc = [| 0; 1; 2 |] in
+  {
+    arity = 3;
+    prefix = 4;
+    ops =
+      Gate.
+        [| (And, abc); (Or, abc); (Xor, abc);
+           (Mux, abc); (Mux, [| 1; 0; 2 |]); (Mux, [| 2; 0; 1 |]) |];
+    kind = (fun op c p -> Lac.Gate3 (op, c.(p.(0)), c.(p.(1)), c.(p.(2))));
+  }
+
+(* The op a complemented op negates. *)
+let base_op = function
+  | Gate.Nand -> Gate.And
+  | Gate.Nor -> Gate.Or
+  | Gate.Xnor -> Gate.Xor
+  | (Gate.Const _ | Gate.Input | Gate.Buf | Gate.Not | Gate.And | Gate.Or
+    | Gate.Xor | Gate.Mux) as op -> op
+
+(* The [cap] best resubstitutions of [target] by [row]. Combinations: the
+   first [arity - 1] signals are consecutive in the ranked shortlist, the
+   last is any later one (all pairs for k = 2). An op's distance is only
+   computed when its gain is positive; a complemented op's distance is
+   [samples] minus its base op's, as signatures carry no padding bits. *)
+let resub_candidates s (ctx : Round_ctx.t) cone target ranked row ~cap =
+  let samples = ctx.patterns.Sim.count in
+  let shortlist = Array.of_list (take row.prefix ranked) in
+  let k = row.arity in
+  let chosen = Array.make k 0 in
+  let lookup i = ctx.sigs.(chosen.(i)) in
+  (* Distance of each entry's base op over its permutation of [chosen], or
+     -1 until computed; entries with the same base op and the same
+     permutation array use the first one's slot. *)
+  let dist = Array.make (Array.length row.ops) (-1) in
+  let distance op perm =
+    let rec slot j =
+      let o, p = row.ops.(j) in
+      if p == perm && Gate.equal (base_op o) (base_op op) then j else slot (j + 1)
     in
-    emit Gate.And a b c;
-    emit Gate.Or a b c;
-    emit Gate.Xor a b c;
-    emit Gate.Mux a b c;
-    emit Gate.Mux b a c;
-    emit Gate.Mux c a b
+    let j = slot 0 in
+    if dist.(j) < 0 then begin
+      Sim.eval_op_into (base_op op) ~lookup perm ~dst:s.gate;
+      dist.(j) <- Bitvec.hamming ctx.sigs.(target) s.gate
+    end;
+    if Gate.equal op (base_op op) then dist.(j) else samples - dist.(j)
   in
-  let rec triples = function
-    | a :: (b :: rest2 as rest) ->
-      List.iter (fun c -> if a <> b && b <> c && a <> c then consider a b c) rest2;
-      triples rest
-    | [ _ ] | [] -> ()
-  in
-  triples shortlist;
-  take_best config.triples_per_target !found
+  let found = ref [] in
+  if cap > 0 then
+    for first = 0 to Array.length shortlist - k do
+      for last = first + k - 1 to Array.length shortlist - 1 do
+        Array.blit shortlist first chosen 0 (k - 1);
+        chosen.(k - 1) <- shortlist.(last);
+        Array.fill dist 0 (Array.length dist) (-1);
+        let freed = Mffc.freed_area s.mffc cone (Array.to_list chosen) in
+        Array.iter
+          (fun (op, perm) ->
+            let gain = freed -. Cost.gate_area op k in
+            if gain > 0.0 then
+              let lac = Lac.make ~target (row.kind op chosen perm) ~area_gain:gain in
+              found := (distance op perm, lac) :: !found)
+          row.ops
+      done
+    done;
+  take_best cap !found
 
 (* All candidates for one target, in reverse emission order. Reads only
    immutable views of [ctx] (plus the prebuilt similarity buckets and cut
@@ -332,7 +319,7 @@ let candidates_for_target (ctx : Round_ctx.t) config ~buckets ~all_cuts s target
     (* Substitution pool: structural window, minus the target's TFO (using
        an SN inside the TFO would close a cycle). *)
     let usable v = not (Structure.in_tfo s.tfo ~target v) in
-    let pool = List.filter usable (window_of s ctx config target) in
+    let pool = List.filter usable (window_of s ctx target) in
     let tsig = ctx.sigs.(target) in
     (* The pool ranked once by distance to the target (ties in pool
        order); each LAC family takes a prefix. *)
@@ -347,12 +334,12 @@ let candidates_for_target (ctx : Round_ctx.t) config ~buckets ~all_cuts s target
     (* Wire / inverted-wire candidates: structural window plus global
        signature matches. *)
     let wire_limit =
-      int_of_float (config.wire_distance_fraction *. float_of_int samples)
+      int_of_float (wire_distance_fraction *. float_of_int samples)
     in
     let inv_area = Cost.gate_area Gate.Not 1 in
     let global = List.filter usable (global_matches s buckets ctx config target) in
     let wires =
-      List.sort_uniq compare (take config.wires_per_target ranked @ global)
+      List.sort_uniq compare (take wires_per_target ranked @ global)
     in
     List.iter
       (fun v ->
@@ -366,10 +353,9 @@ let candidates_for_target (ctx : Round_ctx.t) config ~buckets ~all_cuts s target
             emit (Lac.make ~target (Lac.Inv_wire v) ~area_gain:(freed -. inv_area))
         end)
       wires;
-    if config.pairs_per_target > 0 then
-      List.iter emit (pair_candidates s ctx config cone target (take 5 ranked));
-    if config.triples_per_target > 0 then
-      List.iter emit (triple_candidates s ctx config cone target (take 4 ranked));
+    let resub = resub_candidates s ctx cone target ranked in
+    List.iter emit (resub pairs ~cap:pairs_per_target);
+    List.iter emit (resub triples ~cap:config.triples_per_target);
     (* Cut-rewriting (SOP) candidates. *)
     if config.sops_per_target > 0 && all_cuts.(target) <> [] then
       List.iter emit (sop_candidates s ctx config cone target all_cuts.(target));
@@ -379,8 +365,7 @@ let candidates_for_target (ctx : Round_ctx.t) config ~buckets ~all_cuts s target
 let enumerate_cuts (ctx : Round_ctx.t) config =
   if config.sops_per_target > 0 then
     Cut_enum.enumerate ctx.net ~order:ctx.order
-      ~k:(min config.cut_size Truth.max_vars)
-      ~per_node:config.cuts_per_node
+      ~k:cut_size ~per_node:cuts_per_node
   else [||]
 
 let generate ?pool (ctx : Round_ctx.t) config =

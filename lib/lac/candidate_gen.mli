@@ -5,34 +5,27 @@
     - SASIMI-style substitution by a signature-similar existing signal (or
       its negation) drawn from a structural window plus a global
       similarity index,
-    - ALSRAC-style 2-input resubstitution (AND/OR/XOR of window signals)
-      whose sampled function is close to the target's.
+    - ALSRAC-style resubstitution by a fresh gate over window signals whose
+      sampled function is close to the target's: 2-input
+      AND/OR/XOR/NAND/NOR/XNOR and 3-input AND/OR/XOR/MUX,
+    - cut rewriting: an exact or approximate two-level cover of a small
+      cut's function.
 
     Only LACs with positive estimated area gain survive. The gain of a LAC
     is the area of the target's MFFC minus the area of the installed
     replacement logic (the nodes that die when the target's old cone is
     dereferenced). *)
 
-val default_window : int
-val default_wires_per_target : int
-val default_pairs_per_target : int
-
 type config = {
-  window : int;  (** structural window size per target *)
-  wires_per_target : int;  (** max wire/inv-wire candidates per target *)
-  pairs_per_target : int;  (** max 2-input resubstitution candidates *)
-  triples_per_target : int;  (** max 3-input resubstitution candidates *)
+  triples_per_target : int;
+      (** max 3-input resubstitution candidates per target; 0 disables
+          them *)
   global_wires : int;
       (** max additional SASIMI candidates found by global signature
           matching (outside the structural window) *)
-  wire_distance_fraction : float;
-      (** wire candidates must agree with the target on at least
-          [1 - fraction] of the samples *)
   sops_per_target : int;
       (** max cut-rewriting (SOP) candidates per target; 0 disables the
           cut-based LAC family *)
-  cut_size : int;  (** max cut leaves for SOP rewriting (<= 6) *)
-  cuts_per_node : int;  (** cuts kept per node during enumeration *)
 }
 
 val default_config : config

@@ -3,8 +3,9 @@
     A LAC [L(S_n, n)] replaces the function of a target node (TN) [n] by a
     new function over existing substitute nodes (SNs). Supported kinds cover
     the literature's workhorses: constant replacement, SASIMI-style
-    wire/inverted-wire substitution [7], and ALSRAC-style resubstitution
-    with a fresh 2-input gate over existing signals [9]. *)
+    wire/inverted-wire substitution [7], ALSRAC-style resubstitution with a
+    fresh 2- or 3-input gate over existing signals [9], and SOP cut
+    rewriting [15]. *)
 
 open Accals_network
 

@@ -33,33 +33,36 @@ let for_network ?(seed = 1) ?(count = 2048) ?(exhaustive_limit = 14) t =
 
 let dummy = Bitvec.create 0
 
-let eval_node_into t ~lookup id ~dst =
-  let fis = Network.fanins t id in
-  match Network.op t id with
-  | Gate.Input -> invalid_arg "Sim.eval_node_into: primary input"
+(* [combine] folded left to right over at least two fanin signatures. *)
+let fold_into combine ~lookup fanins ~dst =
+  combine (lookup fanins.(0)) (lookup fanins.(1)) ~dst;
+  for i = 2 to Array.length fanins - 1 do
+    combine dst (lookup fanins.(i)) ~dst
+  done
+
+let eval_op_into op ~lookup fanins ~dst =
+  match op with
+  | Gate.Input -> invalid_arg "Sim.eval_op_into: primary input"
   | Gate.Const b -> Bitvec.fill dst b
-  | Gate.Buf -> Bitvec.blit ~src:(lookup fis.(0)) ~dst
-  | Gate.Not -> Bitvec.lognot_into (lookup fis.(0)) ~dst
-  | Gate.And | Gate.Nand ->
-    Bitvec.blit ~src:(lookup fis.(0)) ~dst;
-    for i = 1 to Array.length fis - 1 do
-      Bitvec.logand_into dst (lookup fis.(i)) ~dst
-    done;
-    if Network.op t id = Gate.Nand then Bitvec.lognot_into dst ~dst
-  | Gate.Or | Gate.Nor ->
-    Bitvec.blit ~src:(lookup fis.(0)) ~dst;
-    for i = 1 to Array.length fis - 1 do
-      Bitvec.logor_into dst (lookup fis.(i)) ~dst
-    done;
-    if Network.op t id = Gate.Nor then Bitvec.lognot_into dst ~dst
-  | Gate.Xor | Gate.Xnor ->
-    Bitvec.blit ~src:(lookup fis.(0)) ~dst;
-    for i = 1 to Array.length fis - 1 do
-      Bitvec.logxor_into dst (lookup fis.(i)) ~dst
-    done;
-    if Network.op t id = Gate.Xnor then Bitvec.lognot_into dst ~dst
+  | Gate.Buf -> Bitvec.blit ~src:(lookup fanins.(0)) ~dst
+  | Gate.Not -> Bitvec.lognot_into (lookup fanins.(0)) ~dst
+  | Gate.And -> fold_into Bitvec.logand_into ~lookup fanins ~dst
+  | Gate.Or -> fold_into Bitvec.logor_into ~lookup fanins ~dst
+  | Gate.Xor -> fold_into Bitvec.logxor_into ~lookup fanins ~dst
+  | Gate.Nand ->
+    fold_into Bitvec.logand_into ~lookup fanins ~dst;
+    Bitvec.lognot_into dst ~dst
+  | Gate.Nor ->
+    fold_into Bitvec.logor_into ~lookup fanins ~dst;
+    Bitvec.lognot_into dst ~dst
+  | Gate.Xnor ->
+    fold_into Bitvec.logxor_into ~lookup fanins ~dst;
+    Bitvec.lognot_into dst ~dst
   | Gate.Mux ->
-    Bitvec.mux_into ~sel:(lookup fis.(0)) (lookup fis.(1)) (lookup fis.(2)) ~dst
+    Bitvec.mux_into ~sel:(lookup fanins.(0)) (lookup fanins.(1)) (lookup fanins.(2)) ~dst
+
+let eval_node_into t ~lookup id ~dst =
+  eval_op_into (Network.op t id) ~lookup (Network.fanins t id) ~dst
 
 let run ?live t pats ~order =
   let n = Network.num_nodes t in

@@ -36,6 +36,18 @@ val run :
     given, dead nodes in [order] are skipped too — they stay on the shared
     dummy instead of costing an allocation and an evaluation each. *)
 
+val eval_op_into :
+  Gate.op ->
+  lookup:(int -> Accals_bitvec.Bitvec.t) ->
+  int array ->
+  dst:Accals_bitvec.Bitvec.t ->
+  unit
+(** [eval_op_into op ~lookup fanins ~dst] writes the signature of [op] over
+    the signatures [lookup] gives for [fanins] (n-ary ops fold left to
+    right; [Mux] fanins are [sel; a; b]). The fanin count must satisfy
+    {!Gate.arity_ok}, and [dst] must not alias any fanin signature. Raises
+    [Invalid_argument] on [Input]. *)
+
 val eval_node_into :
   Network.t ->
   lookup:(int -> Accals_bitvec.Bitvec.t) ->
@@ -43,8 +55,8 @@ val eval_node_into :
   dst:Accals_bitvec.Bitvec.t ->
   unit
 (** Recompute one node's signature from fanin signatures provided by
-    [lookup]. Used for cone resimulation in the error estimator. [dst] must
-    not alias any fanin signature. *)
+    [lookup]: {!eval_op_into} on the node's op and fanins. Used for cone
+    resimulation in the error estimator. *)
 
 val output_values : Network.t -> Accals_bitvec.Bitvec.t array -> pattern:int -> bool array
 (** Extract the primary-output vector of one pattern from node signatures. *)

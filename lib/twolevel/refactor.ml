@@ -4,9 +4,9 @@ open Accals_network
    collect profitable rewrites, then apply a non-overlapping subset (MFFCs
    pairwise disjoint, no leaf inside an applied MFFC). Exact SOP rewrites
    preserve every node function, so the collected truths stay valid. *)
-let run ?(cut_size = 4) ?(cuts_per_node = 4) net =
+let run net =
   let order = Structure.topo_order net in
-  let cuts = Cut_enum.enumerate net ~order ~k:cut_size ~per_node:cuts_per_node in
+  let cuts = Cut_enum.enumerate net ~order ~k:4 ~per_node:4 in
   let live = Structure.live_set net in
   let mffc = Mffc.create net ~live ~fanout_counts:(Structure.fanout_counts net ~live) in
   let proposals = ref [] in

@@ -28,7 +28,40 @@ let test_candidate_signature_wire () =
   let target = ctx.Round_ctx.order.(Array.length ctx.Round_ctx.order - 2) in
   let lac = Lac.make ~target (Lac.Wire v) ~area_gain:1.0 in
   let s = Estimator.candidate_signature est lac in
-  check "wire signature" true (Bitvec.equal s ctx.Round_ctx.sigs.(v))
+  check "wire signature" true (Bitvec.equal s ctx.Round_ctx.sigs.(v));
+  (* Every generated candidate: the estimator's signature is the target's
+     signature after actually applying the LAC. *)
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun name ->
+      let net, patterns, ctx, golden = fixture name 1024 in
+      let est = Estimator.create ctx ~golden ~metric:Metric.Error_rate in
+      List.iter
+        (fun lac ->
+          (match lac.Lac.kind with
+           | Lac.Gate2 (op, _, _) -> Hashtbl.replace seen (2, op) ()
+           | Lac.Gate3 (op, _, _, _) -> Hashtbl.replace seen (3, op) ()
+           | Lac.Const0 | Lac.Const1 | Lac.Wire _ | Lac.Inv_wire _ | Lac.Sop _ -> ());
+          let copy = Network.copy net in
+          match Lac.apply copy lac with
+          | exception Network.Cycle _ -> ()
+          | () ->
+            let sigs = Sim.run copy patterns ~order:(Structure.topo_order copy) in
+            if
+              not
+                (Bitvec.equal
+                   (Estimator.candidate_signature est lac)
+                   sigs.(lac.Lac.target))
+            then Alcotest.failf "%s: signature mismatch for %s" name (Lac.describe lac))
+        (Candidate_gen.generate ctx Candidate_gen.default_config))
+    [ "mtp8"; "c880" ];
+  List.iter
+    (fun (arity, op) ->
+      check
+        (Printf.sprintf "%s%d generated" (Gate.to_string op) arity)
+        true (Hashtbl.mem seen (arity, op)))
+    (List.map (fun op -> (2, op)) Gate.[ And; Or; Xor; Nand; Nor; Xnor ]
+    @ List.map (fun op -> (3, op)) Gate.[ And; Or; Xor; Mux ])
 
 (* The central estimator property: for a single LAC, the exact-on-samples
    ΔE equals the measured error change of actually applying the LAC. *)

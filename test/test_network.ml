@@ -426,6 +426,38 @@ let test_exhaustive_pattern_layout () =
   check "pattern 5 input 1" false (Bitvec.get pats.by_input.(1) 5);
   check "pattern 5 input 2" true (Bitvec.get pats.by_input.(2) 5)
 
+(* The one op-over-signatures kernel against the scalar reference, on
+   exhaustive patterns: every op at every fanin count 0-4 that
+   [Gate.arity_ok] allows, so 3- and 4-input NAND/NOR/XNOR are covered. *)
+let test_eval_op_matches_gate_eval () =
+  let ops =
+    Gate.[ Const false; Const true; Input; Buf; Not; And; Or; Nand; Nor; Xor; Xnor; Mux ]
+  in
+  List.iter
+    (fun op ->
+      for k = 0 to 4 do
+        if Gate.arity_ok op k then begin
+          let pats = Sim.exhaustive k in
+          let dst = Bitvec.create pats.count in
+          let lookup i = pats.by_input.(i) in
+          let fanins = Array.init k Fun.id in
+          let name = Printf.sprintf "%s/%d" (Gate.to_string op) k in
+          match op with
+          | Gate.Input ->
+            Alcotest.check_raises name
+              (Invalid_argument "Sim.eval_op_into: primary input")
+              (fun () -> Sim.eval_op_into op ~lookup fanins ~dst)
+          | Gate.Const _ | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand
+          | Gate.Nor | Gate.Xor | Gate.Xnor | Gate.Mux ->
+            Sim.eval_op_into op ~lookup fanins ~dst;
+            for p = 0 to pats.count - 1 do
+              let expected = Gate.eval op (Array.init k (fun i -> p lsr i land 1 = 1)) in
+              check (Printf.sprintf "%s pattern %d" name p) expected (Bitvec.get dst p)
+            done
+        end
+      done)
+    ops
+
 (* Cost model *)
 
 let test_cost_monotone () =
@@ -493,6 +525,7 @@ let suite =
         Alcotest.test_case "random patterns deterministic" `Quick
           test_sim_random_patterns_deterministic;
         Alcotest.test_case "exhaustive layout" `Quick test_exhaustive_pattern_layout;
+        Alcotest.test_case "op kernel matches gate eval" `Quick test_eval_op_matches_gate_eval;
         prop_sim_matches_eval_random;
       ] );
     ( "cost",
