@@ -1,6 +1,7 @@
 (* Experiment harness: regenerates every table and figure of the paper's
-   evaluation section (see DESIGN.md section 4 and EXPERIMENTS.md), plus a
-   Bechamel micro-benchmark per experiment kernel.
+   evaluation section (see DESIGN.md section 4 and EXPERIMENTS.md), plus the
+   three runtime measurements that need a timer: the jobs sweep (speedup),
+   telemetry overhead (telemetry) and profiler overhead (observe).
 
    Usage:
      dune exec bench/main.exe                  # everything, reduced scale
@@ -21,16 +22,9 @@ module Stats = Accals_runtime.Stats
 module Telemetry = Accals_telemetry.Telemetry
 module Tracer = Accals_telemetry.Tracer
 module Profiler = Accals_telemetry.Profiler
-module Trace_context = Accals_telemetry.Trace_context
 module Clock = Accals_telemetry.Clock
 module Json = Accals_telemetry.Json
 module Report_json = Accals.Report_json
-module Server = Accals_server.Server
-module Sclient = Accals_server.Client
-module Sproto = Accals_server.Protocol
-module Sbackoff = Accals_server.Backoff
-module Fault_io = Accals_resilience.Fault_io
-module Scache = Accals_server.Cache
 
 let full = ref false
 
@@ -668,116 +662,21 @@ let speedup () =
   close_out oc;
   Printf.printf "wrote %s\n" speedup_json_file
 
-(* ---------- Self-auditing runtime: audit and certification overhead ---------- *)
+(* ---------- Shared by the two overhead experiments ---------- *)
 
-let audit_json_file = "bench_audit.json"
+(* Wall and process-CPU seconds of one call. *)
+let timed f =
+  let w0 = Clock.now () and c0 = Clock.cpu () in
+  let r = f () in
+  (r, Clock.now () -. w0, Clock.cpu () -. c0)
 
-let audit () =
-  section
-    (Printf.sprintf
-       "Self-auditing runtime: shadow-audit and certification overhead \
-        (JSON -> %s)"
-       audit_json_file);
-  let metric = Metric.Error_rate and bound = 0.03 in
-  let names = [ "mtp8"; "alu4"; "apex6" ] in
-  let strip (r : Trace.round) =
-    { r with Trace.resim_nodes = 0; resim_converged = 0; resim_recycled = 0 }
-  in
-  (* Audits re-derive state on the side and certification re-measures the
-     final circuit; neither may change a single synthesis decision, so the
-     traces must be identical across all variants. *)
-  let variants c =
-    [
-      ("baseline", c);
-      ("audit-4", { c with Config.audit_every = 4 });
-      ("audit-1", { c with Config.audit_every = 1 });
-      ("certify", { c with Config.certify = true });
-      ("audit-1+certify", { c with Config.audit_every = 1; certify = true });
-    ]
-  in
-  Printf.printf "%-8s %-16s %10s %9s %7s %6s %6s\n" "Ckt" "variant" "time (s)"
-    "overhead" "audits" "certs" "ident";
-  let rows =
-    List.map
-      (fun name ->
-        let net = circuit name in
-        let base_config =
-          Config.for_network
-            ~base:{ Config.default with seed = 1; samples = samples (); jobs = 1 }
-            net
-        in
-        let runs =
-          List.map
-            (fun (label, config) ->
-              (label, config, Engine.run ~config net ~metric ~error_bound:bound))
-            (variants base_config)
-        in
-        let _, _, baseline = List.hd runs in
-        let base_t = baseline.Engine.runtime_seconds in
-        let results =
-          List.map
-            (fun (label, _, r) ->
-              (* A certification rollback legitimately replaces the final
-                 circuit; the synthesis decisions (the trace) must still
-                 match the baseline exactly. *)
-              let rolled_back =
-                match r.Engine.certification with
-                | Some o -> o.Accals_audit.Certify.rollback_steps > 0
-                | None -> false
-              in
-              let identical =
-                List.map strip r.Engine.rounds
-                  = List.map strip baseline.Engine.rounds
-                && (rolled_back
-                    || r.Engine.error = baseline.Engine.error
-                       && r.Engine.area_ratio = baseline.Engine.area_ratio)
-              in
-              let overhead =
-                (r.Engine.runtime_seconds -. base_t) /. max 1e-9 base_t
-              in
-              Printf.printf "%-8s %-16s %10.3f %8.1f%% %7d %6d %6b\n" name
-                label r.Engine.runtime_seconds (100.0 *. overhead)
-                r.Engine.audits
-                (match r.Engine.certification with Some _ -> 1 | None -> 0)
-                identical;
-              (label, r, overhead, identical))
-            runs
-        in
-        (name, results))
-      names
-  in
-  let variant (label, (r : Engine.report), overhead, identical) =
-    Json.Obj
-      [
-        ("variant", Json.String label);
-        ("seconds", Json.Float r.Engine.runtime_seconds);
-        ("overhead", Json.Float overhead);
-        ("audits", Json.Int r.Engine.audits);
-        ( "certified",
-          match r.Engine.certification with
-          | Some o -> Json.Bool o.Accals_audit.Certify.certified
-          | None -> Json.Null );
-        ("identical", Json.Bool identical);
-      ]
-  in
-  Json.write_file audit_json_file
-    (Json.Obj
-       [
-         ("metric", Json.String (Metric.kind_to_string metric));
-         ("bound", Json.Float bound);
-         ("samples", Json.Int (samples ()));
-         ( "circuits",
-           Json.List
-             (List.map
-                (fun (name, results) ->
-                  Json.Obj
-                    [
-                      ("name", Json.String name);
-                      ("variants", Json.List (List.map variant results));
-                    ])
-                rows) );
-       ]);
-  Printf.printf "wrote %s\n" audit_json_file
+(* Instruments observe and never steer: an instrumented run must take the
+   same synthesis decisions as a plain one. *)
+let same_decisions (a : Engine.report) (b : Engine.report) =
+  a.Engine.rounds = b.Engine.rounds
+  && a.Engine.error = b.Engine.error
+  && a.Engine.area_ratio = b.Engine.area_ratio
+  && a.Engine.exact_evaluations = b.Engine.exact_evaluations
 
 (* ---------- Telemetry overhead: disabled vs tracer+metrics+events ---------- *)
 
@@ -791,27 +690,21 @@ let telemetry () =
   let name = "mtp8" and metric = Metric.Error_rate and bound = 0.03 in
   let net = circuit name in
   let config = config_for net 1 in
-  let timed f =
-    let t0 = Clock.now () in
-    let r = f () in
-    (r, Clock.now () -. t0)
-  in
   let go () = Engine.run ~config net ~metric ~error_bound:bound in
   (* Warm-up so allocator and circuit caches are hot before timing. *)
   ignore (go ());
-  (* Two disabled runs: their spread is the measurement noise floor, and
-     the instrumentation's disabled-path cost must hide below it (the
-     no-op handle makes every telemetry call a cheap branch). *)
+  (* Two disabled runs: their spread is the run-to-run noise floor that
+     the enabled overhead is read against. *)
   Telemetry.reset ();
-  let dis1, t_dis1 = timed go in
-  let dis2, t_dis2 = timed go in
+  let dis1, t_dis1, _ = timed go in
+  let dis2, t_dis2, _ = timed go in
   (* One fully-enabled run: span tracer + events stream + the metrics
      registry the engine always fills. *)
   let tracer = Tracer.create () in
   let events_path = Filename.temp_file "accals_bench_events" ".jsonl" in
   let events = open_out events_path in
   Telemetry.install (Telemetry.make ~tracer ~events ());
-  let en, t_en = timed go in
+  let en, t_en, _ = timed go in
   Telemetry.reset ();
   close_out events;
   let event_lines =
@@ -830,20 +723,16 @@ let telemetry () =
   (* The determinism contract: telemetry observes and never steers, so the
      enabled run must reproduce the disabled runs decision for decision. *)
   let identical =
-    dis1.Engine.rounds = dis2.Engine.rounds
-    && dis1.Engine.rounds = en.Engine.rounds
-    && dis1.Engine.error = en.Engine.error
-    && dis1.Engine.area_ratio = en.Engine.area_ratio
-    && dis1.Engine.exact_evaluations = en.Engine.exact_evaluations
+    dis1.Engine.rounds = dis2.Engine.rounds && same_decisions dis1 en
   in
   let t_dis = Float.min t_dis1 t_dis2 in
   let noise =
     Float.abs (t_dis1 -. t_dis2) /. Float.max 1e-9 t_dis
   in
   let overhead = (t_en -. t_dis) /. Float.max 1e-9 t_dis in
-  (* Generous: short runs on a loaded machine jitter; the check only has
-     to catch a disabled path that grew real work (hashing, allocation),
-     which shows up as far more than 50%. *)
+  (* Both runs are disabled, so this bounds the run-to-run spread only;
+     it does not measure the disabled path against an uninstrumented
+     build. Generous, because short runs on a loaded machine jitter. *)
   let disabled_within_noise = noise < 0.5 in
   Printf.printf "%-22s %10.3f s / %.3f s  (spread %.1f%%)\n" "disabled (2 runs)"
     t_dis1 t_dis2 (100.0 *. noise);
@@ -877,24 +766,17 @@ let telemetry () =
       "telemetry-enabled run diverged from disabled runs (determinism \
        contract violated)"
 
-(* ---------- observe: profiler overhead gate + trace propagation ---------- *)
+(* ---------- observe: profiler overhead gate ---------- *)
 
 let observe_json_file = "bench_observe.json"
 
-(* Two checks back the observability layer's contract:
-
-   1. The sampling profiler is cheap and inert — a profiled synthesis
-      run must reproduce the unprofiled run decision for decision
-      (bit-identity on the report's observable outputs), and its
-      best-of-N overhead must stay under the 2% gate that CI enforces.
-   2. A trace id minted at the client survives the whole pipeline — the
-      daemon's merged per-job trace carries it on every lifecycle span
-      and the expected span names are present. *)
+(* The sampling profiler is cheap and inert: a profiled synthesis run
+   must reproduce the unprofiled run decision for decision, and its
+   best-of-N overhead must stay under the 2% gate that CI enforces. *)
 let observe () =
   section
     (Printf.sprintf
-       "Observability: profiler overhead gate, bit-identity, trace \
-        propagation (JSON -> %s)"
+       "Observability: profiler overhead gate, bit-identity (JSON -> %s)"
        observe_json_file);
   let name = "mtp8" and metric = Metric.Error_rate and bound = 0.03 in
   let net = circuit name in
@@ -914,15 +796,6 @@ let observe () =
       net
   in
   let go () = Engine.run ~config net ~metric ~error_bound:bound in
-  (* The gate compares process-CPU time, not wall time: CPU time is the
-     resource the profiler actually spends (signal handling, stack
-     capture) and is barely disturbed by other tenants of a shared CI
-     machine, where wall-clock jitter alone exceeds 2%. *)
-  let timed f =
-    let w0 = Clock.now () and c0 = Clock.cpu () in
-    let r = f () in
-    (r, Clock.now () -. w0, Clock.cpu () -. c0)
-  in
   ignore (go ());
   (* Interleaved best-of-5 on each side: alternating plain and profiled
      repetitions spreads slow-machine noise evenly over both, and the
@@ -950,12 +823,11 @@ let observe () =
   done;
   let plain = Option.get !plain and profiled = Option.get !profiled in
   let p = Option.get !p in
-  let identical =
-    plain.Engine.rounds = profiled.Engine.rounds
-    && plain.Engine.error = profiled.Engine.error
-    && plain.Engine.area_ratio = profiled.Engine.area_ratio
-    && plain.Engine.exact_evaluations = profiled.Engine.exact_evaluations
-  in
+  let identical = same_decisions plain profiled in
+  (* The gate compares process-CPU time, not wall time: CPU time is the
+     resource the profiler actually spends (signal handling, stack
+     capture) and is barely disturbed by other tenants of a shared CI
+     machine, where wall-clock jitter alone exceeds 2%. *)
   let overhead = (!c_profiled -. !c_plain) /. Float.max 1e-9 !c_plain in
   let gate = 0.02 in
   let within_gate = overhead < gate in
@@ -974,93 +846,6 @@ let observe () =
     (Profiler.ticks p) (Profiler.sample_count p) folded_rows;
   Printf.printf "%-22s identical=%b within_gate=%b\n" "checks" identical
     within_gate;
-  (* Trace propagation probe through an in-process daemon. *)
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "accals_observe_bench.%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let sock = Filename.concat dir "observe.sock" in
-  let server =
-    Server.create
-      {
-        Server.default_config with
-        Server.socket = sock;
-        jobs = max 1 !jobs;
-        max_concurrent = 2;
-        default_samples = 256;
-        log = false;
-      }
-  in
-  let daemon = Domain.spawn (fun () -> Server.run server) in
-  let c = Sclient.connect_unix_retry sock in
-  let tid = Trace_context.mint () in
-  let spec =
-    {
-      Sproto.source = Sproto.Named name;
-      metric;
-      bound;
-      budget = None;
-      deadline = None;
-      priority = 0;
-      tenant = "observe";
-      samples = Some 256;
-      seed = 1;
-      trace_id = Some tid;
-      client_ts = Some (Clock.now ());
-    }
-  in
-  let propagated =
-    match Sclient.submit c spec with
-    | Error msg ->
-      Printf.printf "trace probe: submit failed: %s\n" msg;
-      false
-    | Ok (job, _) -> (
-      match Sclient.wait ~timeout:300.0 c job with
-      | Error msg ->
-        Printf.printf "trace probe: wait failed: %s\n" msg;
-        false
-      | Ok _ -> (
-        match Sclient.rpc c (Sproto.Trace job) with
-        | Error msg ->
-          Printf.printf "trace probe: trace fetch failed: %s\n" msg;
-          false
-        | Ok resp -> (
-          match Json.member "trace" resp with
-          | Some (Json.List events) ->
-            let names =
-              List.filter_map
-                (fun ev -> Option.bind (Json.member "name" ev) Json.string_opt)
-                events
-            in
-            let spans_present =
-              List.for_all
-                (fun n -> List.mem n names)
-                [ "client.submit"; "queue.wait"; "dispatch"; "run" ]
-            in
-            let id_everywhere =
-              List.for_all
-                (fun ev ->
-                  match
-                    (Json.member "cat" ev, Json.member "args" ev)
-                  with
-                  | Some (Json.String "job"), Some args ->
-                    Json.member "trace_id" args = Some (Json.String tid)
-                  | _ -> true)
-                events
-            in
-            Printf.printf
-              "trace probe: %d events, spans_present=%b id_everywhere=%b\n"
-              (List.length events) spans_present id_everywhere;
-            spans_present && id_everywhere
-          | _ ->
-            Printf.printf "trace probe: malformed trace response\n";
-            false)))
-  in
-  ignore (Sclient.rpc c Sproto.Shutdown);
-  Domain.join daemon;
-  Sclient.close c;
   Json.write_file observe_json_file
     (Json.Obj
        [
@@ -1080,658 +865,13 @@ let observe () =
          ("profiler_ticks", Json.Int (Profiler.ticks p));
          ("profiler_samples", Json.Int (Profiler.sample_count p));
          ("folded_rows", Json.Int folded_rows);
-         ("trace_id", Json.String tid);
-         ("trace_propagated", Json.Bool propagated);
          ("profiler_summary", Profiler.summary p);
        ]);
   Printf.printf "wrote %s\n" observe_json_file;
   if not identical then
     note_incident "observe/mtp8"
       "profiled run diverged from unprofiled run (determinism contract \
-       violated)";
-  if not propagated then
-    note_incident "observe/trace"
-      "client trace id did not survive to the daemon's merged job trace"
-
-(* ---------- serve: daemon load generator ---------- *)
-
-let serve_json_file = "bench_serve.json"
-
-(* Boot an in-process daemon on a temp Unix socket, fire N >= 8 concurrent
-   mixed-size jobs at it through the client library, and report throughput
-   and latency percentiles. A second identical pass must be answered
-   entirely from the result cache, and a cancel of a long-running job must
-   land in the cancelled state. *)
-let serve () =
-  section
-    "Service mode: daemon load generator (throughput, latency percentiles, \
-     cache + cancel checks)";
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "accals_serve_bench.%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let sock = Filename.concat dir "bench.sock" in
-  let max_concurrent = max 2 (min 4 !jobs) in
-  let server =
-    Server.create
-      {
-        Server.default_config with
-        Server.socket = sock;
-        jobs = max 1 !jobs;
-        max_concurrent;
-        cache_dir = Some (Filename.concat dir "cache");
-        default_samples = 256;
-        log = false;
-      }
-  in
-  let daemon = Domain.spawn (fun () -> Server.run server) in
-  let spec ?budget ?(samples = 256) ~tenant name bound =
-    {
-      Sproto.source = Sproto.Named name;
-      metric = Metric.Error_rate;
-      bound;
-      budget;
-      deadline = None;
-      priority = 0;
-      tenant;
-      samples = Some samples;
-      seed = 1;
-      trace_id = None;
-      client_ts = None;
-    }
-  in
-  (* 8 mixed-size jobs across two tenants; distinct (circuit, bound) pairs
-     so nothing coalesces inside a pass. *)
-  let workload =
-    [
-      ("rca32", 0.05); ("mtp8", 0.02); ("cla32", 0.05); ("wal8", 0.02);
-      ("ksa32", 0.05); ("c880", 0.03); ("rca32", 0.02); ("mtp8", 0.05);
-    ]
-  in
-  let percentile p xs =
-    match List.sort compare xs with
-    | [] -> nan
-    | sorted ->
-      let a = Array.of_list sorted in
-      let n = Array.length a in
-      a.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
-  in
-  let run_pass () =
-    let c = Sclient.connect_unix_retry sock in
-    let t0 = Clock.now () in
-    let submitted =
-      List.map
-        (fun (name, bound) ->
-          let tenant = if bound < 0.03 then "tenant-a" else "tenant-b" in
-          match Sclient.submit c (spec ~tenant name bound) with
-          | Ok (id, cached) -> (id, cached, Clock.now ())
-          | Error msg -> failwith (Printf.sprintf "submit %s: %s" name msg))
-        workload
-    in
-    (* Round-robin polling records each job's latency when it is first seen
-       in a terminal state, so a fast job is not charged for a slow one
-       ahead of it in the wait order. *)
-    let latencies = ref [] in
-    let remaining =
-      ref (List.map (fun (id, _, t) -> (id, t)) submitted)
-    in
-    while !remaining <> [] do
-      remaining :=
-        List.filter
-          (fun (id, t_submit) ->
-            match Sclient.rpc c (Sproto.Status id) with
-            | Ok resp -> (
-              match
-                Option.bind (Json.member "state" resp) Json.string_opt
-              with
-              | Some ("done" | "failed" | "cancelled") ->
-                latencies := (Clock.now () -. t_submit) :: !latencies;
-                false
-              | _ -> true)
-            | Error msg -> failwith ("status: " ^ msg))
-          !remaining;
-      if !remaining <> [] then Unix.sleepf 0.01
-    done;
-    let wall = Clock.now () -. t0 in
-    let cached = List.length (List.filter (fun (_, c, _) -> c) submitted) in
-    Sclient.close c;
-    (wall, !latencies, cached)
-  in
-  let wall1, lat1, cached1 = run_pass () in
-  let wall2, lat2, cached2 = run_pass () in
-  let n = List.length workload in
-  let all_cached = cached2 = n in
-  (* Cancellation: a tight bound on the EPFL divider at a high sample
-     count runs for many seconds single-domain — plenty of time to catch
-     it mid-run. Cancelled jobs must report terminal state "cancelled" and
-     free their pool share (the daemon would not drain otherwise). *)
-  let c = Sclient.connect_unix_retry sock in
-  let cancel_state =
-    match
-      Sclient.submit c (spec ~tenant:"tenant-a" ~samples:4096 "div" 0.01)
-    with
-    | Error msg -> "submit failed: " ^ msg
-    | Ok (id, _) -> (
-      Unix.sleepf 0.2;
-      match Sclient.rpc c (Sproto.Cancel id) with
-      | Error msg -> "cancel failed: " ^ msg
-      | Ok _ -> (
-        match Sclient.wait ~timeout:60.0 c id with
-        | Error msg -> "wait failed: " ^ msg
-        | Ok resp ->
-          Option.value
-            (Option.bind (Json.member "state" resp) Json.string_opt)
-            ~default:"?"))
-  in
-  let prom =
-    match Sclient.rpc c (Sproto.Metrics) with
-    | Ok resp ->
-      Option.value
-        (Option.bind (Json.member "metrics" resp) Json.string_opt)
-        ~default:""
-    | Error _ -> ""
-  in
-  Sclient.close c;
-  Server.stop server;
-  Domain.join daemon;
-  let p50_1 = percentile 0.50 lat1 and p95_1 = percentile 0.95 lat1 in
-  let p50_2 = percentile 0.50 lat2 and p95_2 = percentile 0.95 lat2 in
-  Printf.printf "%-28s %d jobs, %d domains, %d concurrent\n" "workload" n
-    !jobs max_concurrent;
-  Printf.printf "%-28s %.2f s wall, %.2f jobs/s, p50 %.3f s, p95 %.3f s (%d cached)\n"
-    "pass 1 (cold)" wall1
-    (float_of_int n /. wall1)
-    p50_1 p95_1 cached1;
-  Printf.printf "%-28s %.2f s wall, %.2f jobs/s, p50 %.3f s, p95 %.3f s (%d cached)\n"
-    "pass 2 (resubmit)" wall2
-    (float_of_int n /. wall2)
-    p50_2 p95_2 cached2;
-  Printf.printf "%-28s all_cached=%b  cancel_state=%s\n" "checks" all_cached
-    cancel_state;
-  Json.write_file serve_json_file
-    (Json.Obj
-       [
-         ("n_jobs", Json.Int n);
-         ("jobs", Json.Int !jobs);
-         ("max_concurrent", Json.Int max_concurrent);
-         ("wall_s", Json.Float wall1);
-         ("throughput_jobs_per_s", Json.Float (float_of_int n /. wall1));
-         ("latency_p50_s", Json.Float p50_1);
-         ("latency_p95_s", Json.Float p95_1);
-         ("latencies_s", Json.List (List.map (fun l -> Json.Float l) lat1));
-         ("resubmit_wall_s", Json.Float wall2);
-         ("resubmit_p50_s", Json.Float p50_2);
-         ("resubmit_p95_s", Json.Float p95_2);
-         ("resubmit_all_cached", Json.Bool all_cached);
-         ("cancel_state", Json.String cancel_state);
-         ("metrics", Json.String prom);
-       ]);
-  Printf.printf "wrote %s\n" serve_json_file;
-  if not all_cached then
-    note_incident "serve/resubmit"
-      "resubmission pass was not served entirely from the result cache";
-  if cancel_state <> "cancelled" then
-    note_incident "serve/cancel"
-      (Printf.sprintf "cancelled job ended in state %s" cancel_state)
-
-(* ---------- overload: admission control under flood ---------- *)
-
-let overload_json_file = "bench_overload.json"
-
-(* Boot a deliberately tiny daemon (1 slot, 2-deep queue, 1 queued job
-   per tenant) and flood it with distinct jobs from 3 tenants.  The
-   protection contract under test: the flood is shed with structured
-   "overloaded" + retry_after_ms responses (never silently dropped or
-   queued unboundedly), the daemon stays responsive to health probes
-   throughout, and a shed client retrying under the shared backoff
-   policy eventually lands its job once the queue drains. *)
-let overload () =
-  section
-    "Service mode: overload protection (shed responses, retry_after, \
-     health probe)";
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "accals_overload_bench.%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let sock = Filename.concat dir "bench.sock" in
-  let max_queue = 2 in
-  let server =
-    Server.create
-      {
-        Server.default_config with
-        Server.socket = sock;
-        jobs = max 1 !jobs;
-        max_concurrent = 1;
-        max_queue;
-        tenant_max_queued = 1;
-        cache_dir = Some (Filename.concat dir "cache");
-        default_samples = 256;
-        log = false;
-      }
-  in
-  let daemon = Domain.spawn (fun () -> Server.run server) in
-  let spec ~tenant ~seed =
-    {
-      Sproto.source = Sproto.Named "rca32";
-      metric = Metric.Error_rate;
-      bound = 0.05;
-      budget = Some 2.0;
-      deadline = None;
-      priority = 0;
-      tenant;
-      samples = Some 256;
-      seed;
-      trace_id = None;
-      client_ts = None;
-    }
-  in
-  (* 4x the queue capacity, spread over 3 tenants; distinct seeds make
-     distinct cache keys, so nothing coalesces. *)
-  let flood_n = 4 * (max_queue + 1) in
-  let c = Sclient.connect_unix_retry sock in
-  let accepted = ref [] and shed = ref 0 and shed_with_hint = ref 0 in
-  let shed_specs = ref [] in
-  for i = 1 to flood_n do
-    let sp = spec ~tenant:(Printf.sprintf "tenant-%d" (i mod 3)) ~seed:i in
-    match Sclient.rpc c (Sproto.Submit sp) with
-    | Error msg -> failwith ("submit: " ^ msg)
-    | Ok resp ->
-      if Sclient.ok resp then
-        accepted :=
-          Option.get (Option.bind (Json.member "job" resp) Json.string_opt)
-          :: !accepted
-      else begin
-        incr shed;
-        if
-          Sclient.error_code resp = Some "overloaded"
-          && Sclient.retry_after resp <> None
-        then incr shed_with_hint;
-        shed_specs := sp :: !shed_specs
-      end
-  done;
-  (* The daemon must answer a health probe mid-flood, and its view must
-     reflect the bounded queue. *)
-  let health_ok, health_queue =
-    match Sclient.health c with
-    | Error _ -> (false, -1)
-    | Ok resp ->
-      ( true,
-        Option.value
-          (Option.bind (Json.member "queue_depth" resp) Json.int_opt)
-          ~default:(-1) )
-  in
-  (* A shed client that retries with backoff (honoring retry_after_ms)
-     must eventually get in once the queue drains. *)
-  let retry_ok =
-    match !shed_specs with
-    | [] -> false
-    | sp :: _ -> (
-      let policy = { Sbackoff.default with Sbackoff.max_total = 120.0 } in
-      match Sclient.submit_retry ~policy c sp with
-      | Ok (id, _) ->
-        accepted := id :: !accepted;
-        true
-      | Error _ -> false)
-  in
-  List.iter
-    (fun id ->
-      match Sclient.wait ~timeout:120.0 c id with
-      | Ok _ -> ()
-      | Error msg -> failwith ("wait: " ^ msg))
-    !accepted;
-  let final_shed_total =
-    match Sclient.health c with
-    | Ok resp ->
-      Option.value
-        (Option.bind (Json.member "shed_total" resp) Json.int_opt)
-        ~default:(-1)
-    | Error _ -> -1
-  in
-  Sclient.close c;
-  Server.stop server;
-  Domain.join daemon;
-  Printf.printf "%-28s %d submitted, %d accepted, %d shed (%d with hint)\n"
-    "flood" flood_n
-    (List.length !accepted)
-    !shed !shed_with_hint;
-  Printf.printf "%-28s health_ok=%b queue_depth=%d retry_ok=%b shed_total=%d\n"
-    "checks" health_ok health_queue retry_ok final_shed_total;
-  Json.write_file overload_json_file
-    (Json.Obj
-       [
-         ("flood_n", Json.Int flood_n);
-         ("max_queue", Json.Int max_queue);
-         ("accepted", Json.Int (List.length !accepted));
-         ("shed", Json.Int !shed);
-         ("shed_with_hint", Json.Int !shed_with_hint);
-         ("health_ok", Json.Bool health_ok);
-         ("health_queue_depth", Json.Int health_queue);
-         ("retry_ok", Json.Bool retry_ok);
-         ("shed_total", Json.Int final_shed_total);
-       ]);
-  Printf.printf "wrote %s\n" overload_json_file;
-  if !shed = 0 then
-    note_incident "overload/shed" "flood past queue capacity shed nothing";
-  if !shed <> !shed_with_hint then
-    note_incident "overload/hint"
-      "some shed responses lacked code=overloaded or retry_after_ms";
-  if not health_ok then
-    note_incident "overload/health" "daemon unresponsive to health mid-flood";
-  if not retry_ok then
-    note_incident "overload/retry"
-      "backoff retry of a shed submission did not eventually succeed"
-
-(* ---------- resource: soak under memory / disk budgets + injected faults ---------- *)
-
-let resource_json_file = "bench_resource.json"
-
-(* The resource-exhaustion contract under soak: flood a daemon that runs
-   with a tight per-job memory budget, a state dir the disk governor
-   believes is nearly full (an absurd headroom floor makes every
-   free-space probe fail, so the proactive eviction path runs before
-   every store), and deterministic ENOSPC injection on a fraction of all
-   governed cache/checkpoint writes.  Kill the daemon mid-flood, inspect
-   the state dir cold (zero corrupt cache entries, zero temp residue),
-   then restart with the faults disarmed and re-submit everything.  The
-   recovered answers must be bit-identical — BLIF for BLIF — to an
-   unbudgeted, unfaulted baseline pass. *)
-let resource () =
-  section
-    "Service mode: resource-exhaustion soak (memory budget, near-full \
-     state dir, ENOSPC injection, kill + recover)";
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "accals_resource_bench.%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let sock = Filename.concat dir "bench.sock" in
-  let cache_dir = Filename.concat dir "cache" in
-  let state_dir = Filename.concat dir "state" in
-  let base_cache_dir = Filename.concat dir "cache_baseline" in
-  (* Tight but survivable: a fixed slack above the heap the bench has
-     already grown, so the engine governor sees real pressure without
-     being pushed straight to the shed rung. *)
-  let heap_mb =
-    (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8) / (1024 * 1024)
-  in
-  let max_memory_mb = heap_mb + 512 in
-  let workload =
-    [
-      ("rca32", 0.05); ("mtp8", 0.02); ("cla32", 0.05); ("wal8", 0.02);
-      ("ksa32", 0.05); ("c880", 0.03); ("rca32", 0.02); ("mtp8", 0.05);
-    ]
-  in
-  let spec (name, bound) =
-    {
-      Sproto.source = Sproto.Named name;
-      metric = Metric.Error_rate;
-      bound;
-      budget = Some 10.0;
-      deadline = None;
-      priority = 0;
-      tenant = "soak";
-      samples = Some 256;
-      seed = 1;
-      trace_id = None;
-      client_ts = None;
-    }
-  in
-  let boot ~budgeted =
-    let server =
-      Server.create
-        {
-          Server.default_config with
-          Server.socket = sock;
-          jobs = max 1 !jobs;
-          max_concurrent = 2;
-          cache_dir = Some (if budgeted then cache_dir else base_cache_dir);
-          state_dir = (if budgeted then Some state_dir else None);
-          default_samples = 256;
-          max_memory_mb = (if budgeted then max_memory_mb else 0);
-          (* A petabyte of required headroom: every probe of the real
-             filesystem reports "nearly full", exercising the
-             evict-before-store path on every store. *)
-          statedir_headroom_mb = (if budgeted then 1 lsl 30 else 0);
-          log = false;
-        }
-    in
-    (server, Domain.spawn (fun () -> Server.run server))
-  in
-  let submit_all c =
-    List.map
-      (fun w ->
-        match Sclient.submit c (spec w) with
-        | Ok (id, _) -> (w, id)
-        | Error msg -> failwith (Printf.sprintf "submit %s: %s" (fst w) msg))
-      workload
-  in
-  let blif_of resp = Option.bind (Json.member "blif" resp) Json.string_opt in
-  let collect c submitted =
-    List.map
-      (fun (w, id) ->
-        match Sclient.wait ~timeout:240.0 c id with
-        | Ok resp -> (w, blif_of resp)
-        | Error msg -> failwith (Printf.sprintf "wait %s: %s" (fst w) msg))
-      submitted
-  in
-  (* Baseline: no budgets, no faults, its own cache dir. *)
-  let server, daemon = boot ~budgeted:false in
-  let c = Sclient.connect_unix_retry sock in
-  let baseline = collect c (submit_all c) in
-  Sclient.close c;
-  Server.stop server;
-  Domain.join daemon;
-  (* Phase 1: budgeted flood with a fraction of every governed write
-     failing ENOSPC, killed while jobs are still queued. *)
-  let faults =
-    match Fault_io.parse "seed:7,write:enospc%5" with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  Fault_io.arm faults;
-  let phase1_injected, phase1_resource_total =
-    Fun.protect ~finally:Fault_io.disarm (fun () ->
-        let server, daemon = boot ~budgeted:true in
-        let c = Sclient.connect_unix_retry sock in
-        let submitted = submit_all c in
-        (* Let the head of the flood land, then pull the plug with the
-           tail still queued: the drain path must checkpoint the queue
-           through the same faulted writes. *)
-        (match submitted with
-        | (_, id1) :: (_, id2) :: _ ->
-          ignore (Sclient.wait ~timeout:240.0 c id1);
-          ignore (Sclient.wait ~timeout:240.0 c id2)
-        | _ -> ());
-        let resource_total =
-          match Sclient.health c with
-          | Ok resp ->
-            Option.value
-              (Option.bind
-                 (Json.member "resource_exhausted_total" resp)
-                 Json.int_opt)
-              ~default:(-1)
-          | Error _ -> -1
-        in
-        Sclient.close c;
-        Server.stop server;
-        Domain.join daemon;
-        (Fault_io.injected_count (), resource_total))
-  in
-  (* Cold inspection of what phase 1 left on disk.  Every cache entry
-     must parse and match its key ([Scache.find] deletes it otherwise),
-     and no atomic-write temp file may have leaked anywhere. *)
-  let residue_in d =
-    match Sys.readdir d with
-    | exception Sys_error _ -> 0
-    | files ->
-      Array.fold_left
-        (fun acc f ->
-          let is_tmp =
-            List.exists
-              (fun part -> String.length part >= 3 && String.sub part 0 3 = "tmp")
-              (String.split_on_char '.' f)
-          in
-          if is_tmp then acc + 1 else acc)
-        0 files
-  in
-  let cache = Scache.create ~dir:cache_dir in
-  let entries_before = Scache.size cache in
-  let corrupt =
-    match Sys.readdir cache_dir with
-    | exception Sys_error _ -> 0
-    | files ->
-      Array.fold_left
-        (fun acc f ->
-          if Filename.check_suffix f ".json" then
-            let key = Filename.remove_extension f in
-            match Scache.find cache key with Some _ -> acc | None -> acc + 1
-          else acc)
-        0 files
-  in
-  let tmp_residue = residue_in cache_dir + residue_in state_dir in
-  (* Phase 2: recovery.  Same budgets, faults disarmed; the daemon
-     re-admits whatever the queue checkpoint preserved, and re-submitting
-     the full workload coalesces onto it / hits the surviving cache. *)
-  let server, daemon = boot ~budgeted:true in
-  let c = Sclient.connect_unix_retry sock in
-  let recovered = collect c (submit_all c) in
-  Sclient.close c;
-  Server.stop server;
-  Domain.join daemon;
-  let complete = List.for_all (fun (_, b) -> b <> None) recovered in
-  let identical =
-    complete
-    && List.for_all2 (fun (_, a) (_, b) -> a = b) baseline recovered
-  in
-  Printf.printf "%-28s %d jobs, budget %d MB (heap was %d MB)\n" "workload"
-    (List.length workload) max_memory_mb heap_mb;
-  Printf.printf "%-28s %d injected, resource_total=%d\n" "phase1 faults"
-    phase1_injected phase1_resource_total;
-  Printf.printf "%-28s %d entries, %d corrupt, %d tmp residue\n" "cold cache"
-    entries_before corrupt tmp_residue;
-  Printf.printf "%-28s complete=%b identical=%b\n" "recovery" complete
-    identical;
-  Json.write_file resource_json_file
-    (Json.Obj
-       [
-         ("workload_n", Json.Int (List.length workload));
-         ("max_memory_mb", Json.Int max_memory_mb);
-         ("heap_mb_at_boot", Json.Int heap_mb);
-         ("fault_spec", Json.String "seed:7,write:enospc%5");
-         ("injected_faults", Json.Int phase1_injected);
-         ("resource_exhausted_total", Json.Int phase1_resource_total);
-         ("cache_entries_cold", Json.Int entries_before);
-         ("corrupt_entries", Json.Int corrupt);
-         ("tmp_residue", Json.Int tmp_residue);
-         ("recovery_complete", Json.Bool complete);
-         ("recovery_identical", Json.Bool identical);
-       ]);
-  Printf.printf "wrote %s\n" resource_json_file;
-  if corrupt > 0 then
-    note_incident "resource/corrupt"
-      (Printf.sprintf "%d corrupt cache entries survived the faulted flood"
-         corrupt);
-  if tmp_residue > 0 then
-    note_incident "resource/residue"
-      (Printf.sprintf "%d atomic-write temp files leaked" tmp_residue);
-  if not complete then
-    note_incident "resource/complete"
-      "a recovered job finished without a result payload";
-  if not identical then
-    note_incident "resource/identity"
-      "recovered results are not bit-identical to the unbudgeted baseline"
-
-(* ---------- Bechamel micro-benchmarks: one Test.make per table/figure ---------- *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel): one kernel per table/figure";
-  let open Bechamel in
-  let open Toolkit in
-  (* Fixtures shared by the staged kernels. *)
-  let mtp8 = circuit "mtp8" in
-  let patterns = Sim.for_network ~seed:1 ~count:1024 ~exhaustive_limit:10 mtp8 in
-  let ctx = Accals_lac.Round_ctx.create mtp8 patterns in
-  let golden = Accals_lac.Round_ctx.output_sigs ctx in
-  let estimator metric = Accals_esterr.Estimator.create ctx ~golden ~metric in
-  let est_er = estimator Metric.Error_rate in
-  let est_nmed = estimator Metric.Nmed in
-  let est_mred = estimator Metric.Mred in
-  let candidates =
-    Accals_lac.Candidate_gen.generate ctx Accals_lac.Candidate_gen.default_config
-  in
-  let first_candidate = List.hd candidates in
-  let scored = Accals_esterr.Estimator.score est_er ~shortlist:60 candidates in
-  let targets =
-    Array.of_list
-      (List.map (fun l -> l.Accals_lac.Lac.target)
-         (fst (Accals.Conflict_graph.find_and_solve scored)))
-  in
-  let big_cycle =
-    let g = Accals_mis.Graph.create 300 in
-    for i = 0 to 298 do
-      Accals_mis.Graph.add_edge g i (i + 1)
-    done;
-    Accals_mis.Graph.add_edge g 299 0;
-    g
-  in
-  let alu4 = circuit "alu4" in
-  let order = Structure.topo_order mtp8 in
-  let tests =
-    Test.make_grouped ~name:"accals"
-      [
-        Test.make ~name:"table1:load+cost(alu4)"
-          (Staged.stage (fun () -> Cost.area (Bench_suite.load "alu4")));
-        Test.make ~name:"fig4:score-round(mtp8,ER)"
-          (Staged.stage (fun () ->
-               Accals_esterr.Estimator.score est_er ~shortlist:40 candidates));
-        Test.make ~name:"fig5:engine(alu4,ER3%)"
-          (Staged.stage (fun () ->
-               Engine.run alu4 ~metric:Metric.Error_rate ~error_bound:0.03));
-        Test.make ~name:"fig6a:seals(alu4,ER3%)"
-          (Staged.stage (fun () ->
-               Seals.run alu4 ~metric:Metric.Error_rate ~error_bound:0.03));
-        Test.make ~name:"fig6b:score-round(mtp8,NMED)"
-          (Staged.stage (fun () ->
-               Accals_esterr.Estimator.score est_nmed ~shortlist:40 candidates));
-        Test.make ~name:"fig6c:score-round(mtp8,MRED)"
-          (Staged.stage (fun () ->
-               Accals_esterr.Estimator.score est_mred ~shortlist:40 candidates));
-        Test.make ~name:"table2:cone-resim(mtp8)"
-          (Staged.stage (fun () ->
-               Accals_esterr.Estimator.exact_delta est_er first_candidate));
-        Test.make ~name:"fig7:influence+mis(mtp8)"
-          (Staged.stage (fun () ->
-               let g = Accals.Influence.build_graph ctx ~targets ~t_b:0.5 in
-               Accals_mis.Mis.solve g));
-        Test.make ~name:"table3:mis(cycle300)"
-          (Staged.stage (fun () -> Accals_mis.Mis.solve big_cycle));
-        Test.make ~name:"substrate:simulate(mtp8x1024)"
-          (Staged.stage (fun () -> Sim.run mtp8 patterns ~order));
-      ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ t ] ->
-        if t > 1e9 then Printf.printf "%-36s %10.2f s/run\n" name (t /. 1e9)
-        else if t > 1e6 then Printf.printf "%-36s %10.2f ms/run\n" name (t /. 1e6)
-        else Printf.printf "%-36s %10.2f us/run\n" name (t /. 1e3)
-      | Some _ | None -> Printf.printf "%-36s %10s\n" name "n/a")
-    (List.sort compare rows)
+       violated)"
 
 (* ---------- driver ---------- *)
 
@@ -1749,13 +889,8 @@ let experiments =
     ("ablation", ablation);
     ("sensitivity", sensitivity);
     ("speedup", speedup);
-    ("audit", audit);
     ("telemetry", telemetry);
     ("observe", observe);
-    ("serve", serve);
-    ("overload", overload);
-    ("resource", resource);
-    ("micro", micro);
   ]
 
 (* With --trace-dir, every experiment runs under its own span tracer and

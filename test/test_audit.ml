@@ -362,12 +362,13 @@ let test_shadow_compare () =
 
 (* --- Engine-level divergence fallback --- *)
 
-let small_config ?(audit_every = 0) ?(certify = false) ?(incremental = true) net =
+let small_config ?(samples = 512) ?(audit_every = 0) ?(certify = false)
+    ?(incremental = true) net =
   Config.for_network
     ~base:
       {
         Config.default with
-        samples = 512;
+        samples;
         seed = 1;
         jobs = 1;
         incremental;
@@ -612,6 +613,45 @@ let test_engine_certification () =
     check "no certification without the flag" true
       (uncertified.Engine.certification = None)
 
+(* Audits re-derive state on the side and certification re-measures the
+   final circuit; neither may change a synthesis decision. Each variant's
+   trace, minus the resimulation counters, must equal the plain run's, and
+   so must its error and area unless certification rolled the final
+   circuit back. *)
+let test_audit_certify_keep_decisions () =
+  List.iter
+    (fun name ->
+      let net = Accals_circuits.Bench_suite.load name in
+      let run ?audit_every ?certify () =
+        Engine.run
+          ~config:(small_config ~samples:2048 ?audit_every ?certify net)
+          net ~metric:Metric.Error_rate ~error_bound:0.03
+      in
+      let baseline = run () in
+      List.iter
+        (fun (label, audit_every, certify) ->
+          let r = run ~audit_every ~certify () in
+          let what = Printf.sprintf "%s %s: " name label in
+          check (what ^ "same trace") true
+            (List.map round_key r.Engine.rounds
+            = List.map round_key baseline.Engine.rounds);
+          let rolled_back =
+            match r.Engine.certification with
+            | Some o -> o.Certify.rollback_steps > 0
+            | None -> false
+          in
+          check (what ^ "same error and area unless rolled back") true
+            (rolled_back
+            || r.Engine.error = baseline.Engine.error
+               && r.Engine.area_ratio = baseline.Engine.area_ratio))
+        [
+          ("audit-4", 4, false);
+          ("audit-1", 1, false);
+          ("certify", 0, true);
+          ("audit-1+certify", 1, true);
+        ])
+    [ "mtp8"; "alu4"; "apex6" ]
+
 (* --- Satellite: mutation-based property tests for Network.validate --- *)
 
 let violation_reason f =
@@ -782,6 +822,8 @@ let suite =
           test_certify_with_rollback;
         Alcotest.test_case "engine-level certification" `Slow
           test_engine_certification;
+        Alcotest.test_case "audits and certification keep decisions" `Slow
+          test_audit_certify_keep_decisions;
       ] );
     ( "audit validate properties",
       [ prop_validate_catches_mutations ] );

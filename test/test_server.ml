@@ -1443,6 +1443,117 @@ let test_daemon_restart_admission () =
   Domain.join daemon2;
   Client.close c2
 
+(* Resource-exhaustion soak. A baseline pass runs with no budgets and no
+   faults. Then a daemon with a tight memory budget, a disk governor that
+   believes the state dir is nearly full, and ENOSPC on about a fifth of
+   its governed writes takes the same flood and is stopped with the tail
+   still queued. The state dir it leaves must hold no corrupt cache entry
+   and no temp file, and a restarted daemon (faults disarmed) must answer
+   every job bit-identically to the baseline: budgets and faults cost
+   time, never correctness. *)
+let test_daemon_resource_soak () =
+  let dir = temp_dir "accals_daemon_soak" in
+  let sock n = Filename.concat dir (Printf.sprintf "t%d.sock" n) in
+  let cache_dir = Filename.concat dir "cache" in
+  let state_dir = Filename.concat dir "state" in
+  (* Tight but survivable: a fixed slack above the heap already grown, so
+     the engine governor sees real pressure without shedding outright. *)
+  let heap_mb =
+    (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8) / (1024 * 1024)
+  in
+  let boot n ~budgeted =
+    boot_server
+      {
+        Server.default_config with
+        Server.socket = sock n;
+        jobs = 2;
+        max_concurrent = 2;
+        cache_dir =
+          Some (if budgeted then cache_dir else Filename.concat dir "base");
+        state_dir = (if budgeted then Some state_dir else None);
+        default_samples = 256;
+        max_memory_mb = (if budgeted then heap_mb + 512 else 0);
+        (* A petabyte of required headroom: every free-space probe reports
+           "nearly full", so the evict-before-store path runs every time. *)
+        statedir_headroom_mb = (if budgeted then 1 lsl 30 else 0);
+        log = false;
+      }
+  in
+  let workload =
+    [
+      ("rca32", 0.05); ("mtp8", 0.02); ("cla32", 0.05); ("wal8", 0.02);
+      ("ksa32", 0.05); ("c880", 0.03); ("rca32", 0.02); ("mtp8", 0.05);
+    ]
+  in
+  let submit_all c =
+    List.map
+      (fun (name, bound) ->
+        fst
+          (ok_exn ("submit " ^ name)
+             (Client.submit c
+                (e2e_spec ~budget:10.0 ~tenant:"soak" ~samples:256 name bound))))
+      workload
+  in
+  let blifs c ids =
+    List.map
+      (fun id ->
+        let r = ok_exn ("wait " ^ id) (Client.wait ~timeout:240.0 c id) in
+        Option.bind (Json.member "blif" r) Json.string_opt)
+      ids
+  in
+  let pass n ~budgeted =
+    let server, daemon = boot n ~budgeted in
+    let c = Client.connect_unix_retry (sock n) in
+    let r = blifs c (submit_all c) in
+    Server.stop server;
+    Domain.join daemon;
+    Client.close c;
+    r
+  in
+  let baseline = pass 1 ~budgeted:false in
+  let injected =
+    with_io_faults "seed:7,write:enospc%5" (fun () ->
+        let server, daemon = boot 2 ~budgeted:true in
+        let c = Client.connect_unix_retry (sock 2) in
+        (* Let the head of the flood land, then stop with the tail still
+           queued: the drain checkpoints the queue through the same
+           faulted writes. *)
+        (match submit_all c with
+        | id1 :: id2 :: _ ->
+          ignore (Client.wait ~timeout:240.0 c id1);
+          ignore (Client.wait ~timeout:240.0 c id2)
+        | _ -> ());
+        Server.stop server;
+        Domain.join daemon;
+        Client.close c;
+        Fault_io.injected_count ())
+  in
+  check "ENOSPC faults were injected" true (injected > 0);
+  (* Cold inspection: every cache entry parses and matches its key
+     ([Cache.find] deletes it otherwise), and no atomic-write temp file
+     leaked anywhere. *)
+  let count p d =
+    Array.fold_left
+      (fun n f -> if p f then n + 1 else n)
+      0
+      (try Sys.readdir d with Sys_error _ -> [||])
+  in
+  let cache = Cache.create ~dir:cache_dir in
+  let corrupt f =
+    Filename.check_suffix f ".json"
+    && Cache.find cache (Filename.remove_extension f) = None
+  in
+  let is_tmp f =
+    List.exists (String.starts_with ~prefix:"tmp") (String.split_on_char '.' f)
+  in
+  check_int "no corrupt cache entries" 0 (count corrupt cache_dir);
+  check_int "no temp residue" 0 (count is_tmp cache_dir + count is_tmp state_dir);
+  (* Recovery: same budgets, faults disarmed; the restored queue and the
+     surviving cache absorb the resubmitted flood. *)
+  let recovered = pass 3 ~budgeted:true in
+  check "recovery complete" true (List.for_all Option.is_some recovered);
+  check "recovery bit-identical to the baseline" true (recovered = baseline)
+
 let suite =
   [
     ( "server digest",
@@ -1520,5 +1631,7 @@ let suite =
           `Quick test_daemon_fd_governor_sheds;
         Alcotest.test_case "restart re-admits through admission control" `Slow
           test_daemon_restart_admission;
+        Alcotest.test_case "resource soak: budgets, ENOSPC, kill, recover"
+          `Slow test_daemon_resource_soak;
       ] );
   ]
