@@ -131,6 +131,16 @@ let mux_into ~sel a b ~dst =
     dst.words.(i) <- (s land a.words.(i)) lor (lnot s land b.words.(i) land word_mask)
   done
 
+let mux_popcount ~sel a b =
+  check2 sel a;
+  check2 sel b;
+  let acc = ref 0 in
+  for i = 0 to Array.length sel.words - 1 do
+    let s = sel.words.(i) in
+    acc := !acc + popcount_word ((s land a.words.(i)) lor (lnot s land b.words.(i)))
+  done;
+  !acc
+
 let randomize rng t =
   for i = 0 to Array.length t.words - 1 do
     t.words.(i) <- Prng.bits62 rng

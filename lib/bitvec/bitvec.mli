@@ -56,6 +56,9 @@ val lognot_into : t -> dst:t -> unit
 val mux_into : sel:t -> t -> t -> dst:t -> unit
 (** [mux_into ~sel a b ~dst] sets [dst = (sel AND a) OR (NOT sel AND b)]. *)
 
+val mux_popcount : sel:t -> t -> t -> int
+(** [popcount] of the [mux_into ~sel a b] result, without building it. *)
+
 val randomize : Prng.t -> t -> unit
 (** Fill with uniformly random bits. *)
 

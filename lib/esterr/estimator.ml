@@ -18,6 +18,7 @@ type scratch = {
   have : bool array;  (* overlay validity *)
   mutable pool : Bitvec.t list;  (* recycled signature buffers *)
   tmp : Bitvec.t;
+  flipped : Metric.terms;  (* error terms with the current target complemented *)
 }
 
 (* The estimator is persistent across rounds when driven through [refresh]:
@@ -34,6 +35,7 @@ type t = {
   mutable crit : Bitvec.t array;
   err_mask : Bitvec.t;  (* samples where the current circuit is wrong *)
   err_free : Bitvec.t;  (* complement of [err_mask] *)
+  current : Metric.terms;  (* per-sample error terms; [err_mask] under ER *)
   cone_cache : (int, int array) Hashtbl.t;
   mutable scratch : scratch;
   arena : scratch ref Arena.t;  (* per-worker-domain scratches *)
@@ -56,13 +58,16 @@ let compute_err_mask ctx golden =
     golden;
   err
 
-let make_scratch nodes samples =
+(* [flipped] starts as any buffer of the prepared kind: it is overwritten
+   before every read. *)
+let make_scratch nodes samples prepared golden =
   let dummy = Bitvec.create 0 in
   {
     overlay = Array.make nodes dummy;
     have = Array.make nodes false;
     pool = [];
     tmp = Bitvec.create samples;
+    flipped = Metric.terms prepared ~approx:golden;
   }
 
 (* This domain's persistent scratch, grown (never shrunk) to the current
@@ -79,6 +84,7 @@ let domain_scratch t =
         have = Array.make n false;
         pool = s.pool;
         tmp = s.tmp;
+        flipped = s.flipped;
       }
     in
     cell := grown;
@@ -86,25 +92,32 @@ let domain_scratch t =
   end
   else s
 
+let current_terms metric prepared err_mask ~approx =
+  match metric with
+  | Metric.Error_rate -> Metric.Wrong err_mask
+  | Metric.Nmed | Metric.Mred | Metric.Med | Metric.Wce ->
+    Metric.terms prepared ~approx
+
 let create ctx ~golden ~metric =
   let approx = Round_ctx.output_sigs ctx in
   let base_error = Metric.measure metric ~golden ~approx in
   let n = Network.num_nodes ctx.Round_ctx.net in
+  let samples = ctx.Round_ctx.patterns.Sim.count in
+  let prepared = Metric.prepare metric ~golden in
   let err_mask = compute_err_mask ctx golden in
   {
     ctx;
     golden;
-    prepared = Metric.prepare metric ~golden;
+    prepared;
     metric;
     base_error;
     crit = Criticality.masks ctx;
     err_mask;
     err_free = Bitvec.lognot err_mask;
+    current = current_terms metric prepared err_mask ~approx;
     cone_cache = Hashtbl.create 64;
-    scratch = make_scratch n ctx.Round_ctx.patterns.Sim.count;
-    arena =
-      (let samples = ctx.Round_ctx.patterns.Sim.count in
-       Arena.create (fun () -> ref (make_scratch 0 samples)));
+    scratch = make_scratch n samples prepared golden;
+    arena = Arena.create (fun () -> ref (make_scratch 0 samples prepared golden));
     evaluations = Atomic.make 0;
     cache_hits = Atomic.make 0;
     cache_misses = Atomic.make 0;
@@ -221,6 +234,9 @@ let refresh t ctx ~sig_changed ~struct_dirty =
       Bitvec.logor_into t.err_mask t.scratch.tmp ~dst:t.err_mask)
     t.golden;
   Bitvec.lognot_into t.err_mask ~dst:t.err_free;
+  (match t.current with
+   | Metric.Wrong _ -> ()
+   | Metric.Distance _ -> Metric.terms_into t.prepared ~approx:out t.current);
   t.base_error <- Metric.measure t.metric ~golden:t.golden ~approx:out;
   if Array.length t.scratch.overlay < n then
     t.scratch <-
@@ -229,6 +245,7 @@ let refresh t ctx ~sig_changed ~struct_dirty =
         have = Array.make n false;
         pool = t.scratch.pool;
         tmp = t.scratch.tmp;
+        flipped = t.scratch.flipped;
       }
 
 let take_buf t s =
@@ -301,50 +318,93 @@ let cone t target =
     Hashtbl.add t.cone_cache target c;
     c
 
-let exact_delta_in t s lac =
-  let ctx = t.ctx in
-  let net = ctx.Round_ctx.net in
-  let sigs = ctx.Round_ctx.sigs in
-  let target = lac.Lac.target in
-  let cand = candidate_signature_in t s lac in
-  if Bitvec.equal cand sigs.(target) then begin
-    give_buf s cand;
-    0.0
-  end
-  else begin
-    Atomic.incr t.evaluations;
-    let touched = ref [ target ] in
-    s.overlay.(target) <- cand;
-    s.have.(target) <- true;
-    let lookup id = if s.have.(id) then s.overlay.(id) else sigs.(id) in
-    Array.iter
-      (fun id ->
-        let fis = Network.fanins net id in
-        let dirty = Array.exists (fun f -> s.have.(f)) fis in
-        if dirty then begin
-          let dst = take_buf t s in
-          Sim.eval_node_into net ~lookup id ~dst;
-          if Bitvec.equal dst sigs.(id) then give_buf s dst
-          else begin
-            s.overlay.(id) <- dst;
-            s.have.(id) <- true;
-            touched := id :: !touched
-          end
-        end)
-      (cone t target);
-    let approx = Array.map lookup (Network.outputs net) in
-    let e_new = Metric.measure_prepared t.prepared ~approx in
-    List.iter
-      (fun id ->
-        give_buf s s.overlay.(id);
-        s.have.(id) <- false)
-      !touched;
-    e_new -. t.base_error
-  end
+(* The flip response of [target]: resimulate its fanout cone once with its
+   signature complemented and leave the resulting error terms in
+   [s.flipped]. A LAC only changes the target's value, and samples are
+   independent, so on every sample a LAC's circuit matches either the
+   current circuit or this flipped one. *)
+let flip_response t s ~cone target =
+  let net = t.ctx.Round_ctx.net in
+  let sigs = t.ctx.Round_ctx.sigs in
+  let flipped = take_buf t s in
+  Bitvec.lognot_into sigs.(target) ~dst:flipped;
+  let touched = ref [ target ] in
+  s.overlay.(target) <- flipped;
+  s.have.(target) <- true;
+  let lookup id = if s.have.(id) then s.overlay.(id) else sigs.(id) in
+  Array.iter
+    (fun id ->
+      if Array.exists (fun f -> s.have.(f)) (Network.fanins net id) then begin
+        let dst = take_buf t s in
+        Sim.eval_node_into net ~lookup id ~dst;
+        if Bitvec.equal dst sigs.(id) then give_buf s dst
+        else begin
+          s.overlay.(id) <- dst;
+          s.have.(id) <- true;
+          touched := id :: !touched
+        end
+      end)
+    cone;
+  Metric.terms_into t.prepared ~approx:(Array.map lookup (Network.outputs net)) s.flipped;
+  List.iter
+    (fun id ->
+      give_buf s s.overlay.(id);
+      s.have.(id) <- false)
+    !touched
 
-let exact_delta t lac = exact_delta_in t t.scratch lac
+(* ΔE of each LAC of one target, in order. A LAC whose signature equals
+   the target's scores 0 and is not counted as an evaluation; the others
+   select, per sample, between the current and the flipped error terms on
+   the samples where they change the target. The cone is walked at most
+   once, for the first LAC that changes anything. *)
+let target_deltas t s ~cone target lacs =
+  let cur = t.ctx.Round_ctx.sigs.(target) in
+  let walked = ref false in
+  List.map
+    (fun lac ->
+      let diff = candidate_signature_in t s lac in
+      Bitvec.logxor_into diff cur ~dst:diff;
+      let delta =
+        if Bitvec.is_zero diff then 0.0
+        else begin
+          Atomic.incr t.evaluations;
+          if not !walked then begin
+            flip_response t s ~cone target;
+            walked := true
+          end;
+          Metric.select_total t.prepared ~diff ~current:t.current
+            ~flipped:s.flipped
+          -. t.base_error
+        end
+      in
+      give_buf s diff;
+      delta)
+    lacs
+
+let exact_delta t lac =
+  let target = lac.Lac.target in
+  List.hd (target_deltas t t.scratch ~cone:(cone t target) target [ lac ])
 
 type mode = Exact | Approximate
+
+(* The shortlist grouped by target, in first-occurrence order: each group
+   is the target, its cone (looked up once, here, on the calling domain,
+   so the cache counters do not depend on the pool and workers only read
+   the cache) and its LACs with their shortlist positions. *)
+let by_target t chosen =
+  let groups = Hashtbl.create 64 in
+  let order = ref [] in
+  Array.iteri
+    (fun i lac ->
+      let target = lac.Lac.target in
+      match Hashtbl.find_opt groups target with
+      | Some members -> members := (i, lac) :: !members
+      | None ->
+        let members = ref [ (i, lac) ] in
+        Hashtbl.add groups target members;
+        order := (target, members) :: !order)
+    chosen;
+  List.rev_map (fun (target, members) -> (target, cone t target, List.rev !members)) !order
 
 let score ?(mode = Exact) ?pool t ~shortlist lacs =
   (* Bounded selection of the shortlist instead of sorting all candidates:
@@ -360,33 +420,43 @@ let score ?(mode = Exact) ?pool t ~shortlist lacs =
   in
   let ranked = List.mapi (fun i lac -> (rank_score t lac, i, lac)) lacs in
   let chosen =
-    List.map
-      (fun (_, _, lac) -> lac)
-      (Top_k.smallest ~k:shortlist ~compare:compare_ranked ranked)
+    Array.of_list
+      (List.map
+         (fun (_, _, lac) -> lac)
+         (Top_k.smallest ~k:shortlist ~compare:compare_ranked ranked))
   in
-  let scored =
-    match (mode, pool) with
-    | Exact, Some pool when Pool.jobs pool > 1 ->
-      (* Exact-on-samples cone resimulation is the estimator-bound phase:
-         fan the shortlist out over the pool. Cones are prefetched here so
-         workers only ever read the cache; each chunk of candidates gets a
-         private resimulation scratch. *)
-      List.iter (fun lac -> ignore (cone t lac.Lac.target)) chosen;
-      Fan_out.map_list_with ~label:"estimate" pool
-        ~state:(fun () -> domain_scratch t)
-        ~f:(fun s lac -> Lac.with_delta lac (exact_delta_in t s lac))
-        chosen
-    | Exact, _ ->
-      List.map (fun lac -> Lac.with_delta lac (exact_delta t lac)) chosen
-    | Approximate, _ ->
-      List.map (fun lac -> Lac.with_delta lac (rank_score t lac)) chosen
+  let deltas =
+    match mode with
+    | Approximate -> Array.map (rank_score t) chosen
+    | Exact ->
+      let groups = by_target t chosen in
+      let group_deltas s (target, cone, members) =
+        target_deltas t s ~cone target (List.map snd members)
+      in
+      let per_group =
+        match pool with
+        | Some pool when Pool.jobs pool > 1 ->
+          (* The flip responses are the estimator-bound phase: fan the
+             distinct targets out over the pool, each chunk on a private
+             resimulation scratch. *)
+          Fan_out.map_list_with ~label:"estimate" pool
+            ~state:(fun () -> domain_scratch t)
+            ~f:group_deltas groups
+        | _ -> List.map (group_deltas t.scratch) groups
+      in
+      let deltas = Array.make (Array.length chosen) 0.0 in
+      List.iter2
+        (fun (_, _, members) ds ->
+          List.iter2 (fun (i, _) d -> deltas.(i) <- d) members ds)
+        groups per_group;
+      deltas
   in
   List.sort
     (fun a b ->
       match compare a.Lac.delta_error b.Lac.delta_error with
       | 0 -> compare b.Lac.area_gain a.Lac.area_gain
       | c -> c)
-    scored
+    (Array.to_list (Array.mapi (fun i lac -> Lac.with_delta lac deltas.(i)) chosen))
 
 let evaluations t = Atomic.get t.evaluations
 

@@ -4,9 +4,13 @@
 
     + a cheap criticality ranking over all candidates (one mask intersection
       per candidate), and
-    + exact-on-samples evaluation by bit-parallel resimulation of the
-      target's transitive-fanout cone with the candidate signature
-      substituted, for a shortlist of the best-ranked candidates.
+    + exact-on-samples evaluation of a shortlist of the best-ranked
+      candidates. Each distinct shortlisted target's transitive-fanout cone
+      is resimulated once with the target's signature complemented (its
+      flip response); each candidate's metric is then a per-sample
+      selection between the current and the flipped error terms
+      ({!Accals_metrics.Metric.select_total}) on the samples where the
+      candidate changes the target.
 
     The exact pass gives ΔE(ψ) = e_est_new − e where e_est_new is the exact
     metric value of the modified circuit on the shared sample set. *)
@@ -61,26 +65,30 @@ val score :
   Lac.t list
 (** Rank all candidates, evaluate the best [shortlist] of them, and return
     those with [delta_error] filled, sorted by ascending ΔE (ties: larger
-    area gain first). [Exact] (default) resimulates each shortlisted
-    candidate's fanout cone; [Approximate] takes the criticality estimate as
-    ΔE without resimulation — the cheap end of the VECBEE [11]
-    accuracy/effort trade-off, exposed for the ablation study.
+    area gain first). [Exact] (default) computes one flip response per
+    distinct shortlisted target and selects each candidate's ΔE from it;
+    [Approximate] takes the criticality estimate as ΔE without
+    resimulation — the cheap end of the VECBEE [11] accuracy/effort
+    trade-off, exposed for the ablation study.
 
     When [pool] is a multi-domain pool and the mode is [Exact], the
-    shortlist resimulations fan out across the pool's domains, each domain
-    resimulating on private scratch buffers; results are merged in
-    candidate order, so the outcome is bit-identical to the sequential
-    pass. *)
+    distinct targets fan out across the pool's domains, each domain
+    resimulating on private scratch buffers; results land at their
+    candidates' shortlist positions, so the outcome is bit-identical to the
+    sequential pass. *)
 
 val evaluations : t -> int
-(** Number of exact cone resimulations performed so far (for the bench
-    harness's work accounting). [Atomic.t]-backed, so the count stays exact
-    when [score] fans out over a pool. *)
+(** Number of exact evaluations so far: candidates whose signature differs
+    from their target's (for the bench harness's work accounting).
+    [Atomic.t]-backed, so the count stays exact when [score] fans out over
+    a pool. *)
 
 val cache_stats : t -> int * int
 (** [(hits, misses)] of the transitive-fanout cone cache since [create].
-    [Atomic.t]-backed like {!evaluations}; pure observation (the telemetry
-    registry reports the deltas per round). *)
+    {!score} looks up each distinct shortlisted target's cone once, on the
+    calling domain, whatever the pool. [Atomic.t]-backed like
+    {!evaluations}; pure observation (the telemetry registry reports the
+    deltas per round). *)
 
 val cone_cache_bytes : t -> int
 (** Estimated bytes held by the cone cache (for the memory governor). *)

@@ -37,7 +37,7 @@ let similarity_buckets (ctx : Round_ctx.t) =
 (* Per-target scratch, created once per [generate] call (sequential) or
    per chunk (parallel) and never shared between domains. Every field is
    pure scratch: no per-target result depends on what earlier targets left
-   in it. *)
+   in it ([qm] only caches a pure function). *)
 type scratch = {
   mffc : Mffc.t;
   tfo : Structure.tfo_probe;
@@ -46,6 +46,7 @@ type scratch = {
   gate : Bitvec.t;  (** a target's complement, or a pair/triple function *)
   negated : Bitvec.t array;  (** complemented cut leaves *)
   products : Bitvec.t array;  (** per-level partial minterm products *)
+  qm : Qm.memo;  (** cut-function covers *)
 }
 
 let scratch (ctx : Round_ctx.t) =
@@ -59,6 +60,7 @@ let scratch (ctx : Round_ctx.t) =
     gate = Bitvec.create samples;
     negated = Array.init Truth.max_vars (fun _ -> Bitvec.create samples);
     products = Array.init Truth.max_vars (fun _ -> Bitvec.create samples);
+    qm = Qm.memo ();
   }
 
 let global_matches s buckets (ctx : Round_ctx.t) config target =
@@ -187,7 +189,7 @@ let sop_candidates s (ctx : Round_ctx.t) config cone target cuts_of_target =
           let freed = Mffc.freed_area s.mffc cone (Array.to_list leaves) in
           let consider dc =
             let on = truth land lnot dc land Truth.mask vars in
-            let cubes = Qm.minimize ~vars ~on ~dc () in
+            let cubes = Qm.minimize_memo s.qm ~vars ~on ~dc in
             let gain = freed -. Sop_synth.estimated_area cubes in
             if gain > 0.0 then
               results :=

@@ -110,6 +110,7 @@ type prepared = {
   p_golden : Bitvec.t array;
   p_values : int array;  (* golden per-sample values (distance metrics) *)
   p_max_value : float;
+  p_samples : int;
 }
 
 let prepare kind ~golden =
@@ -127,30 +128,96 @@ let prepare kind ~golden =
     p_golden = golden;
     p_values = values;
     p_max_value = float_of_int ((1 lsl min m 60) - 1);
+    p_samples = samples;
   }
 
+(* Per-sample error terms. A metric is a fold of its terms in sample
+   order, so a circuit whose outputs are, per sample, either those behind
+   [current] or those behind [flipped] has the total of the per-sample
+   selection of the two term sets. *)
+type terms = Wrong of Bitvec.t | Distance of float array
+
+(* [f p word] for every sample [p] of [bv] in order, where bit 0 of [word]
+   is sample [p]'s bit. *)
+let iter_words bv ~samples f =
+  let p = ref 0 in
+  Bitvec.fold_words bv ~init:() ~f:(fun () word ->
+      let stop = min samples (!p + Bitvec.bits_per_word) in
+      let word = ref word in
+      while !p < stop do
+        f !p !word;
+        word := !word lsr 1;
+        incr p
+      done)
+
+let terms_into prep ~approx dst =
+  let samples = check prep.p_golden approx in
+  match (prep.p_kind, dst) with
+  | Error_rate, Wrong wrong ->
+    let tmp = Bitvec.create samples in
+    Bitvec.fill wrong false;
+    Array.iteri
+      (fun i g ->
+        Bitvec.logxor_into g approx.(i) ~dst:tmp;
+        Bitvec.logor_into wrong tmp ~dst:wrong)
+      prep.p_golden
+  | (Nmed | Mred | Med | Wce), Distance terms ->
+    let values = Array.make samples 0 in
+    Array.iteri
+      (fun i bv ->
+        iter_words bv ~samples (fun p word ->
+            values.(p) <- values.(p) lor ((word land 1) lsl i)))
+      approx;
+    for p = 0 to samples - 1 do
+      let g = prep.p_values.(p) in
+      let distance = float_of_int (abs (values.(p) - g)) in
+      terms.(p) <-
+        (match prep.p_kind with
+         | Mred -> distance /. float_of_int (max 1 g)
+         | Nmed | Med | Wce | Error_rate -> distance)
+    done
+  | (Error_rate | Nmed | Mred | Med | Wce), (Wrong _ | Distance _) ->
+    invalid_arg "Metric.terms_into: terms of another kind"
+
+let terms prep ~approx =
+  let dst =
+    match prep.p_kind with
+    | Error_rate -> Wrong (Bitvec.create prep.p_samples)
+    | Nmed | Mred | Med | Wce -> Distance (Array.make prep.p_samples 0.0)
+  in
+  terms_into prep ~approx dst;
+  dst
+
+let normalize prep ~samples total =
+  if samples = 0 then 0.0
+  else
+    match prep.p_kind with
+    | Error_rate -> total /. float_of_int samples
+    | Nmed -> total /. float_of_int samples /. prep.p_max_value
+    | Med | Mred -> total /. float_of_int samples
+    | Wce -> total
+
+(* WCE folds a running maximum: [Stdlib.max] specialized to the
+   (non-NaN) float terms. *)
+let max_term (acc : float) x = if acc >= x then acc else x
+
+let select_total prep ~diff ~current ~flipped =
+  match (current, flipped) with
+  | Wrong cur, Wrong flip ->
+    normalize prep ~samples:(Bitvec.length cur)
+      (float_of_int (Bitvec.mux_popcount ~sel:diff flip cur))
+  | Distance cur, Distance flip ->
+    let samples = Array.length cur in
+    let total = ref 0.0 in
+    let term p word = if word land 1 = 1 then flip.(p) else cur.(p) in
+    (match prep.p_kind with
+     | Wce -> iter_words diff ~samples (fun p word -> total := max_term !total (term p word))
+     | Error_rate | Nmed | Mred | Med ->
+       iter_words diff ~samples (fun p word -> total := !total +. term p word));
+    normalize prep ~samples !total
+  | (Wrong _ | Distance _), (Wrong _ | Distance _) ->
+    invalid_arg "Metric.select_total: terms of different kinds"
+
 let measure_prepared prep ~approx =
-  match prep.p_kind with
-  | Error_rate -> error_rate ~golden:prep.p_golden ~approx
-  | Nmed | Mred | Med | Wce ->
-    let samples = check prep.p_golden approx in
-    if samples = 0 then 0.0
-    else begin
-      let total = ref 0.0 in
-      for p = 0 to samples - 1 do
-        let g = prep.p_values.(p) in
-        let a = output_value approx ~pattern:p in
-        let distance = abs (a - g) in
-        match prep.p_kind with
-        | Nmed | Med -> total := !total +. float_of_int distance
-        | Mred ->
-          total := !total +. (float_of_int distance /. float_of_int (max 1 g))
-        | Wce -> total := max !total (float_of_int distance)
-        | Error_rate -> assert false
-      done;
-      match prep.p_kind with
-      | Nmed -> !total /. float_of_int samples /. prep.p_max_value
-      | Med | Mred -> !total /. float_of_int samples
-      | Wce -> !total
-      | Error_rate -> assert false
-    end
+  let terms = terms prep ~approx in
+  select_total prep ~diff:(Bitvec.create prep.p_samples) ~current:terms ~flipped:terms

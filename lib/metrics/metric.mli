@@ -55,4 +55,32 @@ type prepared
 val prepare : kind -> golden:Bitvec.t array -> prepared
 
 val measure_prepared : prepared -> approx:Bitvec.t array -> float
-(** Same value as {!measure} with the prepared kind and golden outputs. *)
+(** Same value as {!measure} with the prepared kind and golden outputs.
+    Defined as {!select_total} of {!terms} with an empty [diff], so the
+    two agree bit for bit. *)
+
+(** {1 Per-sample error terms}
+
+    Every metric folds one term per sample in sample order. When each
+    sample's outputs come from one of two known circuits — the current one,
+    or the one with a single node complemented — the metric of any per-sample
+    mix of the two is a selection over their terms, with no output
+    extraction. The estimator scores all LACs of one target this way. *)
+
+type terms =
+  | Wrong of Bitvec.t  (** ER: the samples on which any output differs *)
+  | Distance of float array
+      (** NMED, MRED, MED, WCE: each sample's error distance (MRED: divided
+          by [max 1 golden]) *)
+
+val terms : prepared -> approx:Bitvec.t array -> terms
+(** Freshly allocated terms of [approx] against the prepared golden. *)
+
+val terms_into : prepared -> approx:Bitvec.t array -> terms -> unit
+(** Overwrite a buffer from {!terms} of the same prepared kind. *)
+
+val select_total :
+  prepared -> diff:Bitvec.t -> current:terms -> flipped:terms -> float
+(** The metric of the outputs that equal [flipped]'s on the samples set in
+    [diff] and [current]'s elsewhere. Bit-identical to {!measure_prepared}
+    of those mixed outputs. *)

@@ -171,3 +171,23 @@ let minimize ~vars ~on ?(dc = 0) () =
   end
 
 let literal_cost cubes = List.fold_left (fun acc c -> acc + cube_literals c) 0 cubes
+
+type memo = (int, cube list) Hashtbl.t
+
+let memo () = Hashtbl.create 256
+
+(* Up to 4 variables, the masked ON and DC sets fit 16 bits each, so
+   [(vars, on, dc)] packs into one immediate int. *)
+let minimize_memo memo ~vars ~on ~dc =
+  if vars > 4 then minimize ~vars ~on ~dc ()
+  else begin
+    let on = on land Truth.mask vars in
+    let dc = dc land Truth.mask vars land lnot on in
+    let key = vars lor (on lsl 3) lor (dc lsl 19) in
+    match Hashtbl.find_opt memo key with
+    | Some cubes -> cubes
+    | None ->
+      let cubes = minimize ~vars ~on ~dc () in
+      Hashtbl.add memo key cubes;
+      cubes
+  end

@@ -26,5 +26,16 @@ val minimize : vars:int -> on:Truth.t -> ?dc:Truth.t -> unit -> cube list
     covers every [on] minterm, covers nothing outside [on] ∪ [dc], and
     contains only prime implicants. The empty function yields []. *)
 
+type memo
+(** A caller-owned cache of {!minimize} results. Not thread-safe: keep one
+    per domain, or per unit of parallel work. *)
+
+val memo : unit -> memo
+
+val minimize_memo : memo -> vars:int -> on:Truth.t -> dc:Truth.t -> cube list
+(** [minimize] through [memo]: the same cover, computed once per distinct
+    [(vars, on, dc)] after masking. Keys with more than 4 variables are not
+    cached. *)
+
 val literal_cost : cube list -> int
 (** Total literal count, the classic two-level cost measure. *)

@@ -121,6 +121,65 @@ let test_estimator_does_not_corrupt_state () =
     checkf "repeatable" d1 d1'
   | _ -> Alcotest.fail "expected candidates"
 
+(* Differential oracle: the per-candidate cone walk the estimator used
+   before flip responses. It resimulates the target's fanout cone with the
+   candidate's signature substituted and measures the outputs with the
+   unprepared metric. *)
+let oracle_delta est (ctx : Round_ctx.t) ~golden metric lac =
+  let net = ctx.net and sigs = ctx.sigs in
+  let target = lac.Lac.target in
+  let cand = Estimator.candidate_signature est lac in
+  if Bitvec.equal cand sigs.(target) then 0.0
+  else begin
+    let overlay = Hashtbl.create 64 in
+    Hashtbl.replace overlay target cand;
+    let lookup id =
+      match Hashtbl.find_opt overlay id with Some s -> s | None -> sigs.(id)
+    in
+    Array.iter
+      (fun id ->
+        if Array.exists (Hashtbl.mem overlay) (Network.fanins net id) then begin
+          let dst = Bitvec.create ctx.patterns.Sim.count in
+          Sim.eval_node_into net ~lookup id ~dst;
+          if not (Bitvec.equal dst sigs.(id)) then Hashtbl.replace overlay id dst
+        end)
+      (Structure.tfo_list net ~fanouts:ctx.fanouts ~topo_pos:ctx.topo_pos target);
+    Metric.measure metric ~golden ~approx:(Array.map lookup (Network.outputs net))
+    -. Estimator.base_error est
+  end
+
+(* Every shortlisted ΔE, sequential and on a 3-domain pool, has the
+   oracle's exact bits. *)
+let test_flip_response_matches_oracle () =
+  List.iter
+    (fun name ->
+      let _, _, ctx, golden = fixture name 1024 in
+      let cands = Candidate_gen.generate ctx Candidate_gen.default_config in
+      List.iter
+        (fun metric ->
+          let est = Estimator.create ctx ~golden ~metric in
+          let check_scored how scored =
+            Alcotest.(check int) "shortlist size" (min 120 (List.length cands))
+              (List.length scored);
+            List.iter
+              (fun lac ->
+                let expected = oracle_delta est ctx ~golden metric lac in
+                if
+                  Int64.bits_of_float lac.Lac.delta_error
+                  <> Int64.bits_of_float expected
+                then
+                  Alcotest.failf "%s %s %s: %s ΔE %h, oracle %h" name
+                    (Metric.kind_to_string metric) how (Lac.describe lac)
+                    lac.Lac.delta_error expected)
+              scored
+          in
+          check_scored "sequential" (Estimator.score est ~shortlist:120 cands);
+          check_scored "pool"
+            (Accals_runtime.Pool.with_pool ~jobs:3 (fun pool ->
+                 Estimator.score ~pool est ~shortlist:120 cands)))
+        Metric.[ Error_rate; Nmed; Mred; Med; Wce ])
+    [ "mtp8"; "c880"; "sqrt" ]
+
 (* Criticality sanity: a PO driver is fully critical; masks are subsets of
    the full pattern set. *)
 let test_criticality_po_full () =
@@ -197,6 +256,8 @@ let suite =
         Alcotest.test_case "score sorted and complete" `Quick test_score_sorted;
         Alcotest.test_case "evaluation accounting" `Quick test_evaluations_counted;
         Alcotest.test_case "scratch state clean" `Quick test_estimator_does_not_corrupt_state;
+        Alcotest.test_case "flip response matches cone-walk oracle" `Quick
+          test_flip_response_matches_oracle;
       ] );
     ( "criticality",
       [

@@ -108,6 +108,60 @@ let prop_er_symmetric =
       let g = sigs_of_values 8 la and a = sigs_of_values 8 lb in
       Metric.error_rate ~golden:g ~approx:a = Metric.error_rate ~golden:a ~approx:g)
 
+(* Per-sample terms. Random golden outputs, and two approximations of
+   them ("current" and "flipped") that each differ on a sparse random
+   subset of bits; a random selection mask mixes the two per sample. *)
+let gen_terms_case =
+  QCheck2.Gen.(triple (int_range 0 1_000_000) (int_range 1 60) (int_range 1 300))
+
+let random_bits rng samples =
+  let v = Bitvec.create samples in
+  Bitvec.randomize rng v;
+  v
+
+let sparse_noise rng golden =
+  Array.map
+    (fun g ->
+      let samples = Bitvec.length g in
+      let noise = random_bits rng samples in
+      Bitvec.logand_into noise (random_bits rng samples) ~dst:noise;
+      Bitvec.logand_into noise (random_bits rng samples) ~dst:noise;
+      Bitvec.logxor noise g)
+    golden
+
+let prop_select_total_bit_equal =
+  Test_util.qcheck_case ~count:300 "select_total bit-equal to measure_prepared"
+    gen_terms_case (fun (seed, width, samples) ->
+      let rng = Accals_bitvec.Prng.create seed in
+      let golden = Array.init width (fun _ -> random_bits rng samples) in
+      let current = sparse_noise rng golden in
+      let flipped = sparse_noise rng golden in
+      let zeros = Bitvec.create samples in
+      let ones = Bitvec.lognot zeros in
+      let mixed = random_bits rng samples in
+      let mux diff =
+        Array.mapi
+          (fun i c ->
+            let dst = Bitvec.create samples in
+            Bitvec.mux_into ~sel:diff flipped.(i) c ~dst;
+            dst)
+          current
+      in
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun kind ->
+          let prep = Metric.prepare kind ~golden in
+          let cur = Metric.terms prep ~approx:current in
+          let flip = Metric.terms prep ~approx:flipped in
+          List.for_all
+            (fun diff ->
+              let approx = mux diff in
+              let selected = Metric.select_total prep ~diff ~current:cur ~flipped:flip in
+              bits selected = bits (Metric.measure_prepared prep ~approx)
+              && bits selected = bits (Metric.measure kind ~golden ~approx))
+            [ zeros; ones; mixed ])
+        Metric.[ Error_rate; Nmed; Mred; Med; Wce ])
+
 let suite =
   [
     ( "metrics",
@@ -126,5 +180,6 @@ let suite =
         prop_zero_iff_equal;
         prop_nmed_le_one;
         prop_er_symmetric;
+        prop_select_total_bit_equal;
       ] );
   ]

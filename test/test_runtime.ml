@@ -166,6 +166,28 @@ let test_engine_jobs_deterministic () =
       ("mtp8", Metric.Nmed, 0.0019531);
     ]
 
+(* The estimator looks each shortlisted target's cone up once, on the
+   submitting domain, so its cache counters are the same at any -j. *)
+let test_cone_cache_counters_jobs_independent () =
+  let net = Accals_circuits.Bench_suite.load "frg2" in
+  let counters jobs =
+    let report =
+      Engine.run ~config:(small_config ~jobs net) net ~metric:Metric.Error_rate
+        ~error_bound:0.03
+    in
+    let counter name =
+      match Accals_telemetry.Metrics.find report.Engine.metrics name with
+      | Some (Accals_telemetry.Metrics.Counter v) -> v
+      | _ -> Alcotest.failf "counter %s missing" name
+    in
+    ( counter "accals_estimator_cone_cache_hits_total",
+      counter "accals_estimator_cone_cache_misses_total" )
+  in
+  let hits1, misses1 = counters 1 and hits3, misses3 = counters 3 in
+  check "cone lookups happened" true (hits1 +. misses1 > 0.0);
+  Alcotest.(check (float 0.0)) "cone cache hits" hits1 hits3;
+  Alcotest.(check (float 0.0)) "cone cache misses" misses1 misses3
+
 let test_estimator_score_deterministic () =
   let net = Accals_circuits.Bench_suite.load "mtp8" in
   let patterns = Sim.for_network ~seed:1 ~count:512 ~exhaustive_limit:10 net in
@@ -443,6 +465,8 @@ let suite =
           test_engine_jobs_deterministic;
         Alcotest.test_case "estimator and candidate_gen" `Quick
           test_estimator_score_deterministic;
+        Alcotest.test_case "cone cache counters independent of -j" `Quick
+          test_cone_cache_counters_jobs_independent;
         Alcotest.test_case "exhaustive comparison" `Quick
           test_exhaustive_pool_deterministic;
       ] );

@@ -258,6 +258,43 @@ let prop_qm_minimize_reference =
     (fun (vars, on, dc) ->
       Qm.minimize ~vars ~on ~dc () = reference_minimize ~vars ~on ~dc)
 
+(* One memo across every 1-3 variable key, each looked up twice: the first
+   call fills the entry, the second must return the same cover. *)
+let test_qm_memo_exhaustive () =
+  let memo = Qm.memo () in
+  for vars = 1 to 3 do
+    let rows = Truth.rows vars in
+    let rec assignments m on dc =
+      if m = rows then begin
+        let expected = Qm.minimize ~vars ~on ~dc () in
+        for _ = 1 to 2 do
+          if Qm.minimize_memo memo ~vars ~on ~dc <> expected then
+            Alcotest.failf "memo differs: vars=%d on=%#x dc=%#x" vars on dc
+        done
+      end
+      else begin
+        assignments (m + 1) on dc;
+        assignments (m + 1) (Truth.set on m true) dc;
+        assignments (m + 1) on (Truth.set dc m true)
+      end
+    in
+    assignments 0 0 0
+  done
+
+(* Random 4-variable keys, unmasked (bits above the truth table are
+   ignored by [minimize] and must not split or merge memo entries). *)
+let prop_qm_memo_random =
+  Test_util.qcheck_case ~count:200 "qm memo random 4 vars"
+    QCheck2.Gen.(list_size (int_range 1 50) (pair int int))
+    (fun keys ->
+      let memo = Qm.memo () in
+      List.for_all
+        (fun (on, dc) ->
+          let expected = Qm.minimize ~vars:4 ~on ~dc () in
+          Qm.minimize_memo memo ~vars:4 ~on ~dc = expected
+          && Qm.minimize_memo memo ~vars:4 ~on ~dc = expected)
+        (keys @ keys))
+
 let test_qm_primes_exhaustive () =
   for vars = 0 to 4 do
     for care = 0 to Truth.mask vars do
@@ -441,6 +478,8 @@ let suite =
         Alcotest.test_case "qm minimize exhaustive 1-3 vars" `Quick
           test_qm_minimize_exhaustive;
         prop_qm_minimize_reference;
+        Alcotest.test_case "qm memo exhaustive 1-3 vars" `Quick test_qm_memo_exhaustive;
+        prop_qm_memo_random;
       ] );
     ( "sop synthesis",
       [
