@@ -51,6 +51,7 @@ type t = {
   patterns : Sim.patterns;
   golden : Bitvec.t array;
   metric : Metric.kind;
+  prepared : Metric.prepared;  (* [golden] prepared once for the whole run *)
   backend : backend;
   mutable evals_mark : int;
   mutable hits_mark : int;  (* estimator cone-cache hit mark *)
@@ -89,6 +90,7 @@ let create ~incremental ~current ~patterns ~golden ~metric =
     patterns;
     golden;
     metric;
+    prepared = Metric.prepare metric ~golden;
     backend;
     evals_mark = 0;
     hits_mark = 0;
@@ -290,8 +292,11 @@ let relieve_memory t =
 (* ------------------------------------------------------------------ *)
 (* Speculative evaluation *)
 
-let measure_outputs t approx =
-  Metric.measure t.metric ~golden:t.golden ~approx
+let measure_outputs t approx = Metric.measure_prepared t.prepared ~approx
+
+(* The rebuild backend's from-scratch measurement of a network copy. *)
+let measure_copy t copy =
+  measure_outputs t (Evaluate.output_signatures copy t.patterns)
 
 (* Evaluate a LAC set (applied in ascending estimated-error order, as the
    engine always has) against the working circuit without committing it:
@@ -303,7 +308,7 @@ let eval_set t lacs =
   | Rebuild s ->
     let copy = Network.copy !(t.current) in
     let applied, skipped = Lac.apply_many copy ordered in
-    let e = Evaluate.actual_error copy t.patterns ~golden:t.golden t.metric in
+    let e = measure_copy t copy in
     s.r_nodes <- s.r_nodes + s.r_sim_cost;
     (applied, skipped, e)
   | Incremental s ->
@@ -326,9 +331,7 @@ let eval_single t scored =
         let copy = Network.copy !(t.current) in
         match Lac.apply copy lac with
         | () ->
-          let e =
-            Evaluate.actual_error copy t.patterns ~golden:t.golden t.metric
-          in
+          let e = measure_copy t copy in
           s.r_nodes <- s.r_nodes + s.r_sim_cost;
           Some (lac, e)
         | exception Network.Cycle _ -> try_apply rest)
@@ -363,7 +366,7 @@ let probe t lacs =
     let copy = Network.copy !(t.current) in
     let applied, _skipped = Lac.apply_many copy ordered in
     Cleanup.sweep copy;
-    let e = Evaluate.actual_error copy t.patterns ~golden:t.golden t.metric in
+    let e = measure_copy t copy in
     s.r_nodes <- s.r_nodes + s.r_sim_cost;
     (applied, e, Cost.area copy)
   | Incremental s ->

@@ -23,14 +23,12 @@ type scratch = {
 
 (* The estimator is persistent across rounds when driven through [refresh]:
    the expensive state (criticality masks, cone cache) is invalidated
-   selectively from a change delta instead of being rebuilt. [create]
-   followed by per-round [refresh] is value-identical to a fresh [create]
-   per round. *)
+   selectively from a change delta instead of being rebuilt. [create] is a
+   [refresh] of an empty estimator with every node structurally dirty, so
+   there is one derivation of the round state. *)
 type t = {
   mutable ctx : Round_ctx.t;
-  golden : Bitvec.t array;
   prepared : Metric.prepared;
-  metric : Metric.kind;
   mutable base_error : float;
   mutable crit : Bitvec.t array;
   err_mask : Bitvec.t;  (* samples where the current circuit is wrong *)
@@ -46,171 +44,34 @@ type t = {
 
 let samples t = t.ctx.Round_ctx.patterns.Sim.count
 
-let compute_err_mask ctx golden =
-  let out = Round_ctx.output_sigs ctx in
-  let n = ctx.Round_ctx.patterns.Sim.count in
-  let err = Bitvec.create n in
-  let tmp = Bitvec.create n in
-  Array.iteri
-    (fun i g ->
-      Bitvec.logxor_into g out.(i) ~dst:tmp;
-      Bitvec.logor_into err tmp ~dst:err)
-    golden;
-  err
-
-(* [flipped] starts as any buffer of the prepared kind: it is overwritten
-   before every read. *)
-let make_scratch nodes samples prepared golden =
-  let dummy = Bitvec.create 0 in
+(* A scratch for no nodes yet: [grown] sizes it. [flipped] starts as any
+   buffer of the prepared kind: it is overwritten before every read. *)
+let make_scratch samples prepared golden =
   {
-    overlay = Array.make nodes dummy;
-    have = Array.make nodes false;
+    overlay = [||];
+    have = [||];
     pool = [];
     tmp = Bitvec.create samples;
     flipped = Metric.terms prepared ~approx:golden;
   }
 
-(* This domain's persistent scratch, grown (never shrunk) to the current
-   node count. Buffer pool and tmp survive a grow, like [refresh]'s
-   resize of the sequential scratch. *)
+(* [s] with room for [n] nodes. The overlay grows (never shrinks); the
+   buffer pool, tmp and flipped buffers carry over. *)
+let grown s n =
+  if Array.length s.overlay >= n then s
+  else
+    { s with overlay = Array.make n (Bitvec.create 0); have = Array.make n false }
+
+(* This domain's persistent scratch, grown to the current node count. *)
 let domain_scratch t =
   let cell = Arena.local t.arena in
-  let s = !cell in
-  let n = Network.num_nodes t.ctx.Round_ctx.net in
-  if Array.length s.overlay < n then begin
-    let grown =
-      {
-        overlay = Array.make n (Bitvec.create 0);
-        have = Array.make n false;
-        pool = s.pool;
-        tmp = s.tmp;
-        flipped = s.flipped;
-      }
-    in
-    cell := grown;
-    grown
-  end
-  else s
-
-let current_terms metric prepared err_mask ~approx =
-  match metric with
-  | Metric.Error_rate -> Metric.Wrong err_mask
-  | Metric.Nmed | Metric.Mred | Metric.Med | Metric.Wce ->
-    Metric.terms prepared ~approx
-
-let create ctx ~golden ~metric =
-  let approx = Round_ctx.output_sigs ctx in
-  let base_error = Metric.measure metric ~golden ~approx in
-  let n = Network.num_nodes ctx.Round_ctx.net in
-  let samples = ctx.Round_ctx.patterns.Sim.count in
-  let prepared = Metric.prepare metric ~golden in
-  let err_mask = compute_err_mask ctx golden in
-  {
-    ctx;
-    golden;
-    prepared;
-    metric;
-    base_error;
-    crit = Criticality.masks ctx;
-    err_mask;
-    err_free = Bitvec.lognot err_mask;
-    current = current_terms metric prepared err_mask ~approx;
-    cone_cache = Hashtbl.create 64;
-    scratch = make_scratch n samples prepared golden;
-    arena = Arena.create (fun () -> ref (make_scratch 0 samples prepared golden));
-    evaluations = Atomic.make 0;
-    cache_hits = Atomic.make 0;
-    cache_misses = Atomic.make 0;
-  }
+  cell := grown !cell (Network.num_nodes t.ctx.Round_ctx.net);
+  !cell
 
 let base_error t = t.base_error
 
-(* Selective criticality update. A node's mask is the OR, over its live
-   consumers [c] and every fanin position [which] of [c] holding the node,
-   of [edge_sensitivity c which & crit c], plus all-ones when the node
-   drives a primary output — the pull form of the push accumulation in
-   [Criticality.masks]; OR-ing the same terms in either direction is
-   bit-identical. Only nodes whose terms may have changed (seeds) or with
-   a consumer whose mask changed are recomputed, and recomputation stops
-   propagating wherever the recomputed mask is bit-equal to the stored
-   one. *)
-let refresh_crit t ~sig_changed ~struct_dirty =
-  let ctx = t.ctx in
-  let net = ctx.Round_ctx.net in
-  let n = Network.num_nodes net in
-  let samples = ctx.Round_ctx.patterns.Sim.count in
-  let dummy = Bitvec.create 0 in
-  if Array.length t.crit < n then begin
-    let crit = Array.make n dummy in
-    Array.blit t.crit 0 crit 0 (Array.length t.crit);
-    t.crit <- crit
-  end;
-  let seed = Array.make n false in
-  let mark id = seed.(id) <- true in
-  (* Structurally touched nodes: their own pull set changed (definition,
-     fanouts, liveness or output-driver status), and their fanins see
-     changed edge sensitivities. *)
-  Array.iteri
-    (fun id dirty ->
-      if dirty then begin
-        mark id;
-        Array.iter mark (Network.fanins net id)
-      end)
-    struct_dirty;
-  (* A changed signature changes the edge sensitivities of every sibling
-     fanin position at each live consumer (including the node itself when
-     it appears in several positions). *)
-  List.iter
-    (fun s ->
-      Array.iter
-        (fun c -> Array.iter mark (Network.fanins net c))
-        ctx.Round_ctx.fanouts.(s))
-    sig_changed;
-  let drives = Array.make n false in
-  Array.iter (fun id -> drives.(id) <- true) (Network.outputs net);
-  let changed = Array.make n false in
-  let sens = Bitvec.create samples in
-  let acc = Bitvec.create samples in
-  let order = ctx.Round_ctx.order in
-  for i = Array.length order - 1 downto 0 do
-    let id = order.(i) in
-    let needs =
-      seed.(id) || Array.exists (fun c -> changed.(c)) ctx.Round_ctx.fanouts.(id)
-    in
-    if needs then begin
-      Bitvec.fill acc drives.(id);
-      Array.iter
-        (fun c ->
-          let fis = Network.fanins net c in
-          Array.iteri
-            (fun which f ->
-              if f = id then begin
-                Criticality.edge_sensitivity net ctx.Round_ctx.sigs c which
-                  ~dst:sens;
-                Bitvec.logand_into sens t.crit.(c) ~dst:sens;
-                Bitvec.logor_into acc sens ~dst:acc
-              end)
-            fis)
-        ctx.Round_ctx.fanouts.(id);
-      let old = t.crit.(id) in
-      if Bitvec.length old > 0 && Bitvec.equal acc old then ()
-      else begin
-        let buf = if Bitvec.length old > 0 then old else Bitvec.create samples in
-        Bitvec.blit ~src:acc ~dst:buf;
-        t.crit.(id) <- buf;
-        changed.(id) <- true
-      end
-    end
-  done;
-  (* Dead nodes drop to the shared dummy, as in a fresh [Criticality.masks]. *)
-  for id = 0 to n - 1 do
-    if (not ctx.Round_ctx.live.(id)) && Bitvec.length t.crit.(id) > 0 then
-      t.crit.(id) <- dummy
-  done
-
 let refresh t ctx ~sig_changed ~struct_dirty =
   t.ctx <- ctx;
-  let n = Network.num_nodes ctx.Round_ctx.net in
   (* Cone cache: a cached transitive-fanout list stays valid as long as
      neither the target nor any member was structurally touched (a new
      member can only attach through an edge or liveness change at an
@@ -225,28 +86,44 @@ let refresh t ctx ~sig_changed ~struct_dirty =
       then None
       else Some cone)
     t.cone_cache;
-  refresh_crit t ~sig_changed ~struct_dirty;
+  t.crit <- Criticality.update ctx t.crit ~sig_changed ~struct_dirty;
   let out = Round_ctx.output_sigs ctx in
-  Bitvec.fill t.err_mask false;
-  Array.iteri
-    (fun i g ->
-      Bitvec.logxor_into g out.(i) ~dst:t.scratch.tmp;
-      Bitvec.logor_into t.err_mask t.scratch.tmp ~dst:t.err_mask)
-    t.golden;
+  Metric.wrong_into t.prepared ~approx:out t.err_mask;
   Bitvec.lognot_into t.err_mask ~dst:t.err_free;
   (match t.current with
    | Metric.Wrong _ -> ()
    | Metric.Distance _ -> Metric.terms_into t.prepared ~approx:out t.current);
-  t.base_error <- Metric.measure t.metric ~golden:t.golden ~approx:out;
-  if Array.length t.scratch.overlay < n then
-    t.scratch <-
-      {
-        overlay = Array.make n (Bitvec.create 0);
-        have = Array.make n false;
-        pool = t.scratch.pool;
-        tmp = t.scratch.tmp;
-        flipped = t.scratch.flipped;
-      }
+  t.base_error <- Metric.total t.prepared t.current;
+  t.scratch <- grown t.scratch (Network.num_nodes ctx.Round_ctx.net)
+
+let create ctx ~golden ~metric =
+  let samples = ctx.Round_ctx.patterns.Sim.count in
+  let prepared = Metric.prepare metric ~golden in
+  let err_mask = Bitvec.create samples in
+  let t =
+    {
+      ctx;
+      prepared;
+      base_error = 0.0;
+      crit = [||];
+      err_mask;
+      err_free = Bitvec.create samples;
+      current =
+        (match metric with
+         | Metric.Error_rate -> Metric.Wrong err_mask
+         | Metric.Nmed | Metric.Mred | Metric.Med | Metric.Wce ->
+           Metric.terms prepared ~approx:golden);
+      cone_cache = Hashtbl.create 64;
+      scratch = make_scratch samples prepared golden;
+      arena = Arena.create (fun () -> ref (make_scratch samples prepared golden));
+      evaluations = Atomic.make 0;
+      cache_hits = Atomic.make 0;
+      cache_misses = Atomic.make 0;
+    }
+  in
+  refresh t ctx ~sig_changed:[]
+    ~struct_dirty:(Array.make (Network.num_nodes ctx.Round_ctx.net) true);
+  t
 
 let take_buf t s =
   match s.pool with
@@ -419,15 +296,13 @@ let score ?(mode = Exact) ?pool t ~shortlist lacs =
     | c -> c
   in
   let ranked = List.mapi (fun i lac -> (rank_score t lac, i, lac)) lacs in
-  let chosen =
-    Array.of_list
-      (List.map
-         (fun (_, _, lac) -> lac)
-         (Top_k.smallest ~k:shortlist ~compare:compare_ranked ranked))
+  let shortlisted =
+    Array.of_list (Top_k.smallest ~k:shortlist ~compare:compare_ranked ranked)
   in
+  let chosen = Array.map (fun (_, _, lac) -> lac) shortlisted in
   let deltas =
     match mode with
-    | Approximate -> Array.map (rank_score t) chosen
+    | Approximate -> Array.map (fun (rank, _, _) -> rank) shortlisted
     | Exact ->
       let groups = by_target t chosen in
       let group_deltas s (target, cone, members) =

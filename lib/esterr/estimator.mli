@@ -23,7 +23,10 @@ type t
 
 val create : Round_ctx.t -> golden:Bitvec.t array -> metric:Metric.kind -> t
 (** [golden] must be the output signatures of the *original* circuit on the
-    same pattern set as [ctx]. *)
+    same pattern set as [ctx]. An empty estimator brought up to [ctx] by
+    {!refresh} with every node structurally dirty: there is no separate
+    from-scratch derivation of the criticality masks, error mask or base
+    error. *)
 
 val base_error : t -> float
 (** Error of the current circuit against the golden outputs. *)
@@ -40,8 +43,11 @@ val refresh : t -> Round_ctx.t -> sig_changed:int list -> struct_dirty:bool arra
     flags nodes whose definition, fanout set, liveness or output-driver
     status changed since the context the estimator last saw (e.g. from
     {!Accals_sigdb.Sigdb.refresh} — both arguments match its [delta]
-    fields). [create] followed by a sequence of mutate/[refresh] steps is
-    value-identical to a fresh [create] on each successive network. *)
+    fields). The masks come from {!Criticality.update}; the base error is
+    the fold of the current per-sample error terms
+    ({!Accals_metrics.Metric.total}). [create] followed by a sequence of
+    mutate/[refresh] steps is value-identical to a fresh [create] on each
+    successive network. *)
 
 val candidate_signature : t -> Lac.t -> Bitvec.t
 (** The target's new signature under the LAC (freshly allocated). *)

@@ -31,20 +31,6 @@ let check golden approx =
     approx;
   samples
 
-let error_rate ~golden ~approx =
-  let samples = check golden approx in
-  if samples = 0 then 0.0
-  else begin
-    let diff = Bitvec.create samples in
-    let scratch = Bitvec.create samples in
-    Array.iteri
-      (fun i g ->
-        Bitvec.logxor_into g approx.(i) ~dst:scratch;
-        Bitvec.logor_into diff scratch ~dst:diff)
-      golden;
-    float_of_int (Bitvec.popcount diff) /. float_of_int samples
-  end
-
 let output_value sigs ~pattern =
   let v = ref 0 in
   for i = Array.length sigs - 1 downto 0 do
@@ -52,58 +38,28 @@ let output_value sigs ~pattern =
   done;
   !v
 
-let fold_distances golden approx f init =
-  let samples = check golden approx in
-  let m = Array.length golden in
-  if m > 60 then invalid_arg "Metric: more than 60 outputs";
-  let acc = ref init in
-  for p = 0 to samples - 1 do
-    let g = output_value golden ~pattern:p in
-    let a = output_value approx ~pattern:p in
-    acc := f !acc ~golden_value:g ~distance:(abs (a - g))
-  done;
-  !acc
+(* [f p word] for every sample [p] of [bv] in order, where bit 0 of [word]
+   is sample [p]'s bit. *)
+let iter_words bv ~samples f =
+  let p = ref 0 in
+  Bitvec.fold_words bv ~init:() ~f:(fun () word ->
+      let stop = min samples (!p + Bitvec.bits_per_word) in
+      let word = ref word in
+      while !p < stop do
+        f !p !word;
+        word := !word lsr 1;
+        incr p
+      done)
 
-let med ~golden ~approx =
-  let samples = check golden approx in
-  if samples = 0 then 0.0
-  else
-    let total =
-      fold_distances golden approx
-        (fun acc ~golden_value:_ ~distance -> acc +. float_of_int distance)
-        0.0
-    in
-    total /. float_of_int samples
-
-let nmed ~golden ~approx =
-  let m = Array.length golden in
-  let max_value = float_of_int ((1 lsl m) - 1) in
-  med ~golden ~approx /. max_value
-
-let mred ~golden ~approx =
-  let samples = check golden approx in
-  if samples = 0 then 0.0
-  else
-    let total =
-      fold_distances golden approx
-        (fun acc ~golden_value ~distance ->
-          acc +. (float_of_int distance /. float_of_int (max 1 golden_value)))
-        0.0
-    in
-    total /. float_of_int samples
-
-let worst_case_error ~golden ~approx =
-  fold_distances golden approx
-    (fun acc ~golden_value:_ ~distance -> max acc (float_of_int distance))
-    0.0
-
-let measure kind ~golden ~approx =
-  match kind with
-  | Error_rate -> error_rate ~golden ~approx
-  | Nmed -> nmed ~golden ~approx
-  | Mred -> mred ~golden ~approx
-  | Med -> med ~golden ~approx
-  | Wce -> worst_case_error ~golden ~approx
+(* {!output_value} of every sample, extracted word by word. *)
+let sample_values sigs ~samples =
+  let values = Array.make samples 0 in
+  Array.iteri
+    (fun i bv ->
+      iter_words bv ~samples (fun p word ->
+          values.(p) <- values.(p) lor ((word land 1) lsl i)))
+    sigs;
+  values
 
 type prepared = {
   p_kind : kind;
@@ -120,7 +76,7 @@ let prepare kind ~golden =
     | Error_rate -> [||]
     | Nmed | Mred | Med | Wce ->
       if Array.length golden > 60 then invalid_arg "Metric.prepare: > 60 outputs";
-      Array.init samples (fun p -> output_value golden ~pattern:p)
+      sample_values golden ~samples
   in
   let m = Array.length golden in
   {
@@ -137,37 +93,22 @@ let prepare kind ~golden =
    selection of the two term sets. *)
 type terms = Wrong of Bitvec.t | Distance of float array
 
-(* [f p word] for every sample [p] of [bv] in order, where bit 0 of [word]
-   is sample [p]'s bit. *)
-let iter_words bv ~samples f =
-  let p = ref 0 in
-  Bitvec.fold_words bv ~init:() ~f:(fun () word ->
-      let stop = min samples (!p + Bitvec.bits_per_word) in
-      let word = ref word in
-      while !p < stop do
-        f !p !word;
-        word := !word lsr 1;
-        incr p
-      done)
+let wrong_into prep ~approx wrong =
+  let samples = check prep.p_golden approx in
+  let tmp = Bitvec.create samples in
+  Bitvec.fill wrong false;
+  Array.iteri
+    (fun i g ->
+      Bitvec.logxor_into g approx.(i) ~dst:tmp;
+      Bitvec.logor_into wrong tmp ~dst:wrong)
+    prep.p_golden
 
 let terms_into prep ~approx dst =
-  let samples = check prep.p_golden approx in
   match (prep.p_kind, dst) with
-  | Error_rate, Wrong wrong ->
-    let tmp = Bitvec.create samples in
-    Bitvec.fill wrong false;
-    Array.iteri
-      (fun i g ->
-        Bitvec.logxor_into g approx.(i) ~dst:tmp;
-        Bitvec.logor_into wrong tmp ~dst:wrong)
-      prep.p_golden
+  | Error_rate, Wrong wrong -> wrong_into prep ~approx wrong
   | (Nmed | Mred | Med | Wce), Distance terms ->
-    let values = Array.make samples 0 in
-    Array.iteri
-      (fun i bv ->
-        iter_words bv ~samples (fun p word ->
-            values.(p) <- values.(p) lor ((word land 1) lsl i)))
-      approx;
+    let samples = check prep.p_golden approx in
+    let values = sample_values approx ~samples in
     for p = 0 to samples - 1 do
       let g = prep.p_values.(p) in
       let distance = float_of_int (abs (values.(p) - g)) in
@@ -218,6 +159,9 @@ let select_total prep ~diff ~current ~flipped =
   | (Wrong _ | Distance _), (Wrong _ | Distance _) ->
     invalid_arg "Metric.select_total: terms of different kinds"
 
-let measure_prepared prep ~approx =
-  let terms = terms prep ~approx in
+let total prep terms =
   select_total prep ~diff:(Bitvec.create prep.p_samples) ~current:terms ~flipped:terms
+
+let measure_prepared prep ~approx = total prep (terms prep ~approx)
+
+let measure kind ~golden ~approx = measure_prepared (prepare kind ~golden) ~approx

@@ -8,7 +8,13 @@
     - ER: probability that any output bit differs.
     - NMED: mean error distance normalized by the maximum output value.
     - MRED: mean of |ED| / max(1, golden value).
-    - MED and WCE are provided as extras for library users. *)
+    - MED and WCE are provided as extras for library users.
+
+    There is one implementation of each metric: the golden outputs are
+    {!prepare}d once, the approximate outputs become one error term per
+    sample ({!terms}), and the metric is the fold of those terms in sample
+    order ({!total}). {!measure} is that pipeline in one call, and the
+    estimator's per-candidate {!select_total} folds the same terms. *)
 
 open Accals_bitvec
 
@@ -23,22 +29,12 @@ val kind_to_string : kind -> string
 
 val kind_of_string : string -> kind option
 
-val error_rate : golden:Bitvec.t array -> approx:Bitvec.t array -> float
-
-val med : golden:Bitvec.t array -> approx:Bitvec.t array -> float
-(** Mean error distance (unnormalized). *)
-
-val nmed : golden:Bitvec.t array -> approx:Bitvec.t array -> float
-
-val mred : golden:Bitvec.t array -> approx:Bitvec.t array -> float
-
-val worst_case_error : golden:Bitvec.t array -> approx:Bitvec.t array -> float
-(** Maximum observed error distance over the sample set. *)
-
 val measure : kind -> golden:Bitvec.t array -> approx:Bitvec.t array -> float
-(** Dispatch on [kind]. The two signature arrays must have equal lengths
-    (same output count) and equal per-signature bit lengths (same pattern
-    count). Output count must be at most 60 for the distance metrics. *)
+(** [measure kind ~golden ~approx] is
+    [measure_prepared (prepare kind ~golden) ~approx]. The two signature
+    arrays must have equal lengths (same output count) and equal
+    per-signature bit lengths (same pattern count). Output count must be at
+    most 60 for the distance metrics. *)
 
 val output_value : Bitvec.t array -> pattern:int -> int
 (** Unsigned integer value of the outputs on one pattern (output 0 is the
@@ -46,18 +42,17 @@ val output_value : Bitvec.t array -> pattern:int -> int
 
 (** {1 Prepared measurement}
 
-    When one golden circuit is compared against many approximate candidates
-    (the estimator's inner loop), preprocessing the golden signatures once
-    amortizes the per-sample value extraction. *)
+    When one golden circuit is compared against many approximate circuits
+    (the estimator's inner loop, every evaluation of a run), preparing the
+    golden signatures once amortizes the per-sample value extraction. *)
 
 type prepared
 
 val prepare : kind -> golden:Bitvec.t array -> prepared
 
 val measure_prepared : prepared -> approx:Bitvec.t array -> float
-(** Same value as {!measure} with the prepared kind and golden outputs.
-    Defined as {!select_total} of {!terms} with an empty [diff], so the
-    two agree bit for bit. *)
+(** The metric of [approx] against the prepared golden: {!total} of
+    {!terms}. *)
 
 (** {1 Per-sample error terms}
 
@@ -78,6 +73,15 @@ val terms : prepared -> approx:Bitvec.t array -> terms
 
 val terms_into : prepared -> approx:Bitvec.t array -> terms -> unit
 (** Overwrite a buffer from {!terms} of the same prepared kind. *)
+
+val wrong_into : prepared -> approx:Bitvec.t array -> Bitvec.t -> unit
+(** Overwrite a buffer with the samples on which any output of [approx]
+    differs from the prepared golden, whatever the prepared kind. Under ER
+    this is {!terms_into}. *)
+
+val total : prepared -> terms -> float
+(** The metric whose per-sample terms are [terms]: {!select_total} with an
+    empty [diff]. *)
 
 val select_total :
   prepared -> diff:Bitvec.t -> current:terms -> flipped:terms -> float

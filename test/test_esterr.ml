@@ -124,7 +124,7 @@ let test_estimator_does_not_corrupt_state () =
 (* Differential oracle: the per-candidate cone walk the estimator used
    before flip responses. It resimulates the target's fanout cone with the
    candidate's signature substituted and measures the outputs with the
-   unprepared metric. *)
+   per-metric folds of [Test_metrics.Oracle]. *)
 let oracle_delta est (ctx : Round_ctx.t) ~golden metric lac =
   let net = ctx.net and sigs = ctx.sigs in
   let target = lac.Lac.target in
@@ -144,7 +144,8 @@ let oracle_delta est (ctx : Round_ctx.t) ~golden metric lac =
           if not (Bitvec.equal dst sigs.(id)) then Hashtbl.replace overlay id dst
         end)
       (Structure.tfo_list net ~fanouts:ctx.fanouts ~topo_pos:ctx.topo_pos target);
-    Metric.measure metric ~golden ~approx:(Array.map lookup (Network.outputs net))
+    Test_metrics.Oracle.measure metric ~golden
+      ~approx:(Array.map lookup (Network.outputs net))
     -. Estimator.base_error est
   end
 
@@ -230,6 +231,89 @@ let test_criticality_mux_select () =
   check "b critical on ~sel" true
     (Bitvec.equal crit.(b) (Bitvec.lognot ctx.Round_ctx.sigs.(sel)))
 
+(* Differential oracle: the push-form sweep [Criticality.masks] ran before
+   the pull form became the only one. Walking the live nodes in reverse
+   topological order, each node ORs its mask, sensitised by each edge, into
+   the fanin's. The edge sensitivity is the Boolean difference by
+   definition: the gate evaluated with that one fanin position complemented,
+   XORed with the gate as it is. *)
+let oracle_edge_sensitivity net sigs id which ~dst =
+  let fis = Network.fanins net id in
+  let inputs = Array.map (fun f -> sigs.(f)) fis in
+  let positions = Array.init (Array.length fis) Fun.id in
+  let eval ~dst =
+    Sim.eval_op_into (Network.op net id) ~lookup:(Array.get inputs) positions ~dst
+  in
+  let unchanged = Bitvec.create (Bitvec.length dst) in
+  eval ~dst:unchanged;
+  inputs.(which) <- Bitvec.lognot inputs.(which);
+  eval ~dst;
+  Bitvec.logxor_into dst unchanged ~dst
+
+let oracle_masks (ctx : Round_ctx.t) =
+  let net = ctx.net in
+  let samples = ctx.patterns.Sim.count in
+  let crit = Array.make (Network.num_nodes net) (Bitvec.create 0) in
+  Array.iter (fun id -> crit.(id) <- Bitvec.create samples) ctx.order;
+  Array.iter
+    (fun id -> if Bitvec.length crit.(id) > 0 then Bitvec.fill crit.(id) true)
+    (Network.outputs net);
+  let sens = Bitvec.create samples in
+  for i = Array.length ctx.order - 1 downto 0 do
+    let id = ctx.order.(i) in
+    Array.iteri
+      (fun which f ->
+        if Bitvec.length crit.(f) > 0 then begin
+          oracle_edge_sensitivity net ctx.sigs id which ~dst:sens;
+          Bitvec.logand_into sens crit.(id) ~dst:sens;
+          Bitvec.logor_into crit.(f) sens ~dst:crit.(f)
+        end)
+      (Network.fanins net id)
+  done;
+  crit
+
+let check_masks_match_oracle label ctx =
+  let expected = oracle_masks ctx in
+  Array.iteri
+    (fun id mask ->
+      if not (Bitvec.equal mask expected.(id)) then
+        Alcotest.failf "%s: node %d criticality differs from the push oracle"
+          label id)
+    (Criticality.masks ctx)
+
+(* A 3- and a 4-input NOR and a 3-input OR over shared inputs, all
+   observable at an output: every fanin position of a wide NOR and OR gets
+   its own edge sensitivity. Random_logic emits only 2-input ones. *)
+let wide_nor_net () =
+  let t = Network.create () in
+  let ins = Array.init 5 (fun i -> Network.add_input t (Printf.sprintf "i%d" i)) in
+  let nor3 = Network.add_node t Gate.Nor [| ins.(0); ins.(1); ins.(2) |] in
+  let nor4 = Network.add_node t Gate.Nor [| ins.(1); ins.(2); ins.(3); ins.(4) |] in
+  let or3 = Network.add_node t Gate.Or [| nor3; ins.(3); ins.(0) |] in
+  let x = Network.add_node t Gate.Xor [| nor4; or3 |] in
+  Network.set_outputs t [| ("x", x); ("n3", nor3) |];
+  t
+
+let test_criticality_matches_push_oracle () =
+  List.iter
+    (fun name ->
+      let _, _, ctx, _ = fixture name 512 in
+      check_masks_match_oracle name ctx)
+    [ "alu4"; "c880"; "c1908"; "c3540"; "cla32"; "ksa32"; "mtp8"; "wal8";
+      "sqrt"; "sin"; "log2"; "apex6"; "frg2" ];
+  List.iter
+    (fun seed ->
+      let net =
+        Accals_circuits.Random_logic.make ~name:"crit" ~inputs:10 ~outputs:6
+          ~gates:200 ~seed
+      in
+      let patterns = Sim.for_network ~seed ~count:512 ~exhaustive_limit:0 net in
+      check_masks_match_oracle (Printf.sprintf "random seed %d" seed)
+        (Round_ctx.create net patterns))
+    [ 1; 2; 3; 4; 5; 6 ];
+  check_masks_match_oracle "3- and 4-input NOR"
+    (Round_ctx.create (wide_nor_net ()) (Sim.exhaustive 5))
+
 let test_actual_error_identity () =
   let net, patterns, _, golden = fixture "cla32" 256 in
   checkf "self error zero" 0.0
@@ -265,6 +349,8 @@ let suite =
         Alcotest.test_case "inverter chain transparent" `Quick test_criticality_buffer_transparent;
         Alcotest.test_case "AND gating" `Quick test_criticality_and_gating;
         Alcotest.test_case "MUX select" `Quick test_criticality_mux_select;
+        Alcotest.test_case "pull sweep matches push oracle" `Quick
+          test_criticality_matches_push_oracle;
       ] );
     ( "evaluate",
       [

@@ -182,42 +182,55 @@ let test_commit_journal_matches_scratch () =
 
 (* --- estimator refresh: persistent estimator = fresh estimator --- *)
 
+(* Under every metric, after each refresh the persistent estimator scores
+   like a fresh one, and its base error has the exact bits of the
+   per-metric fold oracle on the current outputs. *)
 let test_estimator_refresh_matches_fresh () =
   List.iter
-    (fun seed ->
-      let net = random_net seed in
-      let patterns = patterns_for net in
-      let golden = Evaluate.output_signatures net patterns in
-      let rng = Prng.create (300 + seed) in
-      let db = Sigdb.create net patterns in
-      let ctx0 = Round_ctx.of_sigdb db in
-      let est =
-        Estimator.create ctx0 ~golden ~metric:Metric.Error_rate
-      in
-      for _round = 1 to 3 do
-        let ctx = Round_ctx.of_sigdb db in
-        let candidates =
-          Candidate_gen.generate ctx Candidate_gen.default_config
-        in
-        let subset = random_subset rng 4 candidates in
-        let _ = Lac.apply_many net subset in
-        Sigdb.resimulate db;
-        Cleanup.sweep net;
-        let delta = Sigdb.refresh db in
-        let ctx' = Round_ctx.of_sigdb db in
-        Estimator.refresh est ctx' ~sig_changed:delta.Sigdb.sig_changed
-          ~struct_dirty:delta.Sigdb.struct_dirty;
-        let fresh =
-          Estimator.create ctx' ~golden ~metric:Metric.Error_rate
-        in
-        let cands = Candidate_gen.generate ctx' Candidate_gen.default_config in
-        let scored = Estimator.score est ~shortlist:20 cands in
-        let scored_fresh = Estimator.score fresh ~shortlist:20 cands in
-        check "refreshed estimator scores like a fresh one" true
-          (scored = scored_fresh)
-      done;
-      Sigdb.detach db)
-    [ 1; 2; 3 ]
+    (fun metric ->
+      List.iter
+        (fun seed ->
+          let net = random_net seed in
+          let patterns = patterns_for net in
+          let golden = Evaluate.output_signatures net patterns in
+          let rng = Prng.create (300 + seed) in
+          let db = Sigdb.create net patterns in
+          let ctx0 = Round_ctx.of_sigdb db in
+          let est = Estimator.create ctx0 ~golden ~metric in
+          for round = 1 to 3 do
+            let ctx = Round_ctx.of_sigdb db in
+            let candidates =
+              Candidate_gen.generate ctx Candidate_gen.default_config
+            in
+            let subset = random_subset rng 4 candidates in
+            let _ = Lac.apply_many net subset in
+            Sigdb.resimulate db;
+            Cleanup.sweep net;
+            let delta = Sigdb.refresh db in
+            let ctx' = Round_ctx.of_sigdb db in
+            Estimator.refresh est ctx' ~sig_changed:delta.Sigdb.sig_changed
+              ~struct_dirty:delta.Sigdb.struct_dirty;
+            let label =
+              Printf.sprintf "%s seed %d round %d" (Metric.kind_to_string metric)
+                seed round
+            in
+            let expected =
+              Test_metrics.Oracle.measure metric ~golden
+                ~approx:(Round_ctx.output_sigs ctx')
+            in
+            check (label ^ ": base error has the oracle's bits") true
+              (Int64.bits_of_float (Estimator.base_error est)
+              = Int64.bits_of_float expected);
+            let fresh = Estimator.create ctx' ~golden ~metric in
+            let cands = Candidate_gen.generate ctx' Candidate_gen.default_config in
+            let scored = Estimator.score est ~shortlist:20 cands in
+            let scored_fresh = Estimator.score fresh ~shortlist:20 cands in
+            check (label ^ ": refreshed estimator scores like a fresh one") true
+              (scored = scored_fresh)
+          done;
+          Sigdb.detach db)
+        [ 1; 2; 3 ])
+    Metric.[ Error_rate; Nmed; Mred; Med; Wce ]
 
 (* --- engine level: incremental on/off, and jobs, bit-identical --- *)
 
