@@ -79,14 +79,14 @@ let run ?config ?(amosa = default_config) ?patterns ?pool net ~metric
   while (not !finished) && !round_index < config.Config.max_rounds do
     incr round_index;
     let ctx, est = Round_eval.begin_round ev in
-    let candidates =
-      Candidate_gen.generate ~pool:dpool ctx config.Config.candidate
+    let shortlisted =
+      Estimator.shortlist est ~k:amosa.pool_size
+        (Candidate_gen.iter ~pool:dpool ctx config.Config.candidate)
     in
-    if candidates = [] then finished := true
+    let candidates = shortlisted.Estimator.seen in
+    if candidates = 0 then finished := true
     else begin
-      let scored =
-        Estimator.score ~pool:dpool est ~shortlist:amosa.pool_size candidates
-      in
+      let scored = Estimator.evaluate ~pool:dpool est shortlisted in
       evaluations := !evaluations + Round_eval.take_evaluations ev;
       let l_sol, _ = Conflict_graph.find_and_solve scored in
       let pool = Array.of_list l_sol in
@@ -175,7 +175,7 @@ let run ?config ?(amosa = default_config) ?patterns ?pool net ~metric
             {
               Trace.index = !round_index;
               mode = Trace.Multi;
-              candidates = List.length candidates;
+              candidates;
               top_count = List.length scored;
               sol_count = n;
               indp_count = List.length applied;

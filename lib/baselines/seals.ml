@@ -61,14 +61,16 @@ let run ?config ?patterns ?shortlist ?pool net ~metric ~error_bound =
       "round"
     @@ fun () ->
     let ctx, est = phase "simulate" (fun () -> Round_eval.begin_round ev) in
-    let candidates =
+    let shortlisted =
       phase "candidates" (fun () ->
-          Candidate_gen.generate ~pool ctx config.Config.candidate)
+          Estimator.shortlist est ~k:shortlist
+            (Candidate_gen.iter ~pool ctx config.Config.candidate))
     in
-    if candidates = [] then finished := true
+    let candidates = shortlisted.Estimator.seen in
+    if candidates = 0 then finished := true
     else begin
       let scored =
-        phase "estimate" (fun () -> Estimator.score ~pool est ~shortlist candidates)
+        phase "estimate" (fun () -> Estimator.evaluate ~pool est shortlisted)
       in
       evaluations := !evaluations + Round_eval.take_evaluations ev;
       match phase "evaluate" (fun () -> Round_eval.eval_single ev scored) with
@@ -84,7 +86,7 @@ let run ?config ?patterns ?shortlist ?pool net ~metric ~error_bound =
           {
             Trace.index = !round_index;
             mode = Trace.Single;
-            candidates = List.length candidates;
+            candidates;
             top_count = 1;
             sol_count = 1;
             indp_count = 0;

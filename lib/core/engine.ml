@@ -90,20 +90,10 @@ exception Incompatible_snapshot of { found : int; expected : int }
 let snapshot_round s = s.s_round
 let snapshot_finished s = s.s_finished
 let snapshot_circuit s = Network.name s.s_original
-let snapshot_metric s = s.s_metric
-let snapshot_error_bound s = s.s_error_bound
-let snapshot_jobs s = s.s_config.Config.jobs
 
 let patterns_for config net =
   Sim.for_network ~seed:config.Config.seed ~count:config.Config.samples
     ~exhaustive_limit:config.Config.exhaustive_limit net
-
-let golden_signatures ?config ?patterns net =
-  let config = match config with Some c -> c | None -> Config.for_network net in
-  let patterns =
-    match patterns with Some p -> p | None -> patterns_for config net
-  in
-  Evaluate.output_signatures net patterns
 
 (* Eq. (1): estimated error of applying a LAC set on a circuit with error e. *)
 let estimate_for e lacs =
@@ -148,7 +138,9 @@ let run_loop ?patterns ?pool ?checkpoint st =
   in
   let c_evals =
     Metrics.counter m "accals_estimator_evaluations_total"
-      ~help:"Exact cone resimulations performed by the estimator"
+      ~help:
+        "Shortlisted LACs the estimator scored exactly (signature differs \
+         from the target's)"
   in
   let c_cache_hits =
     Metrics.counter m "accals_estimator_cone_cache_hits_total"
@@ -222,17 +214,21 @@ let run_loop ?patterns ?pool ?checkpoint st =
   let incidents = ref st.s_incidents in
   let audits = ref 0 in
   (* Previously feasible best circuits, newest first, for certification
-     rollback. In-memory only: a resumed run restarts with an empty stack,
-     so its rollback depth is bounded by what it has seen since resuming. *)
+     rollback; kept only when the run certifies, since nothing else reads
+     them. In-memory only: a resumed run restarts with an empty stack, so
+     its rollback depth is bounded by what it has seen since resuming. *)
   let max_rollback = 8 in
   let rollback = ref [] in
   let ev =
     Round_eval.create ~incremental:config.Config.incremental ~current
       ~patterns ~golden ~metric
   in
+  (* Every feasible commit, single- or multi-LAC, goes through here. *)
   let take_best e_new =
-    rollback := List.filteri (fun i _ -> i < max_rollback - 1) !rollback;
-    rollback := (!best, !best_error) :: !rollback;
+    if config.Config.certify then
+      rollback :=
+        (!best, !best_error)
+        :: List.filteri (fun i _ -> i < max_rollback - 1) !rollback;
     best := Network.copy !current;
     best_error := e_new
   in
@@ -443,32 +439,35 @@ let run_loop ?patterns ?pool ?checkpoint st =
       "round"
     @@ fun () ->
     let round_watchdog = Watchdog.start config.Config.round_deadline in
-    (* The previous round's candidate list and scores are garbage now. The
-       runtime paces major work by allocation volume, and candidate
-       generation allocates little besides that list, so finish the cycle
-       here: the peak heap then holds one round's candidates, not several. *)
+    (* The previous round's generator state is garbage now: cut sets,
+       similarity buckets, QM covers, shortlist entries evicted after they
+       were promoted, and at -j>1 the per-target candidate lists. The
+       runtime paces major work by allocation volume, so finish the cycle
+       here: the peak heap then holds one round's state, not several
+       (perfbench er-suite peak heap 3.4-3.6 MiB with this call, 4.5-4.6
+       MiB without; DESIGN.md section 3.1). *)
     Gc.major ();
     let ctx, est = phase "simulate" (fun () -> Round_eval.begin_round ev) in
-    let candidates =
-      phase "candidates" (fun () ->
-          Candidate_gen.generate ~pool ctx config.Config.candidate)
+    let single_mode =
+      (config.Config.use_improvement_1 && !error > config.Config.l_e *. e_b)
+      || Ladder.level ladder = Ladder.Single_lac
     in
-    if candidates = [] then finished := true
+    let shortlisted =
+      phase "candidates" (fun () ->
+          Estimator.shortlist est
+            ~k:(if single_mode then min 64 config.Config.shortlist
+                else config.Config.shortlist)
+            (Candidate_gen.iter ~pool ctx config.Config.candidate))
+    in
+    let candidates = shortlisted.Estimator.seen in
+    if candidates = 0 then finished := true
     else begin
-      let single_mode =
-        (config.Config.use_improvement_1 && !error > config.Config.l_e *. e_b)
-        || Ladder.level ladder = Ladder.Single_lac
-      in
       let mode =
         if config.Config.exact_estimation then Estimator.Exact
         else Estimator.Approximate
       in
       let scored =
-        phase "estimate" (fun () ->
-            Estimator.score ~mode ~pool est
-              ~shortlist:(if single_mode then min 64 config.Config.shortlist
-                          else config.Config.shortlist)
-              candidates)
+        phase "estimate" (fun () -> Estimator.evaluate ~mode ~pool est shortlisted)
       in
       let evals_delta = Round_eval.take_evaluations ev in
       evaluations := !evaluations + evals_delta;
@@ -492,7 +491,7 @@ let run_loop ?patterns ?pool ?checkpoint st =
           {
             Trace.index = !round_index;
             mode;
-            candidates = List.length candidates;
+            candidates;
             top_count = top;
             sol_count = sol;
             indp_count = indp;
@@ -511,7 +510,7 @@ let run_loop ?patterns ?pool ?checkpoint st =
           }
           :: !rounds;
         Metrics.incr c_rounds;
-        Metrics.add c_candidates (List.length candidates);
+        Metrics.add c_candidates candidates;
         Metrics.add c_applied applied;
         Metrics.add c_skipped skipped;
         Metrics.add c_resim_nodes resim_nodes;
@@ -537,7 +536,7 @@ let run_loop ?patterns ?pool ?checkpoint st =
                     (match mode with
                      | Trace.Multi -> "multi"
                      | Trace.Single -> "single") );
-                ("candidates", Tjson.Int (List.length candidates));
+                ("candidates", Tjson.Int candidates);
                 ("applied", Tjson.Int applied);
                 ("error", Tjson.Float e_after);
                 ("estimated_error", Tjson.Float e_est);
@@ -635,11 +634,7 @@ let run_loop ?patterns ?pool ?checkpoint st =
               ~applied:(List.length applied)
               ~skipped:(List.length skipped)
               ~e_before ~e_after:e_new ~e_est ~reverted:false;
-            if e_new <= e_b then begin
-              best := Network.copy !current;
-              best_error := e_new
-            end
-            else finished := true
+            if e_new <= e_b then take_best e_new else finished := true
           end
         end
       end

@@ -2,7 +2,6 @@
     improvement techniques). *)
 
 open Accals_network
-open Accals_bitvec
 module Metric := Accals_metrics.Metric
 module Ladder := Accals_audit.Ladder
 module Incident := Accals_audit.Incident
@@ -78,9 +77,6 @@ exception Incompatible_snapshot of { found : int; expected : int }
 val snapshot_round : snapshot -> int
 val snapshot_finished : snapshot -> bool
 val snapshot_circuit : snapshot -> string
-val snapshot_metric : snapshot -> Metric.kind
-val snapshot_error_bound : snapshot -> float
-val snapshot_jobs : snapshot -> int
 
 val run :
   ?config:Config.t ->
@@ -129,8 +125,3 @@ val resume :
     it). The snapshot is not consumed: resuming the same snapshot twice
     yields identical reports. Raises {!Incompatible_snapshot} when the
     snapshot's version does not match {!snapshot_version}. *)
-
-val golden_signatures :
-  ?config:Config.t -> ?patterns:Sim.patterns -> Network.t -> Bitvec.t array
-(** The golden output signatures [run] scores against, for external
-    verification of a report. *)

@@ -264,7 +264,7 @@ let take_aux t =
    pool. [relieve_memory] gives exactly that state back: both stores are
    rebuilt on demand from the per-round views, so dropping them costs time
    but cannot change scores, tie-breaks or committed circuits. Round
-   boundary only (a parallel [Estimator.score] reads the cone cache
+   boundary only (a parallel [Estimator.evaluate] reads the cone cache
    concurrently). *)
 
 let aux_bytes t =

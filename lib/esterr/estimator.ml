@@ -179,8 +179,6 @@ let rank_score_in t s lac =
   Bitvec.logand_into s.tmp t.err_free ~dst:s.tmp;
   float_of_int (Bitvec.popcount s.tmp) /. float_of_int (samples t)
 
-let rank_score t lac = rank_score_in t t.scratch lac
-
 let cone t target =
   match Hashtbl.find_opt t.cone_cache target with
   | Some c ->
@@ -283,10 +281,12 @@ let by_target t chosen =
     chosen;
   List.rev_map (fun (target, members) -> (target, cone t target, List.rev !members)) !order
 
-let score ?(mode = Exact) ?pool t ~shortlist lacs =
-  (* Bounded selection of the shortlist instead of sorting all candidates:
-     the order is total (rank, then larger area gain, then original
-     position), so this equals the former stable sort + take. *)
+type shortlist = { ranked : (float * Lac.t) array; seen : int }
+
+(* The order is total (rank, then larger area gain, then emission index),
+   so keeping the [k] best as they arrive equals stable-sorting the whole
+   list and taking [k]. *)
+let shortlist t ~k candidates =
   let compare_ranked (ra, ia, la) (rb, ib, lb) =
     match compare ra rb with
     | 0 -> (
@@ -295,14 +295,20 @@ let score ?(mode = Exact) ?pool t ~shortlist lacs =
       | c -> c)
     | c -> c
   in
-  let ranked = List.mapi (fun i lac -> (rank_score t lac, i, lac)) lacs in
-  let shortlisted =
-    Array.of_list (Top_k.smallest ~k:shortlist ~compare:compare_ranked ranked)
+  let seen = ref 0 in
+  let best =
+    Top_k.smallest ~k ~compare:compare_ranked (fun push ->
+        candidates (fun lac ->
+            push (rank_score_in t t.scratch lac, !seen, lac);
+            incr seen))
   in
-  let chosen = Array.map (fun (_, _, lac) -> lac) shortlisted in
+  { ranked = Array.of_list (List.map (fun (r, _, lac) -> (r, lac)) best); seen = !seen }
+
+let evaluate ?(mode = Exact) ?pool t { ranked; seen = _ } =
+  let chosen = Array.map snd ranked in
   let deltas =
     match mode with
-    | Approximate -> Array.map (fun (rank, _, _) -> rank) shortlisted
+    | Approximate -> Array.map fst ranked
     | Exact ->
       let groups = by_target t chosen in
       let group_deltas s (target, cone, members) =
@@ -333,6 +339,9 @@ let score ?(mode = Exact) ?pool t ~shortlist lacs =
       | c -> c)
     (Array.to_list (Array.mapi (fun i lac -> Lac.with_delta lac deltas.(i)) chosen))
 
+let score ?mode ?pool t ~shortlist:k lacs =
+  evaluate ?mode ?pool t (shortlist t ~k (fun f -> List.iter f lacs))
+
 let evaluations t = Atomic.get t.evaluations
 
 let cache_stats t = (Atomic.get t.cache_hits, Atomic.get t.cache_misses)
@@ -345,7 +354,7 @@ let cone_cache_bytes t =
 
 (* Memory-pressure relief. Cones are derived data, recomputed on demand
    from the same per-round views, so dropping them costs time but cannot
-   change scores. Only call between rounds: during a parallel [score] the
+   change scores. Only call between rounds: during a parallel [evaluate] the
    workers read the cache concurrently. *)
 let drop_cone_cache t =
   let n = Hashtbl.length t.cone_cache in

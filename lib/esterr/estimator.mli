@@ -2,10 +2,10 @@
 
     Two levels, as in the paper's sensitivity-driven flow:
 
-    + a cheap criticality ranking over all candidates (one mask intersection
-      per candidate), and
-    + exact-on-samples evaluation of a shortlist of the best-ranked
-      candidates. Each distinct shortlisted target's transitive-fanout cone
+    + a cheap criticality ranking of every candidate as the generators
+      emit it (one mask intersection per candidate; {!shortlist}), and
+    + exact-on-samples evaluation of the best-ranked candidates
+      ({!evaluate}). Each distinct shortlisted target's transitive-fanout cone
       is resimulated once with the target's signature complemented (its
       flip response); each candidate's metric is then a per-sample
       selection between the current and the flipped error terms
@@ -52,46 +52,50 @@ val refresh : t -> Round_ctx.t -> sig_changed:int list -> struct_dirty:bool arra
 val candidate_signature : t -> Lac.t -> Bitvec.t
 (** The target's new signature under the LAC (freshly allocated). *)
 
-val rank_score : t -> Lac.t -> float
-(** Cheap ranking heuristic: fraction of samples on which the LAC changes
-    the target's value, the change is deemed observable, and the sample is
-    currently error-free. Smaller is more promising. *)
-
 val exact_delta : t -> Lac.t -> float
 (** ΔE(ψ): exact-on-samples error increase (can be negative). *)
 
 type mode = Exact | Approximate
 
-val score :
-  ?mode:mode ->
-  ?pool:Accals_runtime.Pool.t ->
-  t ->
-  shortlist:int ->
-  Lac.t list ->
-  Lac.t list
-(** Rank all candidates, evaluate the best [shortlist] of them, and return
-    those with [delta_error] filled, sorted by ascending ΔE (ties: larger
-    area gain first). [Exact] (default) computes one flip response per
-    distinct shortlisted target and selects each candidate's ΔE from it;
-    [Approximate] takes the criticality estimate as ΔE without
+type shortlist = {
+  ranked : (float * Lac.t) array;  (** best first, with rank scores *)
+  seen : int;  (** LACs the stream emitted *)
+}
+
+val shortlist : t -> k:int -> ((Lac.t -> unit) -> unit) -> shortlist
+(** Rank each LAC the stream emits, as it arrives, and keep the [k] best.
+    The rank is the fraction of samples on which the LAC changes the
+    target, the change is deemed observable, and the sample is currently
+    error-free (smaller is better); ties go to the larger area gain, then
+    to the earlier emission. Runs on the calling domain. *)
+
+val evaluate :
+  ?mode:mode -> ?pool:Accals_runtime.Pool.t -> t -> shortlist -> Lac.t list
+(** The shortlisted LACs with [delta_error] filled, sorted by ascending ΔE
+    (ties: larger area gain first). [Exact] (default) computes one flip
+    response per distinct shortlisted target and selects each candidate's
+    ΔE from it; [Approximate] takes the rank score as ΔE without
     resimulation — the cheap end of the VECBEE [11] accuracy/effort
     trade-off, exposed for the ablation study.
 
-    When [pool] is a multi-domain pool and the mode is [Exact], the
-    distinct targets fan out across the pool's domains, each domain
-    resimulating on private scratch buffers; results land at their
-    candidates' shortlist positions, so the outcome is bit-identical to the
-    sequential pass. *)
+    With a multi-domain [pool] and [Exact], the distinct targets fan out
+    across the pool's domains on private scratch buffers; results land at
+    their shortlist positions, bit-identical to the sequential pass. *)
+
+val score :
+  ?mode:mode -> ?pool:Accals_runtime.Pool.t -> t -> shortlist:int ->
+  Lac.t list -> Lac.t list
+(** [evaluate] of [shortlist] over a list: for tests and perfbench replay. *)
 
 val evaluations : t -> int
 (** Number of exact evaluations so far: candidates whose signature differs
     from their target's (for the bench harness's work accounting).
-    [Atomic.t]-backed, so the count stays exact when [score] fans out over
+    [Atomic.t]-backed, so the count stays exact when [evaluate] fans out over
     a pool. *)
 
 val cache_stats : t -> int * int
 (** [(hits, misses)] of the transitive-fanout cone cache since [create].
-    {!score} looks up each distinct shortlisted target's cone once, on the
+    {!evaluate} looks up each distinct shortlisted target's cone once, on the
     calling domain, whatever the pool. [Atomic.t]-backed like
     {!evaluations}; pure observation (the telemetry registry reports the
     deltas per round). *)
@@ -104,4 +108,4 @@ val drop_cone_cache : t -> int
     entries were dropped. Cones are derived data recomputed on demand, so
     scores — and therefore results — cannot change; only the time to
     rebuild the cache is lost. Must not be called while a parallel
-    {!score} is in flight (workers read the cache concurrently). *)
+    {!evaluate} is in flight (workers read the cache concurrently). *)

@@ -34,7 +34,7 @@ let similarity_buckets (ctx : Round_ctx.t) =
     ctx.order;
   buckets
 
-(* Per-target scratch, created once per [generate] call (sequential) or
+(* Per-target scratch, created once per [iter] call (sequential) or
    per chunk (parallel) and never shared between domains. Every field is
    pure scratch: no per-target result depends on what earlier targets left
    in it ([qm] only caches a pure function). *)
@@ -297,11 +297,11 @@ let resub_candidates s (ctx : Round_ctx.t) cone target ranked row ~cap =
     done;
   take_best cap !found
 
-(* All candidates for one target, in reverse emission order. Reads only
-   immutable views of [ctx] (plus the prebuilt similarity buckets and cut
-   sets) and the caller's private scratch [s], so distinct targets can be
-   enumerated on different domains concurrently. *)
-let candidates_for_target (ctx : Round_ctx.t) config ~buckets ~all_cuts s target =
+(* Pass every candidate for one target to [emit], in emission order. Reads
+   only immutable views of [ctx] (plus the prebuilt similarity buckets and
+   cut sets) and the caller's private scratch [s], so distinct targets can
+   be enumerated on different domains concurrently. *)
+let candidates_for_target (ctx : Round_ctx.t) config ~buckets ~all_cuts s ~emit target =
   let samples = ctx.patterns.Sim.count in
   let worth_replacing =
     match Network.op ctx.net target with
@@ -313,8 +313,6 @@ let candidates_for_target (ctx : Round_ctx.t) config ~buckets ~all_cuts s target
   match cone with
   | Some cone when Mffc.area cone > 0.0 ->
     let gain_base = Mffc.area cone in
-    let acc = ref [] in
-    let emit lac = acc := lac :: !acc in
     (* Constant LACs. *)
     emit (Lac.make ~target Lac.Const0 ~area_gain:gain_base);
     emit (Lac.make ~target Lac.Const1 ~area_gain:gain_base);
@@ -360,9 +358,8 @@ let candidates_for_target (ctx : Round_ctx.t) config ~buckets ~all_cuts s target
     List.iter emit (resub triples ~cap:config.triples_per_target);
     (* Cut-rewriting (SOP) candidates. *)
     if config.sops_per_target > 0 && all_cuts.(target) <> [] then
-      List.iter emit (sop_candidates s ctx config cone target all_cuts.(target));
-    !acc
-  | Some _ | None -> []
+      List.iter emit (sop_candidates s ctx config cone target all_cuts.(target))
+  | Some _ | None -> ()
 
 let enumerate_cuts (ctx : Round_ctx.t) config =
   if config.sops_per_target > 0 then
@@ -370,7 +367,7 @@ let enumerate_cuts (ctx : Round_ctx.t) config =
       ~k:cut_size ~per_node:cuts_per_node
   else [||]
 
-let generate ?pool (ctx : Round_ctx.t) config =
+let iter ?pool (ctx : Round_ctx.t) config f =
   match pool with
   | Some pool when Accals_runtime.Pool.jobs pool > 1 ->
     (* The two pre-passes are independent, so overlap them instead of
@@ -386,25 +383,25 @@ let generate ?pool (ctx : Round_ctx.t) config =
     let buckets = similarity_buckets ctx in
     Accals_runtime.Fan_out.join pool ticket;
     (* Per-target enumeration fans out in chunks, each with its own
-       scratch; concatenating the per-target lists in topological-order
-       position reproduces the sequential emission order exactly. *)
-    Array.fold_right List.rev_append
+       scratch, into per-target lists; walking them in topological-order
+       position on this domain reproduces the sequential emission order
+       exactly. *)
+    Array.iter (List.iter f)
       (Accals_runtime.Fan_out.map_array_with ~label:"candidates" pool
          ~state:(fun () -> scratch ctx)
-         ~f:(candidates_for_target ctx config ~buckets ~all_cuts:!all_cuts)
+         ~f:(fun s target ->
+           let acc = ref [] in
+           candidates_for_target ctx config ~buckets ~all_cuts:!all_cuts s
+             ~emit:(fun lac -> acc := lac :: !acc) target;
+           List.rev !acc)
          ctx.order)
-      []
   | _ ->
     let buckets = similarity_buckets ctx in
     let all_cuts = enumerate_cuts ctx config in
     let s = scratch ctx in
-    (* Last target first, so each result cell is built once: the
-       candidate list is the round's largest allocation. *)
-    let result = ref [] in
-    for i = Array.length ctx.order - 1 downto 0 do
-      result :=
-        List.rev_append
-          (candidates_for_target ctx config ~buckets ~all_cuts s ctx.order.(i))
-          !result
-    done;
-    !result
+    Array.iter (candidates_for_target ctx config ~buckets ~all_cuts s ~emit:f) ctx.order
+
+let generate ?pool ctx config =
+  let acc = ref [] in
+  iter ?pool ctx config (fun lac -> acc := lac :: !acc);
+  List.rev !acc

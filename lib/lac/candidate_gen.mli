@@ -30,10 +30,15 @@ type config = {
 
 val default_config : config
 
+val iter :
+  ?pool:Accals_runtime.Pool.t -> Round_ctx.t -> config -> (Lac.t -> unit) -> unit
+(** [iter ctx config f] calls [f] on every candidate LAC for the current
+    round, unscored ([delta_error = nan]), without building the round's
+    list. Deterministic: with a multi-domain [pool] the per-target
+    enumeration fans out across domains into per-target lists, and [f]
+    runs on the calling domain over them in topological order — the same
+    sequence as the sequential run. *)
+
 val generate :
   ?pool:Accals_runtime.Pool.t -> Round_ctx.t -> config -> Lac.t list
-(** All candidate LACs for the current round, unscored
-    ([delta_error = nan]). Deterministic: with a multi-domain [pool] the
-    per-target enumeration fans out across domains and per-target results
-    are concatenated in topological order, byte-identical to the
-    sequential run. *)
+(** [iter] collected into a list: for tests and perfbench replay. *)

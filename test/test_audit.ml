@@ -613,6 +613,32 @@ let test_engine_certification () =
     check "no certification without the flag" true
       (uncertified.Engine.certification = None)
 
+(* Every feasible commit, multi-LAC rounds included, is a rollback
+   candidate. On apex6 with 32 samples every round is multi-LAC and the
+   independent 32-vector measurement rejects each committed circuit, so
+   certification must try them all, newest first, before it falls back to
+   the original. *)
+let test_rollback_through_multi_lac_commits () =
+  let net = Accals_circuits.Bench_suite.load "apex6" in
+  let r =
+    Engine.run ~config:(small_config ~samples:32 ~certify:true net) net
+      ~metric:Metric.Error_rate ~error_bound:0.05
+  in
+  let rounds = r.Engine.rounds in
+  let feasible =
+    List.length
+      (List.filter (fun (rd : Trace.round) -> rd.Trace.error_after <= 0.05) rounds)
+  in
+  check "every round multi-LAC" true
+    (List.for_all (fun (rd : Trace.round) -> rd.Trace.mode = Trace.Multi) rounds);
+  check "several feasible commits" true (feasible >= 2);
+  match r.Engine.certification with
+  | None -> Alcotest.fail "certify=true but no certification in the report"
+  | Some o ->
+    check "certified" true o.Certify.certified;
+    check_int "each feasible commit rejected before the original" feasible
+      o.Certify.rollback_steps
+
 (* Audits re-derive state on the side and certification re-measures the
    final circuit; neither may change a synthesis decision. Each variant's
    trace, minus the resimulation counters, must equal the plain run's, and
@@ -822,6 +848,8 @@ let suite =
           test_certify_with_rollback;
         Alcotest.test_case "engine-level certification" `Slow
           test_engine_certification;
+        Alcotest.test_case "rollback through multi-LAC commits" `Quick
+          test_rollback_through_multi_lac_commits;
         Alcotest.test_case "audits and certification keep decisions" `Slow
           test_audit_certify_keep_decisions;
       ] );

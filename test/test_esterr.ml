@@ -181,6 +181,68 @@ let test_flip_response_matches_oracle () =
         Metric.[ Error_rate; Nmed; Mred; Med; Wce ])
     [ "mtp8"; "c880"; "sqrt" ]
 
+(* The streaming round path (generators into the ranker, then the exact
+   pass) reproduces the list path: same LACs in the same order with the
+   same ΔE bits, and a count of every emitted LAC. Checked on the
+   original circuit and, so the error-free mask matters, after committing
+   one error-increasing LAC; sequentially and on a 3-domain pool. *)
+let test_stream_matches_list () =
+  let key (l : Lac.t) =
+    ( l.Lac.target,
+      l.Lac.kind,
+      Int64.bits_of_float l.Lac.area_gain,
+      Int64.bits_of_float l.Lac.delta_error )
+  in
+  let config = Candidate_gen.default_config in
+  let compare_round what ctx ~golden metric =
+    let est () = Estimator.create ctx ~golden ~metric in
+    let cands = Candidate_gen.generate ctx config in
+    let expected = Estimator.score (est ()) ~shortlist:300 cands in
+    let streamed ?pool () =
+      let est = est () in
+      let shortlisted =
+        Estimator.shortlist est ~k:300 (Candidate_gen.iter ?pool ctx config)
+      in
+      Alcotest.(check int) (what ^ " count") (List.length cands)
+        shortlisted.Estimator.seen;
+      Estimator.evaluate ?pool est shortlisted
+    in
+    check (what ^ " sequential") true
+      (List.map key (streamed ()) = List.map key expected);
+    check (what ^ " pool") true
+      (Accals_runtime.Pool.with_pool ~jobs:3 (fun pool ->
+           List.map key (streamed ~pool ()) = List.map key expected));
+    expected
+  in
+  List.iter
+    (fun (name, metric) ->
+      let net, patterns, ctx, golden = fixture name 1024 in
+      let what = name ^ " " ^ Metric.kind_to_string metric in
+      let scored = compare_round what ctx ~golden metric in
+      match List.find_opt (fun l -> l.Lac.delta_error > 0.0) scored with
+      | None -> ()
+      | Some lac ->
+        let copy = Network.copy net in
+        Lac.apply copy lac;
+        compare_round (what ^ " after a commit")
+          (Round_ctx.create copy patterns) ~golden metric
+        |> ignore)
+    (List.map
+       (fun name -> (name, Metric.Error_rate))
+       [ "alu4"; "c880"; "c1908"; "c3540"; "cla32"; "ksa32"; "mtp8"; "wal8";
+         "sqrt"; "sin"; "log2"; "apex6"; "frg2" ]
+    @ [ ("mtp8", Metric.Nmed); ("sqrt", Metric.Nmed) ])
+
+(* Stream-fed bounded selection is the sorted prefix under a total order:
+   values with duplicates, tie-broken by position. *)
+let prop_top_k_smallest =
+  Test_util.qcheck_case "top-k equals sort-then-take"
+    QCheck2.Gen.(pair (int_range 0 40) (list_size (int_range 0 200) (int_range 0 20)))
+    (fun (k, values) ->
+      let items = List.mapi (fun i v -> (v, i)) values in
+      Accals_esterr.Top_k.smallest ~k ~compare (fun f -> List.iter f items)
+      = List.filteri (fun i _ -> i < k) (List.sort compare items))
+
 (* Criticality sanity: a PO driver is fully critical; masks are subsets of
    the full pattern set. *)
 let test_criticality_po_full () =
@@ -342,6 +404,8 @@ let suite =
         Alcotest.test_case "scratch state clean" `Quick test_estimator_does_not_corrupt_state;
         Alcotest.test_case "flip response matches cone-walk oracle" `Quick
           test_flip_response_matches_oracle;
+        Alcotest.test_case "stream matches list" `Quick test_stream_matches_list;
+        prop_top_k_smallest;
       ] );
     ( "criticality",
       [
