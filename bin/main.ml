@@ -180,7 +180,7 @@ let checkpoint_arg =
         ~doc:
           "Save the engine state to $(docv)/$(i,CIRCUIT).ckpt after every \
            round (atomic write-then-rename). Combine with $(b,--resume) to \
-           continue a killed run.")
+           continue a killed run. $(b,--method) accals only.")
 
 let resume_arg =
   Arg.(
@@ -391,6 +391,8 @@ let synth_cmd =
       user_error "--resume requires --checkpoint DIR";
     if resume && method_ <> `Accals then
       user_error "--resume is only supported with --method accals";
+    if ckpt_dir <> None && method_ <> `Accals then
+      user_error "--checkpoint is only supported with --method accals";
     if audit_every < 0 then user_error "--audit-every must be >= 0";
     if ckpt_keep < 1 then user_error "--ckpt-keep must be >= 1";
     if max_memory_mb < 0 then user_error "--max-memory-mb must be >= 0";

@@ -11,7 +11,16 @@
     applied, and the process repeats on the new circuit.
 
     Every annealing proposal costs a full circuit evaluation, which is what
-    makes the approach slow relative to AccALS (Table III). *)
+    makes the approach slow relative to AccALS (Table III); each counts in
+    the report's [exact_evaluations].
+
+    The annealing is a selection step of AccALS's round loop
+    ({!Accals.Engine.run}): the shortlist holds [pool_size] candidates,
+    the annealer's PRNG and archive carry across rounds, and every
+    run-level setting of the config (deadlines, audits, the memory budget,
+    certification) applies as it does to AccALS. A round that must be
+    single-LAC (degradation ladder, round deadline) commits
+    {!Accals.Engine.single_lac} instead of annealing. *)
 
 open Accals_network
 module Metric := Accals_metrics.Metric

@@ -1,11 +1,14 @@
 (** SEALS [12]: the state-of-the-art single-selection iterative ALS flow
     AccALS is compared against (Section III-B).
 
-    Each round evaluates the candidate LACs with the same sensitivity-driven
-    two-level estimator as AccALS but applies only the single best LAC
-    (minimum ΔE, ties by larger area gain). The per-round estimation
-    shortlist is small — the flow only needs the argmin — which is exactly
-    the pruning benefit SEALS gets from its sensitivity metric. *)
+    SEALS runs on AccALS's round loop ({!Accals.Engine.run}) with a step
+    that applies only the single best LAC each round (minimum ΔE, ties by
+    larger area gain), evaluated with the same sensitivity-driven
+    two-level estimator. The shortlist is the config's, so per-round
+    estimation effort matches AccALS: the controlled variable of the
+    paper's comparison is single- versus multi-LAC selection. Every
+    run-level setting of the config (deadlines, audits, the memory budget,
+    certification) applies as it does to AccALS. *)
 
 open Accals_network
 module Metric := Accals_metrics.Metric
@@ -13,14 +16,11 @@ module Metric := Accals_metrics.Metric
 val run :
   ?config:Accals.Config.t ->
   ?patterns:Sim.patterns ->
-  ?shortlist:int ->
   ?pool:Accals_runtime.Pool.t ->
   Network.t ->
   metric:Metric.kind ->
   error_bound:float ->
   Accals.Engine.report
-(** Same report shape as {!Accals.Engine.run}; every round is a
-    [Trace.Single] round. [shortlist] defaults to the config's shortlist so
-    that per-round estimation effort matches AccALS — the controlled
-    variable of the paper's comparison is single- versus multi-LAC
-    selection. *)
+(** {!Accals.Engine.run} with {!Accals.Engine.single_lac} as the step
+    every round, over [config.shortlist] candidates; every round is a
+    [Trace.Single] round. *)

@@ -99,7 +99,163 @@ let patterns_for config net =
 let estimate_for e lacs =
   List.fold_left (fun acc lac -> acc +. lac.Lac.delta_error) e lacs
 
-let run_loop ?patterns ?pool ?checkpoint st =
+type round = {
+  config : Config.t;
+  pool : Pool.t;
+  eval : Round_eval.t;
+  ctx : Round_ctx.t;
+  rng : Prng.t;
+  e : float;
+  e_b : float;
+  single : bool;
+}
+
+type choice = {
+  mode : Trace.mode;
+  top : int;
+  sol : int;
+  indp : int;
+  rand : int;
+  chose_indp : bool option;
+  applied : Lac.t list;
+  skipped : int;
+  e_new : float;
+  reverted : bool;
+}
+
+type step = {
+  name : string;
+  shortlist : round -> int;
+  select : round -> Lac.t list -> choice option * int;
+}
+
+let phase r name f = Stats.time_phase (Pool.stats r.pool) name f
+
+(* Commit the first shortlisted LAC that applies without closing a cycle. *)
+let commit_first r scored =
+  match phase r "evaluate" (fun () -> Round_eval.eval_single r.eval scored) with
+  | None -> None
+  | Some (lac, e_new) ->
+    phase r "evaluate" (fun () -> Round_eval.commit_single r.eval lac);
+    Some (lac, e_new)
+
+let single_lac r scored =
+  ( Option.map
+      (fun (lac, e_new) ->
+        {
+          mode = Trace.Single;
+          top = 1;
+          sol = 1;
+          indp = 0;
+          rand = 0;
+          chose_indp = None;
+          applied = [ lac ];
+          skipped = 0;
+          e_new;
+          reverted = false;
+        })
+      (commit_first r scored),
+    0 )
+
+(* Algorithm 1's multi-LAC selection: L_top, the conflict graph's MIS
+   L_sol, then the better of L_indp and the random comparison set L_rand. *)
+let multi_lac r scored =
+  let config = r.config in
+  let l_indp, l_rand, l_top, l_sol =
+    phase r "select" (fun () ->
+        let l_top =
+          Top_set.obtain ~r_ref:config.Config.r_ref ~e:r.e ~e_b:r.e_b scored
+        in
+        let l_sol, _n_sol = Conflict_graph.find_and_solve l_top in
+        let l_indp =
+          Independent_select.select ~pool:r.pool config r.ctx ~l_sol ~e:r.e
+            ~e_b:r.e_b
+        in
+        let l_rand =
+          if config.Config.use_random_comparison then
+            Independent_select.select_random config r.rng ~l_sol ~e:r.e
+              ~e_b:r.e_b
+          else []
+        in
+        (l_indp, l_rand, l_top, l_sol))
+  in
+  let (applied1, skipped1, e1), (applied2, skipped2, e2) =
+    phase r "evaluate" (fun () ->
+        let r1 = Round_eval.eval_set r.eval l_indp in
+        let r2 =
+          if l_rand = [] then ([], [], infinity)
+          else Round_eval.eval_set r.eval l_rand
+        in
+        (r1, r2))
+  in
+  if applied1 = [] && applied2 = [] then (None, 0)
+  else begin
+    (* Paper's choice rule: error first, then LAC count. *)
+    let choose_indp =
+      (applied2 = [])
+      || (applied1 <> []
+          && (e1 < e2
+              || (e1 = e2 && List.length applied1 >= List.length applied2)))
+    in
+    let e_new, applied, skipped =
+      if choose_indp then (e1, applied1, skipped1)
+      else (e2, applied2, skipped2)
+    in
+    let choice ~applied ~skipped ~e_new ~reverted =
+      {
+        mode = Trace.Multi;
+        top = List.length l_top;
+        sol = List.length l_sol;
+        indp = List.length l_indp;
+        rand = List.length l_rand;
+        chose_indp = Some choose_indp;
+        applied;
+        skipped;
+        e_new;
+        reverted;
+      }
+    in
+    (* Improvement 2: detect a negative LAC set and revert. *)
+    let beta =
+      if e_new > 0.0 then (e_new -. estimate_for r.e applied) /. e_new else 0.0
+    in
+    if config.Config.use_improvement_2 && e_new > 0.0 && beta > config.Config.l_d
+    then
+      ( Option.map
+          (fun (lac, e_s) ->
+            choice ~applied:[ lac ] ~skipped:0 ~e_new:e_s ~reverted:true)
+          (commit_first r scored),
+        0 )
+    else begin
+      phase r "evaluate" (fun () -> Round_eval.commit_set r.eval applied);
+      ( Some
+          (choice ~applied ~skipped:(List.length skipped) ~e_new ~reverted:false),
+        0 )
+    end
+  end
+
+(* Improvement 1: while the error is above l_e * e_b, take single-LAC
+   steps. The single-LAC shortlist is capped, since only its argmin is
+   used. *)
+let accals_single r =
+  r.single
+  || (r.config.Config.use_improvement_1 && r.e > r.config.Config.l_e *. r.e_b)
+
+let accals =
+  {
+    name = "accals";
+    shortlist =
+      (fun r ->
+        if accals_single r then min 64 r.config.Config.shortlist
+        else r.config.Config.shortlist);
+    select =
+      (fun r scored ->
+        if accals_single r then single_lac r scored else multi_lac r scored);
+  }
+
+let ratio x x0 = if x0 = 0.0 then 1.0 else x /. x0
+
+let run_loop ~step ?patterns ?pool ?checkpoint st =
   let config = st.s_config in
   let metric = st.s_metric in
   let e_b = st.s_error_bound in
@@ -108,6 +264,7 @@ let run_loop ?patterns ?pool ?checkpoint st =
     ~args:
       [
         ("circuit", Tjson.String (Network.name net));
+        ("method", Tjson.String step.name);
         ("start_round", Tjson.Int st.s_round);
       ]
     "engine.run"
@@ -288,6 +445,7 @@ let run_loop ?patterns ?pool ?checkpoint st =
         [
           ("event", Tjson.String "run_start");
           ("circuit", Tjson.String (Network.name net));
+          ("method", Tjson.String step.name);
           ("metric", Tjson.String (Metric.kind_to_string metric));
           ("error_bound", Tjson.Float e_b);
           ("start_round", Tjson.Int !round_index);
@@ -448,15 +606,21 @@ let run_loop ?patterns ?pool ?checkpoint st =
        MiB without; DESIGN.md section 3.1). *)
     Gc.major ();
     let ctx, est = phase "simulate" (fun () -> Round_eval.begin_round ev) in
-    let single_mode =
-      (config.Config.use_improvement_1 && !error > config.Config.l_e *. e_b)
-      || Ladder.level ladder = Ladder.Single_lac
+    let r =
+      {
+        config;
+        pool;
+        eval = ev;
+        ctx;
+        rng;
+        e = !error;
+        e_b;
+        single = Ladder.level ladder = Ladder.Single_lac;
+      }
     in
     let shortlisted =
       phase "candidates" (fun () ->
-          Estimator.shortlist est
-            ~k:(if single_mode then min 64 config.Config.shortlist
-                else config.Config.shortlist)
+          Estimator.shortlist est ~k:(step.shortlist r)
             (Candidate_gen.iter ~pool ctx config.Config.candidate))
     in
     let candidates = shortlisted.Estimator.seen in
@@ -472,8 +636,8 @@ let run_loop ?patterns ?pool ?checkpoint st =
       let evals_delta = Round_eval.take_evaluations ev in
       evaluations := !evaluations + evals_delta;
       Metrics.add c_evals evals_delta;
-      (* Round deadline: degrade this round from multi-LAC selection to the
-         cheap single-LAC path rather than blowing the budget further. *)
+      (* Round deadline: degrade this round to the cheap single-LAC path
+         rather than blowing the budget further. *)
       let wd_round = Watchdog.expired round_watchdog in
       if wd_round then
         if Ladder.note ladder ~round:!round_index ~reason:Ladder.Watchdog_round
@@ -481,28 +645,37 @@ let run_loop ?patterns ?pool ?checkpoint st =
           incident (Incident.Watchdog_expired { scope = "round" });
           ladder_event ~kind:"note" ~reason:Ladder.Watchdog_round
         end;
-      let single_mode = single_mode || wd_round in
-      let record ~mode ~top ~sol ~indp ~rand ~chose ~applied ~skipped ~e_before
-          ~e_after ~e_est ~reverted =
+      let choice, probes =
+        if scored = [] then (None, 0)
+        else step.select { r with single = r.single || wd_round } scored
+      in
+      evaluations := !evaluations + probes;
+      match choice with
+      | None -> finished := true
+      | Some c ->
+        let e_before = !error in
+        error := c.e_new;
+        let applied = List.length c.applied in
+        let e_est = estimate_for e_before c.applied in
         let resim_nodes, resim_converged, resim_recycled =
           Round_eval.take_counters ev
         in
         rounds :=
           {
             Trace.index = !round_index;
-            mode;
+            mode = c.mode;
             candidates;
-            top_count = top;
-            sol_count = sol;
-            indp_count = indp;
-            rand_count = rand;
-            chose_indp = chose;
+            top_count = c.top;
+            sol_count = c.sol;
+            indp_count = c.indp;
+            rand_count = c.rand;
+            chose_indp = c.chose_indp;
             applied;
-            skipped_cycles = skipped;
+            skipped_cycles = c.skipped;
             error_before = e_before;
-            error_after = e_after;
+            error_after = c.e_new;
             estimated_error = e_est;
-            reverted;
+            reverted = c.reverted;
             area = Cost.area !current;
             resim_nodes;
             resim_converged;
@@ -512,7 +685,7 @@ let run_loop ?patterns ?pool ?checkpoint st =
         Metrics.incr c_rounds;
         Metrics.add c_candidates candidates;
         Metrics.add c_applied applied;
-        Metrics.add c_skipped skipped;
+        Metrics.add c_skipped c.skipped;
         Metrics.add c_resim_nodes resim_nodes;
         Metrics.add c_resim_stops resim_converged;
         Metrics.add c_resim_recycles resim_recycled;
@@ -533,111 +706,20 @@ let run_loop ?patterns ?pool ?checkpoint st =
                 ("round", Tjson.Int !round_index);
                 ( "mode",
                   Tjson.String
-                    (match mode with
+                    (match c.mode with
                      | Trace.Multi -> "multi"
                      | Trace.Single -> "single") );
                 ("candidates", Tjson.Int candidates);
                 ("applied", Tjson.Int applied);
-                ("error", Tjson.Float e_after);
+                ("error", Tjson.Float c.e_new);
                 ("estimated_error", Tjson.Float e_est);
                 ("area", Tjson.Float area);
-                ("reverted", Tjson.Bool reverted);
+                ("reverted", Tjson.Bool c.reverted);
               ]);
         Telemetry.progress_round ~round:!round_index
-          ~max_rounds:config.Config.max_rounds ~error:e_after ~threshold:e_b
-          ~area
-      in
-      match scored with
-      | [] -> finished := true
-      | _ when single_mode -> begin
-        match phase "evaluate" (fun () -> Round_eval.eval_single ev scored) with
-        | None -> finished := true
-        | Some (lac, e_new) ->
-          phase "evaluate" (fun () -> Round_eval.commit_single ev lac);
-          let e_before = !error in
-          error := e_new;
-          record ~mode:Trace.Single ~top:1 ~sol:1 ~indp:0 ~rand:0 ~chose:None
-            ~applied:1 ~skipped:0 ~e_before ~e_after:e_new
-            ~e_est:(estimate_for e_before [ lac ]) ~reverted:false;
-          if e_new <= e_b then take_best e_new else finished := true
-      end
-      | _ -> begin
-        let l_indp, l_rand, l_top, l_sol =
-          phase "select" (fun () ->
-              let l_top =
-                Top_set.obtain ~r_ref:config.Config.r_ref ~e:!error ~e_b scored
-              in
-              let l_sol, _n_sol = Conflict_graph.find_and_solve l_top in
-              let l_indp =
-                Independent_select.select ~pool config ctx ~l_sol ~e:!error
-                  ~e_b
-              in
-              let l_rand =
-                if config.Config.use_random_comparison then
-                  Independent_select.select_random config rng ~l_sol ~e:!error
-                    ~e_b
-                else []
-              in
-              (l_indp, l_rand, l_top, l_sol))
-        in
-        let (applied1, skipped1, e1), (applied2, skipped2, e2) =
-          phase "evaluate" (fun () ->
-              let r1 = Round_eval.eval_set ev l_indp in
-              let r2 =
-                if l_rand = [] then ([], [], infinity)
-                else Round_eval.eval_set ev l_rand
-              in
-              (r1, r2))
-        in
-        if applied1 = [] && applied2 = [] then finished := true
-        else begin
-          (* Paper's choice rule: error first, then LAC count. *)
-          let choose_indp =
-            (applied2 = [])
-            || (applied1 <> []
-                && (e1 < e2
-                    || (e1 = e2 && List.length applied1 >= List.length applied2)))
-          in
-          let e_new, applied, skipped =
-            if choose_indp then (e1, applied1, skipped1)
-            else (e2, applied2, skipped2)
-          in
-          let e_before = !error in
-          let e_est = estimate_for e_before applied in
-          (* Improvement 2: detect a negative LAC set and revert. *)
-          let beta =
-            if e_new > 0.0 then (e_new -. e_est) /. e_new else 0.0
-          in
-          if config.Config.use_improvement_2 && e_new > 0.0 && beta > config.Config.l_d
-          then begin
-            match
-              phase "evaluate" (fun () -> Round_eval.eval_single ev scored)
-            with
-            | None -> finished := true
-            | Some (lac, e_s) ->
-              phase "evaluate" (fun () -> Round_eval.commit_single ev lac);
-              error := e_s;
-              record ~mode:Trace.Multi ~top:(List.length l_top)
-                ~sol:(List.length l_sol) ~indp:(List.length l_indp)
-                ~rand:(List.length l_rand)
-                ~chose:(Some choose_indp) ~applied:1 ~skipped:0
-                ~e_before ~e_after:e_s
-                ~e_est:(estimate_for e_before [ lac ]) ~reverted:true;
-              if e_s <= e_b then take_best e_s else finished := true
-          end
-          else begin
-            phase "evaluate" (fun () -> Round_eval.commit_set ev applied);
-            error := e_new;
-            record ~mode:Trace.Multi ~top:(List.length l_top)
-              ~sol:(List.length l_sol) ~indp:(List.length l_indp)
-              ~rand:(List.length l_rand) ~chose:(Some choose_indp)
-              ~applied:(List.length applied)
-              ~skipped:(List.length skipped)
-              ~e_before ~e_after:e_new ~e_est ~reverted:false;
-            if e_new <= e_b then take_best e_new else finished := true
-          end
-        end
-      end
+          ~max_rounds:config.Config.max_rounds ~error:c.e_new ~threshold:e_b
+          ~area;
+        if c.e_new <= e_b then take_best c.e_new else finished := true
     end;
     if config.Config.validate_rounds then Network.validate !current;
     maybe_audit ();
@@ -708,9 +790,9 @@ let run_loop ?patterns ?pool ?checkpoint st =
     rounds = List.rev !rounds;
     runtime_seconds;
     exact_evaluations = !evaluations;
-    area_ratio = Cost.area approximate /. area0;
-    delay_ratio = Cost.delay approximate /. delay0;
-    adp_ratio = Cost.adp approximate /. (area0 *. delay0);
+    area_ratio = ratio (Cost.area approximate) area0;
+    delay_ratio = ratio (Cost.delay approximate) delay0;
+    adp_ratio = ratio (Cost.adp approximate) (area0 *. delay0);
     degraded = !degraded;
     degraded_reason = !degraded_reason;
     final_level = Ladder.level ladder;
@@ -725,10 +807,13 @@ let run_loop ?patterns ?pool ?checkpoint st =
         (Metrics.snapshot (Telemetry.metrics ()));
   }
 
-let run ?config ?patterns ?pool ?checkpoint net ~metric ~error_bound =
+let run ?(step = accals) ?config ?patterns ?pool ?checkpoint net ~metric
+    ~error_bound =
   if error_bound <= 0.0 then invalid_arg "Engine.run: error bound must be positive";
+  if step != accals && checkpoint <> None then
+    invalid_arg "Engine.run: only the AccALS step can be checkpointed";
   let config = match config with Some c -> c | None -> Config.for_network net in
-  run_loop ?patterns ?pool ?checkpoint
+  run_loop ~step ?patterns ?pool ?checkpoint
     {
       s_version = snapshot_version;
       s_original = net;
@@ -762,7 +847,7 @@ let resume ?jobs ?patterns ?pool ?checkpoint snapshot =
   in
   (* Deep-copy the mutable pieces so the caller's snapshot stays reusable
      (resume the same snapshot twice and both runs are identical). *)
-  run_loop ?patterns ?pool ?checkpoint
+  run_loop ~step:accals ?patterns ?pool ?checkpoint
     {
       snapshot with
       s_config = config;

@@ -1,7 +1,17 @@
 (** The AccALS synthesis engine (Algorithm 1 with the Section II-E
-    improvement techniques). *)
+    improvement techniques), and the one round loop the SEALS and AMOSA
+    baselines also run on.
+
+    Each round the loop simulates, streams the round's candidate LACs into
+    a shortlist, scores the shortlist exactly, and hands it to a {!step},
+    the flow's per-round choice. The step commits a change or ends the run.
+    The loop records the trace row, keeps the best feasible circuit and
+    applies every run-level setting of {!Config.t} whatever the step:
+    deadlines, shadow audits, the memory governor, [validate_rounds],
+    checkpoints and certification. *)
 
 open Accals_network
+open Accals_lac
 module Metric := Accals_metrics.Metric
 module Ladder := Accals_audit.Ladder
 module Incident := Accals_audit.Incident
@@ -15,8 +25,12 @@ type report = {
   error_bound : float;
   rounds : Trace.round list;  (** chronological *)
   runtime_seconds : float;
-  exact_evaluations : int;  (** estimator cone resimulations *)
+  exact_evaluations : int;
+      (** estimator cone resimulations, plus the step's own circuit
+          evaluations (AMOSA's probes) *)
   area_ratio : float;
+      (** [approximate] over [original]; each ratio is 1.0 when the
+          original's figure is 0 (a gate-free circuit) *)
   delay_ratio : float;
   adp_ratio : float;
   degraded : bool;
@@ -58,6 +72,62 @@ type report = {
           synthesis outputs with or without any exporter attached. *)
 }
 
+(** {1 Selection steps} *)
+
+type round = {
+  config : Config.t;
+  pool : Accals_runtime.Pool.t;
+  eval : Round_eval.t;  (** the working circuit's evaluation backend *)
+  ctx : Round_ctx.t;
+  rng : Accals_bitvec.Prng.t;  (** the run's PRNG, part of the snapshot *)
+  e : float;  (** exact-on-samples error of the working circuit *)
+  e_b : float;  (** the error bound *)
+  single : bool;
+      (** the degradation ladder is at single-LAC, or (seen by
+          [select] only: it is polled after estimation) the round deadline
+          expired; the step should then commit one LAC ({!single_lac}) *)
+}
+(** What a step sees of the round in progress. *)
+
+type choice = {
+  mode : Trace.mode;
+  top : int;  (** the trace's [top_count] *)
+  sol : int;
+  indp : int;
+  rand : int;
+  chose_indp : bool option;
+  applied : Lac.t list;  (** the LACs committed this round *)
+  skipped : int;  (** LACs skipped by the acyclicity guard *)
+  e_new : float;  (** exact-on-samples error after the commit *)
+  reverted : bool;  (** improvement 2 replaced the set with one LAC *)
+}
+(** A committed round. The loop derives the rest of the trace row. *)
+
+type step = {
+  name : string;
+      (** ["accals"], ["seals"] or ["amosa"]; tags the [engine.run] span and
+          the [run_start] event *)
+  shortlist : round -> int;  (** how many candidates to score exactly *)
+  select : round -> Lac.t list -> choice option * int;
+      (** Given the shortlist with exact ΔE, best first (never empty),
+          commit a change through [round.eval] and describe it, or return
+          [None] to end the run. The [int] counts circuit evaluations
+          beyond the estimator's (AMOSA's probes); it is added to
+          [exact_evaluations]. *)
+}
+
+val single_lac : round -> Lac.t list -> choice option * int
+(** Commit the first shortlisted LAC that applies without closing a cycle:
+    a [Trace.Single] round. SEALS's step every round; AccALS's under
+    improvement 1 or when [round.single]. *)
+
+val accals : step
+(** Algorithm 1: single-LAC rounds while improvement 1 applies (shortlist
+    capped at 64), otherwise the multi-LAC selection with improvement 2
+    and the random comparison. *)
+
+(** {1 Runs} *)
+
 type snapshot
 (** The engine's complete deterministic state at a round boundary: original
     and working circuits, best feasible circuit, errors, round trace, PRNG
@@ -79,6 +149,7 @@ val snapshot_finished : snapshot -> bool
 val snapshot_circuit : snapshot -> string
 
 val run :
+  ?step:step ->
   ?config:Config.t ->
   ?patterns:Sim.patterns ->
   ?pool:Accals_runtime.Pool.t ->
@@ -91,6 +162,7 @@ val run :
     (measured on the shared pattern set against the original) does not
     exceed [error_bound]. When [config] is omitted, the paper's
     size-bucketed parameters are chosen from the circuit's AIG node count.
+    [step] defaults to {!accals}.
     When [patterns] is omitted, they are derived from [config]
     (exhaustive below the input-count limit, seeded-random otherwise).
 
@@ -102,7 +174,9 @@ val run :
     implementation.
 
     When [checkpoint] is given it is called with the engine's snapshot
-    after every completed round and once more when the run ends; both the
+    after every completed round and once more when the run ends (only with
+    the default step: snapshots do not record the step, and {!resume}
+    continues with {!accals}; [Invalid_argument] otherwise); both the
     working and best circuits are validated
     ({!Accals_network.Network.validate}) before each call. The deadline
     fields of [config] ([round_deadline], [run_deadline]) arm the
