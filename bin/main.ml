@@ -10,7 +10,7 @@ module Bench_suite = Accals_circuits.Bench_suite
 module Blif = Accals_io.Blif
 module Checkpoint = Accals_resilience.Checkpoint
 module Incident = Accals_audit.Incident
-module Ladder = Accals_audit.Ladder
+module Degradation = Accals_audit.Degradation
 module Certify = Accals_audit.Certify
 module Telemetry = Accals_telemetry.Telemetry
 module Tracer = Accals_telemetry.Tracer
@@ -312,7 +312,7 @@ let events_out_arg =
     & info [ "events-out" ] ~docv:"FILE"
         ~doc:
           "Stream structured run events (run_start, one object per round, \
-           ladder transitions, run_end) to $(docv) as JSONL, flushed per \
+           one per incident, run_end) to $(docv) as JSONL, flushed per \
            line — tail it to watch a long run.")
 
 let progress_arg =
@@ -552,11 +552,12 @@ let synth_cmd =
     Printf.printf "runtime      : %.2fs\n" report.Engine.runtime_seconds;
     Printf.printf "evaluations  : %d\n" report.Engine.exact_evaluations;
     Printf.printf "degraded     : %b\n" report.Engine.degraded;
+    let d = Degradation.of_incidents report.Engine.incidents in
     Printf.printf "reason       : %s\n"
-      (match report.Engine.degraded_reason with
-       | Some r -> Ladder.reason_to_string r
+      (match d.Degradation.reason with
+       | Some r -> Degradation.reason_to_string r
        | None -> "-");
-    Printf.printf "ladder       : %s\n" report.Engine.ladder_summary;
+    Printf.printf "ladder       : %s\n" (Degradation.summary d);
     Printf.printf "audits       : %d\n" report.Engine.audits;
     Printf.printf "incidents    : %d\n"
       (List.length !resume_incidents + List.length report.Engine.incidents);

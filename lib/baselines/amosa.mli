@@ -19,7 +19,7 @@
     the annealer's PRNG and archive carry across rounds, and every
     run-level setting of the config (deadlines, audits, the memory budget,
     certification) applies as it does to AccALS. A round that must be
-    single-LAC (degradation ladder, round deadline) commits
+    single-LAC (degradation level, round deadline) commits
     {!Accals.Engine.single_lac} instead of annealing. *)
 
 open Accals_network

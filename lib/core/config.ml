@@ -7,7 +7,6 @@ type t = {
   lambda : float;
   l_e : float;
   l_d : float;
-  sigma : float;
   seed : int;
   samples : int;
   exhaustive_limit : int;
@@ -37,7 +36,6 @@ let default =
     lambda = 0.9;
     l_e = 0.9;
     l_d = 0.3;
-    sigma = 0.001;
     seed = 1;
     samples = 2048;
     exhaustive_limit = 14;

@@ -14,7 +14,6 @@ type t = {
   lambda : float;  (** per-round estimated-error budget factor λ *)
   l_e : float;  (** improvement 1: single-LAC mode above l_e·e_b *)
   l_d : float;  (** improvement 2: negative-set detection bound on β *)
-  sigma : float;  (** tolerance σ classifying LAC sets (for the trace) *)
   seed : int;  (** PRNG seed for patterns and random selection *)
   samples : int;  (** random simulation patterns when not exhaustive *)
   exhaustive_limit : int;  (** exhaustive simulation up to this many PIs *)
@@ -63,10 +62,11 @@ type t = {
           round's signatures and error from scratch and compare them with
           the incremental engine's view (see [lib/audit]); a divergence is
           recorded as an incident and the signature database is rebuilt
-          from the working circuit. A first divergence is a transient
-          ladder note, a repeat one demotes the run to single-LAC, and one
-          at single-LAC stops it. 0 (default) disables scheduled audits;
-          watermark anomalies still trigger one. *)
+          from the working circuit. The run's second divergence moves it
+          to single-LAC and the third stops it; both are derived from the
+          incident list ({!Accals_audit.Degradation}). 0 (default)
+          disables scheduled audits; watermark anomalies still trigger
+          one. *)
   certify : bool;
       (** after the final round, re-measure the result circuit's error with
           an independent PRNG stream (exhaustively when the input width

@@ -8,7 +8,7 @@ module Pool = Accals_runtime.Pool
 module Stats = Accals_runtime.Stats
 module Watchdog = Accals_resilience.Watchdog
 module Budget = Accals_resilience.Budget
-module Ladder = Accals_audit.Ladder
+module Degradation = Accals_audit.Degradation
 module Incident = Accals_audit.Incident
 module Shadow = Accals_audit.Shadow
 module Certify = Accals_audit.Certify
@@ -30,10 +30,6 @@ type report = {
   delay_ratio : float;
   adp_ratio : float;
   degraded : bool;
-  degraded_reason : Ladder.reason option;
-  final_level : Ladder.level;
-  ladder_events : Ladder.event list;
-  ladder_summary : string;
   audits : int;
   incidents : Incident.t list;
   certification : Certify.outcome option;
@@ -43,31 +39,33 @@ type report = {
          metrics) merged with the ambient registry (checkpoint bytes) *)
 }
 
-(* Everything Algorithm 1 carries from one round to the next. A snapshot at
-   a round boundary fully determines the rest of the run: the input
-   patterns, golden signatures and cost baselines are all deterministic
-   functions of [s_config] and [s_original], and the only other mutable
-   loop state is the PRNG. Snapshots are what [lib/resilience]'s
-   [Checkpoint] persists and what [resume] continues from. *)
+(* Everything Algorithm 1 carries from one round to the next, and the
+   round loop's only state: the loop mutates this record in place. A
+   snapshot at a round boundary fully determines the rest of the run: the
+   input patterns, golden signatures and cost baselines are all
+   deterministic functions of [s_config] and [s_original]. Snapshots are
+   what [lib/resilience]'s [Checkpoint] persists and what [resume]
+   continues from. *)
 type snapshot = {
   s_version : int;
   s_original : Network.t;
-  s_current : Network.t;
-  s_best : Network.t;
-  s_error : float;
-  s_best_error : float;
-  s_rounds : Trace.round list;  (* newest first *)
-  s_evaluations : int;
-  s_round : int;
-  s_finished : bool;
-  s_degraded : bool;
-  s_rng : Prng.t;
   s_config : Config.t;
   s_metric : Metric.kind;
   s_error_bound : float;
-  s_ladder : Ladder.t;
-  s_degraded_reason : Ladder.reason option;
-  s_incidents : Incident.t list;  (* newest first *)
+  s_current : Network.t ref;
+      (* the working circuit; [Round_eval] commits through this ref *)
+  s_rng : Prng.t;
+  mutable s_best : Network.t;  (* replaced, never mutated in place *)
+  mutable s_error : float;
+  mutable s_best_error : float;
+  mutable s_rounds : Trace.round list;  (* newest first *)
+  mutable s_evaluations : int;
+  mutable s_round : int;
+  mutable s_finished : bool;
+  mutable s_incidents : Incident.t list;  (* newest first *)
+  mutable s_rollback : (Network.t * float) list;
+      (* earlier best circuits and errors, newest first, at most
+         [max_rollback]; kept only when the run certifies *)
 }
 
 (* 2: [Config.t] gained [incremental] (changing the marshaled snapshot
@@ -76,14 +74,16 @@ type snapshot = {
    3: [Config.t] gained [audit_every]/[certify]; snapshots carry the
    degradation ladder, the degradation reason and the incident list, so a
    resumed run reports the same audit history as an uninterrupted one.
-   4: [Config.t] gained [max_memory_mb] and [Ladder.reason] gained
-   [Resource_pressure].
-   5: [Ladder.level] lost [Rebuild] and [Ladder.reason] lost [Manual]
-   (renumbering the marshaled tags), and the ladder no longer stores its
-   initial level.
+   4: [Config.t] gained [max_memory_mb] and the ladder gained a
+   resource-pressure reason.
+   5: the ladder lost its rebuild level and manual reason, and no longer
+   stores its initial level.
    6: [Candidate_gen.config] (inside [Config.t]) shrank from nine fields to
-   three; the others became generator constants. *)
-let snapshot_version = 6
+   three; the others became generator constants.
+   7: the ladder, the degraded flag and the degradation reason are gone
+   (all derived from the incident list); snapshots carry the certification
+   rollback list; [Config.t] lost [sigma]. *)
+let snapshot_version = 7
 
 exception Incompatible_snapshot of { found : int; expected : int }
 
@@ -255,6 +255,20 @@ let accals =
 
 let ratio x x0 = if x0 = 0.0 then 1.0 else x /. x0
 
+let max_rollback = 8
+
+(* A snapshot the loop no longer mutates: a fresh record whose working
+   circuit and PRNG are copies, since the loop keeps mutating both (the
+   circuit copy also drops the signature database's change tracker, which
+   must never be marshaled). Every other field is immutable, or replaced
+   rather than mutated by the loop. *)
+let copy_snapshot st =
+  {
+    st with
+    s_current = ref (Network.copy !(st.s_current));
+    s_rng = Prng.copy st.s_rng;
+  }
+
 let run_loop ~step ?patterns ?pool ?checkpoint st =
   let config = st.s_config in
   let metric = st.s_metric in
@@ -356,89 +370,51 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
   let golden = phase "simulate" (fun () -> Evaluate.output_signatures net patterns) in
   let area0 = Cost.area net in
   let delay0 = Cost.delay net in
-  let rng = st.s_rng in
-  let current = ref st.s_current in
-  let error = ref st.s_error in
-  let best = ref st.s_best in
-  let best_error = ref st.s_best_error in
-  let rounds = ref st.s_rounds in
-  let evaluations = ref st.s_evaluations in
-  let round_index = ref st.s_round in
-  let finished = ref st.s_finished in
-  let degraded = ref st.s_degraded in
-  let ladder = Ladder.copy st.s_ladder in
-  let degraded_reason = ref st.s_degraded_reason in
-  let incidents = ref st.s_incidents in
   let audits = ref 0 in
-  (* Previously feasible best circuits, newest first, for certification
-     rollback; kept only when the run certifies, since nothing else reads
-     them. In-memory only: a resumed run restarts with an empty stack, so
-     its rollback depth is bounded by what it has seen since resuming. *)
-  let max_rollback = 8 in
-  let rollback = ref [] in
   let ev =
-    Round_eval.create ~incremental:config.Config.incremental ~current
-      ~patterns ~golden ~metric
+    Round_eval.create ~incremental:config.Config.incremental
+      ~current:st.s_current ~patterns ~golden ~metric
   in
-  (* Every feasible commit, single- or multi-LAC, goes through here. *)
+  (* Every feasible commit, single- or multi-LAC, goes through here. The
+     previous best becomes a certification rollback candidate. *)
   let take_best e_new =
     if config.Config.certify then
-      rollback :=
-        (!best, !best_error)
-        :: List.filteri (fun i _ -> i < max_rollback - 1) !rollback;
-    best := Network.copy !current;
-    best_error := e_new
+      st.s_rollback <-
+        (st.s_best, st.s_best_error)
+        :: List.filteri (fun i _ -> i < max_rollback - 1) st.s_rollback;
+    st.s_best <- Network.copy !(st.s_current);
+    st.s_best_error <- e_new
   in
   let run_watchdog = Watchdog.start config.Config.run_deadline in
   (* Checkpointed state is validated first: persisting (or handing out) a
      structurally broken network would silently poison every later resume,
-     so fail loudly here instead. The PRNG is copied because the loop keeps
-     mutating it after the hook returns, and the working circuit is copied
-     because the incremental backend mutates it in place (the copy also
-     drops the signature database's change tracker, which must never be
-     marshaled). *)
+     so fail loudly here instead. *)
   let emit_checkpoint () =
-    match checkpoint with
-    | None -> ()
-    | Some save ->
-      Network.validate !current;
-      Network.validate !best;
-      save
-        {
-          st with
-          s_current = Network.copy !current;
-          s_best = !best;
-          s_error = !error;
-          s_best_error = !best_error;
-          s_rounds = !rounds;
-          s_evaluations = !evaluations;
-          s_round = !round_index;
-          s_finished = !finished;
-          s_degraded = !degraded;
-          s_degraded_reason = !degraded_reason;
-          s_ladder = Ladder.copy ladder;
-          s_incidents = !incidents;
-          s_rng = Prng.copy rng;
-        }
+    Option.iter
+      (fun save ->
+        Network.validate !(st.s_current);
+        Network.validate st.s_best;
+        save (copy_snapshot st))
+      checkpoint
   in
-  let incident kind =
-    incidents := Incident.make ~round:!round_index kind :: !incidents
-  in
-  (* Ladder transitions become trace instants and JSONL events; the levels
-     and reasons print with their report names so traces and reports
-     cross-reference directly. *)
-  let ladder_event ~kind ~reason =
+  let degradation () = Degradation.of_incidents (List.rev st.s_incidents) in
+  (* The one place an anomaly is recorded. Everything the run does about
+     it afterwards (single-LAC, stopping, the degraded flag and reason) is
+     derived from the incident list by [Degradation]. *)
+  let record kind =
+    let i = Incident.make ~round:st.s_round kind in
+    st.s_incidents <- i :: st.s_incidents;
+    let level = (degradation ()).Degradation.level in
     let args =
       [
-        ("kind", Tjson.String kind);
-        ("level", Tjson.String (Ladder.level_to_string (Ladder.level ladder)));
-        ("reason", Tjson.String (Ladder.reason_to_string reason));
-        ("round", Tjson.Int !round_index);
+        ("kind", Tjson.String (Incident.kind_name i));
+        ("round", Tjson.Int st.s_round);
+        ("level", Tjson.String (Degradation.level_to_string level));
       ]
     in
-    Telemetry.instant ~cat:"ladder" ~args ("ladder." ^ kind);
+    Telemetry.instant ~cat:"incident" ~args "incident";
     Telemetry.event (fun () ->
-        Tjson.Obj (("event", Tjson.String "ladder") :: args))
+        Tjson.Obj (("event", Tjson.String "incident") :: args))
   in
   Telemetry.event (fun () ->
       Tjson.Obj
@@ -448,38 +424,38 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
           ("method", Tjson.String step.name);
           ("metric", Tjson.String (Metric.kind_to_string metric));
           ("error_bound", Tjson.Float e_b);
-          ("start_round", Tjson.Int !round_index);
+          ("start_round", Tjson.Int st.s_round);
           ("jobs", Tjson.Int config.Config.jobs);
         ]);
   (* The shadow audit: re-derive the round's signatures and error from
      scratch and compare with what the fast path believes. Every divergence
      drops the signature database, and the next round reattaches a fresh
-     one built from the working circuit. The first divergence is a
-     transient ladder note and the run carries on multi-LAC, with the
-     result an undisturbed run would have. A repeat divergence descends to
-     single-LAC, and one at single-LAC stops the run with the best circuit
-     so far. The ladder is in the snapshot, so the escalation survives a
-     resume. *)
+     one built from the working circuit. After the first divergence the
+     run carries on multi-LAC, with the result an undisturbed run would
+     have; a second moves it to single-LAC and a third stops it with the
+     best circuit so far ([Degradation]). The incidents are in the
+     snapshot, so the escalation survives a resume. *)
   let maybe_audit () =
-    if not !finished then begin
+    if not st.s_finished then begin
       let due =
         config.Config.audit_every > 0
-        && !round_index mod config.Config.audit_every = 0
+        && st.s_round mod config.Config.audit_every = 0
       in
       let anomaly = not (Round_eval.watermark_ok ev) in
       if due || anomaly then begin
         incr audits;
         Metrics.incr c_audits;
         (match Shadow.selftest_round () with
-         | Some r when r = !round_index ->
+         | Some r when r = st.s_round ->
            ignore (Round_eval.corrupt_for_selftest ev)
          | _ -> ());
         match
-          phase "audit" (fun () -> Round_eval.audit ev ~recorded_error:!error)
+          phase "audit" (fun () ->
+              Round_eval.audit ev ~recorded_error:st.s_error)
         with
         | Shadow.Clean -> ()
         | Shadow.Divergence d ->
-          incident
+          record
             (Incident.Audit_divergence
                {
                  backend = d.Shadow.backend;
@@ -489,22 +465,8 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
                  recorded_error = d.Shadow.recorded_error;
                  reference_error = d.Shadow.reference_error;
                });
-          degraded := true;
-          if !degraded_reason = None then
-            degraded_reason := Some Ladder.Audit_divergence;
           Round_eval.reset ev;
-          let reason = Ladder.Audit_divergence in
-          match Ladder.level ladder with
-          | Ladder.Single_lac ->
-            ladder_event ~kind:"stop" ~reason;
-            finished := true
-          | Ladder.Incremental ->
-            if Ladder.note ladder ~round:!round_index ~reason then
-              ladder_event ~kind:"note" ~reason
-            else begin
-              Ladder.descend ladder ~round:!round_index ~reason;
-              ladder_event ~kind:"descend" ~reason
-            end
+          if (degradation ()).Degradation.stopped then st.s_finished <- true
       end
     end
   in
@@ -537,7 +499,7 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
       let used = Budget.Memory.sample mb in
       Metrics.set g_memory_bytes (float_of_int used);
       if Budget.Memory.classify mb ~bytes:used <> Budget.Memory.Nominal
-         && not !finished
+         && not st.s_finished
       then begin
         let cones, bufs = phase "govern" (fun () ->
             let relief = Round_eval.relieve_memory ev in
@@ -557,14 +519,7 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
             ]
           "budget.memory_relief";
         if Budget.Memory.classify mb ~bytes:used' = Budget.Memory.Hard then begin
-          degraded := true;
-          if !degraded_reason = None then
-            degraded_reason := Some Ladder.Resource_pressure;
-          if
-            Ladder.note ladder ~round:!round_index
-              ~reason:Ladder.Resource_pressure
-          then ladder_event ~kind:"note" ~reason:Ladder.Resource_pressure;
-          incident
+          record
             (Incident.Resource_exhausted
                {
                  resource = "memory";
@@ -573,27 +528,22 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
                });
           (* The checkpoint below is terminal, so a restart with more memory
              resumes instead of redoing the work. *)
-          finished := true
+          st.s_finished <- true
         end
       end
   in
   Fun.protect ~finally:(fun () -> if owned_pool then Pool.shutdown pool)
   @@ fun () ->
-  while (not !finished) && !round_index < config.Config.max_rounds do
+  while (not st.s_finished) && st.s_round < config.Config.max_rounds do
     if Watchdog.expired run_watchdog then begin
       (* Run deadline: stop gracefully with the best circuit so far. *)
-      degraded := true;
-      if !degraded_reason = None then degraded_reason := Some Ladder.Watchdog_run;
-      if Ladder.note ladder ~round:!round_index ~reason:Ladder.Watchdog_run then begin
-        incident (Incident.Watchdog_expired { scope = "run" });
-        ladder_event ~kind:"note" ~reason:Ladder.Watchdog_run
-      end;
-      finished := true
+      record (Incident.Watchdog_expired { scope = "run" });
+      st.s_finished <- true
     end
     else begin
-    incr round_index;
+    st.s_round <- st.s_round + 1;
     Telemetry.with_span ~cat:"engine"
-      ~args:[ ("round", Tjson.Int !round_index) ]
+      ~args:[ ("round", Tjson.Int st.s_round) ]
       "round"
     @@ fun () ->
     let round_watchdog = Watchdog.start config.Config.round_deadline in
@@ -612,10 +562,10 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
         pool;
         eval = ev;
         ctx;
-        rng;
-        e = !error;
+        rng = st.s_rng;
+        e = st.s_error;
         e_b;
-        single = Ladder.level ladder = Ladder.Single_lac;
+        single = (degradation ()).Degradation.level = Degradation.Single_lac;
       }
     in
     let shortlisted =
@@ -624,7 +574,7 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
             (Candidate_gen.iter ~pool ctx config.Config.candidate))
     in
     let candidates = shortlisted.Estimator.seen in
-    if candidates = 0 then finished := true
+    if candidates = 0 then st.s_finished <- true
     else begin
       let mode =
         if config.Config.exact_estimation then Estimator.Exact
@@ -634,35 +584,34 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
         phase "estimate" (fun () -> Estimator.evaluate ~mode ~pool est shortlisted)
       in
       let evals_delta = Round_eval.take_evaluations ev in
-      evaluations := !evaluations + evals_delta;
+      st.s_evaluations <- st.s_evaluations + evals_delta;
       Metrics.add c_evals evals_delta;
       (* Round deadline: degrade this round to the cheap single-LAC path
-         rather than blowing the budget further. *)
+         rather than blowing the budget further. Recorded once per run. *)
       let wd_round = Watchdog.expired round_watchdog in
-      if wd_round then
-        if Ladder.note ladder ~round:!round_index ~reason:Ladder.Watchdog_round
-        then begin
-          incident (Incident.Watchdog_expired { scope = "round" });
-          ladder_event ~kind:"note" ~reason:Ladder.Watchdog_round
-        end;
+      let round_expiry = Incident.Watchdog_expired { scope = "round" } in
+      if wd_round
+         && not (List.exists (fun i -> i.Incident.kind = round_expiry) st.s_incidents)
+      then record round_expiry;
       let choice, probes =
         if scored = [] then (None, 0)
         else step.select { r with single = r.single || wd_round } scored
       in
-      evaluations := !evaluations + probes;
+      st.s_evaluations <- st.s_evaluations + probes;
       match choice with
-      | None -> finished := true
+      | None -> st.s_finished <- true
       | Some c ->
-        let e_before = !error in
-        error := c.e_new;
+        let e_before = st.s_error in
+        st.s_error <- c.e_new;
         let applied = List.length c.applied in
         let e_est = estimate_for e_before c.applied in
         let resim_nodes, resim_converged, resim_recycled =
           Round_eval.take_counters ev
         in
-        rounds :=
+        let area = Cost.area !(st.s_current) in
+        st.s_rounds <-
           {
-            Trace.index = !round_index;
+            Trace.index = st.s_round;
             mode = c.mode;
             candidates;
             top_count = c.top;
@@ -676,12 +625,12 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
             error_after = c.e_new;
             estimated_error = e_est;
             reverted = c.reverted;
-            area = Cost.area !current;
+            area;
             resim_nodes;
             resim_converged;
             resim_recycled;
           }
-          :: !rounds;
+          :: st.s_rounds;
         Metrics.incr c_rounds;
         Metrics.add c_candidates candidates;
         Metrics.add c_applied applied;
@@ -698,12 +647,11 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
         Metrics.set g_gc_minor (float_of_int gc.Gc.minor_collections);
         Metrics.set g_gc_major (float_of_int gc.Gc.major_collections);
         Metrics.set g_gc_heap_words (float_of_int gc.Gc.heap_words);
-        let area = Cost.area !current in
         Telemetry.event (fun () ->
             Tjson.Obj
               [
                 ("event", Tjson.String "round");
-                ("round", Tjson.Int !round_index);
+                ("round", Tjson.Int st.s_round);
                 ( "mode",
                   Tjson.String
                     (match c.mode with
@@ -716,12 +664,12 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
                 ("area", Tjson.Float area);
                 ("reverted", Tjson.Bool c.reverted);
               ]);
-        Telemetry.progress_round ~round:!round_index
+        Telemetry.progress_round ~round:st.s_round
           ~max_rounds:config.Config.max_rounds ~error:c.e_new ~threshold:e_b
           ~area;
-        if c.e_new <= e_b then take_best c.e_new else finished := true
+        if c.e_new <= e_b then take_best c.e_new else st.s_finished <- true
     end;
-    if config.Config.validate_rounds then Network.validate !current;
+    if config.Config.validate_rounds then Network.validate !(st.s_current);
     maybe_audit ();
     govern_memory ();
     emit_checkpoint ()
@@ -729,16 +677,16 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
   done;
   (* Persist the terminal state so resuming a completed (or degraded) run
      reproduces its report without redoing any round. *)
-  finished := true;
+  st.s_finished <- true;
   emit_checkpoint ();
-  let approximate0 = Cleanup.compact !best in
+  let approximate0 = Cleanup.compact st.s_best in
   (* Certification: re-measure the result with an independent PRNG stream
      (exhaustively when the width permits) and, if the independent
      measurement violates the bound, walk back through earlier feasible
      circuits — ending at the exact original — rather than emit a violating
      result. *)
   let certification, approximate, reported_error =
-    if not config.Config.certify then (None, approximate0, !best_error)
+    if not config.Config.certify then (None, approximate0, st.s_best_error)
     else
       phase "certify" (fun () ->
           let measure circuit =
@@ -747,39 +695,34 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
               ~exhaustive_limit:config.Config.exhaustive_limit
           in
           let candidates =
-            (fun () -> (approximate0, !best_error))
-            :: List.map (fun (c, e) () -> (Cleanup.compact c, e)) !rollback
+            (fun () -> (approximate0, st.s_best_error))
+            :: List.map (fun (c, e) () -> (Cleanup.compact c, e)) st.s_rollback
             @ [ (fun () -> (Cleanup.compact net, 0.0)) ]
           in
           let outcome, circuit, sampled_error =
             Certify.certify_with_rollback ~measure ~bound:e_b ~candidates
               ~on_violation:(fun ~step ~measured ->
-                incident
+                record
                   (Incident.Certification_violation
                      { measured; bound = e_b; step }))
           in
-          if outcome.Certify.rollback_steps > 0 then begin
-            ignore
-              (Ladder.note ladder ~round:!round_index
-                 ~reason:Ladder.Certification_rollback);
-            ladder_event ~kind:"note" ~reason:Ladder.Certification_rollback
-          end;
           (Some outcome, circuit, sampled_error))
   in
   let runtime_seconds = Clock.now () -. started in
   Telemetry.progress_finish ();
   let stats_snap = Stats.snapshot stats in
+  let degraded = (degradation ()).Degradation.reason <> None in
   Telemetry.event (fun () ->
       Tjson.Obj
         [
           ("event", Tjson.String "run_end");
           ("circuit", Tjson.String (Network.name net));
-          ("rounds", Tjson.Int !round_index);
+          ("rounds", Tjson.Int st.s_round);
           ("error", Tjson.Float reported_error);
           ("runtime_seconds", Tjson.Float runtime_seconds);
-          ("evaluations", Tjson.Int !evaluations);
+          ("evaluations", Tjson.Int st.s_evaluations);
           ("audits", Tjson.Int !audits);
-          ("degraded", Tjson.Bool !degraded);
+          ("degraded", Tjson.Bool degraded);
         ]);
   {
     original = net;
@@ -787,19 +730,15 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
     error = reported_error;
     metric;
     error_bound = e_b;
-    rounds = List.rev !rounds;
+    rounds = List.rev st.s_rounds;
     runtime_seconds;
-    exact_evaluations = !evaluations;
+    exact_evaluations = st.s_evaluations;
     area_ratio = ratio (Cost.area approximate) area0;
     delay_ratio = ratio (Cost.delay approximate) delay0;
     adp_ratio = ratio (Cost.adp approximate) (area0 *. delay0);
-    degraded = !degraded;
-    degraded_reason = !degraded_reason;
-    final_level = Ladder.level ladder;
-    ladder_events = Ladder.events ladder;
-    ladder_summary = Ladder.summary ladder;
+    degraded;
     audits = !audits;
-    incidents = List.rev !incidents;
+    incidents = List.rev st.s_incidents;
     certification;
     stats = stats_snap;
     metrics =
@@ -817,7 +756,11 @@ let run ?(step = accals) ?config ?patterns ?pool ?checkpoint net ~metric
     {
       s_version = snapshot_version;
       s_original = net;
-      s_current = Network.copy net;
+      s_config = config;
+      s_metric = metric;
+      s_error_bound = error_bound;
+      s_current = ref (Network.copy net);
+      s_rng = Prng.create (config.Config.seed + 77);
       s_best = Network.copy net;
       s_error = 0.0;
       s_best_error = 0.0;
@@ -825,14 +768,8 @@ let run ?(step = accals) ?config ?patterns ?pool ?checkpoint net ~metric
       s_evaluations = 0;
       s_round = 0;
       s_finished = false;
-      s_degraded = false;
-      s_rng = Prng.create (config.Config.seed + 77);
-      s_config = config;
-      s_metric = metric;
-      s_error_bound = error_bound;
-      s_ladder = Ladder.create ();
-      s_degraded_reason = None;
       s_incidents = [];
+      s_rollback = [];
     }
 
 let resume ?jobs ?patterns ?pool ?checkpoint snapshot =
@@ -845,14 +782,7 @@ let resume ?jobs ?patterns ?pool ?checkpoint snapshot =
     | None -> snapshot.s_config
     | Some j -> { snapshot.s_config with Config.jobs = max 1 j }
   in
-  (* Deep-copy the mutable pieces so the caller's snapshot stays reusable
-     (resume the same snapshot twice and both runs are identical). *)
+  (* Run on a copy so the caller's snapshot stays reusable (resume the
+     same snapshot twice and both runs are identical). *)
   run_loop ~step:accals ?patterns ?pool ?checkpoint
-    {
-      snapshot with
-      s_config = config;
-      s_current = Network.copy snapshot.s_current;
-      s_best = Network.copy snapshot.s_best;
-      s_rng = Prng.copy snapshot.s_rng;
-      s_ladder = Ladder.copy snapshot.s_ladder;
-    }
+    { (copy_snapshot snapshot) with s_config = config }

@@ -13,7 +13,6 @@
 open Accals_network
 open Accals_lac
 module Metric := Accals_metrics.Metric
-module Ladder := Accals_audit.Ladder
 module Incident := Accals_audit.Incident
 module Certify := Accals_audit.Certify
 
@@ -34,33 +33,22 @@ type report = {
   delay_ratio : float;
   adp_ratio : float;
   degraded : bool;
-      (** the run ended early or off its preferred path — see
-          [degraded_reason]; the report carries the best circuit found
-          rather than a converged result *)
-  degraded_reason : Ladder.reason option;
-      (** why the run degraded: the run-deadline watchdog expired
-          ([Watchdog_run]), a shadow audit caught the fast path diverging
-          ([Audit_divergence]) or the memory governor shed the run
-          ([Resource_pressure]); [None] iff [degraded = false] *)
-  final_level : Ladder.level;
-      (** where on the degradation ladder the run ended *)
-  ladder_events : Ladder.event list;  (** chronological; survives resume *)
-  ladder_summary : string;
-      (** e.g. ["incremental [audit_divergence@1]"] *)
+      (** the run ended early or off its preferred path; the report carries
+          the best circuit found rather than a converged result. Why, and
+          the rest of the degradation state, derive from [incidents]
+          ({!Accals_audit.Degradation.of_incidents}). *)
   audits : int;
       (** shadow audits performed this process (work accounting: a resumed
           run counts only its own) *)
   incidents : Incident.t list;
       (** chronological anomaly records (audit divergences, watchdog
-          expiries, certification violations); checkpointed, so a resumed
-          run reports the same list *)
+          expiries, resource exhaustion, certification violations), one
+          per anomaly; checkpointed, so a resumed run reports the same
+          list *)
   certification : Certify.outcome option;
       (** present iff [Config.certify]: the independent re-measurement of
           [approximate] — when it rolled back, [error] and the ratio fields
-          describe the rolled-back circuit actually emitted. Rollback
-          candidates beyond the final best live in memory only, so a run
-          resumed near its end may have fewer to try than the uninterrupted
-          one. *)
+          describe the rolled-back circuit actually emitted *)
   stats : Accals_runtime.Stats.snapshot;
       (** parallel-runtime work accounting and per-phase wall time
           ("simulate", "candidates", "estimate", "select", "evaluate") *)
@@ -83,7 +71,7 @@ type round = {
   e : float;  (** exact-on-samples error of the working circuit *)
   e_b : float;  (** the error bound *)
   single : bool;
-      (** the degradation ladder is at single-LAC, or (seen by
+      (** the run's degradation level is single-LAC, or (seen by
           [select] only: it is polled after estimation) the round deadline
           expired; the step should then commit one LAC ({!single_lac}) *)
 }
@@ -131,11 +119,13 @@ val accals : step
 type snapshot
 (** The engine's complete deterministic state at a round boundary: original
     and working circuits, best feasible circuit, errors, round trace, PRNG
-    state, configuration, metric and bound. A snapshot plus this module's
-    code fully determines the remainder of the run — patterns and golden
-    signatures are regenerated from the configuration and original circuit.
-    Snapshots contain no closures and are safe to persist with
-    [Accals_resilience.Checkpoint]. *)
+    state, configuration, metric and bound, incident list and (under
+    [Config.certify]) up to 8 earlier feasible circuits for certification
+    rollback. It is the round loop's only state, and a checkpoint is a copy
+    of it. A snapshot plus this module's code fully determines the
+    remainder of the run — patterns and golden signatures are regenerated
+    from the configuration and original circuit. Snapshots contain no
+    closures and are safe to persist with [Accals_resilience.Checkpoint]. *)
 
 val snapshot_version : int
 (** Stored inside every snapshot; {!resume} rejects mismatches. *)

@@ -1,7 +1,7 @@
 open Accals_network
 module Metric = Accals_metrics.Metric
 module Stats = Accals_runtime.Stats
-module Ladder = Accals_audit.Ladder
+module Degradation = Accals_audit.Degradation
 module Incident = Accals_audit.Incident
 module Certify = Accals_audit.Certify
 module Json = Accals_telemetry.Json
@@ -35,13 +35,13 @@ let round_json (r : Trace.round) =
       ("resim_recycled", Json.Int r.Trace.resim_recycled);
     ]
 
-let ladder_event_json (e : Ladder.event) =
+let ladder_event_json (e : Degradation.event) =
   Json.Obj
     [
-      ("round", Json.Int e.Ladder.round);
-      ("level", Json.String (Ladder.level_to_string e.Ladder.level));
-      ("reason", Json.String (Ladder.reason_to_string e.Ladder.reason));
-      ("transient", Json.Bool e.Ladder.transient);
+      ("round", Json.Int e.Degradation.round);
+      ("level", Json.String (Degradation.level_to_string e.Degradation.level));
+      ("reason", Json.String (Degradation.reason_to_string e.Degradation.reason));
+      ("transient", Json.Bool e.Degradation.transient);
     ]
 
 let incident_json (i : Incident.t) =
@@ -72,6 +72,7 @@ let stats_json (s : Stats.snapshot) =
     ]
 
 let to_json ?(rounds = false) (r : Engine.report) =
+  let d = Degradation.of_incidents r.Engine.incidents in
   let base =
     [
       (* Header first: which binary produced this report.  Lets a sweep
@@ -89,13 +90,13 @@ let to_json ?(rounds = false) (r : Engine.report) =
       ("evaluations", Json.Int r.Engine.exact_evaluations);
       ("degraded", Json.Bool r.Engine.degraded);
       ( "degraded_reason",
-        match r.Engine.degraded_reason with
-        | Some reason -> Json.String (Ladder.reason_to_string reason)
+        match d.Degradation.reason with
+        | Some reason -> Json.String (Degradation.reason_to_string reason)
         | None -> Json.Null );
-      ("final_level", Json.String (Ladder.level_to_string r.Engine.final_level));
-      ("ladder", Json.String r.Engine.ladder_summary);
+      ("final_level", Json.String (Degradation.level_to_string d.Degradation.level));
+      ("ladder", Json.String (Degradation.summary d));
       ( "ladder_events",
-        Json.List (List.map ladder_event_json r.Engine.ladder_events) );
+        Json.List (List.map ladder_event_json d.Degradation.events) );
       ("audits", Json.Int r.Engine.audits);
       ("incidents", Json.List (List.map incident_json r.Engine.incidents));
       ( "certification",

@@ -4,8 +4,8 @@
 
     The encoding is deterministic (field order fixed, floats via the
     telemetry {!Accals_telemetry.Json} printer) and carries everything the
-    printf report block shows: headline numbers, ladder summary and
-    events, incident list, certification outcome, runtime-pool stats and
+    printf report block shows: headline numbers, the degradation ladder
+    derived from the incident list, the incidents themselves, certification outcome, runtime-pool stats and
     phase times. A [build] header ({!Accals_telemetry.Build_info.to_json})
     opens every document so an archived report can be tied back to the
     exact binary that produced it. Round rows are summarized by default ([~rounds:false])

@@ -29,15 +29,6 @@ let indp_ratio rounds =
     let wins = List.length (List.filter (fun b -> b) decided) in
     float_of_int wins /. float_of_int (List.length decided)
 
-let classify ~sigma r =
-  match r.mode with
-  | Single -> None
-  | Multi ->
-    let gap = r.estimated_error -. r.error_after in
-    if gap > sigma then Some `Positive
-    else if gap < -.sigma then Some `Negative
-    else Some `Independent
-
 let to_csv rounds =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf

@@ -35,9 +35,6 @@ val indp_ratio : round list -> float
 (** Fraction of multi-LAC rounds in which the independent set won (the
     paper's L_indp ratio, Fig. 4). 0 when there were no such rounds. *)
 
-val classify : sigma:float -> round -> [ `Positive | `Independent | `Negative ] option
-(** Classification of the round's applied LAC set per Section II-A; [None]
-    for single-LAC rounds. *)
 
 val summary : round list -> string
 

@@ -143,9 +143,6 @@ let map_reduce ?label pool ~n ~map ~merge ~init =
       init results
   end
 
-let concat_map_array ?label pool ~f arr =
-  List.concat (Array.to_list (map_array ?label pool ~f arr))
-
 (* Overlapping fork/join. No fault-injection hook and no retry: a forked
    side computation is for pure compute the submitter wants to overlap
    with its own work, and a failure simply re-raises at [join]. *)

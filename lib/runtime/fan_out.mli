@@ -83,11 +83,6 @@ val map_reduce :
     the submitting domain, so [merge] needs no synchronization and the
     association order is fixed — the result does not depend on [jobs]. *)
 
-val concat_map_array :
-  ?label:string -> Pool.t -> f:('a -> 'b list) -> 'a array -> 'b list
-(** [concat_map_array p ~f arr] is [List.concat_map f (Array.to_list arr)]
-    with the per-element lists computed in parallel. *)
-
 (** {2 Overlapping fork/join}
 
     For a side computation the submitting domain wants to overlap with

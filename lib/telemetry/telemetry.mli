@@ -1,7 +1,7 @@
 (** Ambient telemetry handle: one place the whole runtime reports to.
 
-    The synthesis engine, pool, estimator, checkpoint writer and audit
-    ladder all talk to the handle installed by {!install} — no telemetry
+    The synthesis engine, pool, estimator, checkpoint writer and incident
+    recorder all talk to the handle installed by {!install} — no telemetry
     parameter threads through their APIs. When nothing is installed every
     call is a no-op (the disabled handle has no tracer, no progress, no
     event stream, and a throwaway metrics registry), so instrumented code

@@ -1,14 +1,15 @@
 (* lib/audit + its wiring: CRC-32, sealed/rotated checkpoints, fault-spec
-   rejection, the degradation ladder, incident records, shadow audits
-   (including the engine-level divergence fallback), certified reports, and
-   mutation-based property tests for Network.validate. *)
+   rejection, the degradation state derived from incidents, incident
+   records, shadow audits (including the engine-level divergence fallback),
+   certified reports, and mutation-based property tests for
+   Network.validate. *)
 
 open Accals_network
 module Random_logic = Accals_circuits.Random_logic
 module Crc32 = Accals_resilience.Crc32
 module Checkpoint = Accals_resilience.Checkpoint
 module Fault = Accals_resilience.Fault
-module Ladder = Accals_audit.Ladder
+module Degradation = Accals_audit.Degradation
 module Incident = Accals_audit.Incident
 module Shadow = Accals_audit.Shadow
 module Certify = Accals_audit.Certify
@@ -197,45 +198,75 @@ let test_fault_spec_rejection () =
   check "negative seed accepted" true
     (match Fault.parse "seed:-7" with Ok _ -> true | Error _ -> false)
 
-(* --- Degradation ladder --- *)
+(* --- Degradation derived from incidents --- *)
 
-let test_ladder () =
-  let l = Ladder.create () in
-  check "starts incremental" true (Ladder.level l = Ladder.Incremental);
-  check_str "summary at start" "incremental" (Ladder.summary l);
-  (* Transient notes keep the level and are deduplicated per reason. *)
-  check "first note recorded" true
-    (Ladder.note l ~round:2 ~reason:Ladder.Audit_divergence);
-  check "repeat note dropped" true
-    (not (Ladder.note l ~round:3 ~reason:Ladder.Audit_divergence));
-  check "note keeps the level" true (Ladder.level l = Ladder.Incremental);
-  Ladder.descend l ~round:4 ~reason:Ladder.Audit_divergence;
-  check "descended" true (Ladder.level l = Ladder.Single_lac);
+let divergence round =
+  Incident.make ~round
+    (Incident.Audit_divergence
+       {
+         backend = "incremental";
+         nodes = [];
+         fp_reference = "0";
+         fp_observed = "1";
+         recorded_error = 0.0;
+         reference_error = 0.0;
+       })
+
+let test_degradation () =
+  let of_incidents = Degradation.of_incidents in
+  let empty = of_incidents [] in
+  check "starts incremental" true (empty.Degradation.level = Degradation.Incremental);
+  check_str "summary at start" "incremental" (Degradation.summary empty);
+  check "not degraded" true (empty.Degradation.reason = None);
+  (* The first divergence is a note, the second descends, the third stops;
+     notes after the descent record the single-LAC level. *)
+  let run_expiry = Incident.make ~round:7 (Incident.Watchdog_expired { scope = "run" }) in
+  let d = of_incidents [ divergence 2; divergence 4; run_expiry ] in
+  check "descended" true (d.Degradation.level = Degradation.Single_lac);
+  check "not stopped" true (not d.Degradation.stopped);
   check_str "summary names the note and the descent"
-    "incremental [audit_divergence@2] -> single-lac@4 (audit_divergence)"
-    (Ladder.summary l);
-  (* The ladder never climbs back up, and a repeat descent is a no-op. *)
-  Ladder.descend l ~round:5 ~reason:Ladder.Resource_pressure;
-  check "no repeat" true
-    (Ladder.level l = Ladder.Single_lac && List.length (Ladder.events l) = 2);
-  check "other reason still recorded" true
-    (Ladder.note l ~round:7 ~reason:Ladder.Watchdog_run);
-  let events = Ladder.events l in
-  check_int "three events" 3 (List.length events);
+    "incremental [audit_divergence@2] -> single-lac@4 (audit_divergence) \
+     [watchdog_run@7]"
+    (Degradation.summary d);
+  check "reason is the first degrading incident" true
+    (d.Degradation.reason = Some Degradation.Audit_divergence);
+  let events = d.Degradation.events in
   check "chronological" true
-    (List.map (fun e -> e.Ladder.round) events = [ 2; 4; 7 ]);
+    (List.map (fun (e : Degradation.event) -> e.round) events = [ 2; 4; 7 ]);
   check "transient flags" true
-    (List.map (fun e -> e.Ladder.transient) events = [ true; false; true ]);
+    (List.map (fun (e : Degradation.event) -> e.transient) events
+    = [ true; false; true ]);
   check "note records its level" true
-    (List.map (fun e -> e.Ladder.level) events
-    = [ Ladder.Incremental; Ladder.Single_lac; Ladder.Single_lac ]);
-  (* A copy is independent of the original. *)
-  let fresh = Ladder.create () in
-  let c = Ladder.copy fresh in
-  Ladder.descend c ~round:9 ~reason:Ladder.Watchdog_round;
-  check "copy descended" true (Ladder.level c = Ladder.Single_lac);
-  check "original untouched" true
-    (Ladder.level fresh = Ladder.Incremental && Ladder.events fresh = [])
+    (List.map (fun (e : Degradation.event) -> e.level) events
+    = [ Degradation.Incremental; Degradation.Single_lac; Degradation.Single_lac ]);
+  let stopped = of_incidents [ divergence 2; divergence 4; divergence 5 ] in
+  check "third divergence stops" true stopped.Degradation.stopped;
+  check_int "stop adds no event" 2 (List.length stopped.Degradation.events);
+  (* Notes are once per reason; non-engine incidents and the round
+     watchdog do not degrade the run. *)
+  let round_expiry r = Incident.make ~round:r (Incident.Watchdog_expired { scope = "round" }) in
+  let violation r =
+    Incident.make ~round:r
+      (Incident.Certification_violation { measured = 0.1; bound = 0.05; step = 0 })
+  in
+  let memory =
+    Incident.make ~round:3
+      (Incident.Resource_exhausted { resource = "memory"; limit = 1.0; observed = 2.0 })
+  in
+  let corrupt =
+    Incident.make ~round:0 (Incident.Checkpoint_corrupt { path = "p"; detail = "crc" })
+  in
+  let d =
+    of_incidents
+      [ corrupt; round_expiry 1; round_expiry 2; memory; violation 9; violation 9 ]
+  in
+  check_str "one note per reason"
+    "incremental [watchdog_round@1] [resource_pressure@3] \
+     [certification_rollback@9]"
+    (Degradation.summary d);
+  check "memory degrades" true (d.Degradation.reason = Some Degradation.Resource_pressure);
+  check "round watchdog alone does not degrade" true
+    ((of_incidents [ round_expiry 1; violation 4 ]).Degradation.reason = None)
 
 (* --- Incident records --- *)
 
@@ -388,6 +419,8 @@ let decision_fingerprint (r : Engine.report) =
     List.map round_key r.Engine.rounds,
     r.Engine.exact_evaluations )
 
+let degradation (r : Engine.report) = Degradation.of_incidents r.Engine.incidents
+
 let with_selftest round f =
   Shadow.arm_selftest ~round;
   Fun.protect ~finally:Shadow.disarm_selftest f
@@ -406,11 +439,12 @@ let test_engine_divergence_reattach () =
           ~checkpoint:(fun s -> snapshots := s :: !snapshots)
           net)
   in
+  let d = degradation diverged in
   check "degraded" true diverged.Engine.degraded;
   check "reason is the audit" true
-    (diverged.Engine.degraded_reason = Some Ladder.Audit_divergence);
+    (d.Degradation.reason = Some Degradation.Audit_divergence);
   check "stayed multi-LAC on a fresh database" true
-    (diverged.Engine.final_level = Ladder.Incremental);
+    (d.Degradation.level = Degradation.Incremental);
   check "one divergence incident" true
     (List.exists
        (fun i ->
@@ -420,13 +454,13 @@ let test_engine_divergence_reattach () =
          | _ -> false)
        diverged.Engine.incidents);
   check "ladder records one transient note at round 1" true
-    (match diverged.Engine.ladder_events with
-     | [ e ] ->
-       e.Ladder.round = 1 && e.Ladder.level = Ladder.Incremental
-       && e.Ladder.reason = Ladder.Audit_divergence && e.Ladder.transient
+    (match d.Degradation.events with
+     | [ (e : Degradation.event) ] ->
+       e.round = 1 && e.level = Degradation.Incremental
+       && e.reason = Degradation.Audit_divergence && e.transient
      | _ -> false);
   check_str "summary shows the note" "incremental [audit_divergence@1]"
-    diverged.Engine.ladder_summary;
+    (Degradation.summary d);
   (* The reattached database's counters restart from zero, and so do the
      marks they are read against. *)
   check "resim counters never negative" true
@@ -441,7 +475,7 @@ let test_engine_divergence_reattach () =
      and the final circuit — matches the rebuild reference run. *)
   check "result identical to the rebuild reference" true
     (decision_fingerprint diverged = decision_fingerprint reference);
-  (* The incident and the ladder are part of the snapshot: a run resumed
+  (* The incident is part of the snapshot: a run resumed
      after the divergence reports the same history without re-arming the
      self-test. *)
   match !snapshots with
@@ -449,9 +483,10 @@ let test_engine_divergence_reattach () =
   | latest :: _ ->
     let resumed = Engine.resume latest in
     check "resumed run keeps the reason" true
-      (resumed.Engine.degraded_reason = Some Ladder.Audit_divergence);
+      ((degradation resumed).Degradation.reason = Some Degradation.Audit_divergence);
     check_str "resumed run keeps the ladder summary"
-      diverged.Engine.ladder_summary resumed.Engine.ladder_summary;
+      (Degradation.summary d)
+      (Degradation.summary (degradation resumed));
     check_int "resumed run keeps the incidents"
       (List.length diverged.Engine.incidents)
       (List.length resumed.Engine.incidents);
@@ -459,9 +494,9 @@ let test_engine_divergence_reattach () =
       (decision_fingerprint resumed = decision_fingerprint diverged)
 
 let test_engine_divergence_second_rung () =
-  (* The first divergence is only noted; the ladder carries that note in
-     the snapshot, so a divergence after a resume is a repeat and descends
-     to single-LAC. *)
+  (* The first divergence is only noted; its incident is in the snapshot,
+     so a divergence after a resume is a repeat and descends to
+     single-LAC. *)
   let net = Accals_circuits.Bench_suite.load "mtp8" in
   let config = small_config ~audit_every:1 net in
   let round1 = ref None in
@@ -476,23 +511,119 @@ let test_engine_divergence_second_rung () =
     | None -> Alcotest.fail "no round-1 snapshot"
   in
   let resumed = with_selftest 2 (fun () -> Engine.resume snap) in
+  let d = degradation resumed in
   check "descended to single-LAC" true
-    (resumed.Engine.final_level = Ladder.Single_lac);
+    (d.Degradation.level = Degradation.Single_lac);
   check "descent at round 2 for the audit" true
     (List.exists
-       (fun e ->
-         e.Ladder.round = 2 && e.Ladder.level = Ladder.Single_lac
-         && e.Ladder.reason = Ladder.Audit_divergence
-         && not e.Ladder.transient)
-       resumed.Engine.ladder_events);
+       (fun (e : Degradation.event) ->
+         e.round = 2 && e.level = Degradation.Single_lac
+         && e.reason = Degradation.Audit_divergence && not e.transient)
+       d.Degradation.events);
   check_str "summary shows note then descent"
     "incremental [audit_divergence@1] -> single-lac@2 (audit_divergence)"
-    resumed.Engine.ladder_summary;
+    (Degradation.summary d);
   check "rounds after the descent are single-LAC" true
     (List.for_all
        (fun (r : Trace.round) -> r.Trace.index <= 2 || r.Trace.mode = Trace.Single)
        resumed.Engine.rounds);
   check "still within the bound" true (resumed.Engine.error <= 0.03)
+
+(* The degradation fields of the --json report, which also carry the text
+   report's [reason] and [ladder] strings, for six scenarios pinned at
+   2048 samples and seed 1. *)
+let test_degradation_pinned () =
+  let module Json = Accals_telemetry.Json in
+  let degradation_fields ?(selftest = false) ?(audit_every = 0)
+      ?round_deadline ?run_deadline ?(max_memory_mb = 0) ?(certify = false)
+      name =
+    let net = Accals_circuits.Bench_suite.load name in
+    let config =
+      Config.for_network
+        ~base:
+          {
+            Config.default with
+            samples = 2048;
+            seed = 1;
+            jobs = 1;
+            audit_every;
+            round_deadline;
+            run_deadline;
+            max_memory_mb;
+            certify;
+          }
+        net
+    in
+    let run () =
+      Engine.run ~config net ~metric:Metric.Error_rate ~error_bound:0.03
+    in
+    let r = if selftest then with_selftest 1 run else run () in
+    let json = Accals.Report_json.to_json r in
+    let field k =
+      match Json.member k json with
+      | Some v -> (k, v)
+      | None -> Alcotest.failf "report lacks %s" k
+    in
+    ( Json.to_string
+        (Json.Obj
+           (List.map field
+              [ "degraded"; "degraded_reason"; "final_level"; "ladder";
+                "ladder_events" ])),
+      List.length r.Engine.incidents )
+  in
+  let event round reason =
+    Printf.sprintf
+      {|{"round":%d,"level":"incremental","reason":"%s","transient":true}|}
+      round reason
+  in
+  let expect ~degraded ~reason ~ladder events =
+    Printf.sprintf
+      {|{"degraded":%b,"degraded_reason":%s,"final_level":"incremental","ladder":"%s","ladder_events":[%s]}|}
+      degraded
+      (match reason with Some r -> "\"" ^ r ^ "\"" | None -> "null")
+      ladder
+      (String.concat "," (List.map (fun (n, r) -> event n r) events))
+  in
+  let case label (got, incidents) ~degraded ~reason ~ladder ~events
+      ~n_incidents =
+    check_str label (expect ~degraded ~reason ~ladder events) got;
+    check_int (label ^ " incidents") n_incidents incidents
+  in
+  case "audit self-test"
+    (degradation_fields ~selftest:true ~audit_every:1 "mtp8")
+    ~degraded:true ~reason:(Some "audit_divergence")
+    ~ladder:"incremental [audit_divergence@1]"
+    ~events:[ (1, "audit_divergence") ] ~n_incidents:1;
+  case "run deadline"
+    (degradation_fields ~run_deadline:0.0 "c880")
+    ~degraded:true ~reason:(Some "watchdog_run")
+    ~ladder:"incremental [watchdog_run@0]"
+    ~events:[ (0, "watchdog_run") ] ~n_incidents:1;
+  case "round deadline"
+    (degradation_fields ~round_deadline:0.0 "c880")
+    ~degraded:false ~reason:None ~ladder:"incremental [watchdog_round@1]"
+    ~events:[ (1, "watchdog_round") ] ~n_incidents:1;
+  case "memory budget"
+    (degradation_fields ~max_memory_mb:1 "c880")
+    ~degraded:true ~reason:(Some "resource_pressure")
+    ~ladder:"incremental [resource_pressure@1]"
+    ~events:[ (1, "resource_pressure") ] ~n_incidents:1;
+  case "certification"
+    (degradation_fields ~certify:true "c880")
+    ~degraded:false ~reason:None
+    ~ladder:"incremental [certification_rollback@7]"
+    ~events:[ (7, "certification_rollback") ] ~n_incidents:2;
+  case "combined"
+    (degradation_fields ~selftest:true ~audit_every:1 ~round_deadline:0.0
+       ~certify:true "c880")
+    ~degraded:true ~reason:(Some "audit_divergence")
+    ~ladder:
+      "incremental [watchdog_round@1] [audit_divergence@1] \
+       [certification_rollback@30]"
+    ~events:
+      [ (1, "watchdog_round"); (1, "audit_divergence");
+        (30, "certification_rollback") ]
+    ~n_incidents:3
 
 let test_stale_snapshot_rejected () =
   let net = Accals_circuits.Bench_suite.load "mtp8" in
@@ -638,6 +769,46 @@ let test_rollback_through_multi_lac_commits () =
     check "certified" true o.Certify.certified;
     check_int "each feasible commit rejected before the original" feasible
       o.Certify.rollback_steps
+
+(* The rollback candidates are part of the snapshot: resuming the terminal
+   snapshot, or one from mid-run, certifies and emits exactly what the
+   uninterrupted run did. On c880 at ER <= 0.03 certification rolls back
+   twice, so a resumed run that had lost the earlier feasible circuits
+   would fall back to the original. *)
+let test_resumed_certify_identical () =
+  let net = Accals_circuits.Bench_suite.load "c880" in
+  let snapshots = ref [] in
+  let full =
+    Engine.run
+      ~config:(small_config ~samples:2048 ~certify:true net)
+      ~checkpoint:(fun s -> snapshots := s :: !snapshots)
+      net ~metric:Metric.Error_rate ~error_bound:0.03
+  in
+  let digest (r : Engine.report) =
+    Digest.to_hex (Digest.string (Accals_io.Blif.to_string r.Engine.approximate))
+  in
+  let rollback_steps (r : Engine.report) =
+    match r.Engine.certification with
+    | Some o -> o.Certify.rollback_steps
+    | None -> Alcotest.fail "certify=true but no certification in the report"
+  in
+  check "the run rolls back" true (rollback_steps full > 0);
+  let terminal, mid =
+    match !snapshots with
+    | last :: _ ->
+      ( last,
+        List.find (fun s -> Engine.snapshot_round s = 3) !snapshots )
+    | [] -> Alcotest.fail "no snapshots emitted"
+  in
+  List.iter
+    (fun (label, snap) ->
+      let resumed = Engine.resume snap in
+      check_str (label ^ ": same BLIF") (digest full) (digest resumed);
+      check (label ^ ": same certification") true
+        (resumed.Engine.certification = full.Engine.certification);
+      check (label ^ ": same incidents") true
+        (resumed.Engine.incidents = full.Engine.incidents))
+    [ ("terminal", terminal); ("round 3", mid) ]
 
 (* Audits re-derive state on the side and certification re-measures the
    final circuit; neither may change a synthesis decision. Each variant's
@@ -825,7 +996,7 @@ let suite =
     ( "audit fault config",
       [ Alcotest.test_case "malformed specs rejected" `Quick test_fault_spec_rejection ] );
     ( "audit ladder",
-      [ Alcotest.test_case "descents, notes, copies" `Quick test_ladder ] );
+      [ Alcotest.test_case "derived from incidents" `Quick test_degradation ] );
     ( "audit incidents",
       [ Alcotest.test_case "json encoding and log append" `Quick test_incident_json ] );
     ( "audit shadow",
@@ -836,6 +1007,8 @@ let suite =
           test_engine_divergence_reattach;
         Alcotest.test_case "repeat divergence descends" `Slow
           test_engine_divergence_second_rung;
+        Alcotest.test_case "pinned degradation outputs" `Slow
+          test_degradation_pinned;
         Alcotest.test_case "stale snapshot rejected" `Quick
           test_stale_snapshot_rejected;
       ] );
@@ -850,6 +1023,8 @@ let suite =
           test_engine_certification;
         Alcotest.test_case "rollback through multi-LAC commits" `Quick
           test_rollback_through_multi_lac_commits;
+        Alcotest.test_case "resumed certify run identical" `Slow
+          test_resumed_certify_identical;
         Alcotest.test_case "audits and certification keep decisions" `Slow
           test_audit_certify_keep_decisions;
       ] );

@@ -155,7 +155,9 @@ let test_baselines_run_deadline () =
       let r = run ~config net in
       check (name ^ " degraded") true r.Engine.degraded;
       check (name ^ " watchdog_run") true
-        (r.Engine.degraded_reason = Some Accals_audit.Ladder.Watchdog_run))
+        ((Accals_audit.Degradation.of_incidents r.Engine.incidents)
+           .Accals_audit.Degradation.reason
+        = Some Accals_audit.Degradation.Watchdog_run))
     baselines
 
 let test_baselines_certify_and_audit () =

@@ -181,16 +181,6 @@ let test_indp_ratio_empty () =
   Alcotest.(check (float 1e-9)) "no multi rounds" 0.0
     (Trace.indp_ratio [ mk_round ~mode:Trace.Single 1 ])
 
-let test_classify () =
-  let positive = mk_round ~chose:(Some true) ~e_est:0.1 ~e_after:0.05 1 in
-  let negative = mk_round ~chose:(Some true) ~e_est:0.05 ~e_after:0.1 2 in
-  let indep = mk_round ~chose:(Some true) ~e_est:0.05 ~e_after:0.0500001 3 in
-  check "positive" true (Trace.classify ~sigma:0.001 positive = Some `Positive);
-  check "negative" true (Trace.classify ~sigma:0.001 negative = Some `Negative);
-  check "independent" true (Trace.classify ~sigma:0.001 indep = Some `Independent);
-  check "single none" true
-    (Trace.classify ~sigma:0.001 (mk_round ~mode:Trace.Single 4) = None)
-
 (* --- Engine end-to-end --- *)
 
 let engine_fixture = lazy (Accals_circuits.Bench_suite.load "mtp8")
@@ -327,7 +317,6 @@ let suite =
       [
         Alcotest.test_case "indp ratio" `Quick test_indp_ratio;
         Alcotest.test_case "indp ratio no multi" `Quick test_indp_ratio_empty;
-        Alcotest.test_case "classification" `Quick test_classify;
       ] );
     ( "engine",
       [

@@ -9,7 +9,7 @@ module Budget = Accals_resilience.Budget
 module Watchdog = Accals_resilience.Watchdog
 module Checkpoint = Accals_resilience.Checkpoint
 module Incident = Accals_audit.Incident
-module Ladder = Accals_audit.Ladder
+module Degradation = Accals_audit.Degradation
 module Pool = Accals_runtime.Pool
 module Fan_out = Accals_runtime.Fan_out
 module Engine = Accals.Engine
@@ -601,7 +601,8 @@ let test_memory_budget_sheds_not_crashes () =
   in
   check "run degraded" true r.Engine.degraded;
   check "degraded for resource pressure" true
-    (r.Engine.degraded_reason = Some Ladder.Resource_pressure);
+    ((Degradation.of_incidents r.Engine.incidents).Degradation.reason
+    = Some Degradation.Resource_pressure);
   check "resource_exhausted incident recorded" true
     (List.exists
        (fun i ->

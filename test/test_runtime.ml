@@ -119,14 +119,6 @@ let test_map_reduce_order () =
             sizes))
     [ 1; 2; 5 ]
 
-let test_concat_map () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let arr = Array.init 23 (fun i -> i) in
-      let f i = List.init (i mod 3) (fun j -> (i, j)) in
-      check "concat_map_array" true
-        (Fan_out.concat_map_array pool ~f arr
-        = List.concat_map f (Array.to_list arr)))
-
 (* --- End-to-end determinism: jobs=N reproduces jobs=1 exactly --- *)
 
 let small_config ~jobs net =
@@ -457,7 +449,6 @@ let suite =
         Alcotest.test_case "per-chunk state" `Quick test_map_with_state;
         Alcotest.test_case "map_reduce merge order" `Quick
           test_map_reduce_order;
-        Alcotest.test_case "concat_map" `Quick test_concat_map;
       ] );
     ( "runtime determinism",
       [

@@ -611,7 +611,7 @@ let strip_runtime (r : Engine.report) =
     r.Engine.area_ratio,
     r.Engine.delay_ratio,
     r.Engine.exact_evaluations,
-    r.Engine.ladder_events )
+    r.Engine.incidents )
 
 let test_engine_trace_spans () =
   Telemetry.reset ();
@@ -657,6 +657,60 @@ let test_engine_trace_spans () =
     (fun (s, e) ->
       check "round span inside engine.run" true (s >= run_s && e <= run_e))
     (bounds "round")
+
+(* Each incident the engine records is one "incident" trace instant and one
+   "incident" JSONL event, in the report's order. A zero round deadline
+   expires in round 1. *)
+let test_engine_incident_events () =
+  Telemetry.reset ();
+  let net = Bench_suite.load "mtp8" in
+  let config =
+    Config.for_network
+      ~base:
+        {
+          Config.default with
+          seed = 1;
+          samples = 512;
+          jobs = 1;
+          round_deadline = Some 0.0;
+        }
+      net
+  in
+  let path = Filename.temp_file "accals_events" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let tracer = Tracer.create () in
+  let oc = open_out path in
+  Telemetry.install (Telemetry.make ~tracer ~events:oc ());
+  let report =
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.reset ();
+        close_out oc)
+      (fun () ->
+        Engine.run ~config net ~metric:Metric.Error_rate ~error_bound:0.05)
+  in
+  let kinds = List.map Accals_audit.Incident.kind_name report.Engine.incidents in
+  check "the deadline expired" true (kinds = [ "watchdog_expired" ]);
+  let kind_of ev =
+    Option.bind (Json.member "kind" ev) Json.string_opt |> Option.get
+  in
+  let instants =
+    List.filter
+      (fun ev -> Json.member "name" ev = Some (Json.String "incident"))
+      (validate_chrome_trace (Tracer.to_json tracer))
+  in
+  check "one instant per incident" true
+    (List.map (fun ev -> kind_of (Option.get (Json.member "args" ev))) instants
+    = kinds);
+  let events =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map Json.parse_exn
+    |> List.filter (fun ev ->
+           Json.member "event" ev = Some (Json.String "incident"))
+  in
+  check "one event per incident" true (List.map kind_of events = kinds)
 
 let test_engine_metrics_registry () =
   Telemetry.reset ();
@@ -770,6 +824,8 @@ let suite =
           test_trace_csv_roundtrip;
         Alcotest.test_case "trace csv rejects" `Quick test_trace_csv_rejects;
         Alcotest.test_case "engine trace spans" `Quick test_engine_trace_spans;
+        Alcotest.test_case "engine incident events" `Quick
+          test_engine_incident_events;
         Alcotest.test_case "engine metrics registry" `Quick
           test_engine_metrics_registry;
         Alcotest.test_case "report json" `Quick test_report_json;
