@@ -26,7 +26,6 @@ module Server = Accals_server.Server
 module Client = Accals_server.Client
 module Sproto = Accals_server.Protocol
 module Graceful = Accals_server.Graceful
-module Backoff = Accals_server.Backoff
 
 (* Exit codes (also listed in `accals --help`):
      0   success
@@ -139,17 +138,16 @@ let jobs_arg =
            bit-identical for every value; 1 runs the reference sequential \
            path.")
 
-(* --jobs 0 auto-detection, shared by synth/verify/sweep (the daemon does
-   the same resolution in [Server.create]). *)
+(* --jobs 0 auto-detection for synth/verify/sweep: [Config.resolve_jobs]
+   (which the daemon uses too), logged to stderr. *)
 let resolve_jobs jobs =
-  if jobs > 0 then jobs
-  else
-    let detected = Domain.recommended_domain_count () in
-    let clamped = max 1 (min 64 detected) in
-    Printf.eprintf "accals: jobs auto-detected: %d domain(s)%s\n%!" detected
-      (if clamped <> detected then Printf.sprintf " (clamped to %d)" clamped
-       else "");
-    clamped
+  let resolved = Config.resolve_jobs jobs in
+  (if jobs <= 0 then
+     let detected = Domain.recommended_domain_count () in
+     Printf.eprintf "accals: jobs auto-detected: %d domain(s)%s\n%!" detected
+       (if resolved <> detected then Printf.sprintf " (clamped to %d)" resolved
+        else ""));
+  resolved
 
 let out_arg =
   Arg.(
@@ -374,13 +372,6 @@ let json_arg =
 
 let ckpt_tag = "accals-engine"
 
-let rec ensure_dir dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then ensure_dir parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let synth_cmd =
   let doc = "Synthesize an approximate circuit under an error bound." in
   let run spec metric bound method_ samples seed jobs out verilog verbose trace
@@ -419,7 +410,7 @@ let synth_cmd =
     let ckpt_path =
       Option.map
         (fun dir ->
-          ensure_dir dir;
+          Accals_resilience.Budget.Disk.ensure_dir dir;
           Filename.concat dir (Network.name net ^ ".ckpt"))
         ckpt_dir
     in
@@ -1220,32 +1211,9 @@ let client_cmd =
        policy; the daemon's retry_after_ms hint floors each delay.  Safe
        for submit because submissions are content-addressed (a retry
        coalesces or hits the cache, never duplicating work). *)
-    let rpc_retrying request =
-      if not retry then Client.rpc c request
-      else
-        let schedule = Backoff.start Backoff.default in
-        let rec go () =
-          match Client.rpc c request with
-          | Ok resp
-            when (not (Client.ok resp))
-                 && List.mem (Client.error_code resp)
-                      [
-                        Some "overloaded"; Some "quarantined";
-                        Some "resource_exhausted";
-                      ] -> (
-            match
-              Backoff.next_with_floor schedule
-                ~floor:(Option.value (Client.retry_after resp) ~default:0.0)
-            with
-            | None -> Ok resp
-            | Some d ->
-              Unix.sleepf d;
-              go ())
-          | r -> r
-        in
-        go ()
-    in
-    (match rpc_retrying request with
+    (match
+       if retry then Client.rpc_retry c request else Client.rpc c request
+     with
      | Error msg -> fail_rpc msg
      | Ok resp ->
        print_response resp;

@@ -57,11 +57,9 @@ let default =
     max_memory_mb = 0;
   }
 
-let parallel ?jobs base =
-  let jobs =
-    match jobs with Some j -> j | None -> Domain.recommended_domain_count ()
-  in
-  { base with jobs = max 1 jobs }
+let resolve_jobs jobs =
+  if jobs > 0 then jobs
+  else max 1 (min 64 (Domain.recommended_domain_count ()))
 
 let for_size ?(base = default) aig_nodes =
   let r_ref, r_sel =

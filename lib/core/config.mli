@@ -86,9 +86,9 @@ type t = {
 val default : t
 (** Small-circuit bucket with 2048 samples. *)
 
-val parallel : ?jobs:int -> t -> t
-(** [parallel base] sets [jobs] (default
-    [Domain.recommended_domain_count ()], clamped to at least 1). *)
+val resolve_jobs : int -> int
+(** A [--jobs] value: positive values stand; [0] (or less) means
+    [Domain.recommended_domain_count ()], clamped to [\[1, 64\]]. *)
 
 val for_size : ?base:t -> int -> t
 (** [for_size aig_nodes] applies the paper's (r_ref, r_sel) size buckets on

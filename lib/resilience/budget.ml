@@ -67,6 +67,13 @@ module Disk = struct
     match free_bytes dir with
     | None -> true
     | Some free -> free >= headroom_bytes
+
+  let rec ensure_dir dir =
+    if not (Sys.file_exists dir) then begin
+      let parent = Filename.dirname dir in
+      if parent <> dir then ensure_dir parent;
+      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    end
 end
 
 module Fd = struct

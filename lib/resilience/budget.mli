@@ -60,6 +60,10 @@ module Disk : sig
   (** Whether the filesystem backing [dir] has at least [headroom_bytes]
       free. [true] when the probe fails or the reservation is [<= 0] —
       an unknown filesystem must not refuse work. *)
+
+  val ensure_dir : string -> unit
+  (** Create [dir] and any missing parents ([mkdir -p]); a directory
+      another process creates concurrently is not an error. *)
 end
 
 (** File-descriptor accounting for the accept loop. *)

@@ -5,15 +5,8 @@ type t = { dir : string }
 
 type entry = { key : string; report : Json.t; blif : string }
 
-let rec ensure_dir dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then ensure_dir parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ~dir =
-  ensure_dir dir;
+  Accals_resilience.Budget.Disk.ensure_dir dir;
   { dir }
 
 let dir t = t.dir

@@ -97,59 +97,58 @@ let retry_after resp =
     (fun ms -> float_of_int ms /. 1000.0)
     (Option.bind (Json.member "retry_after_ms" resp) Json.int_opt)
 
-let submit t spec =
-  match rpc t (Protocol.Submit spec) with
+(* The one retry loop.  A rejection with a shed code is re-sent under a
+   {!Backoff} schedule that honors the daemon's [retry_after_ms] hint as
+   a floor on each delay and is hard-bounded by the policy's
+   [max_total]; anything else is the answer.  [`Gave_up] carries the
+   last rejection and the exhausted schedule. *)
+let retrying ?(policy = Backoff.default) t req =
+  let schedule = Backoff.start policy in
+  let rec go () =
+    match rpc t req with
+    | Ok resp
+      when (not (ok resp))
+           && List.mem (error_code resp)
+                [
+                  Some "overloaded"; Some "quarantined"; Some "resource_exhausted";
+                ] -> (
+      let floor = Option.value (retry_after resp) ~default:0.0 in
+      match Backoff.next_with_floor schedule ~floor with
+      | None -> `Gave_up (resp, schedule)
+      | Some d ->
+        Unix.sleepf d;
+        go ())
+    | answer -> `Answer answer
+  in
+  go ()
+
+let rpc_retry ?policy t req =
+  match retrying ?policy t req with
+  | `Answer answer -> answer
+  | `Gave_up (resp, _) -> Ok resp
+
+let submitted = function
   | Error _ as e -> e
   | Ok resp when not (ok resp) -> Error (error_message resp)
   | Ok resp -> (
     match Option.bind (Json.member "job" resp) Json.string_opt with
     | None -> Error "submit response missing job id"
-    | Some id ->
-      let cached =
-        match Json.member "cached" resp with
-        | Some (Json.Bool b) -> b
-        | _ -> false
-      in
-      Ok (id, cached))
+    | Some id -> Ok (id, Json.member "cached" resp = Some (Json.Bool true)))
+
+let submit t spec = submitted (rpc t (Protocol.Submit spec))
 
 (* Retrying a submit is safe by construction: submissions are
    content-addressed (digest + parameters), so a retry either coalesces
    onto the first attempt's job or hits its cached result — it can never
-   run the work twice.  The schedule honors the daemon's
-   [retry_after_ms] hint as a floor on each delay and is hard-bounded by
-   the policy's [max_total]. *)
-let submit_retry ?(policy = Backoff.default) t spec =
-  let schedule = Backoff.start policy in
-  let rec go () =
-    match rpc t (Protocol.Submit spec) with
-    | Error _ as e -> e
-    | Ok resp when ok resp -> (
-      match Option.bind (Json.member "job" resp) Json.string_opt with
-      | None -> Error "submit response missing job id"
-      | Some id ->
-        let cached =
-          match Json.member "cached" resp with
-          | Some (Json.Bool b) -> b
-          | _ -> false
-        in
-        Ok (id, cached))
-    | Ok resp -> (
-      match error_code resp with
-      | Some ("overloaded" | "quarantined" | "resource_exhausted") -> (
-        let floor = Option.value (retry_after resp) ~default:0.0 in
-        match Backoff.next_with_floor schedule ~floor with
-        | None ->
-          Error
-            (Printf.sprintf "%s (gave up after %d attempt(s), %.1fs)"
-               (error_message resp)
-               (Backoff.attempts schedule)
-               (Backoff.total_slept schedule))
-        | Some d ->
-          Unix.sleepf d;
-          go ())
-      | _ -> Error (error_message resp))
-  in
-  go ()
+   run the work twice. *)
+let submit_retry ?policy t spec =
+  match retrying ?policy t (Protocol.Submit spec) with
+  | `Answer answer -> submitted answer
+  | `Gave_up (resp, schedule) ->
+    Error
+      (Printf.sprintf "%s (gave up after %d attempt(s), %.1fs)"
+         (error_message resp) (Backoff.attempts schedule)
+         (Backoff.total_slept schedule))
 
 let wait ?(poll_interval = 0.05) ?timeout t job =
   let deadline = Option.map (fun s -> Clock.now () +. s) timeout in

@@ -44,18 +44,25 @@ val error_code : Json.t -> string option
 val retry_after : Json.t -> float option
 (** The response's ["retry_after_ms"] hint, converted to seconds. *)
 
+val rpc_retry :
+  ?policy:Backoff.t -> t -> Protocol.request -> (Json.t, string) result
+(** As {!rpc}, but re-send the request while the daemon rejects it with
+    [overloaded] / [quarantined] / [resource_exhausted], under a
+    {!Backoff} schedule (default {!Backoff.default}) that honors the
+    daemon's [retry_after_ms] hint as a per-step floor. Once the
+    policy's [max_total] sleep budget is exhausted, the last rejection
+    is the answer. *)
+
 val submit : t -> Protocol.job_spec -> (string * bool, string) result
 (** Submit and return [(job id, cached)]; [Error] on rejection. *)
 
 val submit_retry :
   ?policy:Backoff.t -> t -> Protocol.job_spec -> (string * bool, string) result
-(** As {!submit}, but retry [overloaded] / [quarantined] /
-    [resource_exhausted] rejections
-    under a {!Backoff} schedule, honoring the daemon's [retry_after_ms]
-    hint as a per-step floor. Safe because submissions are
-    content-addressed: a retry coalesces onto the first attempt or hits
-    its cache entry, never duplicating work. [Error] once the policy's
-    [max_total] sleep budget is exhausted. *)
+(** As {!submit}, retrying like {!rpc_retry}. Safe because submissions
+    are content-addressed: a retry coalesces onto the first attempt or
+    hits its cache entry, never duplicating work. [Error] naming the
+    attempts and the time slept once the policy's [max_total] sleep
+    budget is exhausted. *)
 
 val wait :
   ?poll_interval:float ->

@@ -2,6 +2,7 @@ module Json = Accals_telemetry.Json
 module Clock = Accals_telemetry.Clock
 module Trace_context = Accals_telemetry.Trace_context
 module Metric = Accals_metrics.Metric
+module Network = Accals_network.Network
 
 type state = Queued | Running | Done | Failed | Cancelled
 
@@ -11,6 +12,15 @@ let state_to_string = function
   | Done -> "done"
   | Failed -> "failed"
   | Cancelled -> "cancelled"
+
+type failure = Deadline_exceeded | Resource_exhausted | Error of string
+
+let failure_to_string = function
+  | Deadline_exceeded -> "deadline_exceeded"
+  | Resource_exhausted -> "resource_exhausted"
+  | Error msg -> msg
+
+type outcome = [ `Done of Cache.entry * bool | `Failed of failure | `Cancelled ]
 
 type job = {
   id : string;
@@ -33,7 +43,9 @@ type job = {
   mutable cached : bool;
   mutable degraded : bool;
   mutable result : Cache.entry option;
-  mutable failure : string option;
+  mutable failure : failure option;
+  mutable net : Network.t option;
+      (* the parsed circuit, until the job leaves the queue *)
   mutable events : Json.t list;  (* newest first *)
   mutable engine_trace : Json.t list;
       (* The job's engine-side Chrome-trace events, already rebased to
@@ -95,7 +107,7 @@ let push_event j name fields =
 
 let record_event t j name fields = locked t (fun () -> push_event j name fields)
 
-let submit t ~spec ~circuit ~digest ~key ?cached ?(lookup_s = 0.0) () =
+let submit t ~spec ~circuit ~digest ~key ?net ?cached ?(lookup_s = 0.0) () =
   locked t (fun () ->
       let seq = t.next_seq in
       t.next_seq <- seq + 1;
@@ -133,6 +145,7 @@ let submit t ~spec ~circuit ~digest ~key ?cached ?(lookup_s = 0.0) () =
           degraded = false;
           result = cached;
           failure = None;
+          net;
           events = [];
           engine_trace = [];
         }
@@ -245,69 +258,51 @@ let note_delivered t j =
 
 let attach_trace t j evs = locked t (fun () -> j.engine_trace <- evs)
 
-let cancel t j =
+let take_circuit t j =
+  locked t (fun () ->
+      let net = j.net in
+      j.net <- None;
+      net)
+
+let request_cancel t j =
+  locked t (fun () ->
+      if j.state = Running then begin
+        Atomic.set j.cancel_flag true;
+        push_event j "cancel_requested" []
+      end)
+
+(* The one terminal transition, a no-op once a job is terminal: the
+   deadline watchdog may settle an abandoned job while its worker domain
+   is still unwinding, and whatever that worker reports afterwards must
+   not resurrect or overwrite the verdict. *)
+let settle t j (outcome : outcome) =
   locked t (fun () ->
       match j.state with
-      | Queued ->
-        j.state <- Cancelled;
-        j.finished_mono <- Some (Clock.now ());
-        push_event j "cancelled" [ ("while", Json.String "queued") ];
-        `Cancelled_queued
-      | Running ->
+      | Done | Failed | Cancelled -> None
+      | (Queued | Running) as phase ->
+        let while_ = [ ("while", Json.String (state_to_string phase)) ] in
+        (* A worker still running the job (a deadline expiry) unwinds at
+           its next round boundary. *)
         Atomic.set j.cancel_flag true;
-        push_event j "cancel_requested" [];
-        `Cancel_requested
-      | Done | Failed | Cancelled -> `Already_finished)
-
-(* Terminal transitions are idempotent no-ops once a job is terminal:
-   the deadline watchdog may reclaim an abandoned job's slot and fail it
-   while its worker domain is still unwinding — whatever that worker
-   reports afterwards must not resurrect or overwrite the verdict. *)
-
-let finish t j entry ~degraded =
-  locked t (fun () ->
-      if not (terminal j) then begin
-        j.state <- Done;
-        j.degraded <- degraded;
-        j.result <- Some entry;
+        j.net <- None;
         j.finished_mono <- Some (Clock.now ());
-        push_event j "done" [ ("degraded", Json.Bool degraded) ]
-      end)
-
-let fail t j msg =
-  locked t (fun () ->
-      if not (terminal j) then begin
-        j.state <- Failed;
-        j.failure <- Some msg;
-        j.finished_mono <- Some (Clock.now ());
-        push_event j "failed" [ ("error", Json.String msg) ]
-      end)
-
-let finished_cancelled t j =
-  locked t (fun () ->
-      if not (terminal j) then begin
-        j.state <- Cancelled;
-        j.finished_mono <- Some (Clock.now ());
-        push_event j "cancelled" [ ("while", Json.String "running") ]
-      end)
-
-let deadline_failure = "deadline_exceeded"
-let resource_failure = "resource_exhausted"
-
-let expire t j =
-  locked t (fun () ->
-      match j.state with
-      | Queued | Running ->
-        let phase = if j.state = Queued then "queued" else "running" in
-        (* The worker (if any) still holds the cooperative flag; set it
-           so an abandoned domain unwinds at its next round boundary. *)
-        Atomic.set j.cancel_flag true;
-        j.state <- Failed;
-        j.failure <- Some deadline_failure;
-        j.finished_mono <- Some (Clock.now ());
-        push_event j "deadline_exceeded" [ ("while", Json.String phase) ];
-        Some phase
-      | Done | Failed | Cancelled -> None)
+        (match outcome with
+         | `Done (entry, degraded) ->
+           j.state <- Done;
+           j.degraded <- degraded;
+           j.result <- Some entry;
+           push_event j "done" [ ("degraded", Json.Bool degraded) ]
+         | `Failed f ->
+           j.state <- Failed;
+           j.failure <- Some f;
+           if f = Deadline_exceeded then push_event j "deadline_exceeded" while_
+           else
+             push_event j "failed"
+               [ ("error", Json.String (failure_to_string f)) ]
+         | `Cancelled ->
+           j.state <- Cancelled;
+           push_event j "cancelled" while_);
+        Some phase)
 
 let deadline_mono j = j.deadline_mono
 
@@ -323,9 +318,8 @@ let expired t ~now =
 
 (* Admission-control inputs: how much is queued/running overall and per
    tenant.  Reading and the subsequent submit both happen on the
-   daemon's single select-loop thread, so check-then-admit does not
-   race; workers can only shrink these counts in between, which makes
-   admission conservative, never over-permissive. *)
+   daemon's single select-loop thread, which also makes every pick and
+   terminal transition, so check-then-admit does not race. *)
 
 let totals t =
   locked t (fun () ->
@@ -398,9 +392,10 @@ let view t j =
            | Some s, Some f -> Some (f -. s)
            | Some s, None -> Some (Clock.now () -. s)
            | _ -> None);
-        v_failure = j.failure;
+        v_failure = Option.map failure_to_string j.failure;
       })
 
+let failure t j = locked t (fun () -> j.failure)
 let result t j = locked t (fun () -> j.result)
 let events t j = locked t (fun () -> List.rev j.events)
 
@@ -492,7 +487,7 @@ let trace_events t j =
             instant (state_to_string j.state) f
               ~extra:
                 (match j.failure with
-                 | Some msg -> [ ("error", Json.String msg) ]
+                 | Some f -> [ ("error", Json.String (failure_to_string f)) ]
                  | None -> []);
           ]
       in

@@ -2,11 +2,12 @@
 
     The scheduler owns every job the daemon has admitted: a mutex-guarded
     table mapping job ids to their spec, lifecycle state, timestamps,
-    event log and (once finished) result. The daemon's main loop asks
-    {!pick} for the next job to run; worker domains report back through
-    {!finish} / {!fail} / {!finished_cancelled}. All mutation goes
-    through this module's functions, so workers and the accept loop never
-    race on a job record.
+    event log and (once finished) result. The daemon's select loop asks
+    {!pick} for the next job to run and makes every terminal transition
+    through {!settle}; worker domains only append events and attach
+    their engine trace. All mutation goes through this module's
+    functions, so workers and the accept loop never race on a job
+    record.
 
     Scheduling policy (deterministic given the table state):
     {ol
@@ -17,18 +18,36 @@
     {- FIFO within a tenant — ties break on submission order.}}
 
     Lifecycle: [Queued -> Running -> Done | Failed | Cancelled], plus
-    [Queued -> Cancelled] directly and [Queued/Done] at admission for
-    cache hits. Cancellation of a running job is cooperative: {!cancel}
-    sets a flag the worker polls at every round boundary (the engine's
-    checkpoint hook), and the worker then reports
-    {!finished_cancelled}. *)
+    [Queued -> Cancelled | Failed] directly and [Done] at admission for
+    cache hits. Cancellation of a running job is cooperative:
+    {!request_cancel} sets a flag the worker polls at every round
+    boundary (the engine's checkpoint hook), and the worker's outcome
+    then settles the job. *)
 
 module Json := Accals_telemetry.Json
 module Protocol := Protocol
+module Network := Accals_network.Network
 
 type state = Queued | Running | Done | Failed | Cancelled
 
 val state_to_string : state -> string
+
+type failure =
+  | Deadline_exceeded  (** the job outlived its client-supplied deadline *)
+  | Resource_exhausted
+      (** the engine checkpointed and shed the run under a resource
+          budget *)
+  | Error of string  (** the run raised; the exception text *)
+(** Why a job failed. The first two are the environment's verdict, not
+    the job's fault: neither counts toward quarantine. *)
+
+val failure_to_string : failure -> string
+(** The wire form ({!view}'s [v_failure]): ["deadline_exceeded"],
+    ["resource_exhausted"], or the exception text. *)
+
+type outcome = [ `Done of Cache.entry * bool | `Failed of failure | `Cancelled ]
+(** How a job ends: [`Done (entry, degraded)], a failure, or a
+    cancellation. *)
 
 type job
 (** Opaque; read through {!view} / {!result} / {!events}. *)
@@ -43,15 +62,18 @@ val submit :
   circuit:string ->
   digest:string ->
   key:string ->
+  ?net:Network.t ->
   ?cached:Cache.entry ->
   ?lookup_s:float ->
   unit ->
   job
 (** Admit a job. With [cached] it is born [Done] with that result and
-    marked as a cache hit. [circuit] is the display name. [lookup_s] is
-    the cache-lookup cost the daemon paid at admission, drawn as the
-    "cache.lookup" span in the merged trace. A job without a
-    [spec.trace_id] gets one minted here, so every job is traceable. *)
+    marked as a cache hit. [net] is the parsed circuit a queued job
+    holds until {!take_circuit} or {!settle} releases it. [circuit] is
+    the display name. [lookup_s] is the cache-lookup cost the daemon
+    paid at admission, drawn as the "cache.lookup" span in the merged
+    trace. A job without a [spec.trace_id] gets one minted here, so
+    every job is traceable. *)
 
 val find : t -> string -> job option
 val all : t -> job list
@@ -87,10 +109,10 @@ val pick : ?tenant_max_running:int -> t -> job option
 val cancel_requested : job -> bool
 (** Polled by workers (atomic flag; no lock needed on the hot path). *)
 
-val cancel :
-  t -> job -> [ `Cancelled_queued | `Cancel_requested | `Already_finished ]
-(** Cancel a queued job immediately, or request cooperative cancellation
-    of a running one. *)
+val request_cancel : t -> job -> unit
+(** Ask a running job's worker to unwind at its next round boundary
+    (sets the flag {!cancel_requested} reads and logs a
+    [cancel_requested] event). No-op unless the job is [Running]. *)
 
 val note_run_begin : t -> job -> unit
 (** The worker domain is about to enter the engine: closes the
@@ -108,31 +130,17 @@ val attach_trace : t -> job -> Json.t list -> unit
     tracer's epoch and a tid offset). They are appended verbatim to
     {!trace_events}. *)
 
-val finish : t -> job -> Cache.entry -> degraded:bool -> unit
-val fail : t -> job -> string -> unit
-val finished_cancelled : t -> job -> unit
-(** A worker observed the cancel flag and unwound.
+val take_circuit : t -> job -> Network.t option
+(** Hand the job's parsed circuit to its worker, releasing the job's
+    reference; [None] once taken or settled. *)
 
-    All three terminal transitions are idempotent no-ops on a job that
-    is already terminal: the deadline watchdog may {!expire} an
-    abandoned job while its worker domain is still unwinding, and the
-    worker's late report must not overwrite the verdict. *)
-
-val deadline_failure : string
-(** The failure string ({!view}'s [v_failure]) of a deadline-expired
-    job: ["deadline_exceeded"]. *)
-
-val resource_failure : string
-(** The failure string of a job the engine checkpointed and shed under a
-    resource budget: ["resource_exhausted"]. Like {!deadline_failure}, it
-    is the environment's verdict, not the job's fault — it never counts
-    toward quarantine. *)
-
-val expire : t -> job -> string option
-(** Fail a queued or running job as {!deadline_failure}, setting its
-    cooperative cancel flag so an abandoned worker unwinds at the next
-    round boundary. Returns the phase it was in (["queued"] /
-    ["running"]), or [None] if the job was already terminal. *)
+val settle : t -> job -> outcome -> state option
+(** Make a queued or running job terminal with [outcome], stamp its
+    finish time, log the terminal event, release its circuit and set its
+    cancel flag (so a worker still running it unwinds). Returns the
+    state it left — [Queued] means the job never started — or [None]
+    when the job was already terminal, in which case nothing changes:
+    an abandoned worker's late outcome cannot overwrite the verdict. *)
 
 val deadline_mono : job -> float option
 (** The absolute monotonic deadline ([Clock.now]-based), if any. *)
@@ -165,10 +173,11 @@ type view = {
   v_submitted_at : float;  (** wall clock, Unix epoch seconds *)
   v_wait_s : float option;  (** submit -> start *)
   v_run_s : float option;  (** start -> finish *)
-  v_failure : string option;
+  v_failure : string option;  (** {!failure_to_string} *)
 }
 
 val view : t -> job -> view
+val failure : t -> job -> failure option
 val result : t -> job -> Cache.entry option
 val events : t -> job -> Json.t list
 (** Chronological. *)

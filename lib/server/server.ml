@@ -95,18 +95,18 @@ let max_outbox_bytes = 64 * 1024 * 1024
 (* One hub job per running synthesis job.  Jobs run on the daemon's
    persistent {!Domain_hub} domains (spawned on demand, reused across
    jobs) instead of one ad-hoc [Domain.spawn] each, so steady traffic
-   stops paying a domain spawn/join per request.  [w_completed] is the
-   reclaim condition: OCaml domains cannot be killed, so the main loop
-   only ever waits on a job whose body has finished (set in the
-   submitted closure's [Fun.protect]).  A wedged worker past its job's
-   deadline + grace is moved off the slot-holding list instead (see
-   [sweep_deadlines]) and its hub domain abandoned — the hub never
-   schedules another job behind it, and spawns a replacement domain on
-   demand. *)
+   stops paying a domain spawn/join per request.  [w_outcome] is the
+   worker's report — the outcome plus the incidents it met on the way —
+   and the reclaim condition: OCaml domains cannot be killed, so the
+   main loop only ever waits on a job whose body has published it, and
+   then [settle]s it.  A wedged worker past its job's deadline + grace
+   is moved off the slot-holding list instead (see [sweep_deadlines])
+   and its hub domain abandoned — the hub never schedules another job
+   behind it, and spawns a replacement domain on demand. *)
 type worker = {
   w_handle : Domain_hub.handle;
   w_job : Scheduler.job;
-  w_completed : bool Atomic.t;
+  w_outcome : (Scheduler.outcome * Incident.kind list) option Atomic.t;
 }
 
 (* Crash-loop record for one job fingerprint (cache key + budget).
@@ -124,8 +124,6 @@ type t = {
   pipe_w : Unix.file_descr;
   sched : Scheduler.t;
   cache : Cache.t option;
-  nets_mutex : Mutex.t;
-  nets : (string, Network.t) Hashtbl.t;  (** job id -> parsed circuit *)
   mutable conns : conn list;
   hub : Domain_hub.t;  (** persistent job domains *)
   mutable workers : worker list;
@@ -133,17 +131,8 @@ type t = {
       (** abandoned (deadline-wedged) workers: no longer hold a slot,
           joined opportunistically once they unwind *)
   quarantine : (string, quarantine_entry) Hashtbl.t;
-      (** main-loop only: reaping, sweeping and admission all run on the
+      (** main-loop only: settling and admission both run on the
           select-loop thread *)
-  run_mutex : Mutex.t;
-  mutable run_total_s : float;  (** guarded by [run_mutex] *)
-  mutable run_count : int;  (** guarded by [run_mutex] *)
-  mutable n_shed : int;  (** main-loop only; mirrors [m_shed] for health *)
-  mutable n_deadline : int;
-  mutable n_quarantined : int;
-  mutable n_resource : int;  (** jobs/connections shed by a budget governor *)
-  mutable n_zombies_leaked : int;
-      (** abandoned workers that outlived the shutdown drain window *)
   mutable fd_shedding : bool;
       (** inside an fd-pressure episode: one incident per episode, not
           one per refused connection *)
@@ -163,6 +152,7 @@ type t = {
   m_deadline : Metrics.counter;
   m_quarantined : Metrics.counter;
   m_resource : Metrics.counter;
+      (** jobs and connections shed by a budget governor *)
   m_zombies_leaked : Metrics.counter;
   g_queue : Metrics.gauge;
   g_running : Metrics.gauge;
@@ -184,17 +174,6 @@ let log t fmt =
   Printf.ksprintf
     (fun s -> if t.cfg.log then Printf.eprintf "[accals-serve] %s\n%!" s)
     fmt
-
-let rec ensure_dir dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then ensure_dir parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let resolve_jobs jobs =
-  if jobs > 0 then jobs
-  else max 1 (min 64 (Domain.recommended_domain_count ()))
 
 (* -- sockets ------------------------------------------------------------- *)
 
@@ -258,7 +237,7 @@ let create cfg =
      SIGPIPE action would terminate every tenant's queued and running
      jobs. *)
   Graceful.ignore_sigpipe ();
-  let cfg = { cfg with jobs = resolve_jobs cfg.jobs } in
+  let cfg = { cfg with jobs = Config.resolve_jobs cfg.jobs } in
   let max_concurrent = max 1 cfg.max_concurrent in
   let cfg = { cfg with max_concurrent } in
   let unix_listener = listen_unix cfg.socket in
@@ -289,21 +268,11 @@ let create cfg =
       pipe_w;
       sched = Scheduler.create ();
       cache = Option.map (fun dir -> Cache.create ~dir) cfg.cache_dir;
-      nets_mutex = Mutex.create ();
-      nets = Hashtbl.create 16;
       conns = [];
       hub = Domain_hub.create ();
       workers = [];
       zombies = [];
       quarantine = Hashtbl.create 16;
-      run_mutex = Mutex.create ();
-      run_total_s = 0.0;
-      run_count = 0;
-      n_shed = 0;
-      n_deadline = 0;
-      n_quarantined = 0;
-      n_resource = 0;
-      n_zombies_leaked = 0;
       fd_shedding = false;
       stopped = Atomic.make false;
       started_mono = Clock.now ();
@@ -387,6 +356,22 @@ let finished_counter t state =
     ~labels:[ ("state", state) ]
     "accals_server_jobs_finished_total"
 
+(* Bytes under the state dir plus the cache's, each file counted once: a
+   cache inside the state dir is already part of the state-dir walk. *)
+let statedir_bytes t =
+  let real d = try Unix.realpath d with Unix.Unix_error _ -> d in
+  let inside dir sub =
+    let dir = real dir and sub = real sub in
+    sub = dir || String.starts_with ~prefix:(Filename.concat dir "") sub
+  in
+  let state =
+    Option.fold ~none:0 ~some:Budget.Disk.usage_bytes t.cfg.state_dir
+  in
+  match (t.cache, t.cfg.state_dir) with
+  | Some c, Some d when inside d (Cache.dir c) -> state
+  | Some c, _ -> state + Cache.bytes c
+  | None, _ -> state
+
 let update_gauges t =
   let counts = Scheduler.counts t.sched in
   let n s = float_of_int (Option.value (List.assoc_opt s counts) ~default:0) in
@@ -401,16 +386,7 @@ let update_gauges t =
   Metrics.set t.g_memory
     (float_of_int
        ((Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8)));
-  (let statedir_bytes =
-     (match t.cfg.state_dir with
-      | Some d -> Budget.Disk.usage_bytes d
-      | None -> 0)
-     +
-     match t.cache with
-     | Some c when t.cfg.state_dir <> Some (Cache.dir c) -> Cache.bytes c
-     | _ -> 0
-   in
-   Metrics.set t.g_statedir (float_of_int statedir_bytes));
+  Metrics.set t.g_statedir (float_of_int (statedir_bytes t));
   Option.iter
     (fun n -> Metrics.set t.g_open_fds (float_of_int n))
     (Budget.Fd.open_fds ())
@@ -427,17 +403,12 @@ let record_incident t kind =
   match t.cfg.state_dir with
   | None -> ()
   | Some dir -> (
-    ensure_dir dir;
+    Budget.Disk.ensure_dir dir;
     try
       Incident.append_jsonl
         ~path:(Filename.concat dir "incidents.jsonl")
         [ Incident.make ~round:0 kind ]
     with Sys_error _ -> ())
-
-let observe_run t seconds =
-  Mutex.protect t.run_mutex (fun () ->
-      t.run_total_s <- t.run_total_s +. seconds;
-      t.run_count <- t.run_count + 1)
 
 (* How long a shed client should wait before retrying: the observed
    average job run time scaled by the backlog per slot, clamped to
@@ -446,9 +417,10 @@ let observe_run t seconds =
    minutes where a queue of cache-warm repeats hints milliseconds. *)
 let retry_after_ms t =
   let avg =
-    Mutex.protect t.run_mutex (fun () ->
-        if t.run_count = 0 then 0.5
-        else t.run_total_s /. float_of_int t.run_count)
+    match Metrics.histogram_value t.h_run with
+    | Metrics.Histogram { sum; count; _ } when count > 0 ->
+      sum /. float_of_int count
+    | _ -> 0.5
   in
   let queued, running = Scheduler.totals t.sched in
   let backlog =
@@ -475,27 +447,15 @@ let quarantined t fp =
     Some (int_of_float (Float.ceil ((e.q_until -. Clock.now ()) *. 1000.0)))
   | _ -> None
 
-(* Called exactly once per reaped worker (normal or zombie): count
-   abnormal deaths toward quarantine, clear the record on success.  A
-   deadline reap is the watchdog's verdict and a resource shed is the
-   budget governor's — neither is the job's fault, so neither counts. *)
-let note_worker_outcome t job =
-  (* Health's [resource_exhausted_total] counts on the main loop (like
-     [n_shed]); the worker only records the verdict in the scheduler. *)
-  (match Scheduler.state t.sched job with
-   | Scheduler.Failed
-     when (Scheduler.view t.sched job).Scheduler.v_failure
-          = Some Scheduler.resource_failure ->
-     t.n_resource <- t.n_resource + 1;
-     Metrics.incr t.m_resource
-   | _ -> ());
-  if t.cfg.quarantine_threshold > 0 then begin
+(* A worker death that is the job's fault counts toward its fingerprint's
+   quarantine; a success clears the record.  A deadline expiry is the
+   watchdog's verdict and a resource shed is the budget governor's —
+   neither is the job's fault, so neither counts. *)
+let note_quarantine t job (outcome : Scheduler.outcome) =
+  if t.cfg.quarantine_threshold > 0 then
     let fp = fingerprint job in
-    match Scheduler.state t.sched job with
-    | Scheduler.Failed
-      when (let f = (Scheduler.view t.sched job).Scheduler.v_failure in
-            f <> Some Scheduler.deadline_failure
-            && f <> Some Scheduler.resource_failure) ->
+    match outcome with
+    | `Failed (Scheduler.Error _) ->
       let entry =
         match Hashtbl.find_opt t.quarantine fp with
         | Some e -> e
@@ -510,7 +470,6 @@ let note_worker_outcome t job =
         && entry.q_until <= Clock.now ()
       then begin
         entry.q_until <- Clock.now () +. t.cfg.quarantine_cooldown;
-        t.n_quarantined <- t.n_quarantined + 1;
         Metrics.incr t.m_quarantined;
         log t "quarantined %s for %.0fs after %d abnormal worker death(s)" fp
           t.cfg.quarantine_cooldown entry.q_failures;
@@ -522,9 +481,77 @@ let note_worker_outcome t job =
                cooldown_s = t.cfg.quarantine_cooldown;
              })
       end
-    | Scheduler.Done -> Hashtbl.remove t.quarantine fp
-    | _ -> ()
-  end
+    | `Done _ -> Hashtbl.remove t.quarantine fp
+    | `Failed _ | `Cancelled -> ()
+
+(* -- settling ------------------------------------------------------------ *)
+
+(* The one place a job becomes terminal.  A worker's outcome, a queued
+   cancel, a deadline expiry and the workers the shutdown drain joins
+   all land here on the select loop, so the scheduler transition and
+   every tally happen together and exactly once: a status that shows a
+   terminal job is never ahead of the metrics, health or SLO.  An
+   outcome for a job that is already terminal (an abandoned worker's
+   late report) is discarded; the incidents its worker met are still
+   recorded, since they happened either way. *)
+let settle ?(incidents = []) t job (outcome : Scheduler.outcome) =
+  List.iter (record_incident t) incidents;
+  match Scheduler.settle t.sched job outcome with
+  | None -> ()
+  | Some phase ->
+    let v = Scheduler.view t.sched job in
+    Metrics.incr
+      (finished_counter t (Scheduler.state_to_string v.Scheduler.v_state));
+    (* SLO accounting: good/violated on success, a bounded-cardinality
+       failure kind otherwise (free-form exception text must not mint
+       Prometheus label values). *)
+    let failure =
+      match outcome with
+      | `Done _ -> None
+      | `Cancelled -> Some "cancelled"
+      | `Failed (Scheduler.Error _) -> Some "error"
+      | `Failed f -> Some (Scheduler.failure_to_string f)
+    in
+    let tenant = v.Scheduler.v_tenant in
+    (match (phase, failure) with
+     | Scheduler.Queued, Some kind ->
+       (* Never started: an outcome without latencies. *)
+       Slo.observe_shed t.slo ~tenant ~kind
+     | _ ->
+       let wait_s = Option.value v.Scheduler.v_wait_s ~default:0.0 in
+       let run_s = Option.value v.Scheduler.v_run_s ~default:0.0 in
+       Metrics.observe t.h_wait wait_s;
+       Metrics.observe t.h_run run_s;
+       Slo.observe_job t.slo ~tenant ?failure ~wait_s ~run_s
+         ~total_s:(wait_s +. run_s) ());
+    (match outcome with
+     | `Failed Scheduler.Deadline_exceeded ->
+       Metrics.incr t.m_deadline;
+       let phase = Scheduler.state_to_string phase in
+       let deadline_s =
+         Option.value (Scheduler.spec job).Protocol.deadline ~default:0.0
+       in
+       log t "%s exceeded its %.1fs deadline while %s" (Scheduler.id job)
+         deadline_s phase;
+       record_incident t
+         (Incident.Deadline_exceeded
+            { job = Scheduler.id job; phase; deadline_s })
+     | `Failed Scheduler.Resource_exhausted -> Metrics.incr t.m_resource
+     | _ -> ());
+    note_quarantine t job outcome
+
+(* A queued job is settled on the spot; a running one is asked to unwind
+   at its next round boundary and settles when its worker reports. *)
+let cancel t job =
+  match Scheduler.state t.sched job with
+  | Scheduler.Queued ->
+    settle t job `Cancelled;
+    "cancelled"
+  | Scheduler.Running ->
+    Scheduler.request_cancel t.sched job;
+    "cancel_requested"
+  | Scheduler.Done | Scheduler.Failed | Scheduler.Cancelled ->
+    "already_finished"
 
 (* -- admission ----------------------------------------------------------- *)
 
@@ -552,15 +579,6 @@ let net_of_source = function
     match Blif.parse_string text with
     | net -> Ok net
     | exception Blif.Parse_error msg -> Error ("blif: " ^ msg))
-
-let retain_net t id net =
-  Mutex.protect t.nets_mutex (fun () -> Hashtbl.replace t.nets id net)
-
-let take_net t id =
-  Mutex.protect t.nets_mutex (fun () ->
-      let net = Hashtbl.find_opt t.nets id in
-      Hashtbl.remove t.nets id;
-      net)
 
 (* [admit] is the single path every submission takes (socket submits and
    checkpointed re-admissions alike): parse, digest, cache-key, then
@@ -611,7 +629,6 @@ let admit t (spec : Protocol.job_spec) =
            Error (Quarantined { fingerprint = fp; retry_after_ms })
          | None ->
            let shed scope =
-             t.n_shed <- t.n_shed + 1;
              Metrics.incr t.m_shed;
              Slo.observe_shed t.slo ~tenant:spec.Protocol.tenant ~kind:"shed";
              let retry_after_ms = retry_after_ms t in
@@ -636,9 +653,8 @@ let admit t (spec : Protocol.job_spec) =
                let lookup_s = Clock.now () -. lookup_begin in
                let j =
                  Scheduler.submit t.sched ~spec ~circuit:(Network.name net)
-                   ~digest ~key ~lookup_s ()
+                   ~digest ~key ~net ~lookup_s ()
                in
-               retain_net t (Scheduler.id j) net;
                log t "queued %s as %s (key %s)" (Network.name net)
                  (Scheduler.id j) key;
                Ok (j, `Queued)
@@ -673,6 +689,52 @@ let restore_queue t =
    are always there — it is the per-round detail that is shed). *)
 let max_attached_trace_events = 20_000
 
+(* Disk governor, cache branch: keep [--statedir-headroom-mb] free
+   proactively, pre-evict to the byte cap inside [Cache.store], and treat
+   a real ENOSPC as evict-then-retry-once — the entry is an optimization,
+   the filesystem's last blocks are not worth crashing over.  Returns the
+   disk incident when the store hit ENOSPC. *)
+let store_result t c entry =
+  let headroom = t.cfg.statedir_headroom_mb * 1024 * 1024 in
+  if
+    headroom > 0
+    && not
+         (Budget.Disk.has_headroom ~dir:(Cache.dir c) ~headroom_bytes:headroom)
+  then begin
+    let ev = Cache.evict c ~max_bytes:(Cache.bytes c / 2) in
+    log t "state dir under %d MiB free; evicted %d cache entries"
+      t.cfg.statedir_headroom_mb
+      (ev.Cache.removed_corrupt + ev.Cache.removed_lru)
+  end;
+  let store () = Cache.store ~max_bytes:t.cfg.cache_max_bytes c entry in
+  match store () with
+  | () -> []
+  | exception Unix.Unix_error (Unix.ENOSPC, _, _) ->
+    let observed =
+      match Budget.Disk.free_bytes (Cache.dir c) with
+      | Some n -> float_of_int n
+      | None -> 0.0
+    in
+    let ev = Cache.evict c ~max_bytes:(Cache.bytes c / 2) in
+    log t "cache store hit ENOSPC; evicted %d entries and retrying"
+      (ev.Cache.removed_corrupt + ev.Cache.removed_lru);
+    (try store ()
+     with e ->
+       log t "cache store failed for %s after eviction: %s" entry.Cache.key
+         (Printexc.to_string e));
+    [
+      Incident.Resource_exhausted
+        { resource = "disk"; limit = float_of_int headroom; observed };
+    ]
+  | exception e ->
+    log t "cache store failed for %s: %s" entry.Cache.key
+      (Printexc.to_string e);
+    []
+
+(* Runs on the job's hub domain: run the engine, store the cache entry
+   and attach the engine trace, then return the outcome (an exception is
+   the caller's [`Failed]) for [settle] — the worker makes no terminal
+   transition and no tally itself. *)
 let worker_body t job net =
   let spec = Scheduler.spec job in
   Scheduler.note_run_begin t.sched job;
@@ -703,213 +765,118 @@ let worker_body t job net =
         end)
       ()
   in
-  (try
-     let samples =
-       Option.value spec.Protocol.samples ~default:t.cfg.default_samples
-     in
-     let base =
-       {
-         Config.default with
-         Config.samples;
-         seed = spec.Protocol.seed;
-         jobs = t.per_job_jobs;
-         run_deadline = spec.Protocol.budget;
-         max_memory_mb = t.cfg.max_memory_mb;
-       }
-     in
-     let config = Config.for_network ~base net in
-     (* Raising from the checkpoint hook aborts the run at a round
-        boundary and unwinds through the engine's [Fun.protect], which
-        shuts the job's pool down — cancellation frees its domains. *)
-     let checkpoint _snap =
-       if Scheduler.cancel_requested job then raise Job_cancelled
-     in
-     let report =
-       Telemetry.with_handle handle (fun () ->
-           Engine.run ~config ~checkpoint net ~metric:spec.Protocol.metric
-             ~error_bound:spec.Protocol.bound)
-     in
-     match
-       List.find_map
-         (fun i ->
-           match i.Incident.kind with
-           | Incident.Resource_exhausted _ -> Some i.Incident.kind
-           | _ -> None)
-         report.Engine.incidents
-     with
-     | Some kind ->
-       (* The engine's memory governor ran out of non-destructive
-          responses: it checkpointed the run and shed it.  The partial
-          result is not published — the job fails with the structured
-          resource verdict, which admission treats like a deadline
-          (never quarantine-worthy). *)
-       record_incident t kind;
-       Scheduler.fail t.sched job Scheduler.resource_failure;
-       Metrics.incr (finished_counter t "failed")
-     | None ->
-       let entry =
-         {
-           Cache.key = Scheduler.key job;
-           report = Report_json.to_json ~rounds:true report;
-           blif = Blif.to_string report.Engine.approximate;
-         }
-       in
-       Scheduler.finish t.sched job entry ~degraded:report.Engine.degraded;
-       (* A budget-degraded result is request-specific; only converged
-          results are content-addressable. *)
-       if not report.Engine.degraded then
-         Option.iter
-           (fun c ->
-             (* Disk governor, cache branch: keep [--statedir-headroom-mb]
-                free proactively, pre-evict to the byte cap inside
-                [Cache.store], and treat a real ENOSPC as
-                evict-then-retry-once — the entry is an optimization, the
-                filesystem's last blocks are not worth crashing over. *)
-             let headroom = t.cfg.statedir_headroom_mb * 1024 * 1024 in
-             if
-               headroom > 0
-               && not
-                    (Budget.Disk.has_headroom ~dir:(Cache.dir c)
-                       ~headroom_bytes:headroom)
-             then begin
-               let ev = Cache.evict c ~max_bytes:(Cache.bytes c / 2) in
-               log t
-                 "state dir under %d MiB free; evicted %d cache entries"
-                 t.cfg.statedir_headroom_mb
-                 (ev.Cache.removed_corrupt + ev.Cache.removed_lru)
-             end;
-             let store () =
-               Cache.store ~max_bytes:t.cfg.cache_max_bytes c entry
-             in
-             try store () with
-             | Unix.Unix_error (Unix.ENOSPC, _, _) -> (
-               let observed =
-                 match Budget.Disk.free_bytes (Cache.dir c) with
-                 | Some n -> float_of_int n
-                 | None -> 0.0
-               in
-               record_incident t
-                 (Incident.Resource_exhausted
-                    {
-                      resource = "disk";
-                      limit = float_of_int headroom;
-                      observed;
-                    });
-               let ev = Cache.evict c ~max_bytes:(Cache.bytes c / 2) in
-               log t
-                 "cache store hit ENOSPC; evicted %d entries and retrying"
-                 (ev.Cache.removed_corrupt + ev.Cache.removed_lru);
-               try store ()
-               with e ->
-                 log t "cache store failed for %s after eviction: %s"
-                   (Scheduler.key job) (Printexc.to_string e))
-             | e ->
-               log t "cache store failed for %s: %s" (Scheduler.key job)
-                 (Printexc.to_string e))
-           t.cache;
-       Metrics.incr (finished_counter t "done")
-   with
-   | Job_cancelled ->
-     Scheduler.finished_cancelled t.sched job;
-     Metrics.incr (finished_counter t "cancelled")
-   | e ->
-     Scheduler.fail t.sched job (Printexc.to_string e);
-     Metrics.incr (finished_counter t "failed"));
   (* The engine trace is attached on failure too — a post-mortem wants
      the rounds that led up to the crash, not just the happy path. *)
-  if Tracer.event_count tr > 0 && Tracer.event_count tr <= max_attached_trace_events
-  then
-    Scheduler.attach_trace t.sched job
-      (Tracer.events_json ~ts_offset_us:(Tracer.epoch_us tr) ~tid_offset:1
-         ~pid:1
-         ~thread_name:(fun tid ->
-           if tid = 0 then "engine" else Printf.sprintf "engine-worker-%d" tid)
-         tr);
-  (let v = Scheduler.view t.sched job in
-   Option.iter (Metrics.observe t.h_wait) v.Scheduler.v_wait_s;
-   Option.iter
-     (fun s ->
-       Metrics.observe t.h_run s;
-       observe_run t s)
-     v.Scheduler.v_run_s;
-   (* SLO accounting: good/violated on success, a bounded-cardinality
-      failure kind otherwise (free-form exception text must not mint
-      Prometheus label values). *)
-   let failure =
-     match Scheduler.state t.sched job with
-     | Scheduler.Done -> None
-     | Scheduler.Cancelled -> Some "cancelled"
-     | Scheduler.Failed ->
-       Some
-         (match v.Scheduler.v_failure with
-          | Some f
-            when f = Scheduler.deadline_failure
-                 || f = Scheduler.resource_failure ->
-            f
-          | _ -> "error")
-     | Scheduler.Queued | Scheduler.Running -> Some "error"
-   in
-   let wait_s = Option.value v.Scheduler.v_wait_s ~default:0.0 in
-   let run_s = Option.value v.Scheduler.v_run_s ~default:0.0 in
-   Slo.observe_job t.slo ~tenant:v.Scheduler.v_tenant ?failure ~wait_s ~run_s
-     ~total_s:(wait_s +. run_s) ())
+  let attach_trace () =
+    let n = Tracer.event_count tr in
+    if n > 0 && n <= max_attached_trace_events then
+      Scheduler.attach_trace t.sched job
+        (Tracer.events_json ~ts_offset_us:(Tracer.epoch_us tr) ~tid_offset:1
+           ~pid:1
+           ~thread_name:(fun tid ->
+             if tid = 0 then "engine"
+             else Printf.sprintf "engine-worker-%d" tid)
+           tr)
+  in
+  Fun.protect ~finally:attach_trace (fun () ->
+    try
+      let samples =
+        Option.value spec.Protocol.samples ~default:t.cfg.default_samples
+      in
+      let base =
+        {
+          Config.default with
+          Config.samples;
+          seed = spec.Protocol.seed;
+          jobs = t.per_job_jobs;
+          run_deadline = spec.Protocol.budget;
+          max_memory_mb = t.cfg.max_memory_mb;
+        }
+      in
+      let config = Config.for_network ~base net in
+      (* Raising from the checkpoint hook aborts the run at a round
+         boundary and unwinds through the engine's [Fun.protect], which
+         shuts the job's pool down — cancellation frees its domains. *)
+      let checkpoint _snap =
+        if Scheduler.cancel_requested job then raise Job_cancelled
+      in
+      let report =
+        Telemetry.with_handle handle (fun () ->
+            Engine.run ~config ~checkpoint net ~metric:spec.Protocol.metric
+              ~error_bound:spec.Protocol.bound)
+      in
+      match
+        List.find_map
+          (fun i ->
+            match i.Incident.kind with
+            | Incident.Resource_exhausted _ -> Some i.Incident.kind
+            | _ -> None)
+          report.Engine.incidents
+      with
+      | Some kind ->
+        (* The engine's memory governor ran out of non-destructive
+           responses: it checkpointed the run and shed it.  The partial
+           result is not published — the job fails with the structured
+           resource verdict, which admission treats like a deadline
+           (never quarantine-worthy). *)
+        (`Failed Scheduler.Resource_exhausted, [ kind ])
+      | None ->
+        let entry =
+          {
+            Cache.key = Scheduler.key job;
+            report = Report_json.to_json ~rounds:true report;
+            blif = Blif.to_string report.Engine.approximate;
+          }
+        in
+        let degraded = report.Engine.degraded in
+        (* A budget-degraded result is request-specific; only converged
+           results are content-addressable. *)
+        let incidents =
+          match t.cache with
+          | Some c when not degraded -> store_result t c entry
+          | _ -> []
+        in
+        (`Done (entry, degraded), incidents)
+    with Job_cancelled -> (`Cancelled, []))
 
-(* Join only domains whose body has finished ([w_completed]): a
-   scheduler-state check would deadlock-adjacent-block on a worker whose
-   job the watchdog failed while the domain is still crunching. *)
+(* Join a worker whose outcome is published (the thunk is returning, so
+   the join is short) and settle its job. *)
+let reap_worker t w =
+  Domain_hub.wait w.w_handle;
+  Option.iter
+    (fun (outcome, incidents) -> settle ~incidents t w.w_job outcome)
+    (Atomic.get w.w_outcome)
+
+let completed w = Atomic.get w.w_outcome <> None
+
+(* Reap only workers that have published ([w_outcome]): a scheduler-state
+   check would block on a worker whose job the watchdog failed while the
+   domain is still crunching. *)
 let reap t =
   let reap_list workers =
-    let finished, alive =
-      List.partition (fun w -> Atomic.get w.w_completed) workers
-    in
-    List.iter
-      (fun w ->
-        Domain_hub.wait w.w_handle;
-        note_worker_outcome t w.w_job)
-      finished;
+    let finished, alive = List.partition completed workers in
+    List.iter (reap_worker t) finished;
     alive
   in
   t.workers <- reap_list t.workers;
   t.zombies <- reap_list t.zombies
 
 (* Deadline enforcement, run every loop tick.  Two stages: any queued or
-   running job past its deadline is failed as [deadline_exceeded]
-   immediately (the cooperative cancel flag is set so a live worker
-   unwinds at the next round boundary, and the idempotent terminal
-   transitions make its late report a no-op); a worker still not done at
-   deadline + grace is abandoned — moved off the slot-holding list so
-   [dispatch] reuses the slot — because domains cannot be killed. *)
+   running job past its deadline is settled as [deadline_exceeded]
+   immediately (which sets the cooperative cancel flag, so a live worker
+   unwinds at the next round boundary and its late outcome is
+   discarded); a worker still not done at deadline + grace is abandoned
+   — moved off the slot-holding list so [dispatch] reuses the slot —
+   because domains cannot be killed. *)
 let sweep_deadlines t =
   let now = Clock.now () in
   List.iter
-    (fun job ->
-      match Scheduler.expire t.sched job with
-      | None -> ()
-      | Some phase ->
-        t.n_deadline <- t.n_deadline + 1;
-        Metrics.incr t.m_deadline;
-        let deadline_s =
-          Option.value (Scheduler.spec job).Protocol.deadline ~default:0.0
-        in
-        log t "%s exceeded its %.1fs deadline while %s" (Scheduler.id job)
-          deadline_s phase;
-        record_incident t
-          (Incident.Deadline_exceeded
-             { job = Scheduler.id job; phase; deadline_s });
-        (* An expired queued job never starts; drop its parsed circuit.
-           It also never reaches a worker, so its SLO verdict lands
-           here (a running job's lands in the worker's epilogue). *)
-        if phase = "queued" then begin
-          ignore (take_net t (Scheduler.id job));
-          Slo.observe_shed t.slo
-            ~tenant:(Scheduler.spec job).Protocol.tenant
-            ~kind:Scheduler.deadline_failure
-        end)
+    (fun job -> settle t job (`Failed Scheduler.Deadline_exceeded))
     (Scheduler.expired t.sched ~now);
   let wedged, alive =
     List.partition
       (fun w ->
-        (not (Atomic.get w.w_completed))
+        (not (completed w))
         &&
         match Scheduler.deadline_mono w.w_job with
         | Some d -> now >= d +. t.cfg.deadline_grace
@@ -939,8 +906,10 @@ let dispatch t =
     match Scheduler.pick ?tenant_max_running t.sched with
     | None -> continue := false
     | Some job -> (
-      match take_net t (Scheduler.id job) with
-      | None -> Scheduler.fail t.sched job "internal error: circuit not retained"
+      match Scheduler.take_circuit t.sched job with
+      | None ->
+        settle t job
+          (`Failed (Scheduler.Error "internal error: circuit not retained"))
       | Some net ->
         log t "start %s" (Scheduler.id job);
         (* Stable slot lane for the server-wide trace: the smallest
@@ -953,16 +922,18 @@ let dispatch t =
          in
          let rec free lane = if List.mem lane used then free (lane + 1) else lane in
          Hashtbl.replace t.lanes (Scheduler.id job) (free 1));
-        let completed = Atomic.make false in
+        let outcome = Atomic.make None in
         let h =
           Domain_hub.submit t.hub (fun () ->
-              Fun.protect
-                ~finally:(fun () ->
-                  Atomic.set completed true;
-                  wake t)
-                (fun () -> worker_body t job net))
+              let report =
+                try worker_body t job net
+                with e -> (`Failed (Scheduler.Error (Printexc.to_string e)), [])
+              in
+              Atomic.set outcome (Some report);
+              wake t)
         in
-        t.workers <- { w_handle = h; w_job = job; w_completed = completed } :: t.workers)
+        t.workers <-
+          { w_handle = h; w_job = job; w_outcome = outcome } :: t.workers)
   done
 
 (* -- request handling ---------------------------------------------------- *)
@@ -991,10 +962,7 @@ let view_fields (v : Scheduler.view) =
    hint, exactly like an admission shed — the client's backoff logic
    need not care whether the governor ran at admission or mid-run. *)
 let resource_fields t j =
-  if
-    (Scheduler.view t.sched j).Scheduler.v_failure
-    = Some Scheduler.resource_failure
-  then
+  if Scheduler.failure t.sched j = Some Scheduler.Resource_exhausted then
     [
       ("code", Json.String "resource_exhausted");
       ("retry_after_ms", Json.Int (retry_after_ms t));
@@ -1062,12 +1030,7 @@ let handle_request t req =
         | None -> Protocol.ok_response fields)
   | Protocol.Cancel id ->
     with_job t id (fun j ->
-        let outcome =
-          match Scheduler.cancel t.sched j with
-          | `Cancelled_queued -> "cancelled"
-          | `Cancel_requested -> "cancel_requested"
-          | `Already_finished -> "already_finished"
-        in
+        let outcome = cancel t j in
         Protocol.ok_response
           (view_fields (Scheduler.view t.sched j)
           @ [ ("cancel", Json.String outcome) ]))
@@ -1095,15 +1058,12 @@ let handle_request t req =
     | other -> Protocol.ok_response [ ("slo", other) ])
   | Protocol.Health ->
     (* Everything a load balancer or the CI soak needs in one cheap,
-       unprivileged round-trip.  [open_fds] exposes the daemon's own fd
-       count (via /proc; -1 where unavailable) so a soak can assert the
-       daemon does not leak descriptors under flood. *)
+       unprivileged round-trip: the same counters and probes the metrics
+       exposition reads.  [open_fds] exposes the daemon's own fd count
+       (via /proc; -1 where unavailable) so a soak can assert the daemon
+       does not leak descriptors under flood. *)
     let queued, running = Scheduler.totals t.sched in
-    let open_fds =
-      match Sys.readdir "/proc/self/fd" with
-      | entries -> Array.length entries
-      | exception Sys_error _ -> -1
-    in
+    let total c = Json.Int (int_of_float (Metrics.counter_value c)) in
     Protocol.ok_response
       [
         ("queue_depth", Json.Int queued);
@@ -1120,27 +1080,24 @@ let handle_request t req =
          opt_json (fun c -> Json.Int (Cache.size c)) t.cache);
         ("cache_bytes",
          opt_json (fun c -> Json.Int (Cache.bytes c)) t.cache);
-        ("shed_total", Json.Int t.n_shed);
-        ("deadline_exceeded_total", Json.Int t.n_deadline);
-        ("quarantined_total", Json.Int t.n_quarantined);
-        ("resource_exhausted_total", Json.Int t.n_resource);
-        ("zombies_leaked_total", Json.Int t.n_zombies_leaked);
+        ("shed_total", total t.m_shed);
+        ("deadline_exceeded_total", total t.m_deadline);
+        ("quarantined_total", total t.m_quarantined);
+        ("resource_exhausted_total", total t.m_resource);
+        ("zombies_leaked_total", total t.m_zombies_leaked);
         ("uptime_s", Json.Float (Clock.now () -. t.started_mono));
         (* [uptime_seconds] is the documented name; [uptime_s] stays for
            existing probes. *)
         ("uptime_seconds", Json.Float (Clock.now () -. t.started_mono));
         ("protocol_version", Json.Int Protocol.version);
         ("build", Build_info.to_json ());
-        ("open_fds", Json.Int open_fds);
+        ("open_fds",
+         Json.Int (Option.value (Budget.Fd.open_fds ()) ~default:(-1)));
         ("fd_limit",
          Json.Int (Option.value (Budget.Fd.limit ()) ~default:(-1)));
         ("memory_bytes",
          Json.Int ((Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8)));
-        ("statedir_bytes",
-         Json.Int
-           (match t.cfg.state_dir with
-            | Some d -> Budget.Disk.usage_bytes d
-            | None -> 0));
+        ("statedir_bytes", Json.Int (statedir_bytes t));
       ]
   | Protocol.Ping ->
     Protocol.ok_response
@@ -1285,7 +1242,6 @@ let shed_accept t listener =
   match Unix.accept listener with
   | exception Unix.Unix_error _ -> ()
   | fd, _ ->
-    t.n_resource <- t.n_resource + 1;
     Metrics.incr t.m_resource;
     if not t.fd_shedding then begin
       (* One incident per pressure episode, not one per refused
@@ -1448,7 +1404,7 @@ let drain t =
      Profiler.stop p;
      Option.iter
        (fun dir ->
-         ensure_dir dir;
+         Budget.Disk.ensure_dir dir;
          (try Profiler.write_folded p (Filename.concat dir "server.folded")
           with Sys_error _ -> ());
          try
@@ -1464,7 +1420,7 @@ let drain t =
   let pending = Scheduler.queued_specs t.sched in
   (match t.cfg.state_dir with
    | Some dir ->
-     ensure_dir dir;
+     Budget.Disk.ensure_dir dir;
      let path = Filename.concat dir "queue.ckpt" in
      if pending = [] then (try Sys.remove path with Sys_error _ -> ())
      else (
@@ -1505,10 +1461,8 @@ let drain t =
      if pending <> [] then
        log t "dropping %d unfinished job(s) (no state dir)"
          (List.length pending));
-  List.iter
-    (fun j -> ignore (Scheduler.cancel t.sched j))
-    (Scheduler.all t.sched);
-  List.iter (fun w -> Domain_hub.wait w.w_handle) t.workers;
+  List.iter (fun j -> ignore (cancel t j)) (Scheduler.all t.sched);
+  List.iter (reap_worker t) t.workers;
   t.workers <- [];
   (* Abandoned workers cannot be joined unless they unwind on their own;
      give them a bounded window (their cancel flags are set), then leak
@@ -1516,10 +1470,8 @@ let drain t =
      wedged domain is exactly what abandonment was for. *)
   (let give_up = Clock.now () +. 5.0 in
    let rec wait_zombies () =
-     let dead, undead =
-       List.partition (fun w -> Atomic.get w.w_completed) t.zombies
-     in
-     List.iter (fun w -> Domain_hub.wait w.w_handle) dead;
+     let dead, undead = List.partition completed t.zombies in
+     List.iter (reap_worker t) dead;
      t.zombies <- undead;
      if undead <> [] && Clock.now () < give_up then begin
        Unix.sleepf 0.05;
@@ -1532,7 +1484,6 @@ let drain t =
         a soak that kills and restarts the daemon reads the tally from
         state_dir/metrics.prom. *)
      let leaked = List.length t.zombies in
-     t.n_zombies_leaked <- t.n_zombies_leaked + leaked;
      Metrics.add t.m_zombies_leaked leaked;
      log t "leaking %d still-wedged worker domain(s) at exit" leaked
    end);
@@ -1543,7 +1494,7 @@ let drain t =
   (match t.cfg.state_dir with
    | None -> ()
    | Some dir ->
-     ensure_dir dir;
+     Budget.Disk.ensure_dir dir;
      (try
         write_text_file
           (Filename.concat dir "metrics.prom")
@@ -1562,7 +1513,7 @@ let drain t =
         write_text_file (Filename.concat dir "events.jsonl") (Buffer.contents buf)
       with Sys_error _ -> ());
      let traces = Filename.concat dir "traces" in
-     ensure_dir traces;
+     Budget.Disk.ensure_dir traces;
      List.iter
        (fun j ->
          try

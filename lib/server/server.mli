@@ -11,9 +11,16 @@
     over the listeners, the live connections and a self-pipe) and is the
     only thread that touches sockets. Each running job gets its own
     worker domain, which runs [Engine.run] with [jobs = max 1 (jobs /
-    max_concurrent)] domains of its own and reports back through the
-    mutex-guarded scheduler; a one-byte write to the self-pipe wakes the
-    select loop so finished workers are reaped promptly. Cancellation is
+    max_concurrent)] domains of its own, stores the cache entry,
+    attaches its trace and publishes an outcome; a one-byte write to the
+    self-pipe wakes the select loop, which reaps the worker and settles
+    the job. Settling is the one place a job becomes terminal — worker
+    outcomes, queued cancels, deadline expiries and shutdown all go
+    through it on the select loop — and it makes the scheduler
+    transition together with every tally (finished-job counters,
+    wait/run histograms, SLO, quarantine, incidents), so a [status]
+    showing a terminal job is never ahead of [metrics], [health] or
+    [slo]. Cancellation is
     cooperative: the worker's checkpoint hook polls the job's cancel
     flag at every round boundary and unwinds through the engine's
     [Fun.protect], so the job's domains are released.
@@ -53,8 +60,8 @@
     still not done [deadline_grace] seconds past the deadline it is
     {e abandoned} — domains cannot be killed, so the worker is moved
     off the slot-holding list (the slot is immediately reusable) and
-    joined whenever it finally unwinds. Terminal scheduler transitions
-    are idempotent, so a late report from an abandoned worker cannot
+    joined whenever it finally unwinds. Settling an already terminal
+    job is a no-op, so a late outcome from an abandoned worker cannot
     overwrite the [deadline_exceeded] verdict.
 
     {b Quarantine.} A job fingerprint (cache key + budget) whose
@@ -98,7 +105,7 @@ type config = {
       (** per-job engine memory budget, passed through to
           {!Accals.Config.max_memory_mb}; 0 disables it.  A job the
           engine checkpoints and sheds under the budget fails with
-          {!Scheduler.resource_failure} and a [retry_after_ms] hint, and
+          {!Scheduler.Resource_exhausted} and a [retry_after_ms] hint, and
           never counts toward quarantine. *)
   statedir_headroom_mb : int;
       (** free-space floor for the filesystem backing the cache and

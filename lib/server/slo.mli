@@ -2,7 +2,8 @@
 
     The server reports every finished job here with its phase latencies
     (queue-wait, run, end-to-end) and outcome; admission-control rejects
-    are reported as sheds. The module keeps, per tenant:
+    and jobs that ended without starting are reported through
+    {!observe_shed}. The module keeps, per tenant:
 
     - fixed-bucket latency histograms per phase (seconds), from which
       the [slo] protocol request serves interpolated p50/p90/p99;
@@ -19,8 +20,8 @@
     most [target_ms]. Everything else — slow successes, failures,
     sheds — is {e bad} and burns budget.
 
-    Thread-safety: one internal mutex; observation entry points are
-    called from worker domains and the accept loop concurrently.
+    Thread-safety: one internal mutex, so any thread may observe or
+    export; the daemon does both from its select loop.
 
     Export: {!to_json} serves the [slo] protocol request (and [accals
     top]); {!registry_snapshot} mirrors the accounting into Prometheus
@@ -61,15 +62,16 @@ val observe_job :
   unit
 (** Account one finished job. Without [failure] the job succeeded and
     is [good] or [violated] depending on [total_s] vs the target; with
-    [failure] (a kind such as [Scheduler.deadline_failure]) it burns
+    [failure] (a kind such as ["deadline_exceeded"]) it burns
     budget under that kind. Latencies are observed either way — a
     deadline-exceeded job's queue-wait is exactly the signal the
     histogram is for. *)
 
 val observe_shed :
   t -> tenant:string -> kind:string -> unit
-(** Account an admission-control reject (no latency to observe; burns
-    budget under [kind], e.g. ["shed"] or ["quota"]). *)
+(** Account an outcome without latencies — an admission-control reject,
+    or a job cancelled or expired while queued. Burns budget under
+    [kind], e.g. ["shed"], ["cancelled"] or ["deadline_exceeded"]. *)
 
 val burn_rate : t -> tenant:string -> float
 (** Current burn rate over the rolling window; 0 for an unknown tenant

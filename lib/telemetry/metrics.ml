@@ -203,6 +203,8 @@ let freeze_instrument = function
         count = Array.fold_left ( + ) 0 counts;
       }
 
+let histogram_value h = freeze_instrument (H h)
+
 let snapshot t =
   Mutex.lock t.mutex;
   let entries = List.rev t.order in

@@ -93,6 +93,10 @@ type snapshot = sample list
 
 val snapshot : t -> snapshot
 
+val histogram_value : histogram -> value
+(** One histogram's current [Histogram] value, as {!snapshot} would
+    report it. *)
+
 val merge : snapshot -> snapshot -> snapshot
 (** Concatenation — the inputs are expected to use disjoint (name, labels)
     spaces (per-pool vs ambient registries do by construction). *)

@@ -17,6 +17,7 @@ module Scheduler = Accals_server.Scheduler
 module Graceful = Accals_server.Graceful
 module Server = Accals_server.Server
 module Client = Accals_server.Client
+module Fault = Accals_resilience.Fault
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -569,16 +570,19 @@ let test_scheduler_lifecycle () =
   let j1 = submit_job s ~key:"k1" ~tenant:"a" ~priority:0 "one" in
   let j2 = submit_job s ~key:"k2" ~tenant:"a" ~priority:0 "two" in
   (* Cancel while queued: terminal immediately, never picked. *)
-  check "queued cancel" true (Scheduler.cancel s j1 = `Cancelled_queued);
+  check "queued cancel" true
+    (Scheduler.settle s j1 `Cancelled = Some Scheduler.Queued);
   (match Scheduler.pick s with
   | Some j -> check "cancelled job skipped" true (Scheduler.id j = Scheduler.id j2)
   | None -> Alcotest.fail "expected a pick");
   (* Cancel while running: cooperative flag, then terminal on report. *)
+  Scheduler.request_cancel s j2;
   check "running cancel is a request" true
-    (Scheduler.cancel s j2 = `Cancel_requested);
+    (Scheduler.state s j2 = Scheduler.Running);
   check "worker sees the flag" true (Scheduler.cancel_requested j2);
-  Scheduler.finished_cancelled s j2;
-  check "terminal cancel" true (Scheduler.cancel s j2 = `Already_finished);
+  check "worker report settles" true
+    (Scheduler.settle s j2 `Cancelled = Some Scheduler.Running);
+  check "terminal cancel" true (Scheduler.settle s j2 `Cancelled = None);
   let v = Scheduler.view s j2 in
   check "view state" true (v.Scheduler.v_state = Scheduler.Cancelled);
   check "events recorded" true (List.length (Scheduler.events s j2) >= 3);
@@ -599,12 +603,12 @@ let test_scheduler_coalescing () =
      budget. *)
   ignore (Scheduler.pick s);
   let entry = { Cache.key = "kk"; report = Json.Null; blif = "b" } in
-  Scheduler.finish s j entry ~degraded:true;
+  ignore (Scheduler.settle s j (`Done (entry, true)));
   check "degraded result is not a hit" true
     (Scheduler.active_by_key s "kk" ~budget:None = None);
   let j2 = submit_job s ~key:"kk" ~tenant:"a" ~priority:0 "one" in
   ignore (Scheduler.pick s);
-  Scheduler.finish s j2 entry ~degraded:false;
+  ignore (Scheduler.settle s j2 (`Done (entry, false)));
   check "converged result is a hit for any budget" true
     (Scheduler.active_by_key s "kk" ~budget:(Some 9.0) <> None)
 
@@ -654,9 +658,9 @@ let test_scheduler_quota () =
   check "waiting job is still queued" true (Scheduler.totals s = (1, 2));
   check "tenant a load at quota" true (Scheduler.tenant_load s "a" = (1, 1));
   (* Finishing a job frees the quota and the waiting job runs. *)
-  Scheduler.finish s a1
-    { Cache.key = "a1"; report = Json.Null; blif = "b" }
-    ~degraded:false;
+  ignore
+    (Scheduler.settle s a1
+       (`Done ({ Cache.key = "a1"; report = Json.Null; blif = "b" }, false)));
   (match Scheduler.pick ~tenant_max_running:1 s with
   | Some j ->
     check "freed quota admits the waiting job" true
@@ -689,28 +693,28 @@ let test_scheduler_deadline () =
   check "job without a deadline never expires" true
     (not
        (List.exists (fun j -> Scheduler.id j = Scheduler.id j_n) overdue));
+  let expire j = Scheduler.settle s j (`Failed Scheduler.Deadline_exceeded) in
   check "running job expires in its phase" true
-    (Scheduler.expire s j_r = Some "running");
+    (expire j_r = Some Scheduler.Running);
   check "queued job expires in its phase" true
-    (Scheduler.expire s j_q = Some "queued");
-  check "expire is idempotent" true (Scheduler.expire s j_q = None);
+    (expire j_q = Some Scheduler.Queued);
+  check "expire is idempotent" true (expire j_q = None);
   check "expired job is failed" true (Scheduler.state s j_q = Scheduler.Failed);
   check "failure names the deadline" true
-    ((Scheduler.view s j_q).Scheduler.v_failure
-    = Some Scheduler.deadline_failure);
+    ((Scheduler.view s j_q).Scheduler.v_failure = Some "deadline_exceeded");
   check "abandoned worker is told to unwind" true
     (Scheduler.cancel_requested j_r);
   (* The abandoned worker eventually notices the flag and reports — by
      then the verdict is already written and must stand. *)
-  Scheduler.finished_cancelled s j_r;
   check "late cancel report is a no-op" true
-    (Scheduler.state s j_r = Scheduler.Failed
-    && (Scheduler.view s j_r).Scheduler.v_failure
-       = Some Scheduler.deadline_failure);
-  Scheduler.finish s j_r
-    { Cache.key = "r"; report = Json.Null; blif = "b" }
-    ~degraded:false;
+    (Scheduler.settle s j_r `Cancelled = None
+    && Scheduler.state s j_r = Scheduler.Failed
+    && (Scheduler.view s j_r).Scheduler.v_failure = Some "deadline_exceeded");
   check "late success report is a no-op" true
+    (Scheduler.settle s j_r
+       (`Done ({ Cache.key = "r"; report = Json.Null; blif = "b" }, false))
+    = None);
+  check "late success leaves the verdict" true
     (Scheduler.state s j_r = Scheduler.Failed
     && Scheduler.result s j_r = None);
   (* The expired queued job is terminal: the dispatcher skips it. *)
@@ -720,6 +724,36 @@ let test_scheduler_deadline () =
       (Scheduler.id j = Scheduler.id j_n)
   | None -> Alcotest.fail "expected a pick");
   check "queue drained" true (Scheduler.pick s = None)
+
+(* A queued job holds its parsed circuit only while it waits: cancelling
+   or expiring it releases the circuit, and a picked job's circuit goes
+   to its worker exactly once. *)
+let test_scheduler_circuit_release () =
+  let s = Scheduler.create () in
+  let net = Bench_suite.load "mtp8" in
+  let mk key =
+    Scheduler.submit s ~spec:(spec ~name:"mtp8" ()) ~circuit:"mtp8"
+      ~digest:"d" ~key ~net ()
+  in
+  let j_run = mk "run" in
+  let j_cancel = mk "cancel" in
+  let j_expire = mk "expire" in
+  check "queued cancel settles" true
+    (Scheduler.settle s j_cancel `Cancelled = Some Scheduler.Queued);
+  check "cancelled job no longer holds its circuit" true
+    (Scheduler.take_circuit s j_cancel = None);
+  check "queued expiry settles" true
+    (Scheduler.settle s j_expire (`Failed Scheduler.Deadline_exceeded)
+    = Some Scheduler.Queued);
+  check "expired job no longer holds its circuit" true
+    (Scheduler.take_circuit s j_expire = None);
+  (match Scheduler.pick s with
+  | Some j -> check "waiting job picked" true (Scheduler.id j = Scheduler.id j_run)
+  | None -> Alcotest.fail "expected a pick");
+  (match Scheduler.take_circuit s j_run with
+  | Some n -> check "picked job hands its circuit over" true (n == net)
+  | None -> Alcotest.fail "picked job lost its circuit");
+  check "circuit handed over once" true (Scheduler.take_circuit s j_run = None)
 
 (* --- graceful shutdown --- *)
 
@@ -1233,6 +1267,159 @@ let test_daemon_deadline () =
   Domain.join daemon;
   Client.close c
 
+(* Every terminal path is counted once, before status shows it: on a
+   one-slot daemon a job expires while running, one is cancelled while
+   queued, one expires while queued and one finishes.  Right after the
+   waits — no polling — the finished-job counters, the SLO and health
+   agree with the job list. *)
+let test_daemon_outcomes_counted () =
+  let dir = temp_dir "accals_daemon_outcomes" in
+  let sock = Filename.concat dir "t.sock" in
+  let server, daemon =
+    boot_server
+      {
+        Server.default_config with
+        Server.socket = sock;
+        jobs = 2;
+        max_concurrent = 1;
+        deadline_grace = 0.5;
+        default_samples = e2e_samples;
+        log = false;
+      }
+  in
+  let c = Client.connect_unix_retry sock in
+  let tenant = "pinned" in
+  let submit what spec = fst (ok_exn what (Client.submit c spec)) in
+  let id_run =
+    submit "running expiry"
+      (e2e_spec ~tenant ~samples:4096 ~deadline:0.5 "div" 0.01)
+  in
+  Unix.sleepf 0.3;
+  let id_cancel = submit "queued cancel" (e2e_spec ~tenant ~seed:2 "rca32" 0.05) in
+  let id_expire =
+    submit "queued expiry" (e2e_spec ~tenant ~seed:7 ~deadline:0.1 "rca32" 0.05)
+  in
+  let id_done = submit "normal" (e2e_spec ~tenant "mtp8" 0.02) in
+  let cancel = ok_exn "cancel" (Client.rpc c (Protocol.Cancel id_cancel)) in
+  check_string "cancelled while queued" "cancelled" (get_string "cancel" cancel);
+  let state id =
+    get_string "state" (ok_exn "wait" (Client.wait ~timeout:300.0 c id))
+  in
+  check_string "running expiry" "failed" (state id_run);
+  check_string "queued cancel" "cancelled" (state id_cancel);
+  check_string "queued expiry" "failed" (state id_expire);
+  check_string "normal job" "done" (state id_done);
+  let prom = get_string "metrics" (ok_exn "metrics" (Client.rpc c Protocol.Metrics)) in
+  let finished st =
+    let prefix =
+      Printf.sprintf {|accals_server_jobs_finished_total{state="%s"} |} st
+    in
+    List.fold_left
+      (fun acc line ->
+        if String.starts_with ~prefix line then
+          int_of_float
+            (float_of_string
+               (String.sub line (String.length prefix)
+                  (String.length line - String.length prefix)))
+        else acc)
+      0
+      (String.split_on_char '\n' prom)
+  in
+  let listed st =
+    match Json.member "jobs" (ok_exn "list" (Client.rpc c Protocol.List)) with
+    | Some (Json.List jobs) ->
+      List.length (List.filter (fun j -> get_string "state" j = st) jobs)
+    | _ -> Alcotest.fail "list response missing jobs"
+  in
+  List.iter
+    (fun (st, n) ->
+      check_int ("finished " ^ st) n (finished st);
+      check_int ("listed " ^ st) n (listed st))
+    [ ("failed", 2); ("cancelled", 1); ("done", 1) ];
+  let slo = ok_exn "slo" (Client.slo c) in
+  let pinned =
+    match Json.member "tenants" slo with
+    | Some (Json.List ts) -> (
+      match
+        List.find_opt (fun t -> Json.member "tenant" t = Some (Json.String tenant)) ts
+      with
+      | Some t -> t
+      | None -> Alcotest.fail "slo missing the tenant")
+    | _ -> Alcotest.fail "slo missing tenants"
+  in
+  let int_of path v =
+    match List.fold_left (fun v k -> Option.bind v (Json.member k)) (Some v) path with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "missing %s" (String.concat "." path)
+  in
+  check_int "slo counts every job" 4 (int_of [ "jobs_total" ] pinned);
+  check_int "slo deadline_exceeded" 2
+    (int_of [ "failures"; "deadline_exceeded" ] pinned);
+  check_int "slo cancelled" 1 (int_of [ "failures"; "cancelled" ] pinned);
+  let h = ok_exn "health" (Client.health c) in
+  check_int "health deadline_exceeded_total" 2
+    (int_of [ "deadline_exceeded_total" ] h);
+  Server.stop server;
+  Domain.join daemon;
+  Client.close c
+
+(* Crash-loop quarantine end to end: with every pool task failing, each
+   worker dies with the runtime's exception; at the threshold the
+   fingerprint is refused with [code = "quarantined"], counted once in
+   health and recorded as an incident. *)
+let test_daemon_quarantine () =
+  let dir = temp_dir "accals_daemon_quarantine" in
+  let sock = Filename.concat dir "t.sock" in
+  let state_dir = Filename.concat dir "state" in
+  let server, daemon =
+    boot_server
+      {
+        Server.default_config with
+        Server.socket = sock;
+        jobs = 2;
+        max_concurrent = 1;
+        quarantine_threshold = 2;
+        state_dir = Some state_dir;
+        default_samples = e2e_samples;
+        log = false;
+      }
+  in
+  let c = Client.connect_unix_retry sock in
+  let spec = e2e_spec "mtp8" 0.02 in
+  let before = Fault.current () in
+  Fun.protect
+    ~finally:(fun () ->
+      match before with Some s -> Fault.arm s | None -> Fault.disarm ())
+    (fun () ->
+      Fault.arm { (Fault.default ~seed:1) with Fault.every = 1; attempts = 1000 };
+      for attempt = 1 to 2 do
+        let id, _ = ok_exn "submit" (Client.submit c spec) in
+        let r = ok_exn "wait" (Client.wait ~timeout:60.0 c id) in
+        check_string (Printf.sprintf "worker %d died" attempt) "failed"
+          (get_string "state" r)
+      done);
+  let refused = ok_exn "third submit" (Client.rpc c (Protocol.Submit spec)) in
+  check "third submit refused" false (Client.ok refused);
+  check "refusal is structured" true
+    (Client.error_code refused = Some "quarantined"
+    && Client.retry_after refused <> None);
+  let h = ok_exn "health" (Client.health c) in
+  check "quarantine counted once" true
+    (Json.member "quarantined_total" h = Some (Json.Int 1));
+  Server.stop server;
+  Domain.join daemon;
+  Client.close c;
+  let incidents =
+    In_channel.with_open_text (Filename.concat state_dir "incidents.jsonl")
+      In_channel.input_all
+  in
+  check "quarantine incident recorded" true
+    (List.exists
+       (fun line -> String.length line > 0
+         && Json.member "kind" (Result.get_ok (Json.parse line))
+            = Some (Json.String "job_quarantined"))
+       (String.split_on_char '\n' incidents))
+
 (* Admission control end to end: per-tenant and global queue bounds shed
    with a structured [overloaded] + [retry_after_ms] rejection (never a
    silent drop or a hang), health stays responsive at the bound, and a
@@ -1604,6 +1791,8 @@ let suite =
           test_scheduler_quota;
         Alcotest.test_case "deadline expiry in both phases" `Quick
           test_scheduler_deadline;
+        Alcotest.test_case "queued settle releases the circuit" `Quick
+          test_scheduler_circuit_release;
       ] );
     ( "server graceful",
       [
@@ -1625,6 +1814,10 @@ let suite =
           test_tcp_token_gate;
         Alcotest.test_case "deadline watchdog reclaims a wedged slot" `Slow
           test_daemon_deadline;
+        Alcotest.test_case "every terminal path counted once" `Slow
+          test_daemon_outcomes_counted;
+        Alcotest.test_case "crash loop quarantines the fingerprint" `Slow
+          test_daemon_quarantine;
         Alcotest.test_case "overload shed + retry_after + retry" `Slow
           test_daemon_overload;
         Alcotest.test_case "fd governor sheds with a structured error"
