@@ -44,73 +44,183 @@ let blit ~src ~dst =
 
 let equal a b = a.len = b.len && a.words = b.words
 
-let is_zero t = Array.for_all (fun w -> w = 0) t.words
+let rec words_zero w i = i = Array.length w || (w.(i) = 0 && words_zero w (i + 1))
 
-(* 16-bit table popcount: four lookups per word. *)
-let pop_table =
-  let tbl = Bytes.create 65536 in
-  for i = 0 to 65535 do
-    let rec count v acc = if v = 0 then acc else count (v lsr 1) (acc + (v land 1)) in
-    Bytes.unsafe_set tbl i (Char.chr (count i 0))
-  done;
-  tbl
+let is_zero t = words_zero t.words 0
 
-let popcount_word w =
-  Char.code (Bytes.unsafe_get pop_table (w land 0xffff))
-  + Char.code (Bytes.unsafe_get pop_table (w lsr 16 land 0xffff))
-  + Char.code (Bytes.unsafe_get pop_table (w lsr 32 land 0xffff))
-  + Char.code (Bytes.unsafe_get pop_table (w lsr 48 land 0xffff))
+(* SWAR popcount of one 63-bit OCaml int: 2-, 4- and 8-bit field sums, then
+   one multiply gathers the byte sums into the top byte. The masks stop at
+   bit 62, the int's top bit, whose pair and nibble fields are still
+   summed. *)
+let[@inline] popcount_word w =
+  let w = w - ((w lsr 1) land 0x1555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (w * 0x0101_0101_0101_0101) lsr 56
 
 let popcount t =
+  let w = t.words in
   let acc = ref 0 in
-  for i = 0 to Array.length t.words - 1 do
-    acc := !acc + popcount_word t.words.(i)
-  done;
-  !acc
-
-let hamming a b =
-  assert (a.len = b.len);
-  let acc = ref 0 in
-  for i = 0 to Array.length a.words - 1 do
-    acc := !acc + popcount_word (a.words.(i) lxor b.words.(i))
+  for i = 0 to Array.length w - 1 do
+    acc := !acc + popcount_word w.(i)
   done;
   !acc
 
 let check2 a b = assert (a.len = b.len)
 
-let map2 f a b =
+let hamming a b =
   check2 a b;
-  let r = create a.len in
-  for i = 0 to Array.length a.words - 1 do
-    r.words.(i) <- f a.words.(i) b.words.(i)
+  let aw = a.words and bw = b.words in
+  let acc = ref 0 in
+  for i = 0 to Array.length aw - 1 do
+    acc := !acc + popcount_word (aw.(i) lxor bw.(i))
   done;
-  r
+  !acc
 
-let logand = map2 ( land )
-let logor = map2 ( lor )
-let logxor = map2 ( lxor )
-
-let lognot t =
-  let r = create t.len in
-  for i = 0 to Array.length t.words - 1 do
-    r.words.(i) <- lnot t.words.(i) land word_mask
+let and_popcount a b =
+  check2 a b;
+  let aw = a.words and bw = b.words in
+  let acc = ref 0 in
+  for i = 0 to Array.length aw - 1 do
+    acc := !acc + popcount_word (aw.(i) land bw.(i))
   done;
-  if t.len > 0 then begin
-    let last = Array.length r.words - 1 in
-    r.words.(last) <- r.words.(last) land tail_mask t.len
-  end else r.words.(0) <- 0;
-  r
+  !acc
 
-let map2_into f a b ~dst =
+let masked_diff_count a b m1 m2 =
+  check2 a b;
+  check2 a m1;
+  check2 a m2;
+  let aw = a.words and bw = b.words and w1 = m1.words and w2 = m2.words in
+  let acc = ref 0 in
+  for i = 0 to Array.length aw - 1 do
+    acc := !acc + popcount_word ((aw.(i) lxor bw.(i)) land w1.(i) land w2.(i))
+  done;
+  !acc
+
+(* [hamming t (op a b ...)] without building the gate's signature: one
+   loop per op, so no per-word closure call. *)
+
+let hamming_and t a b =
+  check2 t a;
+  check2 t b;
+  let tw = t.words and aw = a.words and bw = b.words in
+  let acc = ref 0 in
+  for i = 0 to Array.length tw - 1 do
+    acc := !acc + popcount_word (tw.(i) lxor (aw.(i) land bw.(i)))
+  done;
+  !acc
+
+let hamming_or t a b =
+  check2 t a;
+  check2 t b;
+  let tw = t.words and aw = a.words and bw = b.words in
+  let acc = ref 0 in
+  for i = 0 to Array.length tw - 1 do
+    acc := !acc + popcount_word (tw.(i) lxor (aw.(i) lor bw.(i)))
+  done;
+  !acc
+
+let hamming_xor t a b =
+  check2 t a;
+  check2 t b;
+  let tw = t.words and aw = a.words and bw = b.words in
+  let acc = ref 0 in
+  for i = 0 to Array.length tw - 1 do
+    acc := !acc + popcount_word (tw.(i) lxor aw.(i) lxor bw.(i))
+  done;
+  !acc
+
+let hamming_and3 t a b c =
+  check2 t a;
+  check2 t b;
+  check2 t c;
+  let tw = t.words and aw = a.words and bw = b.words and cw = c.words in
+  let acc = ref 0 in
+  for i = 0 to Array.length tw - 1 do
+    acc := !acc + popcount_word (tw.(i) lxor (aw.(i) land bw.(i) land cw.(i)))
+  done;
+  !acc
+
+let hamming_or3 t a b c =
+  check2 t a;
+  check2 t b;
+  check2 t c;
+  let tw = t.words and aw = a.words and bw = b.words and cw = c.words in
+  let acc = ref 0 in
+  for i = 0 to Array.length tw - 1 do
+    acc := !acc + popcount_word (tw.(i) lxor (aw.(i) lor bw.(i) lor cw.(i)))
+  done;
+  !acc
+
+let hamming_xor3 t a b c =
+  check2 t a;
+  check2 t b;
+  check2 t c;
+  let tw = t.words and aw = a.words and bw = b.words and cw = c.words in
+  let acc = ref 0 in
+  for i = 0 to Array.length tw - 1 do
+    acc := !acc + popcount_word (tw.(i) lxor aw.(i) lxor bw.(i) lxor cw.(i))
+  done;
+  !acc
+
+let hamming_mux t ~sel a b =
+  check2 t sel;
+  check2 t a;
+  check2 t b;
+  let tw = t.words and sw = sel.words and aw = a.words and bw = b.words in
+  let acc = ref 0 in
+  for i = 0 to Array.length tw - 1 do
+    let s = sw.(i) in
+    acc := !acc + popcount_word (tw.(i) lxor ((s land aw.(i)) lor (lnot s land bw.(i))))
+  done;
+  !acc
+
+let logand_into a b ~dst =
   check2 a b;
   check2 a dst;
-  for i = 0 to Array.length a.words - 1 do
-    dst.words.(i) <- f a.words.(i) b.words.(i)
+  let aw = a.words and bw = b.words and dw = dst.words in
+  for i = 0 to Array.length aw - 1 do
+    dw.(i) <- aw.(i) land bw.(i)
   done
 
-let logand_into a b ~dst = map2_into ( land ) a b ~dst
-let logor_into a b ~dst = map2_into ( lor ) a b ~dst
-let logxor_into a b ~dst = map2_into ( lxor ) a b ~dst
+let logor_into a b ~dst =
+  check2 a b;
+  check2 a dst;
+  let aw = a.words and bw = b.words and dw = dst.words in
+  for i = 0 to Array.length aw - 1 do
+    dw.(i) <- aw.(i) lor bw.(i)
+  done
+
+let logxor_into a b ~dst =
+  check2 a b;
+  check2 a dst;
+  let aw = a.words and bw = b.words and dw = dst.words in
+  for i = 0 to Array.length aw - 1 do
+    dw.(i) <- aw.(i) lxor bw.(i)
+  done
+
+let xor_or_into a b ~dst =
+  check2 a b;
+  check2 a dst;
+  let aw = a.words and bw = b.words and dw = dst.words in
+  for i = 0 to Array.length aw - 1 do
+    dw.(i) <- dw.(i) lor (aw.(i) lxor bw.(i))
+  done
+
+let logand a b =
+  let r = create a.len in
+  logand_into a b ~dst:r;
+  r
+
+let logor a b =
+  let r = create a.len in
+  logor_into a b ~dst:r;
+  r
+
+let logxor a b =
+  let r = create a.len in
+  logxor_into a b ~dst:r;
+  r
 
 let lognot_into a ~dst =
   check2 a dst;
@@ -121,6 +231,11 @@ let lognot_into a ~dst =
     let last = Array.length dst.words - 1 in
     dst.words.(last) <- dst.words.(last) land tail_mask a.len
   end else dst.words.(0) <- 0
+
+let lognot t =
+  let r = create t.len in
+  lognot_into t ~dst:r;
+  r
 
 let mux_into ~sel a b ~dst =
   check2 sel a;
@@ -163,14 +278,17 @@ let iter_set t f =
     let base = i * bits_per_word in
     while !w <> 0 do
       let low = !w land - !w in
-      (* index of lowest set bit *)
-      let rec bit_index v acc = if v = 1 then acc else bit_index (v lsr 1) (acc + 1) in
-      f (base + bit_index low 0);
-      w := !w land lnot low
+      (* The bits below the lowest set one count its index. *)
+      f (base + popcount_word (low - 1));
+      w := !w lxor low
     done
   done
 
 let prefix_word t = t.words.(0)
+
+let not_prefix_word t =
+  if t.len = 0 then 0
+  else lnot t.words.(0) land (if t.len < bits_per_word then tail_mask t.len else word_mask)
 
 let fold_words t ~init ~f =
   let acc = ref init in

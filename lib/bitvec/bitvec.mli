@@ -36,6 +36,35 @@ val popcount : t -> int
 val hamming : t -> t -> int
 (** Number of positions at which the two vectors differ. *)
 
+(** {1 Fused counts}
+
+    Each is the [popcount] of a composition of the operations below,
+    computed in one pass without building the intermediate vectors. *)
+
+val and_popcount : t -> t -> int
+(** [popcount (logand a b)]. *)
+
+val masked_diff_count : t -> t -> t -> t -> int
+(** [masked_diff_count a b m1 m2] is
+    [popcount (logand (logand (logxor a b) m1) m2)]: the positions where
+    [a] and [b] differ inside both masks. *)
+
+val hamming_and : t -> t -> t -> int
+(** [hamming_and t a b] is [hamming t (logand a b)]. *)
+
+val hamming_or : t -> t -> t -> int
+val hamming_xor : t -> t -> t -> int
+
+val hamming_and3 : t -> t -> t -> t -> int
+(** [hamming_and3 t a b c] is [hamming t (logand (logand a b) c)]. *)
+
+val hamming_or3 : t -> t -> t -> t -> int
+val hamming_xor3 : t -> t -> t -> t -> int
+
+val hamming_mux : t -> sel:t -> t -> t -> int
+(** [hamming_mux t ~sel a b] is [hamming t] of the [mux_into ~sel a b]
+    result. *)
+
 (** {1 Allocating bitwise operations} *)
 
 val logand : t -> t -> t
@@ -52,6 +81,9 @@ val logand_into : t -> t -> dst:t -> unit
 val logor_into : t -> t -> dst:t -> unit
 val logxor_into : t -> t -> dst:t -> unit
 val lognot_into : t -> dst:t -> unit
+
+val xor_or_into : t -> t -> dst:t -> unit
+(** [xor_or_into a b ~dst] sets [dst = dst OR (a XOR b)]. *)
 
 val mux_into : sel:t -> t -> t -> dst:t -> unit
 (** [mux_into ~sel a b ~dst] sets [dst = (sel AND a) OR (NOT sel AND b)]. *)
@@ -71,6 +103,9 @@ val iter_set : t -> (int -> unit) -> unit
 val prefix_word : t -> int
 (** The first machine word of the payload (up to 62 bits), usable as a fast
     similarity hash: equal vectors have equal prefix words. *)
+
+val not_prefix_word : t -> int
+(** [prefix_word (lognot t)], without building the complement. *)
 
 val fold_words : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** Fold over the payload words in order, for hashing/fingerprinting.

@@ -17,7 +17,6 @@ type scratch = {
   overlay : Bitvec.t array;  (* per-node substituted signatures *)
   have : bool array;  (* overlay validity *)
   mutable pool : Bitvec.t list;  (* recycled signature buffers *)
-  tmp : Bitvec.t;
   flipped : Metric.terms;  (* error terms with the current target complemented *)
 }
 
@@ -46,17 +45,16 @@ let samples t = t.ctx.Round_ctx.patterns.Sim.count
 
 (* A scratch for no nodes yet: [grown] sizes it. [flipped] starts as any
    buffer of the prepared kind: it is overwritten before every read. *)
-let make_scratch samples prepared golden =
+let make_scratch prepared golden =
   {
     overlay = [||];
     have = [||];
     pool = [];
-    tmp = Bitvec.create samples;
     flipped = Metric.terms prepared ~approx:golden;
   }
 
 (* [s] with room for [n] nodes. The overlay grows (never shrinks); the
-   buffer pool, tmp and flipped buffers carry over. *)
+   buffer pool and the flipped buffer carry over. *)
 let grown s n =
   if Array.length s.overlay >= n then s
   else
@@ -114,8 +112,8 @@ let create ctx ~golden ~metric =
          | Metric.Nmed | Metric.Mred | Metric.Med | Metric.Wce ->
            Metric.terms prepared ~approx:golden);
       cone_cache = Hashtbl.create 64;
-      scratch = make_scratch samples prepared golden;
-      arena = Arena.create (fun () -> ref (make_scratch samples prepared golden));
+      scratch = make_scratch prepared golden;
+      arena = Arena.create (fun () -> ref (make_scratch prepared golden));
       evaluations = Atomic.make 0;
       cache_hits = Atomic.make 0;
       cache_misses = Atomic.make 0;
@@ -170,14 +168,15 @@ let candidate_signature t lac = candidate_signature_in t t.scratch lac
 let rank_score_in t s lac =
   let target = lac.Lac.target in
   let cand = candidate_signature_in t s lac in
-  Bitvec.logxor_into cand t.ctx.Round_ctx.sigs.(target) ~dst:s.tmp;
-  Bitvec.logand_into s.tmp t.crit.(target) ~dst:s.tmp;
-  give_buf s cand;
   (* Potential fresh errors: observable changes on currently-correct
      samples. Changes landing on already-wrong samples are free (they may
      even fix the error), so they do not count against the LAC. *)
-  Bitvec.logand_into s.tmp t.err_free ~dst:s.tmp;
-  float_of_int (Bitvec.popcount s.tmp) /. float_of_int (samples t)
+  let fresh =
+    Bitvec.masked_diff_count cand t.ctx.Round_ctx.sigs.(target) t.crit.(target)
+      t.err_free
+  in
+  give_buf s cand;
+  float_of_int fresh /. float_of_int (samples t)
 
 let cone t target =
   match Hashtbl.find_opt t.cone_cache target with
@@ -187,7 +186,7 @@ let cone t target =
   | None ->
     Atomic.incr t.cache_misses;
     let c =
-      Structure.tfo_list t.ctx.Round_ctx.net ~fanouts:t.ctx.Round_ctx.fanouts
+      Structure.tfo_list ~fanouts:t.ctx.Round_ctx.fanouts ~order:t.ctx.Round_ctx.order
         ~topo_pos:t.ctx.Round_ctx.topo_pos target
     in
     Hashtbl.add t.cone_cache target c;

@@ -43,9 +43,7 @@ type scratch = {
   tfo : Structure.tfo_probe;
   seen : int array;  (** window membership: [seen.(id) = window_stamp] *)
   mutable window_stamp : int;
-  gate : Bitvec.t;  (** a target's complement, or a pair/triple function *)
-  negated : Bitvec.t array;  (** complemented cut leaves *)
-  products : Bitvec.t array;  (** per-level partial minterm products *)
+  products : Bitvec.t array;  (** per-depth positive-literal products *)
   qm : Qm.memo;  (** cut-function covers *)
 }
 
@@ -57,20 +55,17 @@ let scratch (ctx : Round_ctx.t) =
     tfo = Structure.tfo_probe ctx.net ~topo_pos:ctx.topo_pos;
     seen = Array.make n 0;
     window_stamp = 0;
-    gate = Bitvec.create samples;
-    negated = Array.init Truth.max_vars (fun _ -> Bitvec.create samples);
     products = Array.init Truth.max_vars (fun _ -> Bitvec.create samples);
     qm = Qm.memo ();
   }
 
-let global_matches s buckets (ctx : Round_ctx.t) config target =
+let global_matches buckets (ctx : Round_ctx.t) config target =
   if config.global_wires = 0 then []
   else begin
     let tsig = ctx.sigs.(target) in
     let direct = try Hashtbl.find buckets (Bitvec.prefix_word tsig) with Not_found -> [] in
     let inverted =
-      Bitvec.lognot_into tsig ~dst:s.gate;
-      try Hashtbl.find buckets (Bitvec.prefix_word s.gate) with Not_found -> []
+      try Hashtbl.find buckets (Bitvec.not_prefix_word tsig) with Not_found -> []
     in
     let rec take_others n = function
       | [] -> []
@@ -117,39 +112,40 @@ let window_of s (ctx : Round_ctx.t) target =
   done;
   !result
 
-(* Sampled probability of each cut-input minterm, from leaf signatures.
-   The products are built depth-first over a tree whose level [i] ANDs in
-   leaf [i]'s literal: 4 + 8 + ... + 2^k ANDs for [k] leaves, in
-   [s.products]. *)
-let minterm_probabilities s (ctx : Round_ctx.t) leaves =
-  let samples = ctx.patterns.Sim.count in
+(* First [counts.(m)] counts the samples on which every leaf in [m] is 1:
+   a subset's product is its prefix subset's product ANDed with one more
+   leaf, in [products.(depth)], which takes 2^k - k - 1 ANDs for [k]
+   leaves; products that end in the last leaf are only counted. A Moebius
+   transform over supersets then leaves the exact minterm counts. *)
+let minterm_counts ~products (ctx : Round_ctx.t) leaves =
   let vars = Array.length leaves in
-  Array.iteri
-    (fun i leaf -> Bitvec.lognot_into ctx.sigs.(leaf) ~dst:s.negated.(i))
-    leaves;
-  let probs = Array.make (Truth.rows vars) 0.0 in
-  let rec expand i m prefix =
-    if i = vars then
-      probs.(m) <-
-        float_of_int (Bitvec.popcount prefix) /. float_of_int samples
-    else begin
-      let branch literal bit =
-        let product =
-          if i = 0 then literal
-          else begin
-            Bitvec.logand_into prefix literal ~dst:s.products.(i);
-            s.products.(i)
-          end
-        in
-        expand (i + 1) (m lor (bit lsl i)) product
-      in
-      branch s.negated.(i) 0;
-      branch ctx.sigs.(leaves.(i)) 1
-    end
+  let leaf i = ctx.sigs.(leaves.(i)) in
+  let counts = Array.make (Truth.rows vars) 0 in
+  counts.(0) <- ctx.patterns.Sim.count;
+  (* [prefix] is the product of subset [m], whose largest leaf is [last]. *)
+  let rec extend m prefix ~last ~depth =
+    for i = last + 1 to vars - 1 do
+      let m' = m lor (1 lsl i) in
+      if i = vars - 1 then counts.(m') <- Bitvec.and_popcount prefix (leaf i)
+      else begin
+        let product = products.(depth) in
+        Bitvec.logand_into prefix (leaf i) ~dst:product;
+        counts.(m') <- Bitvec.popcount product;
+        extend m' product ~last:i ~depth:(depth + 1)
+      end
+    done
   in
-  (* Level 0 takes the literal itself; its [prefix] is never read. *)
-  expand 0 0 s.gate;
-  probs
+  for i = 0 to vars - 1 do
+    counts.(1 lsl i) <- Bitvec.popcount (leaf i);
+    extend (1 lsl i) (leaf i) ~last:i ~depth:0
+  done;
+  for i = 0 to vars - 1 do
+    let bit = 1 lsl i in
+    for m = 0 to Array.length counts - 1 do
+      if m land bit = 0 then counts.(m) <- counts.(m) - counts.(m lor bit)
+    done
+  done;
+  counts
 
 let rec take n = function
   | [] -> []
@@ -173,10 +169,10 @@ let sop_candidates s (ctx : Round_ctx.t) config cone target cuts_of_target =
         | exception Invalid_argument _ -> ()
         | truth ->
           let vars = Array.length leaves in
-          let probs = minterm_probabilities s ctx leaves in
+          let counts = minterm_counts ~products:s.products ctx leaves in
           let order =
             let idx = Array.init (Truth.rows vars) (fun i -> i) in
-            Array.sort (fun a b -> compare probs.(a) probs.(b)) idx;
+            Array.sort (fun a b -> Int.compare counts.(a) counts.(b)) idx;
             idx
           in
           let dc_of count =
@@ -251,6 +247,23 @@ let base_op = function
   | (Gate.Const _ | Gate.Input | Gate.Buf | Gate.Not | Gate.And | Gate.Or
     | Gate.Xor | Gate.Mux) as op -> op
 
+(* Hamming distance from [tsig] to base op [op] over [arity] signatures,
+   [input i] being the gate's fanin [i], without building the gate's
+   signature. *)
+let op_distance tsig op ~arity input =
+  match (op, arity) with
+  | Gate.And, 2 -> Bitvec.hamming_and tsig (input 0) (input 1)
+  | Gate.Or, 2 -> Bitvec.hamming_or tsig (input 0) (input 1)
+  | Gate.Xor, 2 -> Bitvec.hamming_xor tsig (input 0) (input 1)
+  | Gate.And, 3 -> Bitvec.hamming_and3 tsig (input 0) (input 1) (input 2)
+  | Gate.Or, 3 -> Bitvec.hamming_or3 tsig (input 0) (input 1) (input 2)
+  | Gate.Xor, 3 -> Bitvec.hamming_xor3 tsig (input 0) (input 1) (input 2)
+  | Gate.Mux, 3 -> Bitvec.hamming_mux tsig ~sel:(input 0) (input 1) (input 2)
+  | ( ( Gate.Input | Gate.Const _ | Gate.Buf | Gate.Not | Gate.And | Gate.Or
+      | Gate.Nand | Gate.Nor | Gate.Xor | Gate.Xnor | Gate.Mux ),
+      _ ) ->
+    invalid_arg "Candidate_gen.op_distance: not a resubstitution base op"
+
 (* The [cap] best resubstitutions of [target] by [row]. Combinations: the
    first [arity - 1] signals are consecutive in the ranked shortlist, the
    last is any later one (all pairs for k = 2). An op's distance is only
@@ -261,7 +274,6 @@ let resub_candidates s (ctx : Round_ctx.t) cone target ranked row ~cap =
   let shortlist = Array.of_list (take row.prefix ranked) in
   let k = row.arity in
   let chosen = Array.make k 0 in
-  let lookup i = ctx.sigs.(chosen.(i)) in
   (* Distance of each entry's base op over its permutation of [chosen], or
      -1 until computed; entries with the same base op and the same
      permutation array use the first one's slot. *)
@@ -272,10 +284,10 @@ let resub_candidates s (ctx : Round_ctx.t) cone target ranked row ~cap =
       if p == perm && Gate.equal (base_op o) (base_op op) then j else slot (j + 1)
     in
     let j = slot 0 in
-    if dist.(j) < 0 then begin
-      Sim.eval_op_into (base_op op) ~lookup perm ~dst:s.gate;
-      dist.(j) <- Bitvec.hamming ctx.sigs.(target) s.gate
-    end;
+    if dist.(j) < 0 then
+      dist.(j) <-
+        op_distance ctx.sigs.(target) (base_op op) ~arity:k (fun i ->
+            ctx.sigs.(chosen.(perm.(i))));
     if Gate.equal op (base_op op) then dist.(j) else samples - dist.(j)
   in
   let found = ref [] in
@@ -337,7 +349,7 @@ let candidates_for_target (ctx : Round_ctx.t) config ~buckets ~all_cuts s ~emit 
       int_of_float (wire_distance_fraction *. float_of_int samples)
     in
     let inv_area = Cost.gate_area Gate.Not 1 in
-    let global = List.filter usable (global_matches s buckets ctx config target) in
+    let global = List.filter usable (global_matches buckets ctx config target) in
     let wires =
       List.sort_uniq compare (take wires_per_target ranked @ global)
     in

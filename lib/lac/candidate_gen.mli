@@ -39,6 +39,14 @@ val iter :
     runs on the calling domain over them in topological order — the same
     sequence as the sequential run. *)
 
+val minterm_counts :
+  products:Accals_bitvec.Bitvec.t array -> Round_ctx.t -> int array -> int array
+(** [minterm_counts ~products ctx leaves] counts, for each minterm [m] of
+    the cut [leaves] (bit [i] of [m] is leaf [i]'s value), the samples on
+    which the leaf signatures take the values of [m]. [products] is
+    scratch: at least [Array.length leaves - 2] vectors of the sample
+    count. The SOP generator declares the rarest minterms don't-care. *)
+
 val generate :
   ?pool:Accals_runtime.Pool.t -> Round_ctx.t -> config -> Lac.t list
 (** [iter] collected into a list: for tests and perfbench replay. *)

@@ -159,13 +159,35 @@ let in_tfo p ~target v =
   in
   reaches v
 
-let tfo_list t ~fanouts ~topo_pos id =
-  let bv = tfo_set t ~fanouts id in
-  let nodes = ref [] in
-  Bitvec.iter_set bv (fun x -> if x <> id then nodes := x :: !nodes);
-  let arr = Array.of_list !nodes in
-  Array.sort (fun a b -> compare topo_pos.(a) topo_pos.(b)) arr;
-  arr
+(* The cone is marked by topological position, so reading the marks back
+   in ascending order through [order] lists it in topological order. *)
+let tfo_list ~fanouts ~order ~topo_pos id =
+  let marks = Bitvec.create (Array.length order) in
+  let own = topo_pos.(id) in
+  Bitvec.set marks own true;
+  let rec walk = function
+    | [] -> ()
+    | x :: rest ->
+      let stack = ref rest in
+      let fo = fanouts.(x) in
+      for j = 0 to Array.length fo - 1 do
+        let p = topo_pos.(fo.(j)) in
+        if not (Bitvec.get marks p) then begin
+          Bitvec.set marks p true;
+          stack := fo.(j) :: !stack
+        end
+      done;
+      walk !stack
+  in
+  walk [ id ];
+  let cone = Array.make (Bitvec.popcount marks - 1) 0 in
+  let next = ref 0 in
+  Bitvec.iter_set marks (fun p ->
+      if p <> own then begin
+        cone.(!next) <- order.(p);
+        incr next
+      end);
+  cone
 
 let shortest_path_bounded t ~fanouts ~src ~dst ~limit =
   ignore t;

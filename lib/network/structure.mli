@@ -38,10 +38,11 @@ val in_tfo : tfo_probe -> target:int -> int -> bool
     transitive fanins after [target] in topological order are visited, and
     answers are memoized until the probe is asked about another target. *)
 
-val tfo_list : Network.t -> fanouts:int array array -> topo_pos:int array -> int -> int array
-(** Transitive fanout of a node (the node excluded), sorted in topological
-    order using [topo_pos] (node id -> position). Used for cone
-    resimulation. *)
+val tfo_list :
+  fanouts:int array array -> order:int array -> topo_pos:int array -> int -> int array
+(** Transitive fanout of a node (the node excluded) in topological order:
+    [order] lists the live nodes topologically and [topo_pos] is its
+    inverse (node id -> position). Used for cone resimulation. *)
 
 val shortest_path_bounded :
   Network.t -> fanouts:int array array -> src:int -> dst:int -> limit:int -> int option

@@ -53,10 +53,15 @@ type job = {
          lane (see [attach_trace]); merged into [trace_events]. *)
 }
 
+(* Every admitted job stays in [jobs]; the queued and running ones are also
+   in [active], and each key's jobs in [by_key], so the per-tick and
+   per-submit walks do not grow with the daemon's history. *)
 type t = {
   mutex : Mutex.t;
   tbl : (string, job) Hashtbl.t;
   mutable jobs : job list;  (* newest first *)
+  mutable active : job list;  (* the Queued and Running jobs, newest first *)
+  by_key : (string, job list) Hashtbl.t;  (* newest first *)
   mutable next_seq : int;
   rng : Random.State.t;
 }
@@ -82,6 +87,8 @@ let create () =
     mutex = Mutex.create ();
     tbl = Hashtbl.create 64;
     jobs = [];
+    active = [];
+    by_key = Hashtbl.create 64;
     next_seq = 1;
     rng = seed_rng ();
   }
@@ -157,6 +164,9 @@ let submit t ~spec ~circuit ~digest ~key ?net ?cached ?(lookup_s = 0.0) () =
        | None -> ());
       Hashtbl.replace t.tbl j.id j;
       t.jobs <- j :: t.jobs;
+      if j.state = Queued then t.active <- j :: t.active;
+      Hashtbl.replace t.by_key key
+        (j :: Option.value (Hashtbl.find_opt t.by_key key) ~default:[]);
       push_event j "submitted"
         [
           ("circuit", Json.String circuit);
@@ -185,7 +195,7 @@ let active_by_key t k ~budget =
           | Done when j.result <> None && not j.degraded -> Some j
           | _ -> acc)
         None
-        (List.filter (fun j -> j.key = k) t.jobs))
+        (Option.value (Hashtbl.find_opt t.by_key k) ~default:[]))
 
 (* Scheduling policy: strict priority, then fewest running jobs for the
    tenant (fair share), then submission order. *)
@@ -209,13 +219,13 @@ let running_by_tenant t =
         let tenant = j.spec.Protocol.tenant in
         Hashtbl.replace running tenant
           (1 + Option.value (Hashtbl.find_opt running tenant) ~default:0))
-    t.jobs;
+    t.active;
   fun tenant -> Option.value (Hashtbl.find_opt running tenant) ~default:0
 
 let queued_in_order t =
   (* Call with the lock held. *)
   let running_of_tenant = running_by_tenant t in
-  List.filter (fun j -> j.state = Queued) t.jobs
+  List.filter (fun j -> j.state = Queued) t.active
   |> List.sort (policy_order running_of_tenant)
 
 let pick ?tenant_max_running t =
@@ -286,6 +296,7 @@ let settle t j (outcome : outcome) =
         Atomic.set j.cancel_flag true;
         j.net <- None;
         j.finished_mono <- Some (Clock.now ());
+        t.active <- List.filter (fun x -> x != j) t.active;
         (match outcome with
          | `Done (entry, degraded) ->
            j.state <- Done;
@@ -310,11 +321,7 @@ let deadline_expired j ~now =
   match j.deadline_mono with None -> false | Some d -> now >= d
 
 let expired t ~now =
-  locked t (fun () ->
-      List.filter
-        (fun j ->
-          (j.state = Queued || j.state = Running) && deadline_expired j ~now)
-        (List.rev t.jobs))
+  locked t (fun () -> List.filter (deadline_expired ~now) (List.rev t.active))
 
 (* Admission-control inputs: how much is queued/running overall and per
    tenant.  Reading and the subsequent submit both happen on the
@@ -329,7 +336,7 @@ let totals t =
           | Queued -> (q + 1, r)
           | Running -> (q, r + 1)
           | _ -> (q, r))
-        (0, 0) t.jobs)
+        (0, 0) t.active)
 
 let tenant_load t tenant =
   locked t (fun () ->
@@ -341,7 +348,7 @@ let tenant_load t tenant =
             | Queued -> (q + 1, r)
             | Running -> (q, r + 1)
             | _ -> (q, r))
-        (0, 0) t.jobs)
+        (0, 0) t.active)
 
 type view = {
   v_id : string;
@@ -518,6 +525,4 @@ let counts t =
 
 let queued_specs t =
   locked t (fun () ->
-      List.rev t.jobs
-      |> List.filter (fun j -> j.state = Queued || j.state = Running)
-      |> List.map (fun j -> j.spec))
+      List.rev_map (fun j -> j.spec) t.active)

@@ -162,6 +162,100 @@ let prop_get_after_of_bool_array =
       List.for_all (fun i -> Bitvec.get v i = List.nth l i)
         (List.init (List.length l) (fun i -> i)))
 
+(* Fused kernels against the compositions they replace, at lengths that
+   put the tail mask on a short, an exactly full and a one-bit last word.
+   Vectors are uniform, sparse (an AND of two) or dense (an OR of two). *)
+
+let kernel_lengths = [ 1; 61; 62; 63; 124; 2048 ]
+
+let gen_vectors = QCheck2.Gen.(pair (oneofl kernel_lengths) (int_bound 1_000_000))
+
+let vectors (len, seed) n =
+  let rng = Prng.create seed in
+  let random () =
+    let v = Bitvec.create len in
+    Bitvec.randomize rng v;
+    v
+  in
+  Array.init n (fun i ->
+      match (seed + i) mod 3 with
+      | 0 -> random ()
+      | 1 -> Bitvec.logand (random ()) (random ())
+      | _ -> Bitvec.logor (random ()) (random ()))
+
+let kernel_case name n prop =
+  Test_util.qcheck_case ~count:60 name gen_vectors (fun g -> prop (vectors g n))
+
+(* The 16-bit table popcount the SWAR kernel replaced. *)
+let table_popcount =
+  let table = Array.init 65536 (fun i ->
+      let rec count v = if v = 0 then 0 else (v land 1) + count (v lsr 1) in
+      count i)
+  in
+  fun v ->
+    Bitvec.fold_words v ~init:0 ~f:(fun acc w ->
+        acc + table.(w land 0xffff) + table.(w lsr 16 land 0xffff)
+        + table.(w lsr 32 land 0xffff) + table.(w lsr 48 land 0xffff))
+
+let prop_popcount_table =
+  kernel_case "swar popcount matches the table" 1 (fun v ->
+      Bitvec.popcount v.(0) = table_popcount v.(0))
+
+let prop_and_popcount =
+  kernel_case "and_popcount" 2 (fun v ->
+      Bitvec.and_popcount v.(0) v.(1) = Bitvec.popcount (Bitvec.logand v.(0) v.(1)))
+
+let prop_masked_diff_count =
+  kernel_case "masked_diff_count" 4 (fun v ->
+      Bitvec.masked_diff_count v.(0) v.(1) v.(2) v.(3)
+      = Bitvec.popcount
+          (Bitvec.logand (Bitvec.logand (Bitvec.logxor v.(0) v.(1)) v.(2)) v.(3)))
+
+let prop_hamming_ops =
+  kernel_case "op hamming kernels" 4 (fun v ->
+      let t = v.(0) and a = v.(1) and b = v.(2) and c = v.(3) in
+      let mux = Bitvec.create (Bitvec.length t) in
+      Bitvec.mux_into ~sel:a b c ~dst:mux;
+      Bitvec.hamming_and t a b = Bitvec.hamming t (Bitvec.logand a b)
+      && Bitvec.hamming_or t a b = Bitvec.hamming t (Bitvec.logor a b)
+      && Bitvec.hamming_xor t a b = Bitvec.hamming t (Bitvec.logxor a b)
+      && Bitvec.hamming_and3 t a b c
+         = Bitvec.hamming t (Bitvec.logand (Bitvec.logand a b) c)
+      && Bitvec.hamming_or3 t a b c
+         = Bitvec.hamming t (Bitvec.logor (Bitvec.logor a b) c)
+      && Bitvec.hamming_xor3 t a b c
+         = Bitvec.hamming t (Bitvec.logxor (Bitvec.logxor a b) c)
+      && Bitvec.hamming_mux t ~sel:a b c = Bitvec.hamming t mux)
+
+let prop_xor_or_into =
+  kernel_case "xor_or_into" 3 (fun v ->
+      let dst = Bitvec.copy v.(2) in
+      Bitvec.xor_or_into v.(0) v.(1) ~dst;
+      Bitvec.equal dst (Bitvec.logor v.(2) (Bitvec.logxor v.(0) v.(1))))
+
+let prop_not_prefix_word =
+  kernel_case "not_prefix_word" 1 (fun v ->
+      Bitvec.not_prefix_word v.(0) = Bitvec.prefix_word (Bitvec.lognot v.(0)))
+
+let prop_into_ops =
+  kernel_case "in-place ops match bool arrays" 2 (fun v ->
+      let a = Bitvec.to_bool_array v.(0) and b = Bitvec.to_bool_array v.(1) in
+      let dst = Bitvec.create (Bitvec.length v.(0)) in
+      let agrees into op =
+        into v.(0) v.(1) ~dst;
+        Bitvec.equal dst (Bitvec.of_bool_array (Array.map2 op a b))
+      in
+      agrees Bitvec.logand_into ( && )
+      && agrees Bitvec.logor_into ( || )
+      && agrees Bitvec.logxor_into ( <> ))
+
+let prop_iter_set =
+  kernel_case "iter_set lists the set bits" 1 (fun v ->
+      let seen = ref [] in
+      Bitvec.iter_set v.(0) (fun i -> seen := i :: !seen);
+      List.rev !seen
+      = List.filter (Bitvec.get v.(0)) (List.init (Bitvec.length v.(0)) Fun.id))
+
 let suite =
   [
     ( "bitvec",
@@ -182,6 +276,14 @@ let suite =
         prop_popcount_matches;
         prop_hamming_triangle;
         prop_get_after_of_bool_array;
+        prop_popcount_table;
+        prop_and_popcount;
+        prop_masked_diff_count;
+        prop_hamming_ops;
+        prop_xor_or_into;
+        prop_not_prefix_word;
+        prop_into_ops;
+        prop_iter_set;
       ] );
     ( "prng",
       [

@@ -286,6 +286,56 @@ let test_engine_trace_consistent () =
   in
   check "error chain" true (chained 0.0 r.Engine.rounds)
 
+(* Whole runs of the 13 er-suite circuits at ER <= 0.03, 2,048 samples and
+   -j1: (circuit, result digest, rounds, trace-CSV MD5). A speedup of the
+   per-round kernels must leave every run byte-identical. *)
+let golden_runs =
+  [
+    ("alu4", "475044fc1e39b474ddb2618c181a14df9dea797697672674bd9db6a17906654b", 8,
+     "6a7e4d754a1671b6a2ffee7eec376d08");
+    ("c880", "d68487b422c48ba3a0e3d753e58d71780eefd127db6a60f6f7dba482ebb7dc3c", 7,
+     "6543f9727a97fd4543d8c102bae559ae");
+    ("c1908", "059f02835ce2be33345b648d2784cbecdd12c02f04eaaa2cfa766121bed5b760", 5,
+     "8206f4e3a1b5ebc32393a4906b1e1793");
+    ("c3540", "0ad599ba3a26967943d4276e4b987ab9923b2f336376915d58283c09f4119b3b", 9,
+     "fb30f1559831ff86f863d812f9561e70");
+    ("cla32", "fb48448ea058337367e1b8c4d3701f8ff36c6fa9e3abbb3db10b94f4a362e6ec", 2,
+     "adb985134527c02365f2c36643e9d72c");
+    ("ksa32", "5968b4b5740b075277c5f4a3996a59b48efa18d982622e620bbc18ad765684ee", 9,
+     "d51ef5008ec89ae2d68fd32fa89532d3");
+    ("mtp8", "46a3c90573de3d23f55970c62af5dfd5f79f43529c7a37f3333e62e3f922b1af", 2,
+     "1568595623eaa80b032e182961ddbdfa");
+    ("wal8", "d505d7f9ef8971f1afb5345d5ab6de085fa26cbcd42e50a0abdda2b05e55a987", 4,
+     "ce23e3465044ddf94f63ad996a54a124");
+    ("sqrt", "18197297d988c4ddeac8426ddae31e0b8f332e968a23cb64311cdb0f88ac835e", 4,
+     "37cde65c801d6cb123534c96cd76a26b");
+    ("sin", "f5ebb6036e2cc439a6aecb1b485a2607ef4121866e8c1b31162f4c3c923dc5be", 14,
+     "590bb89359780689384d4d42b6e481f1");
+    ("log2", "08d98f581d7b7c4ad68c762715e74033c28137dd06e10754033ff2a8e6485a99", 9,
+     "0ebede35729258e7f870ebb4a553aab7");
+    ("apex6", "4285d5a02c46540a3d1fbe4ae1311eb1528799d153d5e4f952eaf38c176dd358", 11,
+     "2eff2ca56aeb70b3fb506ab2a849c46b");
+    ("frg2", "4e7b0634be7bd35bca8a69ab708b4cfd6039dd56f48c80ef591fc69287a666cd", 16,
+     "a0e362e47a5539ae9dc3415c110bc746");
+  ]
+
+let test_golden_runs () =
+  List.iter
+    (fun (name, digest, rounds, csv_md5) ->
+      let net = Accals_circuits.Bench_suite.load name in
+      let config =
+        Config.for_network ~base:{ Config.default with samples = 2048; jobs = 1 } net
+      in
+      let r = Engine.run ~config net ~metric:Metric.Error_rate ~error_bound:0.03 in
+      Alcotest.(check string)
+        (name ^ " digest") digest
+        (Network.digest r.Engine.approximate);
+      check_int (name ^ " rounds") rounds (List.length r.Engine.rounds);
+      Alcotest.(check string)
+        (name ^ " trace csv") csv_md5
+        (Digest.to_hex (Digest.string (Trace.to_csv r.Engine.rounds))))
+    golden_runs
+
 let suite =
   [
     ( "config",
@@ -328,6 +378,7 @@ let suite =
         Alcotest.test_case "all metrics" `Slow test_engine_all_metrics;
         Alcotest.test_case "rejects bad bound" `Quick test_engine_rejects_bad_bound;
         Alcotest.test_case "trace consistent" `Quick test_engine_trace_consistent;
+        Alcotest.test_case "golden er-suite runs" `Slow test_golden_runs;
         prop_engine_bound_on_random_nets;
       ] );
   ]

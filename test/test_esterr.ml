@@ -143,7 +143,8 @@ let oracle_delta est (ctx : Round_ctx.t) ~golden metric lac =
           Sim.eval_node_into net ~lookup id ~dst;
           if not (Bitvec.equal dst sigs.(id)) then Hashtbl.replace overlay id dst
         end)
-      (Structure.tfo_list net ~fanouts:ctx.fanouts ~topo_pos:ctx.topo_pos target);
+      (Structure.tfo_list ~fanouts:ctx.fanouts ~order:ctx.order ~topo_pos:ctx.topo_pos
+         target);
     Test_metrics.Oracle.measure metric ~golden
       ~approx:(Array.map lookup (Network.outputs net))
     -. Estimator.base_error est

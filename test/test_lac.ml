@@ -231,6 +231,77 @@ let test_golden_candidates () =
         (Digest.to_hex (Digest.string (Marshal.to_string cands [ Marshal.No_sharing ]))))
     golden_candidates
 
+(* The float product tree that [Candidate_gen.minterm_counts] replaced:
+   level [i] of a depth-first tree ANDs in leaf [i]'s literal, and each
+   leaf of the tree is one minterm's sampled probability. *)
+let minterm_probabilities (ctx : Round_ctx.t) leaves =
+  let samples = ctx.patterns.Sim.count in
+  let vars = Array.length leaves in
+  let negated = Array.map (fun leaf -> Bitvec.lognot ctx.sigs.(leaf)) leaves in
+  let products = Array.init vars (fun _ -> Bitvec.create samples) in
+  let probs = Array.make (1 lsl vars) 0.0 in
+  let rec expand i m prefix =
+    if i = vars then
+      probs.(m) <- float_of_int (Bitvec.popcount prefix) /. float_of_int samples
+    else begin
+      let branch literal bit =
+        let product =
+          if i = 0 then literal
+          else begin
+            Bitvec.logand_into prefix literal ~dst:products.(i);
+            products.(i)
+          end
+        in
+        expand (i + 1) (m lor (bit lsl i)) product
+      in
+      branch negated.(i) 0;
+      branch ctx.sigs.(leaves.(i)) 1
+    end
+  in
+  (* Level 0 takes the literal itself; its [prefix] is never read. *)
+  expand 0 0 (Bitvec.create samples);
+  probs
+
+(* The integer counts divide to the oracle's probabilities exactly, and
+   sorting them orders the minterms as sorting the probabilities did, ties
+   included: the SOP generator's don't-care choice is unchanged. Cuts of up
+   to [Truth.max_vars] leaves, on sampled (2,048 and 1,000) and exhaustive
+   patterns. *)
+let test_minterm_counts_oracle () =
+  let module Truth = Accals_twolevel.Truth in
+  List.iter
+    (fun (name, count, exhaustive_limit) ->
+      let net = Accals_circuits.Bench_suite.load name in
+      let ctx =
+        Round_ctx.create net (Sim.for_network ~seed:3 ~count ~exhaustive_limit net)
+      in
+      let samples = ctx.patterns.Sim.count in
+      let products = Array.init Truth.max_vars (fun _ -> Bitvec.create samples) in
+      let cuts =
+        Accals_twolevel.Cut_enum.enumerate net ~order:ctx.order ~k:Truth.max_vars
+          ~per_node:6
+      in
+      Array.iter
+        (List.iter (fun leaves ->
+             if Array.length leaves >= 2 then begin
+               let counts = Candidate_gen.minterm_counts ~products ctx leaves in
+               let probs = minterm_probabilities ctx leaves in
+               let rows = Array.length probs in
+               check (name ^ " counts divide to probabilities") true
+                 (Array.map (fun c -> float_of_int c /. float_of_int samples) counts
+                 = probs);
+               let order cmp =
+                 let idx = Array.init rows Fun.id in
+                 Array.sort cmp idx;
+                 idx
+               in
+               check (name ^ " minterm order") true
+                 (order (fun a b -> Int.compare counts.(a) counts.(b))
+                 = order (fun a b -> compare probs.(a) probs.(b)))
+             end))
+        cuts)
+    [ ("c880", 2048, 14); ("frg2", 1000, 14); ("mtp8", 2048, 16) ]
+
 let suite =
   [
     ( "lac",
@@ -254,5 +325,7 @@ let suite =
         Alcotest.test_case "bulk apply stays valid" `Quick test_apply_preserves_validity;
         Alcotest.test_case "round context consistency" `Quick test_round_ctx_consistency;
         Alcotest.test_case "golden er-suite candidates" `Quick test_golden_candidates;
+        Alcotest.test_case "minterm counts match the product tree" `Quick
+          test_minterm_counts_oracle;
       ] );
   ]

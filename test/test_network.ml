@@ -383,6 +383,27 @@ let prop_in_tfo_matches_tfo_set =
       done;
       !ok)
 
+(* [tfo_list] reads its cone back through [order]; the oracle sorts the
+   [tfo_set] members by topological position. *)
+let prop_tfo_list_topological =
+  Test_util.qcheck_case ~count:40 "tfo_list is tfo_set sorted by topo_pos"
+    gen_random_net_seed (fun seed ->
+      let t = build_cone_net seed in
+      let live = Structure.live_set t in
+      let order = Structure.topo_order ~live t in
+      let topo_pos = Array.make (Network.num_nodes t) (-1) in
+      Array.iteri (fun i id -> topo_pos.(id) <- i) order;
+      let fanouts = Structure.fanouts t in
+      Array.for_all
+        (fun target ->
+          let oracle = ref [] in
+          Bitvec.iter_set (Structure.tfo_set t ~fanouts target) (fun x ->
+              if x <> target then oracle := x :: !oracle);
+          let oracle = Array.of_list !oracle in
+          Array.sort (fun a b -> compare topo_pos.(a) topo_pos.(b)) oracle;
+          Structure.tfo_list ~fanouts ~order ~topo_pos target = oracle)
+        order)
+
 (* Simulation vs eval oracle *)
 
 let test_sim_matches_eval () =
@@ -507,6 +528,7 @@ let suite =
         prop_topo_valid_random;
         prop_mffc_in_place;
         prop_in_tfo_matches_tfo_set;
+        prop_tfo_list_topological;
       ] );
     ( "cleanup",
       [

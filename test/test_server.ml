@@ -755,6 +755,113 @@ let test_scheduler_circuit_release () =
   | None -> Alcotest.fail "picked job lost its circuit");
   check "circuit handed over once" true (Scheduler.take_circuit s j_run = None)
 
+(* The admission and deadline queries walk only the queued and running
+   jobs: with thousands of finished jobs behind them they must still
+   answer exactly what a fold over every admitted job answers. *)
+let test_scheduler_history_differential () =
+  let s = Scheduler.create () in
+  let rng = Random.State.make [| 24 |] in
+  let tenants = [ "a"; "b"; "c" ] and keys = [ "k0"; "k1"; "k2"; "k3"; "k4" ] in
+  let budgets = [ None; Some 1.0 ] in
+  let pick_from l = List.nth l (Random.State.int rng (List.length l)) in
+  let entry = { Cache.key = "k"; report = Json.Null; blif = "b" } in
+  let live j =
+    match Scheduler.state s j with
+    | Scheduler.Queued | Scheduler.Running -> true
+    | Scheduler.Done | Scheduler.Failed | Scheduler.Cancelled -> false
+  in
+  let load ?tenant () =
+    List.fold_left
+      (fun (q, r) j ->
+        if Option.fold tenant ~none:false ~some:(( <> ) (Scheduler.spec j).Protocol.tenant)
+        then (q, r)
+        else
+          match Scheduler.state s j with
+          | Scheduler.Queued -> (q + 1, r)
+          | Scheduler.Running -> (q, r + 1)
+          | Scheduler.Done | Scheduler.Failed | Scheduler.Cancelled -> (q, r))
+      (0, 0) (Scheduler.all s)
+  in
+  let by_key k ~budget =
+    List.fold_left
+      (fun acc j ->
+        if Scheduler.key j <> k then acc
+        else
+          match Scheduler.state s j with
+          | (Scheduler.Queued | Scheduler.Running)
+            when (Scheduler.spec j).Protocol.budget = budget ->
+            Some j
+          | Scheduler.Done
+            when Scheduler.result s j <> None
+                 && not (Scheduler.view s j).Scheduler.v_degraded ->
+            Some j
+          | _ -> acc)
+      None
+      (List.rev (Scheduler.all s))
+  in
+  let ids = List.map Scheduler.id in
+  let agree step =
+    let tag what = Printf.sprintf "%s after %d steps" what step in
+    check (tag "totals") true (Scheduler.totals s = load ());
+    List.iter
+      (fun tenant ->
+        check (tag ("load of " ^ tenant)) true
+          (Scheduler.tenant_load s tenant = load ~tenant ()))
+      tenants;
+    List.iter
+      (fun now ->
+        let overdue =
+          List.filter
+            (fun j ->
+              live j
+              && Option.fold (Scheduler.deadline_mono j) ~none:false ~some:(fun d ->
+                     now >= d))
+            (Scheduler.all s)
+        in
+        check (tag "expired") true (ids (Scheduler.expired s ~now) = ids overdue))
+      [ neg_infinity; Clock.now (); infinity ];
+    List.iter
+      (fun k ->
+        List.iter
+          (fun budget ->
+            check (tag ("active_by_key " ^ k)) true
+              (Option.map Scheduler.id (Scheduler.active_by_key s k ~budget)
+              = Option.map Scheduler.id (by_key k ~budget)))
+          budgets)
+      keys;
+    check (tag "queued specs") true
+      (Scheduler.queued_specs s
+      = List.map Scheduler.spec (List.filter live (Scheduler.all s)))
+  in
+  for step = 1 to 4000 do
+    (match Random.State.int rng 5 with
+     | 0 | 1 ->
+       let key = pick_from keys in
+       let cached = if Random.State.int rng 8 = 0 then Some entry else None in
+       ignore
+         (Scheduler.submit s
+            ~spec:
+              (spec ~name:"one" ~tenant:(pick_from tenants)
+                 ~priority:(Random.State.int rng 3) ?budget:(pick_from budgets)
+                 ?deadline:(pick_from [ None; Some 0.0; Some 1000.0 ])
+                 ())
+            ~circuit:"one" ~digest:"d" ~key ?cached ())
+     | 2 -> ignore (Scheduler.pick s)
+     | _ -> (
+       match List.filter live (Scheduler.all s) with
+       | [] -> ()
+       | active ->
+         let j = pick_from active in
+         ignore
+           (Scheduler.settle s j
+              (pick_from
+                 [ `Done (entry, false); `Done (entry, true);
+                   `Failed Scheduler.Deadline_exceeded; `Cancelled ]))));
+    if step mod 500 = 0 then agree step
+  done;
+  let finished = List.filter (fun j -> not (live j)) (Scheduler.all s) in
+  check "thousands of finished jobs" true (List.length finished >= 1000)
+
 (* --- graceful shutdown --- *)
 
 let test_graceful () =
@@ -1793,6 +1900,8 @@ let suite =
           test_scheduler_deadline;
         Alcotest.test_case "queued settle releases the circuit" `Quick
           test_scheduler_circuit_release;
+        Alcotest.test_case "history differential" `Quick
+          test_scheduler_history_differential;
       ] );
     ( "server graceful",
       [
