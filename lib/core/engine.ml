@@ -344,6 +344,18 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
   let c_audits =
     Metrics.counter m "accals_audits_total" ~help:"Shadow audits performed"
   in
+  let c_targets_reused =
+    Metrics.counter m "accals_candidates_targets_reused_total"
+      ~help:"Targets whose candidate list was re-emitted from the generator memo"
+  in
+  let c_targets_regenerated =
+    Metrics.counter m "accals_candidates_targets_regenerated_total"
+      ~help:"Targets whose candidate list was generated afresh"
+  in
+  let c_cuts_recomputed =
+    Metrics.counter m "accals_cuts_nodes_recomputed_total"
+      ~help:"Nodes whose cut set the generator memo recomputed"
+  in
   let g_gc_minor =
     Metrics.gauge m "accals_gc_minor_collections"
       ~help:"GC minor collections since program start (sampled per round)"
@@ -501,7 +513,7 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
       if Budget.Memory.classify mb ~bytes:used <> Budget.Memory.Nominal
          && not st.s_finished
       then begin
-        let cones, bufs = phase "govern" (fun () ->
+        let cones, bufs, memo_bytes = phase "govern" (fun () ->
             let relief = Round_eval.relieve_memory ev in
             Gc.compact ();
             relief)
@@ -516,6 +528,7 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
               ("limit_bytes", Tjson.Int (Budget.Memory.limit_bytes mb));
               ("cones_dropped", Tjson.Int cones);
               ("buffers_dropped", Tjson.Int bufs);
+              ("memo_bytes_dropped", Tjson.Int memo_bytes);
             ]
           "budget.memory_relief";
         if Budget.Memory.classify mb ~bytes:used' = Budget.Memory.Hard then begin
@@ -547,9 +560,10 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
       "round"
     @@ fun () ->
     let round_watchdog = Watchdog.start config.Config.round_deadline in
-    (* The previous round's generator state is garbage now: cut sets,
-       similarity buckets, QM covers, shortlist entries evicted after they
-       were promoted, and at -j>1 the per-target candidate lists. The
+    (* The previous round's generator state is garbage now: similarity
+       buckets, QM covers, the generator memo's replaced entries and cut
+       sets, shortlist entries evicted after they were promoted, and at
+       -j>1 the per-target candidate lists. The
        runtime paces major work by allocation volume, so finish the cycle
        here: the peak heap then holds one round's state, not several
        (perfbench er-suite peak heap 3.4-3.6 MiB with this call, 4.5-4.6
@@ -568,11 +582,40 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
         single = (degradation ()).Degradation.level = Degradation.Single_lac;
       }
     in
-    let shortlisted =
-      phase "candidates" (fun () ->
-          Estimator.shortlist est ~k:(step.shortlist r)
-            (Candidate_gen.iter ~pool ctx config.Config.candidate))
+    (* The generator's work this round, read off the memo's running
+       counters (none without a memo): onto the phase's span and into the
+       registry. *)
+    let memo = Round_eval.generator ev in
+    let work_since =
+      let work () =
+        Option.fold ~none:(0, 0, 0)
+          ~some:(fun m ->
+            let w = Candidate_gen.memo_work m in
+            Candidate_gen.(w.targets_reused, w.targets_regenerated, w.cuts_recomputed))
+          memo
+      in
+      let r0, g0, c0 = work () in
+      fun () ->
+        let r, g, c = work () in
+        (r - r0, g - g0, c - c0)
     in
+    let shortlisted =
+      Stats.time_phase (Pool.stats pool) "candidates"
+        ~end_args:(fun () ->
+          let reused, regenerated, cuts = work_since () in
+          [
+            ("candidates_targets_reused", Tjson.Int reused);
+            ("candidates_targets_regenerated", Tjson.Int regenerated);
+            ("cuts_nodes_recomputed", Tjson.Int cuts);
+          ])
+        (fun () ->
+          Estimator.shortlist est ~k:(step.shortlist r)
+            (Candidate_gen.iter ~pool ?memo ctx config.Config.candidate))
+    in
+    let reused, regenerated, cuts = work_since () in
+    Metrics.add c_targets_reused reused;
+    Metrics.add c_targets_regenerated regenerated;
+    Metrics.add c_cuts_recomputed cuts;
     let candidates = shortlisted.Estimator.seen in
     if candidates = 0 then st.s_finished <- true
     else begin

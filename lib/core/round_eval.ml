@@ -12,13 +12,14 @@ module Bitvec = Accals_bitvec.Bitvec
    [Incremental] is what runs: one signature database attached to the
    working circuit, evaluations under an undo journal with cone-only
    overlay resimulation, commits resimulating the changed cones in place,
-   and a persistent estimator refreshed from the database's change delta.
-   [reset] drops that state; the next [begin_round] rebuilds it from the
-   working circuit, exactly as a resumed run does. [Rebuild] is the
-   differential-test reference — every candidate-set evaluation copies the
-   working circuit, applies the LACs to the copy and resimulates it from
-   scratch, and every round rebuilds the analysis context and the
-   estimator.
+   and a persistent estimator and candidate-generator memo, both refreshed
+   from the database's change delta. [reset] drops that state; the next
+   [begin_round] rebuilds it from the working circuit, exactly as a
+   resumed run does. [Rebuild] is the differential-test reference — every
+   candidate-set evaluation copies the working circuit, applies the LACs
+   to the copy and resimulates it from scratch, and every round rebuilds
+   the analysis context and the estimator and generates every target's
+   candidates afresh (no memo).
 
    Both paths are bit-identical observable-for-observable: same applied /
    skipped partitions (the acyclicity guard sees the same network states),
@@ -39,6 +40,7 @@ type incr_state = {
   mutable i_db : Sigdb.t option;
   mutable i_ctx : Round_ctx.t option;
   mutable i_est : Estimator.t option;
+  mutable i_memo : Candidate_gen.memo option;
   mutable i_nodes_mark : int;
   mutable i_conv_mark : int;
   mutable i_rec_mark : int;
@@ -79,6 +81,7 @@ let create ~incremental ~current ~patterns ~golden ~metric =
           i_db = None;
           i_ctx = None;
           i_est = None;
+          i_memo = None;
           i_nodes_mark = 0;
           i_conv_mark = 0;
           i_rec_mark = 0;
@@ -172,8 +175,10 @@ let begin_round t =
       s.i_db <- Some db;
       s.i_ctx <- Some ctx;
       s.i_est <- Some est;
-      (* Fresh database and estimator (first round, or after [reset]): every
-         raw counter restarts from zero, so every mark must follow. *)
+      s.i_memo <- Some (Candidate_gen.memo ());
+      (* Fresh database, estimator and memo (first round, or after
+         [reset]): every raw counter restarts from zero, so every mark must
+         follow. *)
       s.i_nodes_mark <- 0;
       s.i_conv_mark <- 0;
       s.i_rec_mark <- 0;
@@ -237,7 +242,13 @@ let reset t =
     Option.iter Sigdb.detach s.i_db;
     s.i_db <- None;
     s.i_ctx <- None;
-    s.i_est <- None
+    s.i_est <- None;
+    s.i_memo <- None
+
+let generator t =
+  match t.backend with
+  | Incremental { i_memo; _ } -> i_memo
+  | Rebuild _ -> None
 
 let take_aux t =
   bank_cache_stats t;
@@ -260,12 +271,13 @@ let take_aux t =
 (* Memory-governor hooks.
 
    [aux_bytes] is the footprint of the backend's discardable derived state
-   — the estimator's cone cache and the signature database's idle buffer
-   pool. [relieve_memory] gives exactly that state back: both stores are
-   rebuilt on demand from the per-round views, so dropping them costs time
-   but cannot change scores, tie-breaks or committed circuits. Round
-   boundary only (a parallel [Estimator.evaluate] reads the cone cache
-   concurrently). *)
+   — the estimator's cone cache, the signature database's idle buffer pool
+   and the candidate-generator memo. [relieve_memory] gives exactly that
+   state back: the stores are rebuilt on demand from the per-round views,
+   and a fresh memo regenerates every target, so dropping them costs time
+   but cannot change candidates, scores, tie-breaks or committed
+   circuits. Round boundary only (a parallel [Estimator.evaluate] reads
+   the cone cache concurrently). *)
 
 let aux_bytes t =
   match t.backend with
@@ -274,6 +286,7 @@ let aux_bytes t =
   | Incremental s ->
     (match s.i_est with Some est -> Estimator.cone_cache_bytes est | None -> 0)
     + (match s.i_db with Some db -> Sigdb.pool_bytes db | None -> 0)
+    + (match s.i_memo with Some m -> Candidate_gen.memo_bytes m | None -> 0)
 
 let relieve_memory t =
   let cones =
@@ -287,7 +300,14 @@ let relieve_memory t =
     | Incremental { i_db = Some db; _ } -> Sigdb.trim_pool db
     | _ -> 0
   in
-  (cones, bufs)
+  let memo_bytes =
+    match t.backend with
+    | Incremental ({ i_memo = Some m; _ } as s) ->
+      s.i_memo <- Some (Candidate_gen.memo ());
+      Candidate_gen.memo_bytes m
+    | _ -> 0
+  in
+  (cones, bufs, memo_bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Speculative evaluation *)
@@ -395,6 +415,7 @@ let refresh_incremental t s =
   in
   Estimator.refresh est ctx ~sig_changed:delta.Sigdb.sig_changed
     ~struct_dirty:delta.Sigdb.struct_dirty;
+  Option.iter (fun m -> Candidate_gen.memo_refresh m delta) s.i_memo;
   s.i_ctx <- Some ctx
 
 (* Commit the applied sublist a prior [eval_set] returned. Re-applying it

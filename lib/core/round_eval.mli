@@ -44,11 +44,11 @@ val watermark_ok : t -> bool
 
 val reset : t -> unit
 (** Drop the signature database (detaching its change tracker), the
-    analysis context and the estimator, banking the retiring estimator's
-    cache counters for {!take_aux}. The next {!begin_round} rebuilds all
-    three from the working circuit, so the rest of the run is bit-identical
-    to one that never reset; only the work counters show the rebuild.
-    Round boundary only. *)
+    analysis context, the estimator and the candidate-generator memo,
+    banking the retiring estimator's cache counters for {!take_aux}. The
+    next {!begin_round} rebuilds all four from the working circuit, so the
+    rest of the run is bit-identical to one that never reset; only the
+    work counters show the rebuild. Round boundary only. *)
 
 val audit : t -> recorded_error:float -> Accals_audit.Shadow.verdict
 (** Shadow audit of the working circuit at a round boundary: re-derive
@@ -66,6 +66,13 @@ val begin_round : t -> Round_ctx.t * Estimator.t
     fresh ones over the current circuit. Incremental: the persistent pair,
     already refreshed by the previous round's commit — or, on the first
     round and after {!reset}, a fresh database and pair. *)
+
+val generator : t -> Candidate_gen.memo option
+(** The candidate-generator memo for this round's
+    {!Candidate_gen.iter}: on the incremental path, created with the
+    database and refreshed from the same change delta as the estimator by
+    every commit; [None] on the rebuild backend, which regenerates every
+    target every round and serves as the memo's oracle. *)
 
 val take_evaluations : t -> int
 (** Estimator cone resimulations since the previous call (the estimator is
@@ -92,15 +99,17 @@ val take_aux : t -> aux
 
 val aux_bytes : t -> int
 (** Estimated bytes held by discardable derived state: the estimator's
-    cone cache plus the signature database's idle buffer pool. Feeds the
-    [--max-memory-mb] governor's footprint sample. *)
+    cone cache, the signature database's idle buffer pool and the
+    candidate-generator memo. Feeds the [--max-memory-mb] governor's
+    footprint sample. *)
 
-val relieve_memory : t -> int * int
-(** Memory-pressure relief: drop the cone cache and the idle signature
-    buffer pool, returning [(cones_dropped, buffers_dropped)]. Both stores
-    are derived data rebuilt on demand, so evaluation results are
-    bit-identical with or without the relief — only time is lost. Round
-    boundary only. *)
+val relieve_memory : t -> int * int * int
+(** Memory-pressure relief: drop the cone cache, the idle signature
+    buffer pool and the candidate-generator memo (replaced by an empty
+    one), returning [(cones_dropped, buffers_dropped, memo_bytes_dropped)].
+    All three are derived data rebuilt on demand, so candidates and
+    evaluation results are bit-identical with or without the relief — only
+    time is lost. Round boundary only. *)
 
 val eval_set : t -> Lac.t list -> Lac.t list * Lac.t list * float
 (** Evaluate a LAC set without committing it: apply in ascending

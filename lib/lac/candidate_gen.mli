@@ -30,14 +30,51 @@ type config = {
 
 val default_config : config
 
+type memo
+(** Run-scoped generator memo: each target's last candidate list, in a
+    compact encoding, plus per-node change stamps and incrementally kept
+    cut sets. With it, {!iter} re-emits a target's previous list whenever
+    no node its generation reads has changed since, and its TFO-filtered
+    pool and global signature matches (recomputed every round, being
+    non-local) equal the stored ones; every other target is regenerated.
+    The emitted stream is identical to a memo-less {!iter}'s on the same
+    context. A memo serves one working circuit and one [config]:
+    {!memo_refresh} it after every change to the circuit, with the change
+    delta of its signature database. *)
+
+val memo : unit -> memo
+(** An empty memo: the first {!iter} regenerates every target. *)
+
+val memo_refresh : memo -> Accals_sigdb.Sigdb.delta -> unit
+(** Start a new generation after a commit: stamp the nodes the signature
+    database's change delta names. *)
+
+val memo_bytes : memo -> int
+(** Estimated heap bytes held by the memo. *)
+
+type work = {
+  targets_reused : int;  (** targets whose list was re-emitted *)
+  targets_regenerated : int;  (** targets generated afresh *)
+  cuts_recomputed : int;  (** nodes whose cut set was recomputed *)
+}
+
+val memo_work : memo -> work
+(** Work counters accumulated over the memo's lifetime. Observation only. *)
+
 val iter :
-  ?pool:Accals_runtime.Pool.t -> Round_ctx.t -> config -> (Lac.t -> unit) -> unit
+  ?pool:Accals_runtime.Pool.t ->
+  ?memo:memo ->
+  Round_ctx.t ->
+  config ->
+  (Lac.t -> unit) ->
+  unit
 (** [iter ctx config f] calls [f] on every candidate LAC for the current
     round, unscored ([delta_error = nan]), without building the round's
     list. Deterministic: with a multi-domain [pool] the per-target
     enumeration fans out across domains into per-target lists, and [f]
     runs on the calling domain over them in topological order — the same
-    sequence as the sequential run. *)
+    sequence as the sequential run. With a [memo], unchanged targets are
+    re-emitted from it and the memo is updated on the calling domain. *)
 
 val minterm_counts :
   products:Accals_bitvec.Bitvec.t array -> Round_ctx.t -> int array -> int array

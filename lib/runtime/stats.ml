@@ -106,13 +106,13 @@ let phase_counter t name =
 
 let add_phase t name seconds = Metrics.addf (phase_counter t name) seconds
 
-let time_phase t name f =
+let time_phase ?(end_args = fun () -> []) t name f =
   let span = Telemetry.begin_span ~cat:"phase" name in
   let started = Clock.now () in
   Fun.protect
     ~finally:(fun () ->
       add_phase t name (Clock.now () -. started);
-      Telemetry.end_span span)
+      Telemetry.end_span ~args:(end_args ()) span)
     f
 
 type snapshot = {

@@ -64,11 +64,17 @@ val task_cost : t -> string -> float option
 
 (** {1 Phase timing} *)
 
-val time_phase : t -> string -> (unit -> 'a) -> 'a
+val time_phase :
+  ?end_args:(unit -> (string * Accals_telemetry.Json.t) list) ->
+  t ->
+  string ->
+  (unit -> 'a) ->
+  'a
 (** [time_phase t name f] runs [f ()] and adds its monotonic wall-clock
     duration to the accumulated time of phase [name]; when the ambient
     telemetry tracer is enabled it also records a span (category
-    ["phase"]). Phases appear in snapshots in first-recorded order.
+    ["phase"]) whose args are [end_args ()], read after [f] returns.
+    Phases appear in snapshots in first-recorded order.
 
     Re-entrancy: calls may nest, including the same phase inside itself —
     each level accumulates its own full duration on exit (so a

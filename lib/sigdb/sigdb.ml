@@ -33,6 +33,7 @@ type counters = {
 type delta = {
   sig_changed : int list;
   struct_dirty : bool array;
+  redefined : int list;
   live_changed : int list;
 }
 
@@ -61,6 +62,7 @@ type t = {
   (* committed-change accumulation (between refreshes) *)
   mutable pending_roots : int list;
   mutable pending_touched : int list;
+  mutable redefined : int list;  (* committed definition changes and additions *)
   mutable sig_changed : int list;
   (* undo journal *)
   mutable mode : mode;
@@ -176,6 +178,7 @@ let on_change db change =
                   (List.rev_append (Array.to_list nf) db.j_touched)
       | Pending ->
         db.pending_roots <- id :: db.pending_roots;
+        db.redefined <- id :: db.redefined;
         db.pending_touched <-
           id :: List.rev_append (Array.to_list old_fanins)
                   (List.rev_append (Array.to_list nf) db.pending_touched))
@@ -190,6 +193,7 @@ let on_change db change =
         db.j_touched <- id :: List.rev_append (Array.to_list nf) db.j_touched
       | Pending ->
         db.pending_roots <- id :: db.pending_roots;
+        db.redefined <- id :: db.redefined;
         db.pending_touched <- id :: List.rev_append (Array.to_list nf) db.pending_touched)
    | Network.Outputs_changed { old_ids; old_names } ->
      (* Output rewiring changes no signature, so no resimulation root; but
@@ -317,6 +321,7 @@ let undo_journal db =
 let commit_journal db =
   if db.mode <> Journal then invalid_arg "Sigdb.commit_journal: no active journal";
   db.pending_roots <- List.rev_append db.j_roots db.pending_roots;
+  db.redefined <- List.rev_append db.j_roots db.redefined;
   db.pending_touched <- List.rev_append db.j_touched db.pending_touched;
   end_journal db
 
@@ -465,6 +470,7 @@ let refresh db =
     {
       sig_changed = db.sig_changed;
       struct_dirty;
+      redefined = db.redefined;
       live_changed = !live_changed;
     }
   in
@@ -475,6 +481,7 @@ let refresh db =
   db.fanout_counts <- fanout_counts;
   db.pending_roots <- [];
   db.pending_touched <- [];
+  db.redefined <- [];
   db.sig_changed <- [];
   db.version <- db.version + 1;
   delta
@@ -527,6 +534,7 @@ let create net patterns =
         };
       pending_roots = [];
       pending_touched = [];
+      redefined = [];
       sig_changed = [];
       mode = Pending;
       j_entries = [];

@@ -54,6 +54,10 @@ type delta = {
       (** per-node flag (indexed by id, sized to the current node count):
           the node's definition, fanout set or liveness changed since the
           previous {!refresh} *)
+  redefined : int list;
+      (** nodes whose definition (operator or fanins) changed, or that
+          were added, since the previous {!refresh}; a subset of
+          [struct_dirty] *)
   live_changed : int list;  (** nodes whose liveness flipped *)
 }
 

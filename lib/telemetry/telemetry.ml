@@ -60,7 +60,7 @@ let begin_span ?cat ?args name =
   | None -> None
   | Some tr -> Some (Tracer.begin_span tr ?cat ?args name)
 
-let end_span = function None -> () | Some s -> Tracer.end_span s
+let end_span ?args = function None -> () | Some s -> Tracer.end_span ?args s
 
 let instant ?cat ?args name =
   match (get ()).tracer with

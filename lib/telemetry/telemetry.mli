@@ -78,7 +78,8 @@ type span
     tracer, so it closes correctly even if the handle changes mid-span. *)
 
 val begin_span : ?cat:string -> ?args:(string * Json.t) list -> string -> span
-val end_span : span -> unit
+val end_span : ?args:(string * Json.t) list -> span -> unit
+(** Close the span, appending [args] to the ones it was opened with. *)
 
 val instant : ?cat:string -> ?args:(string * Json.t) list -> string -> unit
 

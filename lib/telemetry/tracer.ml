@@ -47,7 +47,7 @@ let begin_span t ?(cat = "") ?(args = []) name =
     s_tid = current_tid ();
   }
 
-let end_span s =
+let end_span ?(args = []) s =
   let t = s.s_tracer in
   let now = Int64.sub (Clock.now_ns ()) t.epoch in
   push t
@@ -58,7 +58,7 @@ let end_span s =
       ev_ts = s.s_start;
       ev_dur = Int64.max 0L (Int64.sub now s.s_start);
       ev_tid = s.s_tid;
-      ev_args = s.s_args;
+      ev_args = s.s_args @ args;
     }
 
 let with_span t ?cat ?args name f =

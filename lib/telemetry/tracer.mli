@@ -30,10 +30,11 @@ val set_tid : int -> unit
 val begin_span :
   t -> ?cat:string -> ?args:(string * Json.t) list -> string -> span
 
-val end_span : span -> unit
-(** Record the complete event. Calling [end_span] twice on the same span
-    records the event twice — callers close each span exactly once
-    (typically via [Fun.protect]). *)
+val end_span : ?args:(string * Json.t) list -> span -> unit
+(** Record the complete event, with [args] (known only once the span's
+    work is done) after the ones given to {!begin_span}. Calling
+    [end_span] twice on the same span records the event twice — callers
+    close each span exactly once (typically via [Fun.protect]). *)
 
 val with_span :
   t -> ?cat:string -> ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a

@@ -37,63 +37,106 @@ let subsumes a b =
     go 0 0
   end
 
-let enumerate net ~order ~k ~per_node =
-  let n = Network.num_nodes net in
-  let cuts = Array.make n [] in
-  (* Internal sets include the trivial cut so fanout merging works; the
-     reported lists drop it. *)
-  let internal = Array.make n [] in
+(* Internal sets include the trivial cut so fanout merging works; the
+   reported lists drop it. [changed_at.(id)] is the stamp of the update
+   that last changed node [id]'s reported list, -1 before its first. *)
+type store = {
+  mutable internal : int array list array;
+  mutable changed_at : int array;
+}
+
+let store () = { internal = [||]; changed_at = [||] }
+
+let grow s n =
+  let cap = Array.length s.internal in
+  if n > cap then begin
+    let cap' = max n (2 * cap) in
+    let internal = Array.make cap' [] in
+    Array.blit s.internal 0 internal 0 cap;
+    let changed_at = Array.make cap' (-1) in
+    Array.blit s.changed_at 0 changed_at 0 cap;
+    s.internal <- internal;
+    s.changed_at <- changed_at
+  end
+
+(* A node's kept cuts from its fanins' internal sets: merge, dedup, drop
+   subsumed cuts, keep the [per_node] smallest. *)
+let node_cuts s net ~k ~per_node id =
+  let merged =
+    if Network.is_input net id then []
+    else begin
+      let fis = Network.fanins net id in
+      if Array.length fis = 0 then []
+      else begin
+        let acc = ref s.internal.(fis.(0)) in
+        for i = 1 to Array.length fis - 1 do
+          let next = ref [] in
+          List.iter
+            (fun a ->
+              List.iter
+                (fun b ->
+                  match merge_leaves ~k a b with
+                  | Some u -> next := u :: !next
+                  | None -> ())
+                s.internal.(fis.(i)))
+            !acc;
+          acc := !next
+        done;
+        !acc
+      end
+    end
+  in
+  let unique = List.sort_uniq compare merged in
+  let filtered =
+    List.filter
+      (fun c -> not (List.exists (fun c' -> c' <> c && subsumes c' c) unique))
+      unique
+  in
+  let sorted =
+    List.sort (fun a b -> compare (Array.length a) (Array.length b)) filtered
+  in
+  let rec take n = function
+    | [] -> []
+    | _ when n = 0 -> []
+    | x :: rest -> x :: take (n - 1) rest
+  in
+  take per_node sorted
+
+let cuts s id = match s.internal.(id) with [] -> [] | _trivial :: kept -> kept
+let changed_at s id = s.changed_at.(id)
+
+let update s net ~order ~k ~per_node ~dirty ~stamp =
+  grow s (Network.num_nodes net);
+  let recomputed = ref 0 in
   Array.iter
     (fun id ->
-      let trivial = [| id |] in
-      let merged =
-        if Network.is_input net id then []
-        else begin
-          let fis = Network.fanins net id in
-          if Array.length fis = 0 then []
-          else begin
-            let acc = ref (List.map (fun c -> c) internal.(fis.(0))) in
-            for i = 1 to Array.length fis - 1 do
-              let next = ref [] in
-              List.iter
-                (fun a ->
-                  List.iter
-                    (fun b ->
-                      match merge_leaves ~k a b with
-                      | Some u -> next := u :: !next
-                      | None -> ())
-                    internal.(fis.(i)))
-                !acc;
-              acc := !next
-            done;
-            !acc
-          end
+      let first = s.changed_at.(id) < 0 in
+      if
+        first || dirty id
+        || Array.exists (fun f -> s.changed_at.(f) = stamp) (Network.fanins net id)
+      then begin
+        incr recomputed;
+        let kept = node_cuts s net ~k ~per_node id in
+        if first || kept <> cuts s id then begin
+          s.internal.(id) <- [| id |] :: kept;
+          s.changed_at.(id) <- stamp
         end
-      in
-      (* Dedup, remove subsumed, keep the smallest. *)
-      let unique = List.sort_uniq compare merged in
-      let filtered =
-        List.filter
-          (fun c ->
-            not
-              (List.exists (fun c' -> c' <> c && subsumes c' c) unique))
-          unique
-      in
-      let sorted =
-        List.sort
-          (fun a b -> compare (Array.length a) (Array.length b))
-          filtered
-      in
-      let rec take n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: rest -> x :: take (n - 1) rest
-      in
-      let kept = take per_node sorted in
-      cuts.(id) <- kept;
-      internal.(id) <- trivial :: kept)
+      end)
     order;
-  cuts
+  !recomputed
+
+let enumerate net ~order ~k ~per_node =
+  let s = store () in
+  ignore (update s net ~order ~k ~per_node ~dirty:(fun _ -> true) ~stamp:0);
+  Array.init (Network.num_nodes net) (cuts s)
+
+let bytes s =
+  let word = Sys.word_size / 8 in
+  Array.fold_left
+    (fun acc cuts ->
+      List.fold_left (fun acc c -> acc + ((Array.length c + 4) * word)) acc cuts)
+    ((2 * Array.length s.internal + 2) * word)
+    s.internal
 
 let is_cut net ~root ~leaves =
   let leaf = Hashtbl.create 8 in

@@ -336,6 +336,160 @@ let test_golden_runs () =
         (Digest.to_hex (Digest.string (Trace.to_csv r.Engine.rounds))))
     golden_runs
 
+(* --- Generator memo --- *)
+
+module Round_eval = Accals.Round_eval
+module Estimator = Accals_esterr.Estimator
+module Pool = Accals_runtime.Pool
+
+(* A candidate stream's length and the MD5 of its structure. *)
+let stream_key lacs =
+  ( List.length lacs,
+    Digest.to_hex (Digest.string (Marshal.to_string lacs [ Marshal.No_sharing ])) )
+
+type memo_coverage = { rounds : int; after_revert : int; after_reset : int }
+
+(* Every round of [Engine.run]'s loop, driven by hand through the
+   incremental [Round_eval]: the memoized stream must equal a fresh
+   generation on the same context, in every round. [reset_after] resets
+   the backend once that round has committed, as an audit divergence
+   does. *)
+let drive_memo ?(reset_after = 0) name metric bound =
+  let net = Accals_circuits.Bench_suite.load name in
+  let config = Config.for_network ~base:{ Config.default with jobs = 1 } net in
+  let patterns =
+    Sim.for_network ~seed:config.Config.seed ~count:config.Config.samples
+      ~exhaustive_limit:config.Config.exhaustive_limit net
+  in
+  let golden = Evaluate.output_signatures net patterns in
+  let current = ref (Network.copy net) in
+  let ev = Round_eval.create ~incremental:true ~current ~patterns ~golden ~metric in
+  let gen = config.Config.candidate in
+  let rng = Accals_bitvec.Prng.create (config.Config.seed + 77) in
+  let pool = Pool.create ~jobs:1 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let rec loop round e ~reverted ~was_reset cov =
+    if round > config.Config.max_rounds then cov
+    else begin
+      let ctx, est = Round_eval.begin_round ev in
+      let memoized = ref [] in
+      Candidate_gen.iter ?memo:(Round_eval.generator ev) ctx gen (fun lac ->
+          memoized := lac :: !memoized);
+      let memoized = List.rev !memoized in
+      let label =
+        Printf.sprintf "%s %s round %d" name (Metric.kind_to_string metric) round
+      in
+      check (label ^ ": memoized stream = fresh generation") true
+        (stream_key memoized = stream_key (Candidate_gen.generate ctx gen));
+      let cov =
+        {
+          rounds = cov.rounds + 1;
+          after_revert = (cov.after_revert + if reverted then 1 else 0);
+          after_reset = (cov.after_reset + if was_reset then 1 else 0);
+        }
+      in
+      let r =
+        { Engine.config; pool; eval = ev; ctx; rng; e; e_b = bound; single = false }
+      in
+      let shortlisted =
+        Estimator.shortlist est ~k:(Engine.accals.Engine.shortlist r) (fun f ->
+            List.iter f memoized)
+      in
+      let mode =
+        if config.Config.exact_estimation then Estimator.Exact else Estimator.Approximate
+      in
+      match Estimator.evaluate ~mode ~pool est shortlisted with
+      | [] -> cov
+      | scored -> (
+        match fst (Engine.accals.Engine.select r scored) with
+        | Some c when c.Engine.e_new <= bound ->
+          if round = reset_after then Round_eval.reset ev;
+          loop (round + 1) c.Engine.e_new ~reverted:c.Engine.reverted
+            ~was_reset:(round = reset_after) cov
+        | Some _ | None -> cov)
+    end
+  in
+  loop 1 0.0 ~reverted:false ~was_reset:false
+    { rounds = 0; after_revert = 0; after_reset = 0 }
+
+let test_memo_rounds_match_fresh () =
+  let cov =
+    List.fold_left
+      (fun acc (name, metric, bound, reset_after) ->
+        let c = drive_memo ~reset_after name metric bound in
+        check (name ^ " ran several rounds") true (c.rounds > 3);
+        {
+          rounds = acc.rounds + c.rounds;
+          after_revert = acc.after_revert + c.after_revert;
+          after_reset = acc.after_reset + c.after_reset;
+        })
+      { rounds = 0; after_revert = 0; after_reset = 0 }
+      [
+        ("alu4", Metric.Error_rate, 0.03, 0);
+        ("frg2", Metric.Error_rate, 0.03, 4);
+        ("apex6", Metric.Error_rate, 0.03, 0);
+        ("sin", Metric.Error_rate, 0.03, 6);
+        ("sqrt", Metric.Error_rate, 0.03, 0);
+        ("sqrt", Metric.Nmed, 0.005, 0);
+        ("wal8", Metric.Mred, 0.02, 0);
+      ]
+  in
+  check "a round after an improvement-2 revert was checked" true (cov.after_revert > 0);
+  check "a round after a reset was checked" true (cov.after_reset > 0)
+
+(* The rebuild backend is the memo's oracle: it keeps none. *)
+let test_memo_rebuild_has_none () =
+  let net = Accals_circuits.Bench_suite.load "mtp8" in
+  let patterns = Sim.for_network ~seed:1 ~count:256 ~exhaustive_limit:0 net in
+  let golden = Evaluate.output_signatures net patterns in
+  let make incremental =
+    Round_eval.create ~incremental ~current:(ref (Network.copy net)) ~patterns ~golden
+      ~metric:Metric.Error_rate
+  in
+  let rebuild = make false and incr = make true in
+  ignore (Round_eval.begin_round rebuild);
+  ignore (Round_eval.begin_round incr);
+  check "rebuild: no memo" true (Round_eval.generator rebuild = None);
+  check "incremental: a memo" true (Round_eval.generator incr <> None);
+  Round_eval.reset incr;
+  check "reset drops the memo" true (Round_eval.generator incr = None)
+
+(* Memory relief between rounds drops the memo (and the other derived
+   stores) mid-run; the next round regenerates every target, and the run's
+   BLIF and trace stay those of an unrelieved run. The trace's buffer
+   recycle count is the one column relief changes by design: it empties
+   the signature database's buffer pool. *)
+let test_memo_relief_identity () =
+  List.iter
+    (fun name ->
+      let net = Accals_circuits.Bench_suite.load name in
+      let config = Config.for_network ~base:{ Config.default with jobs = 1 } net in
+      let dropped = ref 0 in
+      let relieving =
+        {
+          Engine.accals with
+          Engine.select =
+            (fun r scored ->
+              let choice = Engine.accals.Engine.select r scored in
+              let _, _, memo_bytes = Round_eval.relieve_memory r.Engine.eval in
+              dropped := !dropped + memo_bytes;
+              choice);
+        }
+      in
+      let run step = Engine.run ~step ~config net ~metric:Metric.Error_rate ~error_bound:0.03 in
+      let plain = run Engine.accals and relieved = run relieving in
+      check (name ^ ": relief dropped memo bytes") true (!dropped > 0);
+      Alcotest.(check string)
+        (name ^ " BLIF")
+        (Accals_io.Blif.to_string plain.Engine.approximate)
+        (Accals_io.Blif.to_string relieved.Engine.approximate);
+      let trace (r : Engine.report) =
+        Trace.to_csv
+          (List.map (fun row -> { row with Trace.resim_recycled = 0 }) r.Engine.rounds)
+      in
+      Alcotest.(check string) (name ^ " trace") (trace plain) (trace relieved))
+    [ "frg2"; "sin" ]
+
 let suite =
   [
     ( "config",
@@ -380,5 +534,14 @@ let suite =
         Alcotest.test_case "trace consistent" `Quick test_engine_trace_consistent;
         Alcotest.test_case "golden er-suite runs" `Slow test_golden_runs;
         prop_engine_bound_on_random_nets;
+      ] );
+    ( "generator memo",
+      [
+        Alcotest.test_case "every round matches a fresh generation" `Slow
+          test_memo_rounds_match_fresh;
+        Alcotest.test_case "rebuild keeps none, reset drops it" `Quick
+          test_memo_rebuild_has_none;
+        Alcotest.test_case "relief between rounds keeps BLIF and trace" `Quick
+          test_memo_relief_identity;
       ] );
   ]

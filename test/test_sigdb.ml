@@ -247,8 +247,9 @@ let engine_key (r : Engine.report) =
     r.Engine.degraded )
 
 (* The rebuild backend ([incremental = false]) is the reference the
-   signature database is checked against, on the CLI's configuration. The
-   comparison covers the written BLIF text as well as the trace. *)
+   signature database and the generator memo are checked against, on the
+   CLI's configuration. The comparison covers the written BLIF text as
+   well as the trace. *)
 let test_engine_incremental_identity () =
   List.iter
     (fun (name, seed) ->
@@ -278,7 +279,13 @@ let test_engine_incremental_identity () =
         (match (incr1.Engine.rounds, reference.Engine.rounds) with
         | ri :: _, rr :: _ -> ri.Trace.resim_nodes <= rr.Trace.resim_nodes
         | _ -> true))
-    [ ("mtp8", 1); ("mtp8", 2); ("mtp8", 3); ("rca32", 2) ]
+    (* frg2, apex6 and sin run 11-16 rounds each and re-emit most
+       targets' candidates from the generator memo, which the rebuild
+       backend does not keep. *)
+    [
+      ("mtp8", 1); ("mtp8", 2); ("mtp8", 3); ("rca32", 2); ("frg2", 1);
+      ("apex6", 1); ("sin", 1);
+    ]
 
 let suite =
   [
