@@ -1,21 +1,8 @@
 open Accals_lac
-module Graph = Accals_mis.Graph
-
-let build lacs =
-  let arr = Array.of_list lacs in
-  let n = Array.length arr in
-  let g = Graph.create n in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Lac.conflicts arr.(i) arr.(j) then Graph.add_edge g i j
-    done
-  done;
-  g
 
 let find_and_solve lacs =
   let arr = Array.of_list lacs in
   let n = Array.length arr in
-  let g = build lacs in
   (* Ascending weight = ascending ΔE; stable on ties. *)
   let order = Array.init n (fun i -> i) in
   Array.sort
@@ -24,13 +11,25 @@ let find_and_solve lacs =
       | 0 -> compare a b
       | c -> c)
     order;
+  (* The graph stays implicit: a LAC conflicts with a kept one iff they
+     share a target (Type 1) or a target of one is an SN of the other
+     (Type 2), so the kept set's targets and SNs decide all its edges. *)
+  let taken_targets = Hashtbl.create n and taken_sns = Hashtbl.create n in
   let selected = Array.make n false in
   Array.iter
     (fun i ->
-      let clash =
-        List.exists (fun j -> selected.(j)) (Graph.neighbors g i)
-      in
-      if not clash then selected.(i) <- true)
+      let target = arr.(i).Lac.target in
+      let sns = Lac.substitute_nodes arr.(i) in
+      if
+        not
+          (Hashtbl.mem taken_targets target
+          || Hashtbl.mem taken_sns target
+          || List.exists (Hashtbl.mem taken_targets) sns)
+      then begin
+        selected.(i) <- true;
+        Hashtbl.replace taken_targets target ();
+        List.iter (fun s -> Hashtbl.replace taken_sns s ()) sns
+      end)
     order;
   let l_sol = ref [] and n_sol = ref [] in
   for i = n - 1 downto 0 do

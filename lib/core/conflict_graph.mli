@@ -1,17 +1,14 @@
 (** FindSolveLACConf (Section II-C).
 
-    Builds the LAC conflict graph (Definition 1: nodes are the LACs of
-    L_top, weighted by ΔE; edges join Type-1 and Type-2 conflicts) and
-    extracts a conflict-free subset by visiting nodes in ascending weight
-    order, keeping each node that conflicts with nothing already kept. *)
+    Extracts a conflict-free subset of L_top from its LAC conflict graph
+    (Definition 1: nodes are the LACs, weighted by ΔE; edges join Type-1
+    and Type-2 conflicts) by visiting nodes in ascending weight order and
+    keeping each node that conflicts with nothing already kept. The graph
+    is implicit: the kept LACs' target and SN sets answer whether a node
+    has a kept neighbour, in time linear in the LAC count. *)
 
 open Accals_lac
-module Graph := Accals_mis.Graph
-
-val build : Lac.t list -> Graph.t
-(** Conflict graph; vertex [i] is the [i]-th LAC of the input list. *)
 
 val find_and_solve : Lac.t list -> Lac.t list * int list
 (** [(l_sol, n_sol)]: the conflict-free LAC set and its target-node set.
-    The result preserves ascending-ΔE order; every target in [n_sol] is
-    unique. *)
+    Both lists keep the input order; every target in [n_sol] is unique. *)

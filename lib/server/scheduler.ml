@@ -55,13 +55,16 @@ type job = {
 
 (* Every admitted job stays in [jobs]; the queued and running ones are also
    in [active], and each key's jobs in [by_key], so the per-tick and
-   per-submit walks do not grow with the daemon's history. *)
+   per-submit walks do not grow with the daemon's history.  [sources] maps
+   each admitted job's source to its [(digest, circuit)]; its keys are the
+   specs' own values (a name, or the full BLIF text), compared exactly. *)
 type t = {
   mutex : Mutex.t;
   tbl : (string, job) Hashtbl.t;
   mutable jobs : job list;  (* newest first *)
   mutable active : job list;  (* the Queued and Running jobs, newest first *)
   by_key : (string, job list) Hashtbl.t;  (* newest first *)
+  sources : (Protocol.source, string * string) Hashtbl.t;
   mutable next_seq : int;
   rng : Random.State.t;
 }
@@ -89,6 +92,9 @@ let create () =
     jobs = [];
     active = [];
     by_key = Hashtbl.create 64;
+    (* Randomized, so client-chosen BLIF texts cannot be crafted to share
+       a bucket. *)
+    sources = Hashtbl.create ~random:true 64;
     next_seq = 1;
     rng = seed_rng ();
   }
@@ -167,6 +173,8 @@ let submit t ~spec ~circuit ~digest ~key ?net ?cached ?(lookup_s = 0.0) () =
       if j.state = Queued then t.active <- j :: t.active;
       Hashtbl.replace t.by_key key
         (j :: Option.value (Hashtbl.find_opt t.by_key key) ~default:[]);
+      if not (Hashtbl.mem t.sources spec.Protocol.source) then
+        Hashtbl.add t.sources spec.Protocol.source (digest, circuit);
       push_event j "submitted"
         [
           ("circuit", Json.String circuit);
@@ -178,6 +186,7 @@ let submit t ~spec ~circuit ~digest ~key ?net ?cached ?(lookup_s = 0.0) () =
         ];
       j)
 
+let resolve t source = locked t (fun () -> Hashtbl.find_opt t.sources source)
 let find t id = locked t (fun () -> Hashtbl.find_opt t.tbl id)
 let all t = locked t (fun () -> List.rev t.jobs)
 let state t j = locked t (fun () -> j.state)

@@ -75,6 +75,14 @@ val submit :
     trace. A job without a [spec.trace_id] gets one minted here, so
     every job is traceable. *)
 
+val resolve : t -> Protocol.source -> (string * string) option
+(** [(digest, circuit)] of the first admitted job with exactly this
+    source (the same circuit name, or byte-for-byte the same BLIF text),
+    so a repeat submission needs no rebuild to find its cache key.  Sound
+    because building a source is deterministic.  The index holds one
+    entry per distinct source of the retained job history, sharing the
+    specs' strings. *)
+
 val find : t -> string -> job option
 val all : t -> job list
 (** Submission order. *)

@@ -148,6 +148,8 @@ type t = {
   m_cache_hit_mem : Metrics.counter;
   m_cache_hit_disk : Metrics.counter;
   m_cache_miss : Metrics.counter;
+  m_build_named : Metrics.counter;
+  m_build_blif : Metrics.counter;
   m_shed : Metrics.counter;
   m_deadline : Metrics.counter;
   m_quarantined : Metrics.counter;
@@ -300,6 +302,14 @@ let create cfg =
       m_cache_miss =
         counter "accals_server_cache_misses_total"
           "Submissions that had to run the engine";
+      m_build_named =
+        counter "accals_server_circuit_builds_total"
+          ~labels:[ ("source", "named") ]
+          "Circuits built (named) or parsed (blif) at admission";
+      m_build_blif =
+        counter "accals_server_circuit_builds_total"
+          ~labels:[ ("source", "blif") ]
+          "Circuits built (named) or parsed (blif) at admission";
       m_shed =
         counter "accals_server_shed_total"
           "Submissions rejected by admission control (queue or quota full)";
@@ -570,27 +580,40 @@ let reject_to_string = function
     Printf.sprintf "quarantined (%s); retry in ~%dms" fingerprint
       retry_after_ms
 
-let net_of_source = function
+let build_circuit t = function
   | Protocol.Named name -> (
+    Metrics.incr t.m_build_named;
     match Bench_suite.load name with
     | net -> Ok net
     | exception Not_found -> Error (Printf.sprintf "unknown circuit %S" name))
   | Protocol.Blif_text text -> (
+    Metrics.incr t.m_build_blif;
     match Blif.parse_string text with
     | net -> Ok net
     | exception Blif.Parse_error msg -> Error ("blif: " ^ msg))
 
 (* [admit] is the single path every submission takes (socket submits and
-   checkpointed re-admissions alike): parse, digest, cache-key, then
-   dedup against finished/in-flight work, and only if the job would
-   actually consume a queue slot apply admission control (quarantine,
-   global queue bound, per-tenant queued quota).  Coalesced and cached
-   answers are never shed — they cost nothing to serve. *)
+   checkpointed re-admissions alike): resolve the source to its digest
+   (from the scheduler's index if an earlier job was admitted with it,
+   else by building it), cache-key, then dedup against finished/in-flight
+   work, and only if the job would actually consume a queue slot apply
+   admission control (quarantine, global queue bound, per-tenant queued
+   quota) and build the circuit its worker needs.  Coalesced and cached
+   answers are never shed: they cost no slot, and for a repeat source no
+   circuit build. *)
 let admit t (spec : Protocol.job_spec) =
-  match net_of_source spec.Protocol.source with
+  let source = spec.Protocol.source in
+  let resolved =
+    match Scheduler.resolve t.sched source with
+    | Some (digest, circuit) -> Ok (digest, circuit, None)
+    | None ->
+      Result.map
+        (fun net -> (Network.digest net, Network.name net, Some net))
+        (build_circuit t source)
+  in
+  match resolved with
   | Error msg -> Error (Bad_request msg)
-  | Ok net ->
-    let digest = Network.digest net in
+  | Ok (digest, circuit, built) ->
     let samples =
       Option.value spec.Protocol.samples ~default:t.cfg.default_samples
     in
@@ -604,7 +627,7 @@ let admit t (spec : Protocol.job_spec) =
        let done_ = Scheduler.state t.sched j = Scheduler.Done in
        if done_ then Metrics.incr t.m_cache_hit_mem;
        log t "%s %s onto %s" (if done_ then "cache hit (memory):" else "coalesced")
-         (Network.name net) (Scheduler.id j);
+         circuit (Scheduler.id j);
        Ok (j, `Coalesced done_)
      | None -> (
        match Option.bind t.cache (fun c -> Cache.find c key) with
@@ -613,17 +636,16 @@ let admit t (spec : Protocol.job_spec) =
          Metrics.incr t.m_cache_hit_disk;
          let lookup_s = Clock.now () -. lookup_begin in
          let j =
-           Scheduler.submit t.sched ~spec ~circuit:(Network.name net) ~digest
-             ~key ~cached:entry ~lookup_s ()
+           Scheduler.submit t.sched ~spec ~circuit ~digest ~key ~cached:entry
+             ~lookup_s ()
          in
-         log t "cache hit (disk): %s -> %s" (Network.name net) (Scheduler.id j);
+         log t "cache hit (disk): %s -> %s" circuit (Scheduler.id j);
          Ok (j, `Cached)
        | None -> (
          let fp = fingerprint_of ~key ~budget:spec.Protocol.budget in
          match quarantined t fp with
          | Some retry_after_ms ->
-           log t "refused %s: fingerprint %s is quarantined"
-             (Network.name net) fp;
+           log t "refused %s: fingerprint %s is quarantined" circuit fp;
            Slo.observe_shed t.slo ~tenant:spec.Protocol.tenant
              ~kind:"quarantined";
            Error (Quarantined { fingerprint = fp; retry_after_ms })
@@ -632,8 +654,7 @@ let admit t (spec : Protocol.job_spec) =
              Metrics.incr t.m_shed;
              Slo.observe_shed t.slo ~tenant:spec.Protocol.tenant ~kind:"shed";
              let retry_after_ms = retry_after_ms t in
-             log t "shed %s (%s; retry in ~%dms)" (Network.name net) scope
-               retry_after_ms;
+             log t "shed %s (%s; retry in ~%dms)" circuit scope retry_after_ms;
              Error (Overloaded { scope; retry_after_ms })
            in
            let queued_total, _ = Scheduler.totals t.sched in
@@ -647,18 +668,24 @@ let admit t (spec : Protocol.job_spec) =
                t.cfg.tenant_max_queued > 0
                && tenant_queued >= t.cfg.tenant_max_queued
              then shed (Printf.sprintf "tenant %S queue quota" spec.Protocol.tenant)
-             else begin
-               Metrics.incr t.m_submitted;
-               Metrics.incr t.m_cache_miss;
+             else
                let lookup_s = Clock.now () -. lookup_begin in
-               let j =
-                 Scheduler.submit t.sched ~spec ~circuit:(Network.name net)
-                   ~digest ~key ~net ~lookup_s ()
+               let net =
+                 match built with
+                 | Some net -> Ok net
+                 | None -> build_circuit t source
                in
-               log t "queued %s as %s (key %s)" (Network.name net)
-                 (Scheduler.id j) key;
-               Ok (j, `Queued)
-             end)))
+               match net with
+               | Error msg -> Error (Bad_request msg)
+               | Ok net ->
+                 Metrics.incr t.m_submitted;
+                 Metrics.incr t.m_cache_miss;
+                 let j =
+                   Scheduler.submit t.sched ~spec ~circuit ~digest ~key ~net
+                     ~lookup_s ()
+                 in
+                 log t "queued %s as %s (key %s)" circuit (Scheduler.id j) key;
+                 Ok (j, `Queued))))
 
 let restore_queue t =
   match t.cfg.state_dir with

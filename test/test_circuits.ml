@@ -368,6 +368,18 @@ let test_bench_suite_all_load () =
       check (name ^ " nonempty") true (Cost.area t > 0.0))
     Bench_suite.all
 
+(* Loading is deterministic: the daemon resolves a repeat circuit name to
+   the digest its first load gave, without loading it again.  The large
+   synthetic circuits are left out for time. *)
+let test_bench_suite_load_deterministic () =
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem name [ "synth10k"; "synth30k"; "synth100k" ]) then
+        Alcotest.(check string)
+          (name ^ " digest") (Network.digest (Bench_suite.load name))
+          (Network.digest (Bench_suite.load name)))
+    Bench_suite.all
+
 let test_bench_suite_load_preserves_rca () =
   let raw = Bench_suite.build "rca32" in
   let opt = Bench_suite.load "rca32" in
@@ -443,6 +455,8 @@ let suite =
     ( "bench suite",
       [
         Alcotest.test_case "all circuits load" `Quick test_bench_suite_all_load;
+        Alcotest.test_case "load is deterministic" `Quick
+          test_bench_suite_load_deterministic;
         Alcotest.test_case "load preserves function" `Quick test_bench_suite_load_preserves_rca;
         Alcotest.test_case "unknown name" `Quick test_bench_suite_unknown;
         Alcotest.test_case "categories" `Quick test_bench_categories;

@@ -69,6 +69,76 @@ let test_paper_example_conflicts () =
   check_int "solution size" 4 (List.length sol);
   Alcotest.(check (list int)) "targets" [ 3; 4; 6; 7 ] (List.sort compare targets)
 
+(* FindSolveLACConf as first written: the explicit conflict graph (one
+   vertex per LAC, an edge per conflicting pair) and the ascending-ΔE
+   greedy over it.  [Conflict_graph.find_and_solve] keeps the graph
+   implicit and must select exactly the same LACs. *)
+let conflict_graph_oracle lacs =
+  let module Graph = Accals_mis.Graph in
+  let arr = Array.of_list lacs in
+  let n = Array.length arr in
+  let g = Graph.create n in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Lac.conflicts arr.(i) arr.(j) then Graph.add_edge g i j
+    done
+  done;
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      match compare arr.(a).Lac.delta_error arr.(b).Lac.delta_error with
+      | 0 -> compare a b
+      | c -> c)
+    order;
+  let selected = Array.make n false in
+  Array.iter
+    (fun i ->
+      if not (List.exists (fun j -> selected.(j)) (Graph.neighbors g i)) then
+        selected.(i) <- true)
+    order;
+  let kept = List.filteri (fun i _ -> selected.(i)) lacs in
+  (kept, List.map (fun l -> l.Lac.target) kept)
+
+(* Random L_top lists over a dozen nodes, so targets and SNs collide
+   often: every LAC kind (SOPs with up to four leaves, repeated leaves
+   included), ΔE from four values so ties are common, and duplicated
+   LACs. *)
+let gen_l_top =
+  let open QCheck2.Gen in
+  let node = int_range 0 11 in
+  let kind =
+    oneof
+      [
+        oneofl [ Lac.Const0; Lac.Const1 ];
+        map (fun v -> Lac.Wire v) node;
+        map (fun v -> Lac.Inv_wire v) node;
+        map2 (fun a b -> Lac.Gate2 (Gate.And, a, b)) node node;
+        map3 (fun a b c -> Lac.Gate3 (Gate.Mux, a, b, c)) node node node;
+        map
+          (fun leaves -> Lac.Sop { leaves = Array.of_list leaves; cubes = [] })
+          (list_size (int_range 1 4) node);
+      ]
+  in
+  let lac =
+    map3
+      (fun target kind d ->
+        Lac.with_delta (Lac.make ~target kind ~area_gain:1.0)
+          (float_of_int d /. 100.0))
+      node kind (int_range 0 3)
+  in
+  let* lacs = list_size (int_range 0 30) lac in
+  let* picks = list_size (int_range 0 6) (int_range 0 1000) in
+  let dups =
+    if lacs = [] then []
+    else List.map (fun k -> List.nth lacs (k mod List.length lacs)) picks
+  in
+  shuffle_l (lacs @ dups)
+
+let test_conflict_selection_oracle =
+  Test_util.qcheck_case ~count:500 "implicit graph selects as the explicit one"
+    gen_l_top (fun lacs ->
+      Accals.Conflict_graph.find_and_solve lacs = conflict_graph_oracle lacs)
+
 let test_apply_cycle_guard () =
   let t = Network.create () in
   let a = Network.add_input t "a" in
@@ -312,6 +382,7 @@ let suite =
         Alcotest.test_case "type-2 conflict" `Quick test_conflicts_type2;
         Alcotest.test_case "no conflict" `Quick test_no_conflict;
         Alcotest.test_case "paper example 3/4" `Quick test_paper_example_conflicts;
+        test_conflict_selection_oracle;
         Alcotest.test_case "apply cycle guard" `Quick test_apply_cycle_guard;
         Alcotest.test_case "apply_many skips cycles" `Quick test_apply_many_skips_cycles;
         Alcotest.test_case "describe" `Quick test_describe;

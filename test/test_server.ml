@@ -1111,6 +1111,108 @@ let test_server_rejects_bad_requests () =
   Domain.join daemon;
   Client.close c
 
+(* The value of the Prometheus sample line that starts with [series]. *)
+let prom_value prom series =
+  let prefix = series ^ " " in
+  let n = String.length prefix in
+  match
+    List.find_opt
+      (fun l -> String.length l > n && String.sub l 0 n = prefix)
+      (String.split_on_char '\n' prom)
+  with
+  | Some l -> float_of_string (String.sub l n (String.length l - n))
+  | None -> Alcotest.failf "metrics lack %s" series
+
+(* Admission resolves a source an earlier job was admitted with from the
+   scheduler's index: repeat submissions of a name or of byte-identical
+   BLIF text build no circuit, and a one-byte edit is a new source. *)
+let test_daemon_repeat_sources_build_once () =
+  let dir = temp_dir "accals_daemon_index" in
+  let sock = Filename.concat dir "t.sock" in
+  let server =
+    Server.create
+      {
+        Server.default_config with
+        Server.socket = sock;
+        jobs = 1;
+        max_concurrent = 1;
+        default_samples = e2e_samples;
+        log = false;
+      }
+  in
+  let daemon = Domain.spawn (fun () -> Server.run server) in
+  let c = Client.connect_unix_retry sock in
+  let blif_a =
+    ".model tiny\n.inputs a b c d\n.outputs y z\n.names a b n\n11 1\n\
+     .names n c y\n1- 1\n-1 1\n.names c d z\n10 1\n.end\n"
+  in
+  (* One byte apart: z = c & d instead of c & !d. *)
+  let blif_b =
+    ".model tiny\n.inputs a b c d\n.outputs y z\n.names a b n\n11 1\n\
+     .names n c y\n1- 1\n-1 1\n.names c d z\n11 1\n.end\n"
+  in
+  let inline ?(bound = 0.05) text =
+    { (e2e_spec "mtp8" bound) with Protocol.source = Protocol.Blif_text text }
+  in
+  let submit what spec = fst (ok_exn what (Client.submit c spec)) in
+  let finish what id =
+    let r = ok_exn what (Client.wait ~timeout:300.0 c id) in
+    check_string (what ^ " done") "done" (get_string "state" r);
+    get_string "blif" r
+  in
+  let digest_of id =
+    match Json.member "events" (ok_exn "events" (Client.rpc c (Protocol.Events id))) with
+    | Some (Json.List (ev :: _)) -> get_string "digest" ev
+    | _ -> Alcotest.failf "no submitted event for %s" id
+  in
+  let builds () =
+    let prom =
+      get_string "metrics" (ok_exn "metrics" (Client.rpc c Protocol.Metrics))
+    in
+    let count source =
+      prom_value prom
+        (Printf.sprintf {|accals_server_circuit_builds_total{source="%s"}|} source)
+    in
+    int_of_float (count "named" +. count "blif")
+  in
+  (* Three submits of a name: the first builds and queues, the second
+     coalesces onto it in flight, the third hits its finished result. *)
+  let m1 = submit "mtp8" (e2e_spec "mtp8" 0.02) in
+  let m2 = submit "mtp8 again" (e2e_spec "mtp8" 0.02) in
+  let blif_m = finish "mtp8" m1 in
+  let m3 = submit "mtp8 once more" (e2e_spec "mtp8" 0.02) in
+  check_string "in-flight repeat coalesces" m1 m2;
+  check_string "finished repeat hits" m1 m3;
+  check_string "repeat returns the cold BLIF" blif_m (finish "mtp8 repeat" m3);
+  check_string "named digest" (Network.digest (Bench_suite.load "mtp8"))
+    (digest_of m1);
+  (* Inline BLIF: identical text resolves to the first job's digest. *)
+  let b1 = submit "blif" (inline blif_a) in
+  let b2 = submit "blif again" (inline blif_a) in
+  let b3 = submit "blif one byte off" (inline blif_b) in
+  check_string "identical text coalesces" b1 b2;
+  let blif_1 = finish "blif" b1 in
+  check_string "identical text returns the cold BLIF" blif_1
+    (finish "blif repeat" b2);
+  check_string "inline digest" (Network.digest (Blif.parse_string blif_a))
+    (digest_of b1);
+  check "one-byte variant is its own job" true (b3 <> b1);
+  ignore (finish "blif variant" b3);
+  check_string "variant digest" (Network.digest (Blif.parse_string blif_b))
+    (digest_of b3);
+  check "variant digest differs" true (digest_of b3 <> digest_of b1);
+  check_int "six submits, three builds" 3 (builds ());
+  (* A known source whose job must queue is built for its worker, and
+     keys on the digest the index gave. *)
+  let q = submit "blif, new bound" (inline ~bound:0.1 blif_a) in
+  check "new bound is a new job" true (q <> b1);
+  ignore (finish "blif, new bound" q);
+  check_string "queued repeat keeps the digest" (digest_of b1) (digest_of q);
+  check_int "a queued repeat builds" 4 (builds ());
+  Server.stop server;
+  Domain.join daemon;
+  Client.close c
+
 (* --- hostile-client behaviour --- *)
 
 let raw_connect path =
@@ -1915,6 +2017,8 @@ let suite =
           test_daemon_e2e;
         Alcotest.test_case "error handling on the wire" `Quick
           test_server_rejects_bad_requests;
+        Alcotest.test_case "repeat sources build once" `Quick
+          test_daemon_repeat_sources_build_once;
         Alcotest.test_case "survives disconnect mid-response (SIGPIPE)" `Quick
           test_disconnect_mid_response;
         Alcotest.test_case "pipelining client cannot stall the loop" `Quick
