@@ -241,24 +241,36 @@ let digest t =
   let n = max 1 t.used in
   let canon = Array.make n (-1) in
   let count = ref 0 in
+  (* Explicit int-array stack: a node is pushed once per in-edge seen
+     while still unvisited, so it can sit on the stack more than once;
+     the first pop numbers it and later pops are skipped. *)
+  let stack = ref (Array.make 64 0) in
+  let sp = ref 0 in
+  let push x =
+    if !sp = Array.length !stack then begin
+      let grown = Array.make (2 * !sp) 0 in
+      Array.blit !stack 0 grown 0 !sp;
+      stack := grown
+    end;
+    Array.unsafe_set !stack !sp x;
+    incr sp
+  in
   let visit root =
     if canon.(root) < 0 then begin
-      let stack = ref [ root ] in
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | id :: rest ->
-          stack := rest;
-          if canon.(id) < 0 then begin
-            canon.(id) <- !count;
-            incr count;
-            let fis = t.fanin_arrays.(id) in
-            (* Reverse push so fanin 0 is explored first. *)
-            for k = Array.length fis - 1 downto 0 do
-              let f = fis.(k) in
-              if canon.(f) < 0 then stack := f :: !stack
-            done
-          end
+      push root;
+      while !sp > 0 do
+        decr sp;
+        let id = Array.unsafe_get !stack !sp in
+        if canon.(id) < 0 then begin
+          canon.(id) <- !count;
+          incr count;
+          let fis = t.fanin_arrays.(id) in
+          (* Reverse push so fanin 0 is explored first. *)
+          for k = Array.length fis - 1 downto 0 do
+            let f = fis.(k) in
+            if canon.(f) < 0 then push f
+          done
+        end
       done
     end
   in
@@ -280,12 +292,14 @@ let digest t =
     let id = by_canon.(c) in
     let op = t.ops.(id) in
     add (op_tag op);
-    if op = Gate.Input then add input_pos.(id)
-    else begin
+    match op with
+    | Gate.Input -> add input_pos.(id)
+    | _ ->
       let fis = t.fanin_arrays.(id) in
       add (Array.length fis);
-      Array.iter (fun f -> add canon.(f)) fis
-    end
+      for k = 0 to Array.length fis - 1 do
+        add canon.(fis.(k))
+      done
   done;
   add (Array.length t.output_ids);
   Array.iter (fun id -> add canon.(id)) t.output_ids;

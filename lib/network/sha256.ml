@@ -4,15 +4,28 @@
    survives restarts, so the digest must be collision-resistant against
    an adversary, not just against chance: a 64-bit non-cryptographic hash
    (FNV, CRC) admits constructed collisions that would let one tenant
-   poison another's cache entry.  Words are plain OCaml [int]s masked to
-   32 bits — no boxing, no Int32 churn. *)
+   poison another's cache entry.
+
+   Words are plain OCaml [int]s — no boxing, no Int32 churn.  Input is
+   absorbed a word or a run at a time: [feed_int] stores its 8 bytes with
+   one [Bytes.set_int64_be] and [feed_string] blits, so the per-byte path
+   is only taken at a block boundary.  The 64 rounds are a tail-recursive
+   function whose eight working variables are its arguments, so they stay
+   in registers.
+
+   A 32-bit rotation is one shift of the word doubled into the 63-bit
+   int, [x lor (x lsl 32)]: bit 31 falls off the top, but no rotation by
+   at most 31 reads it from there.  Only values that are rotated, stored
+   in the schedule or returned are masked to 32 bits: addition and the
+   bitwise operators never carry high garbage into the low 32 bits, so an
+   unmasked intermediate sum is still right modulo 2^32. *)
 
 type t = {
   h : int array;  (* 8 words of chaining state *)
   block : Bytes.t;  (* 64-byte input block being filled *)
   w : int array;  (* 64-word message schedule, reused per block *)
   mutable fill : int;  (* bytes currently in [block] *)
-  mutable total : int64;  (* message length so far, in bytes *)
+  mutable total : int;  (* message length so far, in bytes *)
 }
 
 let k =
@@ -40,85 +53,111 @@ let create () =
     block = Bytes.create 64;
     w = Array.make 64 0;
     fill = 0;
-    total = 0L;
+    total = 0;
   }
 
 let mask = 0xffffffff
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+
+(* One round per call; [w] holds the schedule with the round constants
+   already added.  The working variables rotate through the arguments. *)
+let rec rounds h w i a b c d e f g hh =
+  if i = 64 then begin
+    h.(0) <- (h.(0) + a) land mask;
+    h.(1) <- (h.(1) + b) land mask;
+    h.(2) <- (h.(2) + c) land mask;
+    h.(3) <- (h.(3) + d) land mask;
+    h.(4) <- (h.(4) + e) land mask;
+    h.(5) <- (h.(5) + f) land mask;
+    h.(6) <- (h.(6) + g) land mask;
+    h.(7) <- (h.(7) + hh) land mask
+  end
+  else begin
+    (* Sigma1(e) and Sigma0(a), left unmasked: only sums use them. *)
+    let ee = e lor (e lsl 32) in
+    let s1 = (ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25) in
+    let ch = e land f lxor (lnot e land g) in
+    let t1 = hh + s1 + ch + Array.unsafe_get w i in
+    let aa = a lor (a lsl 32) in
+    let s0 = (aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22) in
+    let maj = a land b lxor (a land c) lxor (b land c) in
+    rounds h w (i + 1)
+      ((t1 + s0 + maj) land mask)
+      a b c
+      ((d + t1) land mask)
+      e f g
+  end
 
 let compress t =
   let w = t.w in
   let b = t.block in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get b (4 * i)) lsl 24)
-      lor (Char.code (Bytes.get b ((4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.get b ((4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.get b ((4 * i) + 3))
+    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be b (4 * i)) land mask)
   done;
   for i = 16 to 63 do
-    let x = w.(i - 15) and y = w.(i - 2) in
-    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
-    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
+    let s0 = (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3) in
+    let s1 = (yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
-  let a = ref t.h.(0) and b' = ref t.h.(1) and c = ref t.h.(2) in
-  let d = ref t.h.(3) and e = ref t.h.(4) and f = ref t.h.(5) in
-  let g = ref t.h.(6) and h = ref t.h.(7) in
+  (* The schedule is done with; fold the round constants into it. *)
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land mask land !g) in
-    let t1 = (!h + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b' lxor (!a land !c) lxor (!b' land !c) in
-    let t2 = (s0 + maj) land mask in
-    h := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !b';
-    b' := !a;
-    a := (t1 + t2) land mask
+    Array.unsafe_set w i (Array.unsafe_get w i + Array.unsafe_get k i)
   done;
-  t.h.(0) <- (t.h.(0) + !a) land mask;
-  t.h.(1) <- (t.h.(1) + !b') land mask;
-  t.h.(2) <- (t.h.(2) + !c) land mask;
-  t.h.(3) <- (t.h.(3) + !d) land mask;
-  t.h.(4) <- (t.h.(4) + !e) land mask;
-  t.h.(5) <- (t.h.(5) + !f) land mask;
-  t.h.(6) <- (t.h.(6) + !g) land mask;
-  t.h.(7) <- (t.h.(7) + !h) land mask
+  let h = t.h in
+  rounds h w 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
 
 let feed_byte t c =
-  Bytes.set t.block t.fill (Char.unsafe_chr (c land 0xff));
+  Bytes.unsafe_set t.block t.fill (Char.unsafe_chr (c land 0xff));
   t.fill <- t.fill + 1;
-  t.total <- Int64.add t.total 1L;
+  t.total <- t.total + 1;
   if t.fill = 64 then begin
     compress t;
     t.fill <- 0
   end
 
-let feed_string t s = String.iter (fun c -> feed_byte t (Char.code c)) s
+let feed_string t s =
+  let n = String.length s in
+  let pos = ref 0 in
+  while !pos < n do
+    let run = min (64 - t.fill) (n - !pos) in
+    Bytes.blit_string s !pos t.block t.fill run;
+    t.fill <- t.fill + run;
+    pos := !pos + run;
+    if t.fill = 64 then begin
+      compress t;
+      t.fill <- 0
+    end
+  done;
+  t.total <- t.total + n
 
 (* 8-byte big-endian two's-complement, so any OCaml int feeds losslessly
    and unambiguously (fixed width: no length-extension-style framing
    ambiguity between adjacent values). *)
-let feed_int64_be t x64 =
-  for i = 0 to 7 do
-    feed_byte t
-      (Int64.to_int (Int64.shift_right_logical x64 (56 - (8 * i))) land 0xff)
-  done
-
-let feed_int t x = feed_int64_be t (Int64.of_int x)
+let feed_int t x =
+  if t.fill <= 56 then begin
+    Bytes.set_int64_be t.block t.fill (Int64.of_int x);
+    t.fill <- t.fill + 8;
+    t.total <- t.total + 8;
+    if t.fill = 64 then begin
+      compress t;
+      t.fill <- 0
+    end
+  end
+  else
+    (* Straddles a block boundary: [asr] sign-extends like [Int64.of_int]. *)
+    for i = 0 to 7 do
+      feed_byte t (x asr (56 - (8 * i)))
+    done
 
 let hex t =
-  let bits = Int64.mul t.total 8L in
+  let bits = t.total * 8 in
   feed_byte t 0x80;
   while t.fill <> 56 do
     feed_byte t 0
   done;
-  feed_int64_be t bits;
+  feed_int t bits;
   assert (t.fill = 0);
   let buf = Buffer.create 64 in
   Array.iter (fun w -> Buffer.add_string buf (Printf.sprintf "%08x" w)) t.h;

@@ -256,6 +256,10 @@ let create cfg =
   let reg = Metrics.create () in
   let counter ?labels name help = Metrics.counter reg ~help ?labels name in
   let gauge name help = Metrics.gauge reg ~help name in
+  let cache_hits_help =
+    "Submissions answered without running the engine: by a finished \
+     in-memory job (memory) or the on-disk result cache (disk)"
+  in
   let latency_buckets =
     [| 0.001; 0.005; 0.01; 0.05; 0.1; 0.5; 1.0; 5.0; 30.0; 120.0; 600.0 |]
   in
@@ -294,11 +298,11 @@ let create cfg =
       m_cache_hit_mem =
         counter "accals_server_cache_hits_total"
           ~labels:[ ("source", "memory") ]
-          "Submissions answered by a finished in-memory job";
+          cache_hits_help;
       m_cache_hit_disk =
         counter "accals_server_cache_hits_total"
           ~labels:[ ("source", "disk") ]
-          "Submissions answered by the on-disk result cache";
+          cache_hits_help;
       m_cache_miss =
         counter "accals_server_cache_misses_total"
           "Submissions that had to run the engine";

@@ -7,10 +7,17 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
+(* Append [s] as a JSON string literal: each run of characters that need
+   no escape goes in with one [add_substring]. *)
+let add_quoted buf s =
+  let hex = "0123456789abcdef" in
+  Buffer.add_char buf '"';
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
@@ -19,11 +26,15 @@ let escape s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex.[Char.code c lsr 4];
+        Buffer.add_char buf hex.[Char.code c land 15]
+    end
+  done;
+  if String.length s > !run then
+    Buffer.add_substring buf s !run (String.length s - !run);
+  Buffer.add_char buf '"'
 
 let float_str x =
   if Float.is_nan x || x = Float.infinity || x = Float.neg_infinity then "null"
@@ -31,17 +42,20 @@ let float_str x =
 
 let rec to_buffer_at buf indent v =
   let pretty = indent >= 0 in
-  let pad n = if pretty then Buffer.add_string buf (String.make (2 * n) ' ') in
+  let pad n =
+    if pretty then
+      for _ = 1 to 2 * n do
+        Buffer.add_char buf ' '
+      done
+  in
   let nl () = if pretty then Buffer.add_char buf '\n' in
+  let inner = if pretty then indent + 1 else indent in
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float x -> Buffer.add_string buf (float_str x)
-  | String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | String s -> add_quoted buf s
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
     Buffer.add_char buf '[';
@@ -53,7 +67,7 @@ let rec to_buffer_at buf indent v =
           nl ()
         end;
         pad (indent + 1);
-        to_buffer_at buf (if pretty then indent + 1 else indent) item)
+        to_buffer_at buf inner item)
       items;
     nl ();
     pad indent;
@@ -69,10 +83,9 @@ let rec to_buffer_at buf indent v =
           nl ()
         end;
         pad (indent + 1);
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf (if pretty then "\": " else "\":");
-        to_buffer_at buf (if pretty then indent + 1 else indent) item)
+        add_quoted buf k;
+        Buffer.add_string buf (if pretty then ": " else ":");
+        to_buffer_at buf inner item)
       fields;
     nl ();
     pad indent;
@@ -96,11 +109,23 @@ let write_file path v =
   close_out oc
 
 (* ------------------------------------------------------------------ *)
-(* Parser: straightforward recursive descent over the string. *)
+(* Parser: recursive descent that scans runs in place.  A string without
+   escapes is one [String.sub] (with escapes, one [add_substring] per run
+   between them), an integer of up to 18 characters is accumulated
+   without copying it, and a peek is a bounds check and a
+   [String.unsafe_get], never an [option]. *)
 
 exception Parse_error of string
 
 let default_max_depth = 512
+
+let is_digit c = c >= '0' && c <= '9'
+
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
 
 let parse_exn ?(max_depth = default_max_depth) ?max_bytes s =
   let n = String.length s in
@@ -116,190 +141,225 @@ let parse_exn ?(max_depth = default_max_depth) ?max_bytes s =
       (fun msg -> raise (Parse_error (Printf.sprintf "at byte %d: %s" !pos msg)))
       fmt
   in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
+  let at c = !pos < n && String.unsafe_get s !pos = c in
+  let digit_here () = !pos < n && is_digit (String.unsafe_get s !pos) in
   let skip_ws () =
     while
       !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+      && (match String.unsafe_get s !pos with
+          | ' ' | '\t' | '\n' | '\r' -> true
+          | _ -> false)
     do
-      advance ()
+      incr pos
     done
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail "expected %c, found %c" c c'
-    | None -> fail "expected %c, found end of input" c
+    if at c then incr pos
+    else if !pos < n then fail "expected %c, found %c" c s.[!pos]
+    else fail "expected %c, found end of input" c
   in
   let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
+    let len = String.length word in
+    let rec matches i =
+      i = len || (String.unsafe_get s (!pos + i) = word.[i] && matches (i + 1))
+    in
+    if !pos + len <= n && matches 0 then begin
+      pos := !pos + len;
       v
     end
     else fail "invalid literal"
   in
+  (* Decode the escape whose backslash is at [!pos - 1] into [buf]. *)
+  let add_escape buf =
+    if !pos >= n then fail "unterminated escape";
+    let e = String.unsafe_get s !pos in
+    incr pos;
+    match e with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'u' ->
+      if !pos + 4 > n then fail "truncated \\u escape";
+      let start = !pos in
+      pos := !pos + 4;
+      (* Exactly four hex digits: [int_of_string "0x..."] would be too
+         lenient for untrusted input (it accepts underscores). *)
+      let code = ref 0 in
+      for i = start to start + 3 do
+        let d = hex_value (String.unsafe_get s i) in
+        if d < 0 then fail "bad \\u escape %s" (String.sub s start 4);
+        code := (!code lsl 4) lor d
+      done;
+      let code = !code in
+      (* Encode the code point as UTF-8; surrogate pairs are not
+         recombined (the validators never feed us any). *)
+      if code < 0x80 then Buffer.add_char buf (Char.chr code)
+      else if code < 0x800 then begin
+        Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+      end
+      else begin
+        Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+      end
+    | c -> fail "bad escape \\%c" c
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        if !pos >= n then fail "unterminated escape";
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 'b' -> Buffer.add_char buf '\b'
-         | 'f' -> Buffer.add_char buf '\012'
-         | 'u' ->
-           if !pos + 4 > n then fail "truncated \\u escape";
-           let hex = String.sub s !pos 4 in
-           pos := !pos + 4;
-           (* Exactly four hex digits — [int_of_string "0x..."] is too
-              lenient for untrusted input (it accepts underscores and an
-              empty digit string would slip through on short tails). *)
-           String.iter
-             (function
-               | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-               | _ -> fail "bad \\u escape %s" hex)
-             hex;
-           let code = int_of_string ("0x" ^ hex) in
-           (* Encode the code point as UTF-8; surrogate pairs are not
-              recombined (the validators never feed us any). *)
-           if code < 0x80 then Buffer.add_char buf (Char.chr code)
-           else if code < 0x800 then begin
-             Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-           end
-           else begin
-             Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-             Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-           end
-         | c -> fail "bad escape \\%c" c);
-        go ()
+    (* [scan i] is the index of the first quote, backslash or control
+       character at or after [i]; [n] if there is none. *)
+    let rec scan i =
+      if i >= n then n
+      else
+        let c = String.unsafe_get s i in
+        if c = '"' || c = '\\' || Char.code c < 0x20 then i else scan (i + 1)
+    in
+    (* [stop] ends the run that started at [!pos]; [buf] holds the text
+       decoded before it, if there was an escape. *)
+    let rec finish buf stop =
+      if stop >= n then begin
+        pos := n;
+        fail "unterminated string"
+      end;
+      let c = String.unsafe_get s stop in
+      if c = '"' then begin
+        let start = !pos in
+        pos := stop + 1;
+        match buf with
+        | None -> String.sub s start (stop - start)
+        | Some buf ->
+          Buffer.add_substring buf s start (stop - start);
+          Buffer.contents buf
       end
-      else if Char.code c < 0x20 then
-        (* RFC 8259: control characters must be escaped.  The printer
-           always escapes them, so rejecting raw ones loses nothing and
-           closes a smuggling channel on untrusted input. *)
-        fail "unescaped control character 0x%02x in string" (Char.code c)
       else begin
-        Buffer.add_char buf c;
-        go ()
+        let buf =
+          match buf with Some buf -> buf | None -> Buffer.create 16
+        in
+        Buffer.add_substring buf s !pos (stop - !pos);
+        pos := stop + 1;
+        if c = '\\' then begin
+          add_escape buf;
+          finish (Some buf) (scan !pos)
+        end
+        else
+          (* RFC 8259: control characters must be escaped.  The printer
+             always escapes them, so rejecting raw ones loses nothing and
+             closes a smuggling channel on untrusted input. *)
+          fail "unescaped control character 0x%02x in string" (Char.code c)
       end
     in
-    go ()
+    finish None (scan !pos)
+  in
+  let skip_digits () =
+    while digit_here () do
+      incr pos
+    done
   in
   let parse_number () =
     let start = !pos in
-    if peek () = Some '-' then advance ();
-    let is_digit () =
-      match peek () with Some ('0' .. '9') -> true | _ -> false
-    in
-    if not (is_digit ()) then fail "malformed number";
-    while is_digit () do
-      advance ()
+    let negative = at '-' in
+    if negative then incr pos;
+    if not (digit_here ()) then fail "malformed number";
+    (* Accumulate the integer part as we go: at most 18 characters can
+       never overflow, and a longer one is re-read by [int_of_string]. *)
+    let acc = ref 0 in
+    while digit_here () do
+      acc := (10 * !acc) + (Char.code (String.unsafe_get s !pos) - 48);
+      incr pos
     done;
     let fractional = ref false in
-    if peek () = Some '.' then begin
+    if at '.' then begin
       fractional := true;
-      advance ();
-      if not (is_digit ()) then fail "malformed number";
-      while is_digit () do
-        advance ()
-      done
+      incr pos;
+      if not (digit_here ()) then fail "malformed number";
+      skip_digits ()
     end;
-    (match peek () with
-     | Some ('e' | 'E') ->
-       fractional := true;
-       advance ();
-       (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-       if not (is_digit ()) then fail "malformed exponent";
-       while is_digit () do
-         advance ()
-       done
-     | _ -> ());
-    let text = String.sub s start (!pos - start) in
-    if !fractional then Float (float_of_string text)
+    if at 'e' || at 'E' then begin
+      fractional := true;
+      incr pos;
+      if at '+' || at '-' then incr pos;
+      if not (digit_here ()) then fail "malformed exponent";
+      skip_digits ()
+    end;
+    let len = !pos - start in
+    if !fractional then Float (float_of_string (String.sub s start len))
+    else if len <= 18 then Int (if negative then - !acc else !acc)
     else
+      let text = String.sub s start len in
       match int_of_string_opt text with
       | Some i -> Int i
       | None -> Float (float_of_string text)
   in
   let rec parse_value depth =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
+    if !pos >= n then fail "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '[' ->
       (* The depth limit bounds both this parser's recursion (stack
          safety on adversarial input) and what a hostile client can make
          downstream consumers walk. *)
       if depth >= max_depth then fail "nesting deeper than %d" max_depth;
-      advance ();
+      incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
+      if at ']' then begin
+        incr pos;
         List []
       end
       else begin
-        let items = ref [] in
-        let rec items_loop () =
-          items := parse_value (depth + 1) :: !items;
+        let rec items_loop acc =
+          let acc = parse_value (depth + 1) :: acc in
           skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items_loop ()
-          | Some ']' -> advance ()
-          | _ -> fail "expected , or ] in array"
+          if at ',' then begin
+            incr pos;
+            items_loop acc
+          end
+          else if at ']' then begin
+            incr pos;
+            List.rev acc
+          end
+          else fail "expected , or ] in array"
         in
-        items_loop ();
-        List (List.rev !items)
+        List (items_loop [])
       end
-    | Some '{' ->
+    | '{' ->
       if depth >= max_depth then fail "nesting deeper than %d" max_depth;
-      advance ();
+      incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
+      if at '}' then begin
+        incr pos;
         Obj []
       end
       else begin
-        let fields = ref [] in
-        let rec fields_loop () =
+        let rec fields_loop acc =
           skip_ws ();
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value (depth + 1) in
-          fields := (k, v) :: !fields;
+          let acc = (k, parse_value (depth + 1)) :: acc in
           skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            fields_loop ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected , or } in object"
+          if at ',' then begin
+            incr pos;
+            fields_loop acc
+          end
+          else if at '}' then begin
+            incr pos;
+            List.rev acc
+          end
+          else fail "expected , or } in object"
         in
-        fields_loop ();
-        Obj (List.rev !fields)
+        Obj (fields_loop [])
       end
-    | Some _ -> parse_number ()
+    | _ -> parse_number ()
   in
   let v = parse_value 0 in
   skip_ws ();

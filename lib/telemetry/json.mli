@@ -27,9 +27,6 @@ val to_buffer : Buffer.t -> t -> unit
 val write_file : string -> t -> unit
 (** Write [to_string ~pretty:true] plus a trailing newline. *)
 
-val escape : string -> string
-(** The JSON string-literal encoding of a string, without quotes. *)
-
 (** {1 Parsing}
 
     The parser is strict enough for untrusted input (the [accals serve]

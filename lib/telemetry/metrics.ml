@@ -17,20 +17,22 @@ type histogram = {
 
 type instrument = C of counter | G of gauge | H of histogram
 
-type entry = {
-  e_name : string;
-  e_labels : labels;
-  e_help : string;
-  e_inst : instrument;
-}
+type entry = { e_name : string; e_labels : labels; e_inst : instrument }
 
 type t = {
   mutex : Mutex.t;
   table : (string * labels, entry) Hashtbl.t;
+  helps : (string, string) Hashtbl.t;  (* family name -> its help text *)
   mutable order : entry list;  (* reverse registration order *)
 }
 
-let create () = { mutex = Mutex.create (); table = Hashtbl.create 32; order = [] }
+let create () =
+  {
+    mutex = Mutex.create ();
+    table = Hashtbl.create 32;
+    helps = Hashtbl.create 32;
+    order = [];
+  }
 
 let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
 
@@ -72,11 +74,21 @@ let register t name labels help make =
           (Printf.sprintf "Metrics: invalid label name %S on metric %s" k name))
     labels;
   Mutex.lock t.mutex;
+  (* Prometheus prints one HELP line per family, so every labelled member
+     must share it; an empty help fetches without restating it. *)
+  (match Hashtbl.find_opt t.helps name with
+   | Some h when help <> "" && h <> help ->
+     Mutex.unlock t.mutex;
+     invalid_arg
+       (Printf.sprintf "Metrics: %s registered with help %S, already %S" name
+          help h)
+   | None when help <> "" -> Hashtbl.add t.helps name help
+   | _ -> ());
   let entry =
     match Hashtbl.find_opt t.table (name, labels) with
     | Some e -> e
     | None ->
-      let e = { e_name = name; e_labels = labels; e_help = help; e_inst = make () } in
+      let e = { e_name = name; e_labels = labels; e_inst = make () } in
       Hashtbl.add t.table (name, labels) e;
       t.order <- e :: t.order;
       e
@@ -207,14 +219,19 @@ let histogram_value h = freeze_instrument (H h)
 
 let snapshot t =
   Mutex.lock t.mutex;
-  let entries = List.rev t.order in
+  let entries =
+    List.rev_map
+      (fun e ->
+        (e, Option.value ~default:"" (Hashtbl.find_opt t.helps e.e_name)))
+      t.order
+  in
   Mutex.unlock t.mutex;
   List.map
-    (fun e ->
+    (fun (e, help) ->
       {
         name = e.e_name;
         labels = e.e_labels;
-        help = e.e_help;
+        help;
         value = freeze_instrument e.e_inst;
       })
     entries

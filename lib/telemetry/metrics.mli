@@ -44,7 +44,8 @@ val valid_label_name : string -> bool
 val counter : t -> ?help:string -> ?labels:labels -> string -> counter
 (** Register (or fetch) a counter. Raises [Invalid_argument] if the
     (name, labels) pair is already registered as a different instrument
-    kind, if the metric name is not a valid Prometheus identifier, or if
+    kind, if a non-empty [help] differs from the one the family (every
+    label set of the name) was registered with, if the metric name is not a valid Prometheus identifier, or if
     any label name is invalid (registration-time rejection keeps a single
     bad name from poisoning the whole exposition). *)
 

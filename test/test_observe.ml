@@ -82,6 +82,31 @@ let test_metrics_name_validation () =
   ignore (Metrics.counter t ~labels:[ ("tenant", "t0") ] "ns:requests_total");
   ignore (Metrics.gauge t "_private_gauge")
 
+(* Prometheus prints one HELP line per family, so the labelled members of
+   a family must agree on it: a different text is a registration error,
+   and an omitted one fetches the cell without restating it. *)
+let test_metrics_help_per_family () =
+  let t = Metrics.create () in
+  let help = "Hits by source" in
+  Metrics.incr (Metrics.counter t ~help ~labels:[ ("source", "memory") ] "hits_total");
+  ignore (Metrics.counter t ~help ~labels:[ ("source", "disk") ] "hits_total");
+  ignore (Metrics.counter t ~labels:[ ("source", "disk") ] "hits_total");
+  check "conflicting help rejected" true
+    (match
+       Metrics.counter t ~help:"Disk hits" ~labels:[ ("source", "other") ]
+         "hits_total"
+     with
+     | _ -> false
+     | exception Invalid_argument _ -> true);
+  let text = Metrics.to_prometheus (Metrics.snapshot t) in
+  ignore (Test_telemetry.prometheus_lint text);
+  check_string "one HELP for the family"
+    "# HELP hits_total Hits by source\n\
+     # TYPE hits_total counter\n\
+     hits_total{source=\"memory\"} 1\n\
+     hits_total{source=\"disk\"} 0\n"
+    text
+
 let test_prometheus_escaping () =
   let t = Metrics.create () in
   let c =
@@ -396,6 +421,8 @@ let suite =
     ( "observe",
       [
         Alcotest.test_case "trace context ids" `Quick test_trace_context;
+        Alcotest.test_case "metric help per family" `Quick
+          test_metrics_help_per_family;
         Alcotest.test_case "metric name validation" `Quick
           test_metrics_name_validation;
         Alcotest.test_case "prometheus escaping" `Quick

@@ -166,6 +166,102 @@ let test_digest_cryptographic () =
   check "digest is lowercase hex" true
     (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) d)
 
+(* [feed_int] stores a whole word when it fits the block and falls back
+   to bytes when it straddles one; either way the stream must be exactly
+   its 8 big-endian two's-complement bytes.  Every block fill 0..63 is
+   reached, with values that exercise the sign extension. *)
+let test_sha256_feed_int () =
+  let values = [ 0; 1; -1; 0x1234_5678_9abc; min_int; max_int; -0x8000_0001 ] in
+  for fill = 0 to 63 do
+    List.iter
+      (fun x ->
+        let words = Sha256.create () and bytes = Sha256.create () in
+        for i = 0 to fill - 1 do
+          Sha256.feed_byte words i;
+          Sha256.feed_byte bytes i
+        done;
+        Sha256.feed_int words x;
+        let x64 = Int64.of_int x in
+        for i = 0 to 7 do
+          Sha256.feed_byte bytes
+            (Int64.to_int (Int64.shift_right_logical x64 (56 - (8 * i))))
+        done;
+        (* A second word lands after the first at its own fill. *)
+        Sha256.feed_int words (lnot x);
+        Sha256.feed_string bytes
+          (let b = Bytes.create 8 in
+           Bytes.set_int64_be b 0 (Int64.of_int (lnot x));
+           Bytes.to_string b);
+        check_string
+          (Printf.sprintf "feed_int %d at fill %d" x fill)
+          (Sha256.hex bytes) (Sha256.hex words))
+      values
+  done
+
+(* [feed_string] blits runs into the block; any chunking of the input
+   must hash like the whole string at once. *)
+let test_sha256_feed_string_chunks =
+  Test_util.qcheck_case ~count:300 "sha256 feed_string in random chunks"
+    QCheck2.Gen.(pair (string_size (int_range 0 300)) (list_size (int_range 0 20) (int_range 0 80)))
+    (fun (s, cuts) ->
+      let t = Sha256.create () in
+      let pos = ref 0 in
+      List.iter
+        (fun len ->
+          let len = min len (String.length s - !pos) in
+          Sha256.feed_string t (String.sub s !pos len);
+          pos := !pos + len)
+        cuts;
+      Sha256.feed_string t (String.sub s !pos (String.length s - !pos));
+      Sha256.hex t = Sha256.hex_of_string s)
+
+(* Digests of every registered circuit that loads quickly.  The result
+   cache is keyed by these strings on disk, so a change to the canonical
+   encoding or to the hash breaks every stored entry: this table fails
+   first. *)
+let golden_digests =
+  [
+    ("alu4", "442840b36e2c11aefbc797f523e10372f764f1b649598a9ef20a20a41af8d429");
+    ("c1908", "956ccc2097921f47da6caa1e9526457ab52157fe77cd0cc120daa51ad7b2887f");
+    ("c3540", "91b7df98d3f2e156efde30f356cc9883b7b8564aaf1ce56cff9ff3c128fd7494");
+    ("c880", "6cf773101d9e2eb29d1de1e0f7eb0ebd94dd1cd14fee07e4366eeab4071d5e37");
+    ("cla32", "5ea0cf56f9b84df09a20b59ae087626404a3db6f0fae828f462792f57cafe303");
+    ("ksa32", "23d8f0eb24bb8a8a42f03850a0c92f214ca16d372a41d628589b4195171476da");
+    ("mtp8", "728b743c875e148ac093775689b3ede130afa79521e740bce48e7ff4b43d406f");
+    ("rca32", "9b21657f36d6ebbac2863384fdc429d0e6455d31313ef4e734a2e435129a3351");
+    ("wal8", "eeca42bd35b74800e72fac15ed5774b9caee47284c34a52c7a179059e6b6ac55");
+    ("div", "d0d41753edc52e9a1d49d9fe65da3a202aec2f6dde36e4314b915a993af046f3");
+    ("log2", "1abe33bc131aeab766f7a57ab08722616d6892ab52e22215d773bd382d02b4ac");
+    ("sin", "ff2dad5fd713270bbb5df919538c7a93da7ec1aba9afadb7e4dc98322c54ae98");
+    ("sqrt", "c6d2830a9fd226d2afd279b15ae7fbad083643cc25507cfd6f06c847be7cc6f0");
+    ("square", "e72b6acd1be4bff968c89d1f676b083085bcb80abb1b2884a530806c4f4dbc4e");
+    ("alu2", "aea4d4e43a2908dc0c657438959d490e105dbccb5c99be63d738269990c8540f");
+    ("apex6", "a23f784d21029644f6ecd8bb01f8ce3f9414c8db33fe56679a5c59ef218736a9");
+    ("frg2", "f2aff1b1e44c89c642d4ea587acbdc0e634618557928b5ff9cf4d7a37a68eae5");
+    ("term1", "6eb88be8fdf8f79611ca22a0c566ac0ff8abc323c535f2e30c9b99444b0b7402");
+    ("dadda8", "debb2232917cd9459ebba06c7f0f761487682f28eaaffcbe89ff8b8b2f313f3a");
+    ("csel32", "7d2418c91990d137ddc1c8f47a4df13783149e06314b91443e498ac3c4432f80");
+    ("cskip32", "c5ed604a9d483c5e76059284dbc2c08532296edbcbbe480936719c38fa726788");
+    ("popcnt16", "4e5bd594666dcf2bda5e26c0a6ff928b76495211d6eebd5d040ed64a63b3f184");
+    ("bshift16", "4634d5275b3c2316724e20008da597e2a2826bd4cc4e6c81a7e5bb68d7e9359a");
+    ("mac6", "7c163f89bbec575a1154d2e8aa6f9da8b4a13917db4993331aaa9664aa56a73e");
+    ("satadd16", "73fb7e144afef2977a71f4e73270bd0a6fc1038b71778221c85d020ff4d5528b");
+    ("fir5", "e0042101b100b4114883a1ba6554c3f6d9eae3ffa85342b027935f9a8bc32d35");
+    ("fadd8", "96b7abd4568ac9d5a7392352dbd4d7a87bae35f27728dcd8743c40b147493dbe");
+    ("sobel6", "e5eb9f91fa3c00d92c23a0e74340bd96d7a28ace1d8ce16e059787ccd8672fb0");
+    ("gray12", "0716cdb141906965339e4d0376aa2e3d674c68aba672ca650c265af8e9feed49");
+  ]
+
+let test_digest_golden () =
+  List.iter
+    (fun (name, expected) ->
+      check_string ("digest of " ^ name) expected
+        (Network.digest (Bench_suite.load name)))
+    golden_digests;
+  check_int "every quick circuit is in the table"
+    (List.length Bench_suite.all - 3)
+    (List.length golden_digests)
+
 (* --- hardened JSON parsing --- *)
 
 let test_json_hardening () =
@@ -1126,6 +1222,11 @@ let prom_value prom series =
 (* Admission resolves a source an earlier job was admitted with from the
    scheduler's index: repeat submissions of a name or of byte-identical
    BLIF text build no circuit, and a one-byte edit is a new source. *)
+let contains s needle =
+  let ls = String.length s and ln = String.length needle in
+  let rec go i = i + ln <= ls && (String.sub s i ln = needle || go (i + 1)) in
+  go 0
+
 let test_daemon_repeat_sources_build_once () =
   let dir = temp_dir "accals_daemon_index" in
   let sock = Filename.concat dir "t.sock" in
@@ -1209,6 +1310,29 @@ let test_daemon_repeat_sources_build_once () =
   ignore (finish "blif, new bound" q);
   check_string "queued repeat keeps the digest" (digest_of b1) (digest_of q);
   check_int "a queued repeat builds" 4 (builds ());
+  (* One HELP line per family; the cache-hit family's covers both of its
+     sources. *)
+  let prom =
+    get_string "metrics" (ok_exn "metrics" (Client.rpc c Protocol.Metrics))
+  in
+  let helps =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | "#" :: "HELP" :: family :: _ -> Some (family, line)
+        | _ -> None)
+      (String.split_on_char '\n' prom)
+  in
+  List.iter
+    (fun (family, _) ->
+      check_int ("one HELP for " ^ family) 1
+        (List.length (List.filter (fun (f, _) -> f = family) helps)))
+    helps;
+  (match List.assoc_opt "accals_server_cache_hits_total" helps with
+   | Some line ->
+     check "cache-hit help names memory" true (contains line "memory");
+     check "cache-hit help names disk" true (contains line "disk")
+   | None -> Alcotest.fail "no HELP for accals_server_cache_hits_total");
   Server.stop server;
   Domain.join daemon;
   Client.close c
@@ -1225,11 +1349,6 @@ let raw_write fd s =
   let rec go off =
     if off < len then go (off + Unix.write_substring fd s off (len - off))
   in
-  go 0
-
-let contains s needle =
-  let ls = String.length s and ln = String.length needle in
-  let rec go i = i + ln <= ls && (String.sub s i ln = needle || go (i + 1)) in
   go 0
 
 let boot_server cfg =
@@ -1960,6 +2079,10 @@ let suite =
           test_digest_sensitivity;
         Alcotest.test_case "collision-resistant (sha-256 vectors)" `Quick
           test_digest_cryptographic;
+        Alcotest.test_case "sha-256 word feeding at every fill" `Quick
+          test_sha256_feed_int;
+        test_sha256_feed_string_chunks;
+        Alcotest.test_case "golden digests" `Quick test_digest_golden;
       ] );
     ( "server json hardening",
       [ Alcotest.test_case "untrusted input limits" `Quick test_json_hardening ] );

@@ -74,6 +74,187 @@ let test_json_parse_errors () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "[1] trailing"; "nul"; "\"unterminated" ]
 
+(* Differential oracle: [Json_ref] is the per-character codec that the
+   run-scanning one replaced.  Both must print the same bytes for every
+   tree and, for every input, parse to the same tree or fail with the
+   same message (offset included).  [Protocol] parses untrusted client
+   lines with this parser, so CI also runs these with QCHECK_LONG=true. *)
+
+let gen_json_text =
+  let open QCheck2.Gen in
+  let piece =
+    frequency
+      [
+        (4, string_size ~gen:(char_range 'a' 'z') (int_range 0 8));
+        (1, string_size ~gen:printable (int_range 60 300));
+        (2, oneofl [ "\""; "\\"; "\n"; "\r"; "\t"; "\b"; "\012"; "/" ]);
+        (2, map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f));
+        (1, oneofl [ "\x7f"; "\xc2\xb5"; "\xe2\x80\xa6"; "\xf0\x9f\x98\x80" ]);
+        (1, string_size ~gen:char (int_range 0 6));
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 6) piece)
+
+let gen_json_tree =
+  let open QCheck2.Gen in
+  let leaf =
+    frequency
+      [
+        (1, pure Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        ( 3,
+          map
+            (fun i -> Json.Int i)
+            (frequency
+               [ (1, oneofl [ min_int; max_int; 0; -1 ]); (2, int);
+                 (2, small_signed_int) ]) );
+        ( 3,
+          map
+            (fun x -> Json.Float x)
+            (frequency
+               [
+                 ( 1,
+                   oneofl
+                     [ nan; infinity; neg_infinity; 0.0; -0.0; 1e300; 5e-324 ] );
+                 (2, map float_of_int int);
+                 (2, map float_of_int small_signed_int);
+                 (2, float);
+               ]) );
+        (4, map (fun s -> Json.String s) gen_json_text);
+      ]
+  in
+  let rec tree depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (3, leaf);
+          (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (tree (depth - 1))));
+          ( 1,
+            map
+              (fun f -> Json.Obj f)
+              (list_size (int_range 0 4) (pair gen_json_text (tree (depth - 1)))) );
+        ]
+  in
+  int_range 0 4 >>= tree
+
+let test_json_printer_differential =
+  Test_util.qcheck_case ~count:500 ~long_factor:100
+    ~print:(fun v -> Json_ref.to_string v)
+    "json printer matches the reference" gen_json_tree
+    (fun v ->
+      List.for_all
+        (fun pretty -> Json.to_string ~pretty v = Json_ref.to_string ~pretty v)
+        [ false; true ]
+      &&
+      let buf = Buffer.create 16 in
+      Json.to_buffer buf v;
+      Buffer.contents buf = Json_ref.to_string v)
+
+(* Trees compared with floats by bit pattern, so -0.0 and 0.0 differ. *)
+let rec same_tree a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys ->
+    List.length xs = List.length ys && List.for_all2 same_tree xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (k', y) -> k = k' && same_tree x y) xs ys
+  | _ -> a = b
+
+let gen_json_number =
+  let open QCheck2.Gen in
+  let ws = oneofl [ ""; ""; " "; "\t"; "\n "; "\r\n" ] in
+  let digits lo hi = string_size ~gen:numeral (int_range lo hi) in
+  let frac = frequency [ (3, pure ""); (1, map (( ^ ) ".") (digits 0 4)) ] in
+  let exp =
+    frequency
+      [
+        (3, pure "");
+        ( 1,
+          map3
+            (fun e sign ds -> e ^ sign ^ ds)
+            (oneofl [ "e"; "E" ]) (oneofl [ ""; "+"; "-" ]) (digits 0 3) );
+      ]
+  in
+  let number =
+    map4
+      (fun sign int_part frac exp -> sign ^ int_part ^ frac ^ exp)
+      (oneofl [ ""; "-"; "--"; "+" ])
+      (digits 0 19) frac exp
+  in
+  frequency
+    [
+      (4, map3 (fun a n b -> a ^ n ^ b) ws number ws);
+      (1, map2 (fun a b -> "[" ^ a ^ "," ^ b ^ "]") number number);
+      (1, map (fun n -> "{\"k\":" ^ n ^ "}") number);
+    ]
+
+let gen_json_input =
+  let open QCheck2.Gen in
+  let alphabet =
+    oneofl
+      [ '{'; '}'; '['; ']'; ','; ':'; '"'; '\\'; 'u'; 'n'; 't'; 'r'; 'e'; 'E';
+        'f'; 'a'; 'l'; 's'; '0'; '1'; '9'; '-'; '+'; '.'; ' '; '\n'; '\x01';
+        '\x00'; '\xff'; 'A' ]
+  in
+  let mutate doc ops =
+    List.fold_left
+      (fun d (kind, at, c) ->
+        let n = String.length d in
+        let at = if n = 0 then 0 else at mod (n + 1) in
+        let c = String.make 1 c in
+        match kind with
+        | 0 -> String.sub d 0 at
+        | 1 when at < n -> String.sub d 0 at ^ String.sub d (at + 1) (n - at - 1)
+        | 2 when at < n -> String.sub d 0 at ^ c ^ String.sub d (at + 1) (n - at - 1)
+        | _ -> String.sub d 0 at ^ c ^ String.sub d at (n - at))
+      doc ops
+  in
+  let document =
+    map2 (fun v pretty -> Json_ref.to_string ~pretty v) gen_json_tree bool
+  in
+  let input =
+    frequency
+      [
+        (2, string_size ~gen:alphabet (int_range 0 40));
+        (1, string_size ~gen:char (int_range 0 30));
+        (1, document);
+        ( 4,
+          map2 mutate document
+            (list_size (int_range 1 3)
+               (triple (int_range 0 3) (int_range 0 10_000) alphabet)) );
+        (4, gen_json_number);
+      ]
+  in
+  (* Mostly the defaults; sometimes a shallow depth or a byte cap. *)
+  let limits =
+    frequency
+      [
+        (4, pure (None, None));
+        (1, map (fun d -> (Some d, None)) (int_range 0 3));
+        (1, map (fun b -> (None, Some b)) (int_range 0 64));
+      ]
+  in
+  pair input limits
+
+let test_json_parser_differential =
+  Test_util.qcheck_case ~count:2000 ~long_factor:100
+    ~print:(fun (s, (d, b)) ->
+      Printf.sprintf "%S depth=%s bytes=%s" s
+        (Option.fold ~none:"-" ~some:string_of_int d)
+        (Option.fold ~none:"-" ~some:string_of_int b))
+    "json parser matches the reference" gen_json_input
+    (fun (s, (max_depth, max_bytes)) ->
+      match
+        ( Json.parse ?max_depth ?max_bytes s,
+          Json_ref.parse ?max_depth ?max_bytes s )
+      with
+      | Ok a, Ok b -> same_tree a b
+      | Error a, Error b -> a = b
+      | _ -> false)
+
 (* --- Metrics + Prometheus lint --- *)
 
 (* Test-side Prometheus text-format (0.0.4) lint: no external tools. *)
@@ -792,6 +973,8 @@ let test_report_json () =
 
 let suite =
   [
+    ( "json differential",
+      [ test_json_printer_differential; test_json_parser_differential ] );
     ( "telemetry",
       [
         Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;

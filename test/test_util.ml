@@ -45,6 +45,6 @@ let out_int ?(prefix = "") net outs =
     (fun acc (k, b) -> if b then acc lor (1 lsl k) else acc)
     0 !indexed
 
-let qcheck_case ?(count = 100) name gen prop =
+let qcheck_case ?(count = 100) ?long_factor ?print name gen prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count ~name gen prop)
+    (QCheck2.Test.make ~count ?long_factor ?print ~name gen prop)
