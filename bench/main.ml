@@ -612,54 +612,61 @@ let speedup () =
     (fun (nm, t1, tn) ->
       Printf.printf "%-12s %12.3f %12.3f %8.2fx\n" nm t1 tn (ratio t1 tn))
     phases;
-  (* Hand-rolled JSON so future PRs have a machine-readable perf trajectory
-     without a JSON dependency. *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"circuit\": \"%s\",\n" name;
-  Printf.bprintf buf "  \"nodes\": %d,\n" (Network.num_nodes net);
-  Printf.bprintf buf "  \"metric\": \"%s\",\n" (Metric.kind_to_string metric);
-  Printf.bprintf buf "  \"bound\": %g,\n" bound;
-  Printf.bprintf buf "  \"samples\": %d,\n" speedup_samples;
-  Printf.bprintf buf "  \"max_rounds\": %d,\n" rounds;
-  Printf.bprintf buf "  \"jobs\": %d,\n" n_max;
-  Printf.bprintf buf "  \"cores\": %d,\n" cores;
-  Printf.bprintf buf "  \"deterministic\": %b,\n" deterministic;
-  Printf.bprintf buf "  \"resume_identical\": %b,\n" resume_identical;
-  Printf.bprintf buf
-    "  \"total\": { \"jobs1_s\": %.6f, \"jobsN_s\": %.6f, \"speedup\": %.4f },\n"
-    (time_of 1) (time_of n_max)
-    (ratio (time_of 1) (time_of n_max));
-  Printf.bprintf buf "  \"floor\": { \"jobs\": 4, \"speedup\": %.2f },\n"
-    floor_j4;
-  Printf.bprintf buf
-    "  \"pool\": { \"tasks\": %d, \"batches\": %d, \"waits\": %d, \
-     \"steals\": %d, \"idle_s\": %.6f },\n"
-    par.Engine.stats.Stats.tasks par.Engine.stats.Stats.batches
-    par.Engine.stats.Stats.waits par.Engine.stats.Stats.steals
-    par.Engine.stats.Stats.idle_seconds;
-  Buffer.add_string buf "  \"sweep\": [\n";
-  List.iteri
-    (fun i (j, t, sp) ->
-      Printf.bprintf buf
-        "    { \"jobs\": %d, \"seconds\": %.6f, \"speedup\": %.4f }%s\n" j t
-        sp
-        (if i = List.length sweep - 1 then "" else ","))
-    sweep;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"phases\": [\n";
-  List.iteri
-    (fun i (nm, t1, tn) ->
-      Printf.bprintf buf
-        "    { \"name\": \"%s\", \"jobs1_s\": %.6f, \"jobsN_s\": %.6f, \
-         \"speedup\": %.4f }%s\n"
-        nm t1 tn (ratio t1 tn)
-        (if i = List.length phases - 1 then "" else ","))
-    phases;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out speedup_json_file in
-  Buffer.output_buffer oc buf;
-  close_out oc;
+  let st = par.Engine.stats in
+  Json.write_file speedup_json_file
+    (Json.Obj
+       [
+         ("circuit", Json.String name);
+         ("nodes", Json.Int (Network.num_nodes net));
+         ("metric", Json.String (Metric.kind_to_string metric));
+         ("bound", Json.Float bound);
+         ("samples", Json.Int speedup_samples);
+         ("max_rounds", Json.Int rounds);
+         ("jobs", Json.Int n_max);
+         ("cores", Json.Int cores);
+         ("deterministic", Json.Bool deterministic);
+         ("resume_identical", Json.Bool resume_identical);
+         ( "total",
+           Json.Obj
+             [
+               ("jobs1_s", Json.Float (time_of 1));
+               ("jobsN_s", Json.Float (time_of n_max));
+               ("speedup", Json.Float (ratio (time_of 1) (time_of n_max)));
+             ] );
+         ("floor", Json.Obj [ ("jobs", Json.Int 4); ("speedup", Json.Float floor_j4) ]);
+         ( "pool",
+           Json.Obj
+             [
+               ("tasks", Json.Int st.Stats.tasks);
+               ("batches", Json.Int st.Stats.batches);
+               ("waits", Json.Int st.Stats.waits);
+               ("steals", Json.Int st.Stats.steals);
+               ("idle_s", Json.Float st.Stats.idle_seconds);
+             ] );
+         ( "sweep",
+           Json.List
+             (List.map
+                (fun (j, t, sp) ->
+                  Json.Obj
+                    [
+                      ("jobs", Json.Int j);
+                      ("seconds", Json.Float t);
+                      ("speedup", Json.Float sp);
+                    ])
+                sweep) );
+         ( "phases",
+           Json.List
+             (List.map
+                (fun (nm, t1, tn) ->
+                  Json.Obj
+                    [
+                      ("name", Json.String nm);
+                      ("jobs1_s", Json.Float t1);
+                      ("jobsN_s", Json.Float tn);
+                      ("speedup", Json.Float (ratio t1 tn));
+                    ])
+                phases) );
+       ]);
   Printf.printf "wrote %s\n" speedup_json_file
 
 (* ---------- Shared by the two overhead experiments ---------- *)

@@ -93,35 +93,13 @@ let map_array ?label pool ~f arr =
 let map_list ?label pool ~f items =
   Array.to_list (map_array ?label pool ~f (Array.of_list items))
 
-(* Contiguous chunk ranges covering [0, n): at most [chunks] of them, sized
-   within one element of each other. The layout depends only on [n] and
-   [chunks], never on scheduling. *)
-let ranges ~chunks n =
-  let chunks = max 1 (min chunks n) in
-  let base = n / chunks and extra = n mod chunks in
-  Array.init chunks (fun c ->
-      let lo = (c * base) + min c extra in
-      let len = base + if c < extra then 1 else 0 in
-      (lo, len))
-
-let default_chunks pool n =
-  (* Enough chunks for dynamic load balancing, few enough that per-chunk
-     state creation stays negligible. *)
-  min n (4 * Pool.jobs pool)
-
-(* The [state]-carrying variants chunk here (one state per chunk), so the
-   pool sees one task per chunk. They use a "<label>#chunk" cost key so
-   their per-chunk durations never pollute the per-element cost model of
-   a flat fan-out sharing the same label. *)
-let chunk_label = Option.map (fun l -> l ^ "#chunk")
-
 let map_array_with ?label pool ~state ~f arr =
   let n = Array.length arr in
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
-    let ranges = ranges ~chunks:(default_chunks pool n) n in
-    submit ?label:(chunk_label label) pool ~count:(Array.length ranges) (fun c ->
+    let ranges = Chunk.ranges ~jobs:(Pool.jobs pool) n in
+    submit ?label pool ~count:(Array.length ranges) (fun c ->
         let lo, len = ranges.(c) in
         let s = state () in
         for i = lo to lo + len - 1 do

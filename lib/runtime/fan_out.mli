@@ -4,14 +4,16 @@
     Every function here splits its work into ordered units, runs the units
     on the pool's domains, and assembles results in submission order, so the
     output is bit-identical to a sequential run no matter how many domains
-    execute it or how the scheduler interleaves them. Work units are
-    claimed dynamically (an atomic cursor), which load-balances irregular
-    task costs without affecting where each result lands.
+    execute it or how the scheduler interleaves them. Units are cut into
+    chunks that idle domains take from the pool's shared queue, which
+    load-balances irregular task costs without affecting where each
+    result lands.
 
-    [state]-carrying variants create one private scratch state per chunk
-    with [state ()]; the state must be pure scratch — per-element results
-    must not depend on which elements share a state, or determinism across
-    [jobs] values is lost.
+    [state]-carrying variants cut the elements into the pool's chunk
+    layout themselves ([min n (4 * jobs)] contiguous chunks) and create
+    one private scratch state per chunk with [state ()]; the state must
+    be pure scratch — per-element results must not depend on which
+    elements share a state, or determinism across [jobs] values is lost.
 
     {2 Failure recovery}
 
@@ -39,10 +41,8 @@ val max_attempts : int
 val submit : ?label:string -> Pool.t -> count:int -> (int -> unit) -> unit
 (** [submit pool ~count task] runs [task 0 .. task (count - 1)] with the
     retry policy above. All mapping functions below route through this;
-    direct {!Pool.run} bypasses recovery. [label] keys the pool's
-    per-task cost model (chunk sizing, sequential-inline cutoff) and the
-    [accals_pool_task_cost_seconds] histogram; fan-outs doing the same
-    kind of work should share a label. *)
+    direct {!Pool.run} bypasses recovery. [label] names the fan-out in
+    worker profiler samples and trace spans. *)
 
 val map_array : ?label:string -> Pool.t -> f:('a -> 'b) -> 'a array -> 'b array
 (** One task per element; [result.(i) = f arr.(i)]. *)

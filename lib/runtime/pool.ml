@@ -1,28 +1,28 @@
 open Accals_telemetry
 
-(* Persistent work-stealing pool.
+(* Persistent domain pool around one shared FIFO of chunks.
 
-   One deque per domain (slot 0 is the submitting domain, slots 1.. the
-   workers). A fan-out is split into contiguous chunks — sized from the
-   measured per-task cost of its label — which are handed round-robin to
-   the workers through small mutex-protected inboxes; each worker moves
-   its inbox into its own Chase–Lev deque, works LIFO off the bottom,
-   and steals FIFO from the top of the others when it runs dry. The
-   submitting domain participates too (it owns slot 0 and steals like
-   everyone else while awaiting), so a [jobs]-pool applies [jobs]
-   domains to each batch.
+   A fan-out is cut into contiguous chunks ({!Chunk.ranges}) which are
+   appended to the queue under the pool mutex. Workers pop chunks and
+   park on [work_cond] when the queue is empty. The submitting domain
+   helps while it awaits: it pops chunks of any in-flight batch until its
+   own batch has drained, then parks on [done_cond]. So a [jobs]-pool
+   applies [jobs] domains to each batch.
 
    There is no per-batch barrier: a batch is a reference-counted bag of
-   chunks ([b_remaining]), several batches can be in flight at once
-   ({!fork}/{!await}), and workers park on a condition variable only
-   when a full steal sweep finds every deque empty.
+   chunks ([b_remaining]), and several batches can be in flight at once
+   ({!fork}/{!await}).
 
-   Determinism: chunk layout depends only on (count, chunk count), each
-   task index writes only its own slot of the caller's result array, and
-   failures are collected by index — so results are bit-identical for
-   every [jobs] value and any steal interleaving. The chunk count itself
-   adapts to measured cost, which is scheduling-dependent, but it only
-   changes which domain computes an index, never what lands at it. *)
+   There is no work stealing either: a chunk holds enough work that one
+   mutex hop per chunk is noise, and on 2 cores this queue ran the
+   er-suite at -j2 faster than per-domain Chase–Lev deques with inboxes
+   and steal sweeps did (DESIGN.md §3.1).
+
+   Determinism: the chunk layout depends only on (jobs, count), each task
+   index writes only its own slot of the caller's result array, and
+   failures are collected by index — so scheduling decides only which
+   domain computes an index, never what lands at it, and results are
+   bit-identical for every [jobs] value. *)
 
 type batch = {
   b_task : int -> unit;  (* exception-safe wrapper around the user task *)
@@ -32,20 +32,13 @@ type batch = {
 
 type chunk = { c_lo : int; c_len : int; c_batch : batch }
 
-type slot = {
-  deque : chunk Deque.t;  (* owner: the domain bound to this slot *)
-  inbox_mutex : Mutex.t;
-  mutable inbox : chunk list;  (* submitter -> owner handoff *)
-}
-
 type t = {
   jobs : int;
   stats : Stats.t;
-  slots : slot array;
   mutex : Mutex.t;
-  work_cond : Condition.t;  (* workers park here between fan-outs *)
+  queue : chunk Queue.t;  (* guarded by [mutex] *)
+  work_cond : Condition.t;  (* workers park here while the queue is empty *)
   done_cond : Condition.t;  (* awaiters park here until a batch drains *)
-  mutable seq : int;  (* bumped on every distribution; wakes workers *)
   mutable stop : bool;
   mutable domains : unit Domain.t list;
 }
@@ -62,29 +55,17 @@ let jobs t = t.jobs
 let stats t = t.stats
 let default_label = "_unlabelled"
 
-(* Predicted-too-cheap fan-outs run inline on the submitter: below this
-   much total predicted work, waking workers costs more than it buys. *)
-let inline_cutoff = 50e-6
-
-(* Chunk sizing aims here; small enough to load-balance, large enough
-   that per-chunk bookkeeping (one cost sample, one refcount decrement)
-   disappears in the noise. *)
-let chunk_target_seconds = 200e-6
-
 let exec_chunk t me c =
   let b = c.c_batch in
   (* Workers cannot be stack-sampled from domain 0, so each publishes
      the phase label of the chunk it is running; the profiler's signal
-     handler snapshots these lock-free. Slot 0 is the submitting domain
-     (real stacks), so it stays unlabeled. *)
+     handler snapshots these lock-free. Domain 0 is the submitter (real
+     stacks), so it stays unlabeled. *)
   if me > 0 then Profiler.set_label me b.b_label;
-  let started = Clock.now () in
   for i = c.c_lo to c.c_lo + c.c_len - 1 do
     b.b_task i
   done;
   if me > 0 then Profiler.clear_label me;
-  Stats.note_task_cost t.stats ~label:b.b_label ~tasks:c.c_len
-    ~seconds:(Clock.now () -. started);
   Stats.add_tasks t.stats c.c_len;
   if Atomic.fetch_and_add b.b_remaining (-1) = 1 then begin
     (* Last chunk of its batch: wake any awaiter. The mutex hop orders
@@ -95,67 +76,22 @@ let exec_chunk t me c =
     Mutex.unlock t.mutex
   end
 
-let drain_inbox t me =
-  let s = t.slots.(me) in
-  if s.inbox != [] then begin
-    Mutex.lock s.inbox_mutex;
-    let cs = s.inbox in
-    s.inbox <- [];
-    Mutex.unlock s.inbox_mutex;
-    List.iter (Deque.push s.deque) cs
-  end
-
-(* Execute everything reachable from slot [me]: own inbox and deque
-   first, then steal from the other slots. Returns when a full sweep
-   over every other deque comes back empty. *)
-let participate t me =
-  let n = Array.length t.slots in
-  let rec own () =
-    drain_inbox t me;
-    match Deque.pop t.slots.(me).deque with
-    | Some c ->
-      exec_chunk t me c;
-      own ()
-    | None -> sweep 1
-  and sweep k =
-    if k < n then
-      match Deque.steal t.slots.((me + k) mod n).deque with
-      | Deque.Stolen c ->
-        Stats.incr_steals t.stats;
-        exec_chunk t me c;
-        own ()
-      | Deque.Empty -> sweep (k + 1)
-      | Deque.Retry ->
-        Domain.cpu_relax ();
-        sweep k
-  in
-  own ()
-
-let worker t me =
-  let last_seen = ref 0 in
-  let rec loop () =
-    participate t me;
-    Mutex.lock t.mutex;
-    let rec park () =
-      if t.stop then false
-      else if t.seq <> !last_seen then begin
-        last_seen := t.seq;
-        true
-      end
-      else begin
-        Stats.incr_waits t.stats;
-        Stats.worker_parked t.stats;
-        let slept = Clock.now () in
-        Condition.wait t.work_cond t.mutex;
-        Stats.worker_unparked t.stats (Clock.now () -. slept);
-        park ()
-      end
-    in
-    let go = park () in
+(* Worker [me]'s loop; called and returning with [t.mutex] held. *)
+let rec work t me =
+  match Queue.take_opt t.queue with
+  | Some c ->
     Mutex.unlock t.mutex;
-    if go then loop ()
-  in
-  loop ()
+    exec_chunk t me c;
+    Mutex.lock t.mutex;
+    work t me
+  | None when t.stop -> ()
+  | None ->
+    Stats.incr_waits t.stats;
+    Stats.worker_parked t.stats;
+    let slept = Clock.now () in
+    Condition.wait t.work_cond t.mutex;
+    Stats.worker_unparked t.stats (Clock.now () -. slept);
+    work t me
 
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be at least 1";
@@ -163,17 +99,10 @@ let create ~jobs =
     {
       jobs;
       stats = Stats.create ~jobs;
-      slots =
-        Array.init jobs (fun _ ->
-            {
-              deque = Deque.create ();
-              inbox_mutex = Mutex.create ();
-              inbox = [];
-            });
       mutex = Mutex.create ();
+      queue = Queue.create ();
       work_cond = Condition.create ();
       done_cond = Condition.create ();
-      seq = 0;
       stop = false;
       domains = [];
     }
@@ -191,90 +120,57 @@ let create ~jobs =
                  keeps tid 0 ("main"). *)
               Tracer.set_tid (i + 1);
               Telemetry.set_local ambient;
-              worker t (i + 1)));
+              Mutex.lock t.mutex;
+              work t (i + 1);
+              Mutex.unlock t.mutex));
   t
 
-(* How many chunks to cut [count] tasks into. With no cost measurement
-   yet, fall back to 4 chunks per domain (enough slack for stealing to
-   balance); once the label's EWMA is known, aim for
-   [chunk_target_seconds] per chunk, clamped between one chunk per
-   domain and 8 per domain. *)
-let plan_chunks t ~label ~count =
-  match Stats.task_cost t.stats label with
-  | None -> min count (4 * t.jobs)
-  | Some c when c <= 0.0 -> min count (4 * t.jobs)
-  | Some c ->
-    let ideal =
-      int_of_float (ceil (float_of_int count *. c /. chunk_target_seconds))
-    in
-    max (min count t.jobs) (min (min count (8 * t.jobs)) ideal)
+(* A ticket's error slots, and the exception-safe task that fills them. *)
+let guard count task =
+  let errors = Array.make count None in
+  let safe i =
+    try task i with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
+  in
+  (errors, safe)
 
-let predicted_inline t ~label ~count =
-  match Stats.task_cost t.stats label with
-  | Some c -> c *. float_of_int count < inline_cutoff
-  | None -> false
-
-let run_inline t errors count task =
+let run_inline t ~count task =
   (* No batch machinery, no synchronization; the whole index space still
      drains after a failure, mirroring the parallel path. *)
-  let safe i =
-    try task i
-    with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
-  in
+  let errors, safe = guard count task in
   for i = 0 to count - 1 do
     safe i
   done;
-  Stats.add_tasks t.stats count
+  Stats.add_tasks t.stats count;
+  { tk_batch = None; tk_count = count; tk_errors = errors }
 
 let fork ?(label = default_label) t ~count task =
   if count < 0 then invalid_arg "Pool.fork: negative count";
-  if count = 0 then { tk_batch = None; tk_count = 0; tk_errors = [||] }
+  (* [count = 1] is only inlined on the synchronous path ([try_run]): a
+     forked singleton must actually run on a worker, or fork/join overlap
+     would silently degrade to sequential execution. *)
+  if count = 0 || t.jobs = 1 then run_inline t ~count task
   else begin
-    let errors = Array.make count None in
-    (* [count = 1] is only inlined on the synchronous path ([try_run]):
-       a forked singleton must actually run on a worker, or fork/join
-       overlap would silently degrade to sequential execution. *)
-    if t.jobs = 1 || predicted_inline t ~label ~count then begin
-      run_inline t errors count task;
-      { tk_batch = None; tk_count = count; tk_errors = errors }
-    end
-    else begin
-      let safe i =
-        try task i
-        with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
-      in
-      let chunks = plan_chunks t ~label ~count in
-      let base = count / chunks and extra = count mod chunks in
-      let b =
-        { b_task = safe; b_label = label; b_remaining = Atomic.make chunks }
-      in
-      let workers = t.jobs - 1 in
-      Mutex.lock t.mutex;
-      if t.stop then begin
-        Mutex.unlock t.mutex;
-        invalid_arg "Pool.fork: pool is shut down"
-      end;
-      (* Hand chunks to the worker slots round-robin; the submitter's own
-         slot stays empty so a forked batch makes progress even while the
-         submitting domain is busy elsewhere. The submitter still helps
-         via stealing once it awaits. (Nesting inbox mutexes inside
-         [t.mutex] is safe: no path acquires [t.mutex] while holding an
-         inbox mutex.) *)
-      for k = 0 to chunks - 1 do
-        let lo = (k * base) + min k extra in
-        let len = base + if k < extra then 1 else 0 in
-        let c = { c_lo = lo; c_len = len; c_batch = b } in
-        let s = t.slots.(1 + (k mod workers)) in
-        Mutex.lock s.inbox_mutex;
-        s.inbox <- c :: s.inbox;
-        Mutex.unlock s.inbox_mutex
-      done;
-      Stats.incr_batches t.stats;
-      t.seq <- t.seq + 1;
-      Condition.broadcast t.work_cond;
+    let errors, safe = guard count task in
+    let ranges = Chunk.ranges ~jobs:t.jobs count in
+    let b =
+      {
+        b_task = safe;
+        b_label = label;
+        b_remaining = Atomic.make (Array.length ranges);
+      }
+    in
+    Mutex.lock t.mutex;
+    if t.stop then begin
       Mutex.unlock t.mutex;
-      { tk_batch = Some b; tk_count = count; tk_errors = errors }
-    end
+      invalid_arg "Pool.fork: pool is shut down"
+    end;
+    Array.iter
+      (fun (lo, len) -> Queue.add { c_lo = lo; c_len = len; c_batch = b } t.queue)
+      ranges;
+    Stats.incr_batches t.stats;
+    Condition.broadcast t.work_cond;
+    Mutex.unlock t.mutex;
+    { tk_batch = Some b; tk_count = count; tk_errors = errors }
   end
 
 let collect_failures tk =
@@ -291,42 +187,33 @@ let await t tk =
   (match tk.tk_batch with
   | None -> ()
   | Some b ->
-    (* Help drain: run chunks of any in-flight batch, not just this
-       one — executing a sibling ticket's chunk is always sound because
-       every chunk is self-describing. *)
-    participate t 0;
-    if Atomic.get b.b_remaining > 0 then begin
-      Mutex.lock t.mutex;
-      while Atomic.get b.b_remaining > 0 do
-        Condition.wait t.done_cond t.mutex
-      done;
-      Mutex.unlock t.mutex
-    end);
+    (* Help drain: run chunks of any in-flight batch, not just this one —
+       every chunk is self-describing. Only this domain submits, so once
+       the queue is empty nothing new arrives before [b] drains. *)
+    Mutex.lock t.mutex;
+    while Atomic.get b.b_remaining > 0 do
+      match Queue.take_opt t.queue with
+      | Some c ->
+        Mutex.unlock t.mutex;
+        Stats.incr_steals t.stats;
+        exec_chunk t 0 c;
+        Mutex.lock t.mutex
+      | None -> Condition.wait t.done_cond t.mutex
+    done;
+    Mutex.unlock t.mutex);
   (* The final [b_remaining] load (SC atomic) orders every worker's
      error/result writes before the reads below. *)
   collect_failures tk
 
 let try_run ?(label = default_label) t ~count task =
   if count < 0 then invalid_arg "Pool.try_run: negative count";
-  if count = 0 then []
-  else begin
-    if count = 1 || t.jobs = 1 then begin
-      let tk =
-        { tk_batch = None; tk_count = count; tk_errors = Array.make count None }
-      in
-      run_inline t tk.tk_errors count task;
-      collect_failures tk
-    end
-    else
+  if count <= 1 || t.jobs = 1 then collect_failures (run_inline t ~count task)
+  else
     let tk = fork ~label t ~count task in
-    match tk.tk_batch with
-    | None -> collect_failures tk
-    | Some _ ->
-      Telemetry.with_span ~cat:"pool"
-        ~args:[ ("count", Json.Int count); ("label", Json.String label) ]
-        "pool.batch"
-        (fun () -> await t tk)
-  end
+    Telemetry.with_span ~cat:"pool"
+      ~args:[ ("count", Json.Int count); ("label", Json.String label) ]
+      "pool.batch"
+      (fun () -> await t tk)
 
 let run ?label t ~count task =
   match try_run ?label t ~count task with

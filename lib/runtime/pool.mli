@@ -1,26 +1,21 @@
-(** Persistent work-stealing domain pool.
+(** Persistent domain pool around one shared chunk queue.
 
     A pool spawns [jobs - 1] worker domains once and reuses them for every
-    subsequent fan-out. Each domain owns a Chase–Lev deque ({!Deque});
-    submitted work is cut into contiguous chunks — sized from the measured
-    per-task cost of the fan-out's [label] — and handed to the workers,
-    who steal from each other when their own deque runs dry. The
-    submitting domain always participates too (it steals while awaiting),
-    so a [jobs]-pool applies [jobs] domains to each batch. With [jobs = 1]
-    no domain is ever spawned and batches degenerate to a plain sequential
-    loop — the sequential path stays the reference implementation.
+    subsequent fan-out. Submitted work is cut into [min count (4 * jobs)]
+    contiguous chunks and appended to one FIFO, guarded by the pool mutex;
+    workers pop chunks and park when the queue is empty. The submitting
+    domain helps while it awaits, so a [jobs]-pool applies [jobs] domains
+    to each batch. With [jobs = 1] no domain is ever spawned and batches
+    degenerate to a plain sequential loop — the sequential path stays the
+    reference implementation.
 
     There is no per-batch barrier: {!fork} returns a {!ticket} without
-    waiting, several tickets can be in flight at once, and workers park
-    only when every deque is empty. Fan-outs whose predicted total cost
-    (per-task EWMA × count) is below a cutoff run inline on the submitter
-    instead of waking workers — this is what keeps tiny phases (e.g.
-    [simulate] on small circuits) from paying coordination for nothing.
+    waiting, and several tickets can be in flight at once.
 
-    Determinism: chunk layout and stealing decide only {e which domain}
-    computes an index, never what lands at it — task [i] must write only
-    slot [i] of its output, and then results are bit-identical for every
-    [jobs] value.
+    Determinism: the chunk layout depends only on [jobs] and the count,
+    and scheduling decides only {e which domain} computes an index, never
+    what lands at it — task [i] must write only slot [i] of its output,
+    and then results are bit-identical for every [jobs] value.
 
     {!run}, {!try_run}, {!fork} and {!await} must only be driven from one
     domain at a time (the engine's main loop); workers never submit
@@ -45,9 +40,9 @@ val run : ?label:string -> t -> count:int -> (int -> unit) -> unit
     once, distributing indices over the pool's domains, and returns when all
     have finished. Tasks must not depend on execution order or domain
     placement. If any task raises, the whole batch still drains and the
-    failure with the lowest index is re-raised in the caller. [label] keys
-    the per-task cost model (chunk sizing and the sequential-inline
-    cutoff); fan-outs doing the same kind of work should share a label. *)
+    failure with the lowest index is re-raised in the caller. [label]
+    names the fan-out in worker profiler samples and in the
+    [pool.batch] trace span. *)
 
 val try_run : ?label:string -> t -> count:int -> (int -> unit) -> failure list
 (** Like {!run}, but collects failures instead of raising: the result lists
@@ -66,14 +61,15 @@ type ticket
 (** An in-flight (or already-inlined) fan-out. Await exactly once. *)
 
 val fork : ?label:string -> t -> count:int -> (int -> unit) -> ticket
-(** Submit without waiting. When the pool is sequential ([jobs = 1]), the
-    count is 1, or the label's predicted cost is below the inline cutoff,
-    the tasks run inline before [fork] returns (the ticket is then already
-    complete). *)
+(** Submit without waiting. When the pool is sequential ([jobs = 1]) the
+    tasks run inline before [fork] returns (the ticket is then already
+    complete); otherwise even a single task goes to the queue, so the
+    submitter can overlap its own work with it. *)
 
 val await : t -> ticket -> failure list
-(** Block until the ticket's batch has fully drained, helping execute
-    outstanding chunks (of any ticket) meanwhile. Returns the failures in
+(** Block until the ticket's batch has fully drained, popping and running
+    queued chunks (of any ticket) meanwhile; each such chunk counts in
+    the [steals] field of {!Stats.snapshot}. Returns the failures in
     ascending index order. *)
 
 val shutdown : t -> unit

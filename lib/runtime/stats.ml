@@ -2,15 +2,6 @@ open Accals_telemetry
 
 let phase_family = "accals_phase_seconds_total"
 
-(* Per-label exponentially weighted moving average of per-task cost,
-   feeding the pool's chunk-size planner and its sequential-inline
-   cutoff. Updated by worker domains under a mutex (one update per
-   chunk, so contention is negligible next to the work itself). *)
-type cost_model = {
-  cm_mutex : Mutex.t;
-  cm_ewma : (string, float ref) Hashtbl.t;
-}
-
 type t = {
   jobs : int;
   metrics : Metrics.t;
@@ -21,7 +12,6 @@ type t = {
   idle_seconds : Metrics.counter;
   idle_workers : Metrics.gauge;
   idle_now : int Atomic.t;
-  costs : cost_model;
 }
 
 let create ~jobs =
@@ -40,7 +30,7 @@ let create ~jobs =
         ~help:"Times a worker domain slept waiting for work";
     steals =
       Metrics.counter metrics "accals_pool_steal_total"
-        ~help:"Chunks taken from another domain's deque";
+        ~help:"Chunks the awaiting submitter ran";
     idle_seconds =
       Metrics.counter metrics "accals_pool_idle_seconds_total"
         ~help:"Seconds worker domains spent parked waiting for work";
@@ -48,7 +38,6 @@ let create ~jobs =
       Metrics.gauge metrics "accals_pool_workers_idle"
         ~help:"Worker domains currently parked waiting for work";
     idle_now = Atomic.make 0;
-    costs = { cm_mutex = Mutex.create (); cm_ewma = Hashtbl.create 16 };
   }
 
 let jobs t = t.jobs
@@ -68,36 +57,6 @@ let worker_unparked t seconds =
   Metrics.set t.idle_workers
     (float_of_int (Atomic.fetch_and_add t.idle_now (-1) - 1));
   if seconds > 0.0 then Metrics.addf t.idle_seconds seconds
-
-let cost_buckets =
-  [| 1e-7; 3e-7; 1e-6; 3e-6; 1e-5; 3e-5; 1e-4; 3e-4; 1e-3; 1e-2; 1e-1 |]
-
-let cost_histogram t label =
-  Metrics.histogram t.metrics "accals_pool_task_cost_seconds"
-    ~help:"Measured per-task wall seconds, by fan-out label"
-    ~labels:[ ("phase", label) ]
-    ~buckets:cost_buckets
-
-let ewma_alpha = 0.2
-
-let note_task_cost t ~label ~tasks ~seconds =
-  if tasks > 0 then begin
-    let per_task = seconds /. float_of_int tasks in
-    Metrics.observe (cost_histogram t label) per_task;
-    let cm = t.costs in
-    Mutex.lock cm.cm_mutex;
-    (match Hashtbl.find_opt cm.cm_ewma label with
-    | Some r -> r := ((1.0 -. ewma_alpha) *. !r) +. (ewma_alpha *. per_task)
-    | None -> Hashtbl.add cm.cm_ewma label (ref per_task));
-    Mutex.unlock cm.cm_mutex
-  end
-
-let task_cost t label =
-  let cm = t.costs in
-  Mutex.lock cm.cm_mutex;
-  let c = Option.map ( ! ) (Hashtbl.find_opt cm.cm_ewma label) in
-  Mutex.unlock cm.cm_mutex;
-  c
 
 let phase_counter t name =
   Metrics.counter t.metrics phase_family

@@ -35,7 +35,7 @@ val incr_batches : t -> unit
 val incr_waits : t -> unit
 
 val incr_steals : t -> unit
-(** A chunk was taken from another domain's deque
+(** The awaiting submitter ran a queued chunk instead of a worker
     ([accals_pool_steal_total]). *)
 
 val worker_parked : t -> unit
@@ -45,22 +45,6 @@ val worker_parked : t -> unit
 val worker_unparked : t -> float -> unit
 (** The worker woke after sleeping for the given monotonic seconds;
     drops the gauge and accumulates [accals_pool_idle_seconds_total]. *)
-
-(** {1 Task-cost model}
-
-    Worker domains report measured per-chunk durations; the pool reads
-    the per-label EWMA back to size chunks and to decide when a fan-out
-    is too small to be worth waking workers for. Each report also lands
-    in the [accals_pool_task_cost_seconds{phase=...}] histogram so chunk
-    sizing is observable from Prometheus exports. *)
-
-val note_task_cost : t -> label:string -> tasks:int -> seconds:float -> unit
-(** Record that [tasks] tasks of the given fan-out label took [seconds]
-    of wall clock in total. No-op when [tasks = 0]. *)
-
-val task_cost : t -> string -> float option
-(** Current EWMA of per-task seconds for a label; [None] until the first
-    measurement. *)
 
 (** {1 Phase timing} *)
 
@@ -92,7 +76,7 @@ type snapshot = {
   tasks : int;  (** tasks executed (including sequential bypass) *)
   batches : int;  (** [Pool.run] invocations that fanned out *)
   waits : int;  (** times a worker domain slept waiting for work *)
-  steals : int;  (** chunks taken from another domain's deque *)
+  steals : int;  (** chunks the awaiting submitter ran *)
   idle_seconds : float;  (** total seconds workers spent parked *)
   phases : (string * float) list;  (** per-phase wall seconds, in order *)
   metrics : Accals_telemetry.Metrics.snapshot;

@@ -526,12 +526,6 @@ let trace_events t j =
       @ cache_lookup @ queue_wait @ dispatch @ run @ terminal_mark @ delivery
       @ j.engine_trace)
 
-let counts t =
-  locked t (fun () ->
-      List.map
-        (fun s -> (s, List.length (List.filter (fun j -> j.state = s) t.jobs)))
-        [ Queued; Running; Done; Failed; Cancelled ])
-
 let queued_specs t =
   locked t (fun () ->
       List.rev_map (fun j -> j.spec) t.active)

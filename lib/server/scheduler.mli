@@ -199,9 +199,6 @@ val trace_events : t -> job -> Json.t list
     1..n. One pid, every event tagged with the job's [trace_id];
     loadable in Perfetto as a single coherent timeline. *)
 
-val counts : t -> (state * int) list
-(** Jobs per state, for gauges. *)
-
 val queued_specs : t -> Protocol.job_spec list
 (** Specs of jobs that have not finished (queued or still running), in
     submission order — what a shutting-down daemon checkpoints so a

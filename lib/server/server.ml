@@ -387,10 +387,9 @@ let statedir_bytes t =
   | None, _ -> state
 
 let update_gauges t =
-  let counts = Scheduler.counts t.sched in
-  let n s = float_of_int (Option.value (List.assoc_opt s counts) ~default:0) in
-  Metrics.set t.g_queue (n Scheduler.Queued);
-  Metrics.set t.g_running (n Scheduler.Running);
+  let queued, running = Scheduler.totals t.sched in
+  Metrics.set t.g_queue (float_of_int queued);
+  Metrics.set t.g_running (float_of_int running);
   Metrics.set t.g_conns (float_of_int (List.length t.conns));
   Option.iter
     (fun c ->

@@ -235,87 +235,64 @@ let test_exhaustive_pool_deterministic () =
   check "exhaustive reports identical" true (seq = par)
 
 
-(* --- Chase-Lev deque --- *)
+(* --- exactly-once execution at the pool level --- *)
 
-module Deque = Accals_runtime.Deque
+exception Planted of int
 
-let test_deque_owner_order () =
-  let d = Deque.create () in
-  for i = 1 to 100 do
-    Deque.push d i
-  done;
-  (* Owner pops LIFO... *)
-  check "pop is LIFO" true (Deque.pop d = Some 100);
-  check "pop is LIFO 2" true (Deque.pop d = Some 99);
-  (* ...thieves steal FIFO from the opposite end. *)
-  check "steal is FIFO" true (Deque.steal d = Deque.Stolen 1);
-  check "steal is FIFO 2" true (Deque.steal d = Deque.Stolen 2);
-  let rec drain n = match Deque.pop d with Some _ -> drain (n + 1) | None -> n in
-  check_int "remaining items" 96 (drain 0);
-  check "empty steal" true (Deque.steal d = Deque.Empty);
-  check "empty pop" true (Deque.pop d = None)
-
-let test_deque_growth () =
-  (* Push far past the initial capacity; nothing is lost or duplicated. *)
-  let d = Deque.create () in
-  let n = 10_000 in
-  for i = 0 to n - 1 do
-    Deque.push d i
-  done;
-  let seen = Array.make n false in
-  let rec drain () =
-    match Deque.pop d with
-    | Some i ->
-      check "no duplicate" false seen.(i);
-      seen.(i) <- true;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check "all present" true (Array.for_all Fun.id seen)
-
-let test_deque_concurrent_steal () =
-  (* One owner pushing and popping, three thieves stealing concurrently:
-     every item is consumed exactly once. *)
-  let d = Deque.create () in
-  let n = 20_000 in
-  let hits = Array.init n (fun _ -> Atomic.make 0) in
-  let stolen = Atomic.make 0 in
-  let done_ = Atomic.make false in
-  let thief () =
-    let rec loop () =
-      match Deque.steal d with
-      | Deque.Stolen i ->
-        Atomic.incr hits.(i);
-        Atomic.incr stolen;
-        loop ()
-      | Deque.Retry ->
-        Domain.cpu_relax ();
-        loop ()
-      | Deque.Empty -> if not (Atomic.get done_) then loop ()
-    in
-    loop ()
-  in
-  let thieves = List.init 3 (fun _ -> Domain.spawn thief) in
-  for i = 0 to n - 1 do
-    Deque.push d i;
-    if i land 7 = 0 then
-      match Deque.pop d with
-      | Some j -> Atomic.incr hits.(j)
-      | None -> ()
-  done;
-  let rec drain () =
-    match Deque.pop d with
-    | Some j ->
-      Atomic.incr hits.(j);
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set done_ true;
-  List.iter Domain.join thieves;
-  check "each item consumed exactly once" true
-    (Array.for_all (fun a -> Atomic.get a = 1) hits)
+(* Seeded mixes of overlapping tickets, some tasks raising, joined in
+   shuffled order: every (ticket, index) runs exactly once, and each
+   ticket reports exactly its raising indices, ascending. *)
+let test_pool_exactly_once () =
+  List.iter
+    (fun jobs ->
+      let rng = Random.State.make [| 30; jobs |] in
+      Pool.with_pool ~jobs (fun pool ->
+          for _ = 1 to 50 do
+            let tickets =
+              Array.init
+                (1 + Random.State.int rng 6)
+                (fun _ ->
+                  let count = 1 + Random.State.int rng 500 in
+                  let raises =
+                    Array.init count (fun _ -> Random.State.int rng 8 = 0)
+                  in
+                  let runs = Array.init count (fun _ -> Atomic.make 0) in
+                  let tk =
+                    Pool.fork pool ~count (fun i ->
+                        Atomic.incr runs.(i);
+                        if raises.(i) then raise (Planted i))
+                  in
+                  (tk, raises, runs))
+            in
+            let order = Array.copy tickets in
+            for i = Array.length order - 1 downto 1 do
+              let j = Random.State.int rng (i + 1) in
+              let x = order.(i) in
+              order.(i) <- order.(j);
+              order.(j) <- x
+            done;
+            Array.iter
+              (fun (tk, raises, _) ->
+                let failures = Pool.await pool tk in
+                let expected =
+                  List.filter (fun i -> raises.(i))
+                    (List.init (Array.length raises) Fun.id)
+                in
+                check "failures are the raising indices, ascending" true
+                  (List.map (fun (f : Pool.failure) -> f.Pool.index) failures
+                  = expected);
+                check "each failure carries its own exception" true
+                  (List.for_all
+                     (fun (f : Pool.failure) -> f.Pool.exn = Planted f.Pool.index)
+                     failures))
+              order;
+            Array.iter
+              (fun (_, _, runs) ->
+                check "every index ran exactly once" true
+                  (Array.for_all (fun a -> Atomic.get a = 1) runs))
+              tickets
+          done))
+    [ 2; 4; 8 ]
 
 (* --- fork/join tickets --- *)
 
@@ -359,23 +336,7 @@ let test_forked_singleton_not_inlined () =
       Fan_out.join pool t;
       check_int "jobs=1 inline fork" 42 !cell)
 
-(* --- task-cost model and pool telemetry --- *)
-
-let test_task_cost_model () =
-  let stats = Stats.create ~jobs:2 in
-  check "no cost yet" true (Stats.task_cost stats "phase-x" = None);
-  Stats.note_task_cost stats ~label:"phase-x" ~tasks:10 ~seconds:1e-3;
-  (match Stats.task_cost stats "phase-x" with
-   | Some c -> check "first sample sets the EWMA" true (abs_float (c -. 1e-4) < 1e-12)
-   | None -> Alcotest.fail "cost model empty after a sample");
-  (* Further samples move the estimate toward the new cost, smoothly. *)
-  Stats.note_task_cost stats ~label:"phase-x" ~tasks:10 ~seconds:2e-3;
-  (match Stats.task_cost stats "phase-x" with
-   | Some c ->
-     check "EWMA moved up" true (c > 1e-4);
-     check "EWMA not overshooting" true (c < 2e-4)
-   | None -> Alcotest.fail "cost model lost its label");
-  check "labels are independent" true (Stats.task_cost stats "phase-y" = None)
+(* --- pool telemetry --- *)
 
 let test_pool_telemetry_series () =
   Pool.with_pool ~jobs:2 (fun pool ->
@@ -394,9 +355,7 @@ let test_pool_telemetry_series () =
       in
       check "steal series exported" true (contains "accals_pool_steal_total");
       check "idle time series exported" true (contains "accals_pool_idle_seconds_total");
-      check "idle workers gauge exported" true (contains "accals_pool_workers_idle");
-      check "task cost histogram exported" true (contains "accals_pool_task_cost_seconds");
-      check "histogram labelled by phase" true (contains "phase=\"telemetry-probe\""))
+      check "idle workers gauge exported" true (contains "accals_pool_workers_idle"))
 
 let test_many_batches_deterministic () =
   (* Several in-flight batches, joined in reverse, repeated: results always
@@ -422,12 +381,8 @@ let suite =
         Alcotest.test_case "jobs=1 bypass" `Quick test_pool_sequential_bypass;
         Alcotest.test_case "empty batch" `Quick test_pool_empty_batch;
         Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-      ] );
-    ( "runtime deque",
-      [
-        Alcotest.test_case "owner LIFO, thief FIFO" `Quick test_deque_owner_order;
-        Alcotest.test_case "growth" `Quick test_deque_growth;
-        Alcotest.test_case "concurrent stealing" `Quick test_deque_concurrent_steal;
+        Alcotest.test_case "exactly once under failures" `Quick
+          test_pool_exactly_once;
       ] );
     ( "runtime fork/join",
       [
@@ -439,7 +394,6 @@ let suite =
       ] );
     ( "runtime telemetry",
       [
-        Alcotest.test_case "task-cost model" `Quick test_task_cost_model;
         Alcotest.test_case "pool metric series" `Quick test_pool_telemetry_series;
       ] );
     ( "runtime fan-out",

@@ -1816,6 +1816,14 @@ let test_daemon_overload () =
   check_int "queue depth at the bound" 2 (int_field "queue_depth");
   check_int "hog still running" 1 (int_field "running");
   check_int "both sheds counted" 2 (int_field "shed_total");
+  (* The gauges read the same active-job totals as health. *)
+  let prom =
+    get_string "metrics" (ok_exn "metrics at the bound" (Client.rpc c Protocol.Metrics))
+  in
+  check_int "queue depth gauge matches health" 2
+    (int_of_float (prom_value prom "accals_server_queue_depth"));
+  check_int "running gauge matches health" 1
+    (int_of_float (prom_value prom "accals_server_running_jobs"));
   (* Free the slot from a second connection while this client retries
      against the full queue: the retry must eventually be admitted. *)
   let canceller =
