@@ -563,16 +563,37 @@ let speedup () =
     in
     Engine.run ~config:(config_with j) ~checkpoint net ~metric ~error_bound:bound
   in
-  let runs = List.map (fun j -> (j, run_with j)) sweep_jobs in
-  let seq = List.assoc 1 runs in
-  let par = List.assoc n_max runs in
+  (* Each leg runs [repeats] times, legs interleaved so a slow spell of the
+     machine spreads over all of them; a leg's time is its median run,
+     which is also the run its phase times come from. *)
+  let repeats = 3 in
+  let all_runs =
+    List.concat_map
+      (fun _ -> List.map (fun j -> (j, run_with j)) sweep_jobs)
+      (List.init repeats Fun.id)
+  in
+  let legs =
+    List.map
+      (fun j ->
+        let runs =
+          List.sort
+            (fun (a : Engine.report) (b : Engine.report) ->
+              Float.compare a.Engine.runtime_seconds b.Engine.runtime_seconds)
+            (List.filter_map (fun (j', r) -> if j' = j then Some r else None) all_runs)
+        in
+        (j, (List.nth runs (repeats / 2), runs)))
+      sweep_jobs
+  in
+  let median_run j = fst (List.assoc j legs) in
+  let seq = median_run 1 in
+  let par = median_run n_max in
   let fingerprint (r : Engine.report) =
     (Network.digest r.Engine.approximate, r.Engine.error, r.Engine.area_ratio,
      List.length r.Engine.rounds)
   in
   let reference = fingerprint seq in
   let deterministic =
-    List.for_all (fun (_, r) -> fingerprint r = reference) runs
+    List.for_all (fun (_, r) -> fingerprint r = reference) all_runs
   in
   let resume_identical =
     match !first_snapshot with
@@ -581,20 +602,25 @@ let speedup () =
       let resumed = Engine.resume ~jobs:(min 4 n_max) snap in
       fingerprint resumed = reference
   in
-  let time_of j = (List.assoc j runs).Engine.runtime_seconds in
+  let time_of j = (median_run j).Engine.runtime_seconds in
   let ratio t1 tn = t1 /. max 1e-9 tn in
   let sweep =
     List.map (fun j -> (j, time_of j, ratio (time_of 1) (time_of j))) sweep_jobs
   in
   let measured_j4 = ratio (time_of 1) (time_of 4) in
-  (* CI regression floor: four fifths of what this machine measured at
-     -j4, so the committed number is an honest local measurement with
-     headroom for runner-to-runner noise. *)
+  (* CI regression floor: four fifths of the median -j4 speedup this
+     machine measured, so the committed number is an honest local
+     measurement with headroom for runner-to-runner noise. *)
   let floor_j4 = Float.round (measured_j4 *. 0.8 *. 100.0) /. 100.0 in
   let cores = Domain.recommended_domain_count () in
-  Printf.printf "%-8s %12s %9s\n" "jobs" "total (s)" "speedup";
+  Printf.printf "%-8s %12s %9s   %s\n" "jobs" "median (s)" "speedup" "runs (s)";
   List.iter
-    (fun (j, t, sp) -> Printf.printf "%-8d %12.3f %8.2fx\n" j t sp)
+    (fun (j, t, sp) ->
+      Printf.printf "%-8d %12.3f %8.2fx   %s\n" j t sp
+        (String.concat " "
+           (List.map
+              (fun (r : Engine.report) -> Printf.sprintf "%.3f" r.Engine.runtime_seconds)
+              (snd (List.assoc j legs)))))
     sweep;
   Printf.printf
     "deterministic=%b resume_identical=%b cores=%d (speedups above core \
@@ -622,6 +648,7 @@ let speedup () =
          ("bound", Json.Float bound);
          ("samples", Json.Int speedup_samples);
          ("max_rounds", Json.Int rounds);
+         ("repeats", Json.Int repeats);
          ("jobs", Json.Int n_max);
          ("cores", Json.Int cores);
          ("deterministic", Json.Bool deterministic);
@@ -651,6 +678,12 @@ let speedup () =
                     [
                       ("jobs", Json.Int j);
                       ("seconds", Json.Float t);
+                      ( "runs_s",
+                        Json.List
+                          (List.map
+                             (fun (r : Engine.report) ->
+                               Json.Float r.Engine.runtime_seconds)
+                             (snd (List.assoc j legs))) );
                       ("speedup", Json.Float sp);
                     ])
                 sweep) );

@@ -58,122 +58,168 @@ let[@inline] popcount_word w =
   let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
   (w * 0x0101_0101_0101_0101) lsr 56
 
-let popcount t =
-  let w = t.words in
-  let acc = ref 0 in
-  for i = 0 to Array.length w - 1 do
-    acc := !acc + popcount_word w.(i)
-  done;
-  !acc
+(* The counting kernels are C loops over the word arrays
+   (bitvec_stubs.c); each counts [popcount] of a bitwise expression of
+   word [i] of its arguments, over the first argument's length. *)
+external popcount_w : int array -> int = "accals_bitvec_popcount" [@@noalloc]
+external hamming_w : int array -> int array -> int = "accals_bitvec_hamming" [@@noalloc]
+
+external and_popcount_w : int array -> int array -> int
+  = "accals_bitvec_and_popcount" [@@noalloc]
+
+external hamming_and_w : int array -> int array -> int array -> int
+  = "accals_bitvec_hamming_and" [@@noalloc]
+
+external hamming_or_w : int array -> int array -> int array -> int
+  = "accals_bitvec_hamming_or" [@@noalloc]
+
+external hamming_xor_w : int array -> int array -> int array -> int
+  = "accals_bitvec_hamming_xor" [@@noalloc]
+
+external hamming_and3_w : int array -> int array -> int array -> int array -> int
+  = "accals_bitvec_hamming_and3" [@@noalloc]
+
+external hamming_or3_w : int array -> int array -> int array -> int array -> int
+  = "accals_bitvec_hamming_or3" [@@noalloc]
+
+external hamming_xor3_w : int array -> int array -> int array -> int array -> int
+  = "accals_bitvec_hamming_xor3" [@@noalloc]
+
+external hamming_mux_w : int array -> int array -> int array -> int array -> int
+  = "accals_bitvec_hamming_mux" [@@noalloc]
+
+external mux_popcount_w : int array -> int array -> int array -> int
+  = "accals_bitvec_mux_popcount" [@@noalloc]
+
+external masked_hamming_w : int array -> int array -> int array -> int
+  = "accals_bitvec_masked_hamming" [@@noalloc]
+
+external masked_hamming_and_w : int array -> int array -> int array -> int array -> int
+  = "accals_bitvec_masked_hamming_and" [@@noalloc]
+
+external masked_hamming_or_w : int array -> int array -> int array -> int array -> int
+  = "accals_bitvec_masked_hamming_or" [@@noalloc]
+
+external masked_hamming_xor_w : int array -> int array -> int array -> int array -> int
+  = "accals_bitvec_masked_hamming_xor" [@@noalloc]
+
+external masked_hamming_and3_w :
+  int array -> int array -> int array -> int array -> int array -> int
+  = "accals_bitvec_masked_hamming_and3" [@@noalloc]
+
+external masked_hamming_or3_w :
+  int array -> int array -> int array -> int array -> int array -> int
+  = "accals_bitvec_masked_hamming_or3" [@@noalloc]
+
+external masked_hamming_xor3_w :
+  int array -> int array -> int array -> int array -> int array -> int
+  = "accals_bitvec_masked_hamming_xor3" [@@noalloc]
+
+external masked_hamming_mux_w :
+  int array -> int array -> int array -> int array -> int array -> int
+  = "accals_bitvec_masked_hamming_mux" [@@noalloc]
+
+let popcount t = popcount_w t.words
 
 let check2 a b = assert (a.len = b.len)
 
 let hamming a b =
   check2 a b;
-  let aw = a.words and bw = b.words in
-  let acc = ref 0 in
-  for i = 0 to Array.length aw - 1 do
-    acc := !acc + popcount_word (aw.(i) lxor bw.(i))
-  done;
-  !acc
+  hamming_w a.words b.words
 
 let and_popcount a b =
   check2 a b;
-  let aw = a.words and bw = b.words in
-  let acc = ref 0 in
-  for i = 0 to Array.length aw - 1 do
-    acc := !acc + popcount_word (aw.(i) land bw.(i))
-  done;
-  !acc
-
-let masked_diff_count a b m1 m2 =
-  check2 a b;
-  check2 a m1;
-  check2 a m2;
-  let aw = a.words and bw = b.words and w1 = m1.words and w2 = m2.words in
-  let acc = ref 0 in
-  for i = 0 to Array.length aw - 1 do
-    acc := !acc + popcount_word ((aw.(i) lxor bw.(i)) land w1.(i) land w2.(i))
-  done;
-  !acc
-
-(* [hamming t (op a b ...)] without building the gate's signature: one
-   loop per op, so no per-word closure call. *)
+  and_popcount_w a.words b.words
 
 let hamming_and t a b =
   check2 t a;
   check2 t b;
-  let tw = t.words and aw = a.words and bw = b.words in
-  let acc = ref 0 in
-  for i = 0 to Array.length tw - 1 do
-    acc := !acc + popcount_word (tw.(i) lxor (aw.(i) land bw.(i)))
-  done;
-  !acc
+  hamming_and_w t.words a.words b.words
 
 let hamming_or t a b =
   check2 t a;
   check2 t b;
-  let tw = t.words and aw = a.words and bw = b.words in
-  let acc = ref 0 in
-  for i = 0 to Array.length tw - 1 do
-    acc := !acc + popcount_word (tw.(i) lxor (aw.(i) lor bw.(i)))
-  done;
-  !acc
+  hamming_or_w t.words a.words b.words
 
 let hamming_xor t a b =
   check2 t a;
   check2 t b;
-  let tw = t.words and aw = a.words and bw = b.words in
-  let acc = ref 0 in
-  for i = 0 to Array.length tw - 1 do
-    acc := !acc + popcount_word (tw.(i) lxor aw.(i) lxor bw.(i))
-  done;
-  !acc
+  hamming_xor_w t.words a.words b.words
 
 let hamming_and3 t a b c =
   check2 t a;
   check2 t b;
   check2 t c;
-  let tw = t.words and aw = a.words and bw = b.words and cw = c.words in
-  let acc = ref 0 in
-  for i = 0 to Array.length tw - 1 do
-    acc := !acc + popcount_word (tw.(i) lxor (aw.(i) land bw.(i) land cw.(i)))
-  done;
-  !acc
+  hamming_and3_w t.words a.words b.words c.words
 
 let hamming_or3 t a b c =
   check2 t a;
   check2 t b;
   check2 t c;
-  let tw = t.words and aw = a.words and bw = b.words and cw = c.words in
-  let acc = ref 0 in
-  for i = 0 to Array.length tw - 1 do
-    acc := !acc + popcount_word (tw.(i) lxor (aw.(i) lor bw.(i) lor cw.(i)))
-  done;
-  !acc
+  hamming_or3_w t.words a.words b.words c.words
 
 let hamming_xor3 t a b c =
   check2 t a;
   check2 t b;
   check2 t c;
-  let tw = t.words and aw = a.words and bw = b.words and cw = c.words in
-  let acc = ref 0 in
-  for i = 0 to Array.length tw - 1 do
-    acc := !acc + popcount_word (tw.(i) lxor aw.(i) lxor bw.(i) lxor cw.(i))
-  done;
-  !acc
+  hamming_xor3_w t.words a.words b.words c.words
 
 let hamming_mux t ~sel a b =
   check2 t sel;
   check2 t a;
   check2 t b;
-  let tw = t.words and sw = sel.words and aw = a.words and bw = b.words in
-  let acc = ref 0 in
-  for i = 0 to Array.length tw - 1 do
-    let s = sw.(i) in
-    acc := !acc + popcount_word (tw.(i) lxor ((s land aw.(i)) lor (lnot s land bw.(i))))
-  done;
-  !acc
+  hamming_mux_w t.words sel.words a.words b.words
+
+let masked_hamming m t a =
+  check2 m t;
+  check2 m a;
+  masked_hamming_w m.words t.words a.words
+
+let masked_hamming_and m t a b =
+  check2 m t;
+  check2 m a;
+  check2 m b;
+  masked_hamming_and_w m.words t.words a.words b.words
+
+let masked_hamming_or m t a b =
+  check2 m t;
+  check2 m a;
+  check2 m b;
+  masked_hamming_or_w m.words t.words a.words b.words
+
+let masked_hamming_xor m t a b =
+  check2 m t;
+  check2 m a;
+  check2 m b;
+  masked_hamming_xor_w m.words t.words a.words b.words
+
+let masked_hamming_and3 m t a b c =
+  check2 m t;
+  check2 m a;
+  check2 m b;
+  check2 m c;
+  masked_hamming_and3_w m.words t.words a.words b.words c.words
+
+let masked_hamming_or3 m t a b c =
+  check2 m t;
+  check2 m a;
+  check2 m b;
+  check2 m c;
+  masked_hamming_or3_w m.words t.words a.words b.words c.words
+
+let masked_hamming_xor3 m t a b c =
+  check2 m t;
+  check2 m a;
+  check2 m b;
+  check2 m c;
+  masked_hamming_xor3_w m.words t.words a.words b.words c.words
+
+let masked_hamming_mux m t ~sel a b =
+  check2 m t;
+  check2 m sel;
+  check2 m a;
+  check2 m b;
+  masked_hamming_mux_w m.words t.words sel.words a.words b.words
 
 let logand_into a b ~dst =
   check2 a b;
@@ -249,12 +295,7 @@ let mux_into ~sel a b ~dst =
 let mux_popcount ~sel a b =
   check2 sel a;
   check2 sel b;
-  let acc = ref 0 in
-  for i = 0 to Array.length sel.words - 1 do
-    let s = sel.words.(i) in
-    acc := !acc + popcount_word ((s land a.words.(i)) lor (lnot s land b.words.(i)))
-  done;
-  !acc
+  mux_popcount_w sel.words a.words b.words
 
 let randomize rng t =
   for i = 0 to Array.length t.words - 1 do

@@ -39,15 +39,13 @@ val hamming : t -> t -> int
 (** {1 Fused counts}
 
     Each is the [popcount] of a composition of the operations below,
-    computed in one pass without building the intermediate vectors. *)
+    computed in one pass without building the intermediate vectors. The
+    counting kernels ([popcount], [hamming] and every fused count) are C
+    loops over the words that use the hardware popcount where the CPU has
+    one; they allocate nothing. *)
 
 val and_popcount : t -> t -> int
 (** [popcount (logand a b)]. *)
-
-val masked_diff_count : t -> t -> t -> t -> int
-(** [masked_diff_count a b m1 m2] is
-    [popcount (logand (logand (logxor a b) m1) m2)]: the positions where
-    [a] and [b] differ inside both masks. *)
 
 val hamming_and : t -> t -> t -> int
 (** [hamming_and t a b] is [hamming t (logand a b)]. *)
@@ -64,6 +62,29 @@ val hamming_xor3 : t -> t -> t -> t -> int
 val hamming_mux : t -> sel:t -> t -> t -> int
 (** [hamming_mux t ~sel a b] is [hamming t] of the [mux_into ~sel a b]
     result. *)
+
+(** {2 Masked counts}
+
+    [masked_hamming* m t ...] is [popcount (logand m (logxor t g))] for the
+    gate output [g] named by the suffix: the samples inside [m] on which
+    [t] and [g] differ. *)
+
+val masked_hamming : t -> t -> t -> int
+(** [masked_hamming m t a] counts the positions in [m] where [t] and [a]
+    differ. *)
+
+val masked_hamming_and : t -> t -> t -> t -> int
+(** [masked_hamming_and m t a b] is [masked_hamming m t (logand a b)]. *)
+
+val masked_hamming_or : t -> t -> t -> t -> int
+val masked_hamming_xor : t -> t -> t -> t -> int
+val masked_hamming_and3 : t -> t -> t -> t -> t -> int
+val masked_hamming_or3 : t -> t -> t -> t -> t -> int
+val masked_hamming_xor3 : t -> t -> t -> t -> t -> int
+
+val masked_hamming_mux : t -> t -> sel:t -> t -> t -> int
+(** [masked_hamming_mux m t ~sel a b] is [masked_hamming m t] of the
+    [mux_into ~sel a b] result. *)
 
 (** {1 Allocating bitwise operations} *)
 

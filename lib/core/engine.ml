@@ -348,13 +348,39 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
     Metrics.counter m "accals_candidates_targets_reused_total"
       ~help:"Targets whose candidate list was re-emitted from the generator memo"
   in
+  let c_targets_rekeyed =
+    Metrics.counter m "accals_candidates_targets_rekeyed_total"
+      ~help:
+        "Re-emitted targets whose frame had changed but whose ranked prefix \
+         matched the memo entry"
+  in
   let c_targets_regenerated =
     Metrics.counter m "accals_candidates_targets_regenerated_total"
       ~help:"Targets whose candidate list was generated afresh"
   in
+  let c_sop_sections_reused =
+    Metrics.counter m "accals_candidates_sop_sections_reused_total"
+      ~help:"Regenerated targets whose SOP candidates were copied from the memo"
+  in
   let c_cuts_recomputed =
     Metrics.counter m "accals_cuts_nodes_recomputed_total"
       ~help:"Nodes whose cut set the generator memo recomputed"
+  in
+  (* The candidates span's args and registry counters for the generator
+     memo's work counters. *)
+  let work_counters =
+    Candidate_gen.
+      [
+        ("candidates_targets_reused", c_targets_reused, fun w -> w.targets_reused);
+        ("candidates_targets_rekeyed", c_targets_rekeyed, fun w -> w.targets_rekeyed);
+        ( "candidates_targets_regenerated",
+          c_targets_regenerated,
+          fun w -> w.targets_regenerated );
+        ( "candidates_sop_sections_reused",
+          c_sop_sections_reused,
+          fun w -> w.sop_sections_reused );
+        ("cuts_nodes_recomputed", c_cuts_recomputed, fun w -> w.cuts_recomputed);
+      ]
   in
   let g_gc_minor =
     Metrics.gauge m "accals_gc_minor_collections"
@@ -586,36 +612,23 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
        counters (none without a memo): onto the phase's span and into the
        registry. *)
     let memo = Round_eval.generator ev in
-    let work_since =
-      let work () =
-        Option.fold ~none:(0, 0, 0)
-          ~some:(fun m ->
-            let w = Candidate_gen.memo_work m in
-            Candidate_gen.(w.targets_reused, w.targets_regenerated, w.cuts_recomputed))
-          memo
-      in
-      let r0, g0, c0 = work () in
-      fun () ->
-        let r, g, c = work () in
-        (r - r0, g - g0, c - c0)
+    let work_start = Option.map Candidate_gen.memo_work memo in
+    let work_since counter =
+      match (memo, work_start) with
+      | Some m, Some w0 -> counter (Candidate_gen.memo_work m) - counter w0
+      | _ -> 0
     in
     let shortlisted =
       Stats.time_phase (Pool.stats pool) "candidates"
         ~end_args:(fun () ->
-          let reused, regenerated, cuts = work_since () in
-          [
-            ("candidates_targets_reused", Tjson.Int reused);
-            ("candidates_targets_regenerated", Tjson.Int regenerated);
-            ("cuts_nodes_recomputed", Tjson.Int cuts);
-          ])
+          List.map
+            (fun (arg, _, counter) -> (arg, Tjson.Int (work_since counter)))
+            work_counters)
         (fun () ->
           Estimator.shortlist est ~k:(step.shortlist r)
             (Candidate_gen.iter ~pool ?memo ctx config.Config.candidate))
     in
-    let reused, regenerated, cuts = work_since () in
-    Metrics.add c_targets_reused reused;
-    Metrics.add c_targets_regenerated regenerated;
-    Metrics.add c_cuts_recomputed cuts;
+    List.iter (fun (_, c, counter) -> Metrics.add c (work_since counter)) work_counters;
     let candidates = shortlisted.Estimator.seen in
     if candidates = 0 then st.s_finished <- true
     else begin

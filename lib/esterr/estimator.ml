@@ -32,6 +32,7 @@ type t = {
   mutable crit : Bitvec.t array;
   err_mask : Bitvec.t;  (* samples where the current circuit is wrong *)
   err_free : Bitvec.t;  (* complement of [err_mask] *)
+  rank_mask : Bitvec.t;  (* the ranked target's [crit] AND [err_free] *)
   current : Metric.terms;  (* per-sample error terms; [err_mask] under ER *)
   cone_cache : (int, int array) Hashtbl.t;
   mutable scratch : scratch;
@@ -106,6 +107,7 @@ let create ctx ~golden ~metric =
       crit = [||];
       err_mask;
       err_free = Bitvec.create samples;
+      rank_mask = Bitvec.create samples;
       current =
         (match metric with
          | Metric.Error_rate -> Metric.Wrong err_mask
@@ -165,18 +167,51 @@ let candidate_signature_in t s lac =
 
 let candidate_signature t lac = candidate_signature_in t t.scratch lac
 
-let rank_score_in t s lac =
-  let target = lac.Lac.target in
+(* Potential fresh errors of [lac]: observable changes on currently
+   correct samples, [popcount ((cand XOR cur) AND mask)] with [mask] the
+   target's criticality mask ANDed with the error-free samples and
+   [ones = popcount mask]. Changes landing on already-wrong samples are
+   free (they may even fix the error), so they do not count against the
+   LAC. A complemented LAC's count is [ones] minus its base's, as the mask
+   has no padding bits; only a SOP builds its signature. *)
+let built_fresh_errors t s ~mask ~cur lac =
   let cand = candidate_signature_in t s lac in
-  (* Potential fresh errors: observable changes on currently-correct
-     samples. Changes landing on already-wrong samples are free (they may
-     even fix the error), so they do not count against the LAC. *)
-  let fresh =
-    Bitvec.masked_diff_count cand t.ctx.Round_ctx.sigs.(target) t.crit.(target)
-      t.err_free
-  in
+  let n = Bitvec.masked_hamming mask cur cand in
   give_buf s cand;
-  float_of_int fresh /. float_of_int (samples t)
+  n
+
+let fresh_errors t s ~mask ~ones lac =
+  let sigs = t.ctx.Round_ctx.sigs in
+  let cur = sigs.(lac.Lac.target) in
+  match lac.Lac.kind with
+  | Lac.Const0 -> Bitvec.and_popcount cur mask
+  | Lac.Const1 -> ones - Bitvec.and_popcount cur mask
+  | Lac.Wire v -> Bitvec.masked_hamming mask cur sigs.(v)
+  | Lac.Inv_wire v -> ones - Bitvec.masked_hamming mask cur sigs.(v)
+  | Lac.Gate2 (op, a, b) -> (
+    let a = sigs.(a) and b = sigs.(b) in
+    match op with
+    | Gate.And -> Bitvec.masked_hamming_and mask cur a b
+    | Gate.Nand -> ones - Bitvec.masked_hamming_and mask cur a b
+    | Gate.Or -> Bitvec.masked_hamming_or mask cur a b
+    | Gate.Nor -> ones - Bitvec.masked_hamming_or mask cur a b
+    | Gate.Xor -> Bitvec.masked_hamming_xor mask cur a b
+    | Gate.Xnor -> ones - Bitvec.masked_hamming_xor mask cur a b
+    | Gate.Input | Gate.Const _ | Gate.Buf | Gate.Not | Gate.Mux ->
+      built_fresh_errors t s ~mask ~cur lac)
+  | Lac.Gate3 (op, a, b, c) -> (
+    let a = sigs.(a) and b = sigs.(b) and c = sigs.(c) in
+    match op with
+    | Gate.And -> Bitvec.masked_hamming_and3 mask cur a b c
+    | Gate.Nand -> ones - Bitvec.masked_hamming_and3 mask cur a b c
+    | Gate.Or -> Bitvec.masked_hamming_or3 mask cur a b c
+    | Gate.Nor -> ones - Bitvec.masked_hamming_or3 mask cur a b c
+    | Gate.Xor -> Bitvec.masked_hamming_xor3 mask cur a b c
+    | Gate.Xnor -> ones - Bitvec.masked_hamming_xor3 mask cur a b c
+    | Gate.Mux -> Bitvec.masked_hamming_mux mask cur ~sel:a b c
+    | Gate.Input | Gate.Const _ | Gate.Buf | Gate.Not ->
+      built_fresh_errors t s ~mask ~cur lac)
+  | Lac.Sop _ -> built_fresh_errors t s ~mask ~cur lac
 
 let cone t target =
   match Hashtbl.find_opt t.cone_cache target with
@@ -282,26 +317,23 @@ let by_target t chosen =
 
 type shortlist = { ranked : (float * Lac.t) array; seen : int }
 
-(* The order is total (rank, then larger area gain, then emission index),
-   so keeping the [k] best as they arrive equals stable-sorting the whole
-   list and taking [k]. *)
+(* Candidates arrive grouped by target, so the target's mask and its
+   popcount are computed once per run of equal targets. *)
 let shortlist t ~k candidates =
-  let compare_ranked (ra, ia, la) (rb, ib, lb) =
-    match compare ra rb with
-    | 0 -> (
-      match compare lb.Lac.area_gain la.Lac.area_gain with
-      | 0 -> compare ia ib
-      | c -> c)
-    | c -> c
-  in
-  let seen = ref 0 in
-  let best =
-    Top_k.smallest ~k ~compare:compare_ranked (fun push ->
-        candidates (fun lac ->
-            push (rank_score_in t t.scratch lac, !seen, lac);
-            incr seen))
-  in
-  { ranked = Array.of_list (List.map (fun (r, _, lac) -> (r, lac)) best); seen = !seen }
+  let top = Top_k.create ~k in
+  let samples = float_of_int (samples t) in
+  let mask = t.rank_mask in
+  let current = ref (-1) and ones = ref 0 in
+  candidates (fun lac ->
+      let target = lac.Lac.target in
+      if target <> !current then begin
+        current := target;
+        Bitvec.logand_into t.crit.(target) t.err_free ~dst:mask;
+        ones := Bitvec.popcount mask
+      end;
+      let fresh = fresh_errors t t.scratch ~mask ~ones:!ones lac in
+      Top_k.push top ~rank:(float_of_int fresh /. samples) ~gain:lac.Lac.area_gain lac);
+  { ranked = Top_k.sorted top; seen = Top_k.pushed top }
 
 let evaluate ?(mode = Exact) ?pool t { ranked; seen = _ } =
   let chosen = Array.map snd ranked in

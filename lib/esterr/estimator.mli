@@ -3,7 +3,7 @@
     Two levels, as in the paper's sensitivity-driven flow:
 
     + a cheap criticality ranking of every candidate as the generators
-      emit it (one mask intersection per candidate; {!shortlist}), and
+      emit it (one masked popcount per candidate; {!shortlist}), and
     + exact-on-samples evaluation of the best-ranked candidates
       ({!evaluate}). Each distinct shortlisted target's transitive-fanout cone
       is resimulated once with the target's signature complemented (its
@@ -67,7 +67,8 @@ val shortlist : t -> k:int -> ((Lac.t -> unit) -> unit) -> shortlist
     The rank is the fraction of samples on which the LAC changes the
     target, the change is deemed observable, and the sample is currently
     error-free (smaller is better); ties go to the larger area gain, then
-    to the earlier emission. Runs on the calling domain. *)
+    to the earlier emission. Runs on the calling domain; a stream that
+    emits each target's LACs together computes each target's mask once. *)
 
 val evaluate :
   ?mode:mode -> ?pool:Accals_runtime.Pool.t -> t -> shortlist -> Lac.t list

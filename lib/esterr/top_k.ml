@@ -1,47 +1,109 @@
-(* Bounded selection: the k smallest elements under a total order, returned
+(* Bounded selection: the k smallest keyed items of a stream, returned
    sorted ascending. A size-k binary max-heap makes this O(n log k) instead
-   of sorting all n elements, and it never holds more than k of them, so a
-   stream of any length is ranked in O(k) space. With a total order
-   (callers break ties down to a unique key such as the emission index) the
-   result is exactly [List.sort compare items |> take k]. *)
+   of sorting all n items, and it never holds more than k of them. The key
+   is (rank ascending, gain descending, emission index ascending), a total
+   order, so the result is exactly a stable sort of the stream by (rank,
+   gain) truncated to k. Keys are stored unboxed in parallel arrays, the
+   payload in a third; an item that does not beat the heap's root is only
+   counted. *)
 
-let smallest ~k ~compare iter =
-  let heap = ref [||] in
-  let size = ref 0 in
-  let swap i j =
-    let h = !heap in
-    let t = h.(i) in
-    h.(i) <- h.(j);
-    h.(j) <- t
-  in
-  let rec sift_up i =
-    let p = (i - 1) / 2 in
-    if i > 0 && compare !heap.(p) !heap.(i) < 0 then begin
-      swap p i;
-      sift_up p
+type 'a t = {
+  k : int;
+  rank : Float.Array.t;
+  gain : Float.Array.t;
+  index : int array;
+  mutable payload : 'a array;  (* empty until the first item *)
+  mutable size : int;
+  mutable pushed : int;
+}
+
+let create ~k =
+  let k = max k 0 in
+  {
+    k;
+    rank = Float.Array.create k;
+    gain = Float.Array.create k;
+    index = Array.make k 0;
+    payload = [||];
+    size = 0;
+    pushed = 0;
+  }
+
+let pushed h = h.pushed
+
+(* Whether key (r, g, i) comes strictly before key (r', g', i'). *)
+let[@inline] before (r : float) (g : float) (i : int) r' g' i' =
+  r < r' || (r = r' && (g > g' || (g = g' && i < i')))
+
+let[@inline] slot_before h a b =
+  before (Float.Array.get h.rank a) (Float.Array.get h.gain a) h.index.(a)
+    (Float.Array.get h.rank b) (Float.Array.get h.gain b) h.index.(b)
+
+let move h ~src ~dst =
+  Float.Array.set h.rank dst (Float.Array.get h.rank src);
+  Float.Array.set h.gain dst (Float.Array.get h.gain src);
+  h.index.(dst) <- h.index.(src);
+  h.payload.(dst) <- h.payload.(src)
+
+let store h at rank gain index x =
+  Float.Array.set h.rank at rank;
+  Float.Array.set h.gain at gain;
+  h.index.(at) <- index;
+  h.payload.(at) <- x
+
+(* The heap is a max-heap on the key: the root is the worst item kept.
+   Both sifts move a hole instead of swapping. *)
+
+let add h rank gain index x =
+  if Array.length h.payload = 0 then h.payload <- Array.make h.k x;
+  let hole = ref h.size in
+  h.size <- h.size + 1;
+  let continue = ref true in
+  while !continue && !hole > 0 do
+    let p = (!hole - 1) / 2 in
+    if
+      before (Float.Array.get h.rank p) (Float.Array.get h.gain p) h.index.(p) rank gain
+        index
+    then begin
+      move h ~src:p ~dst:!hole;
+      hole := p
     end
-  in
-  let rec sift_down i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = ref i in
-    if l < !size && compare !heap.(l) !heap.(!m) > 0 then m := l;
-    if r < !size && compare !heap.(r) !heap.(!m) > 0 then m := r;
-    if !m <> i then begin
-      swap i !m;
-      sift_down !m
-    end
-  in
-  iter (fun x ->
-      if !size < k then begin
-        if !size = 0 then heap := Array.make k x;
-        !heap.(!size) <- x;
-        incr size;
-        sift_up (!size - 1)
+    else continue := false
+  done;
+  store h !hole rank gain index x
+
+let replace_root h rank gain index x =
+  let hole = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !hole) + 1 in
+    if l >= h.size then continue := false
+    else begin
+      let r = l + 1 in
+      let c = if r < h.size && slot_before h l r then r else l in
+      if
+        before rank gain index (Float.Array.get h.rank c) (Float.Array.get h.gain c)
+          h.index.(c)
+      then begin
+        move h ~src:c ~dst:!hole;
+        hole := c
       end
-      else if k > 0 && compare x !heap.(0) < 0 then begin
-        !heap.(0) <- x;
-        sift_down 0
-      end);
-  let result = Array.sub !heap 0 !size in
-  Array.sort compare result;
-  Array.to_list result
+      else continue := false
+    end
+  done;
+  store h !hole rank gain index x
+
+let[@inline] push h ~rank ~gain x =
+  let index = h.pushed in
+  h.pushed <- index + 1;
+  if h.size < h.k then add h rank gain index x
+  else if
+    h.k > 0
+    && before rank gain index (Float.Array.get h.rank 0) (Float.Array.get h.gain 0)
+         h.index.(0)
+  then replace_root h rank gain index x
+
+let sorted h =
+  let order = Array.init h.size Fun.id in
+  Array.sort (fun a b -> if a = b then 0 else if slot_before h a b then -1 else 1) order;
+  Array.map (fun s -> (Float.Array.get h.rank s, h.payload.(s))) order

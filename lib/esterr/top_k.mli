@@ -1,9 +1,21 @@
-(** Bounded k-smallest selection over a stream. *)
+(** Bounded k-smallest selection over a stream of keyed items. *)
 
-val smallest : k:int -> compare:('a -> 'a -> int) -> (('a -> unit) -> unit) -> 'a list
-(** [smallest ~k ~compare iter] is the [k] smallest elements that [iter]
-    passes to its callback, under [compare], sorted ascending — equal to
-    [List.sort compare items] truncated to [k] for the same items, in
-    O(n log k) time and O(k) space. [compare] must be a total order (break
-    ties down to a unique key such as the emission index) for the result
-    to be deterministic. *)
+type 'a t
+(** A selection in progress: at most [k] items, with their keys. *)
+
+val create : k:int -> 'a t
+(** An empty selection keeping the [k] best items ([k <= 0] keeps none). *)
+
+val push : 'a t -> rank:float -> gain:float -> 'a -> unit
+(** Offer the next item of the stream. Items are ordered by ascending
+    [rank], then descending [gain], then emission order, so ties are
+    total. An item that does not beat the worst one kept allocates
+    nothing. Ranks and gains must not be NaN. *)
+
+val pushed : 'a t -> int
+(** Items offered so far. *)
+
+val sorted : 'a t -> (float * 'a) array
+(** The kept items with their ranks, best first: the stream stable-sorted
+    by (rank, descending gain) and truncated to [k], in O(n log k) time
+    and O(k) space. *)

@@ -32,11 +32,15 @@ val default_config : config
 
 type memo
 (** Run-scoped generator memo: each target's last candidate list, in a
-    compact encoding, plus per-node change stamps and incrementally kept
-    cut sets. With it, {!iter} re-emits a target's previous list whenever
-    no node its generation reads has changed since, and its TFO-filtered
-    pool and global signature matches (recomputed every round, being
-    non-local) equal the stored ones; every other target is regenerated.
+    compact encoding, plus per-node change stamps, incrementally kept cut
+    sets and the cut-function covers (one table per domain). With it,
+    {!iter} re-emits a target's previous list whenever no node its
+    generation reads has changed since, and its TFO-filtered pool and
+    global signature matches (recomputed every round, being non-local)
+    equal the stored ones, or at least the pool's six signals closest to
+    the target do; a target whose MFFC and cuts are unchanged but whose
+    list is not regenerates all but its SOP candidates, which are copied;
+    every other target is regenerated.
     The emitted stream is identical to a memo-less {!iter}'s on the same
     context. A memo serves one working circuit and one [config]:
     {!memo_refresh} it after every change to the circuit, with the change
@@ -54,7 +58,12 @@ val memo_bytes : memo -> int
 
 type work = {
   targets_reused : int;  (** targets whose list was re-emitted *)
+  targets_rekeyed : int;
+      (** of those, targets re-emitted after their ranked prefix matched
+          although their frame had changed *)
   targets_regenerated : int;  (** targets generated afresh *)
+  sop_sections_reused : int;
+      (** of those, targets whose SOP candidates were copied from the memo *)
   cuts_recomputed : int;  (** nodes whose cut set was recomputed *)
 }
 

@@ -21,41 +21,38 @@ let create net ~live ~fanout_counts =
 
 let counts t = t.counts
 
-(* Apply [f] once per distinct fanin of [id], mirroring how
-   [Structure.fanout_counts] counts. *)
-let iter_distinct_fanins net id f =
-  let fis = Network.fanins net id in
+(* Whether fanin [j] of [fis] repeats an earlier one: each distinct fanin
+   counts once, mirroring how [Structure.fanout_counts] counts. *)
+let rec seen_before fis fi k j = k < j && (fis.(k) = fi || seen_before fis fi (k + 1) j)
+
+let repeated fis j = seen_before fis fis.(j) 0 j
+
+let rec deref (t : t) nodes x =
+  let fis = Network.fanins t.net x in
+  let nodes = ref nodes in
   for j = 0 to Array.length fis - 1 do
-    let fi = fis.(j) in
-    let rec seen k = k < j && (fis.(k) = fi || seen (k + 1)) in
-    if not (seen 0) then f fi
+    if not (repeated fis j) then begin
+      let f = fis.(j) in
+      t.counts.(f) <- t.counts.(f) - 1;
+      if t.counts.(f) = 0 && t.live.(f) && not (Network.is_input t.net f) then
+        nodes := deref t (f :: !nodes) f
+    end
+  done;
+  !nodes
+
+let reref (t : t) x =
+  let fis = Network.fanins t.net x in
+  for j = 0 to Array.length fis - 1 do
+    if not (repeated fis j) then t.counts.(fis.(j)) <- t.counts.(fis.(j)) + 1
   done
 
 let cone (t : t) id =
-  let nodes = ref [ id ] in
-  let rec deref x =
-    iter_distinct_fanins t.net x (fun f ->
-        t.counts.(f) <- t.counts.(f) - 1;
-        if t.counts.(f) = 0 && t.live.(f) && not (Network.is_input t.net f)
-        then begin
-          nodes := f :: !nodes;
-          deref f
-        end)
-  in
-  deref id;
+  let nodes = deref t [ id ] id in
   (* Every member was dereferenced exactly once; reference it back. *)
-  List.iter
-    (fun x ->
-      iter_distinct_fanins t.net x (fun f -> t.counts.(f) <- t.counts.(f) + 1))
-    !nodes;
+  List.iter (reref t) nodes;
   t.stamp <- t.stamp + 1;
-  List.iter (fun x -> t.mark.(x) <- t.stamp) !nodes;
-  {
-    root = id;
-    nodes = !nodes;
-    area = Cost.area_of_nodes t.net !nodes;
-    stamp = t.stamp;
-  }
+  List.iter (fun x -> t.mark.(x) <- t.stamp) nodes;
+  { root = id; nodes; area = Cost.area_of_nodes t.net nodes; stamp = t.stamp }
 
 let nodes c = c.nodes
 let area c = c.area

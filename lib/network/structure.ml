@@ -137,27 +137,28 @@ let tfo_probe net ~topo_pos =
 (* [v] is in the TFO of [target] iff walking back over fanins from [v]
    reaches [target]. Only nodes after [target] in topological order can
    lie on such a walk. *)
+let rec reaches p ~target ~limit x =
+  x = target
+  || p.topo_pos.(x) > limit
+     &&
+     let m = p.memo.(x) in
+     if m lsr 1 = p.stamp then m land 1 = 1
+     else begin
+       let r = any_reaches p ~target ~limit (Network.fanins p.net x) 0 in
+       p.memo.(x) <- (p.stamp lsl 1) lor Bool.to_int r;
+       r
+     end
+
+and any_reaches p ~target ~limit fis i =
+  i < Array.length fis
+  && (reaches p ~target ~limit fis.(i) || any_reaches p ~target ~limit fis (i + 1))
+
 let in_tfo p ~target v =
   if target <> p.target then begin
     p.target <- target;
     p.stamp <- p.stamp + 1
   end;
-  let limit = p.topo_pos.(target) in
-  let rec reaches x =
-    x = target
-    || p.topo_pos.(x) > limit
-       &&
-       let m = p.memo.(x) in
-       if m lsr 1 = p.stamp then m land 1 = 1
-       else begin
-         let fis = Network.fanins p.net x in
-         let rec any i = i < Array.length fis && (reaches fis.(i) || any (i + 1)) in
-         let r = any 0 in
-         p.memo.(x) <- (p.stamp lsl 1) lor Bool.to_int r;
-         r
-       end
-  in
-  reaches v
+  reaches p ~target ~limit:p.topo_pos.(target) v
 
 (* The cone is marked by topological position, so reading the marks back
    in ascending order through [order] lists it in topological order. *)

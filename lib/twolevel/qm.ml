@@ -26,10 +26,11 @@ let cubes_truth ~vars cubes =
    reports such a minterm absent from every care set, so the cube is never
    an implicant. *)
 type table = {
-  pow3 : int array;
   cubes : cube array;
   sets : int array;
   order : int array;
+  larger : int array array;
+      (** per cube, the cubes with one of its literals dropped *)
 }
 
 let build_table vars =
@@ -62,7 +63,16 @@ let build_table vars =
   done;
   let order = Array.init count Fun.id in
   Array.stable_sort (fun a b -> compare cubes.(a) cubes.(b)) order;
-  { pow3; cubes; sets; order }
+  let larger =
+    Array.init count (fun i ->
+        Array.of_list
+          (List.filter_map
+             (fun v ->
+               let digit = i / pow3.(v) mod 3 in
+               if digit = 2 then None else Some (i + ((2 - digit) * pow3.(v))))
+             (List.init vars Fun.id)))
+  in
+  { cubes; sets; order; larger }
 
 let tables = Array.init (Truth.max_vars + 1) build_table
 
@@ -71,24 +81,20 @@ let tables = Array.init (Truth.max_vars + 1) build_table
    [care], and prime when dropping any one of its literals leaves a
    non-implicant. *)
 let prime_indices ~vars ~care =
-  let { pow3; sets; order; _ } = tables.(vars) in
+  let { sets; order; larger; _ } = tables.(vars) in
   let implicant i = sets.(i) <> -1 && sets.(i) land care = sets.(i) in
-  let prime i =
-    implicant i
-    &&
-    let rec no_larger v =
-      v = vars
-      ||
-      let digit = i / pow3.(v) mod 3 in
-      (digit = 2 || not (implicant (i + ((2 - digit) * pow3.(v)))))
-      && no_larger (v + 1)
-    in
-    no_larger 0
-  in
   let result = ref [] in
   for k = Array.length order - 1 downto 0 do
     let i = order.(k) in
-    if prime i then result := i :: !result
+    if implicant i then begin
+      let up = larger.(i) in
+      let prime = ref true and j = ref 0 in
+      while !prime && !j < Array.length up do
+        if implicant up.(!j) then prime := false;
+        incr j
+      done;
+      if !prime then result := i :: !result
+    end
   done;
   !result
 
@@ -113,27 +119,26 @@ let minimize ~vars ~on ?(dc = 0) () =
   else begin
     let { cubes; sets; _ } = tables.(vars) in
     let primes = Array.of_list (prime_indices ~vars ~care:(on lor dc)) in
+    let n = Array.length primes in
     let covers = Array.map (fun i -> sets.(i) land on) primes in
     let literals p = cube_literals cubes.(primes.(p)) in
     let union ps = List.fold_left (fun acc p -> acc lor covers.(p)) 0 ps in
     let chosen = ref [] in
-    let is_chosen = Array.make (Array.length primes) false in
-    let choose p =
-      chosen := p :: !chosen;
-      is_chosen.(p) <- true
-    in
+    let is_chosen = Array.make n false in
     (* Essential primes first: the only prime covering some ON minterm. *)
     for m = 0 to Truth.rows vars - 1 do
       if Truth.get on m then begin
         let only = ref (-1) and count = ref 0 in
-        Array.iteri
-          (fun p set ->
-            if Truth.get set m then begin
-              only := p;
-              incr count
-            end)
-          covers;
-        if !count = 1 && not is_chosen.(!only) then choose !only
+        for p = 0 to n - 1 do
+          if Truth.get covers.(p) m then begin
+            only := p;
+            incr count
+          end
+        done;
+        if !count = 1 && not is_chosen.(!only) then begin
+          chosen := !only :: !chosen;
+          is_chosen.(!only) <- true
+        end
       end
     done;
     let uncovered = ref (on land lnot (union !chosen)) in
@@ -141,21 +146,21 @@ let minimize ~vars ~on ?(dc = 0) () =
        fewer literals, then by prime order. *)
     while !uncovered <> 0 do
       let best = ref (-1) and best_gain = ref 0 in
-      Array.iteri
-        (fun p set ->
-          if not is_chosen.(p) then begin
-            let gain = popcount (set land !uncovered) in
-            if gain > !best_gain
-               || (gain = !best_gain && gain > 0 && literals p < literals !best)
-            then begin
-              best := p;
-              best_gain := gain
-            end
-          end)
-        covers;
+      for p = 0 to n - 1 do
+        if not is_chosen.(p) then begin
+          let gain = popcount (covers.(p) land !uncovered) in
+          if gain > !best_gain
+             || (gain = !best_gain && gain > 0 && literals p < literals !best)
+          then begin
+            best := p;
+            best_gain := gain
+          end
+        end
+      done;
       if !best < 0 then uncovered := 0 (* unreachable: primes cover all of on *)
       else begin
-        choose !best;
+        chosen := !best :: !chosen;
+        is_chosen.(!best) <- true;
         uncovered := !uncovered land lnot covers.(!best)
       end
     done;
@@ -172,9 +177,20 @@ let minimize ~vars ~on ?(dc = 0) () =
 
 let literal_cost cubes = List.fold_left (fun acc c -> acc + cube_literals c) 0 cubes
 
-type memo = (int, cube list) Hashtbl.t
+module Keys = Hashtbl.Make (Int)
 
-let memo () = Hashtbl.create 256
+type memo = cube list Keys.t
+
+let memo () = Keys.create 256
+
+(* A binding is a bucket cell (4 words with its header) plus its cover:
+   per cube a list cell and a record, 3 words each. *)
+let memo_bytes memo =
+  let word = Sys.word_size / 8 in
+  Keys.fold
+    (fun _ cubes acc -> acc + ((4 + (6 * List.length cubes)) * word))
+    memo
+    ((Keys.length memo + 4) * word)
 
 (* Up to 4 variables, the masked ON and DC sets fit 16 bits each, so
    [(vars, on, dc)] packs into one immediate int. *)
@@ -184,10 +200,10 @@ let minimize_memo memo ~vars ~on ~dc =
     let on = on land Truth.mask vars in
     let dc = dc land Truth.mask vars land lnot on in
     let key = vars lor (on lsl 3) lor (dc lsl 19) in
-    match Hashtbl.find_opt memo key with
+    match Keys.find_opt memo key with
     | Some cubes -> cubes
     | None ->
       let cubes = minimize ~vars ~on ~dc () in
-      Hashtbl.add memo key cubes;
+      Keys.add memo key cubes;
       cubes
   end

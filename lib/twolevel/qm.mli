@@ -32,6 +32,9 @@ type memo
 
 val memo : unit -> memo
 
+val memo_bytes : memo -> int
+(** Estimated heap bytes held by the memo. *)
+
 val minimize_memo : memo -> vars:int -> on:Truth.t -> dc:Truth.t -> cube list
 (** [minimize] through [memo]: the same cover, computed once per distinct
     [(vars, on, dc)] after masking. Keys with more than 4 variables are not

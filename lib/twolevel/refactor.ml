@@ -10,6 +10,7 @@ let run net =
   let live = Structure.live_set net in
   let mffc = Mffc.create net ~live ~fanout_counts:(Structure.fanout_counts net ~live) in
   let proposals = ref [] in
+  let scratch = Truth.scratch () in
   Array.iter
     (fun target ->
       if live.(target) && not (Network.is_input net target) then begin
@@ -19,7 +20,7 @@ let run net =
           (fun leaves ->
             if Array.length leaves >= 2 && Array.length leaves <= Truth.max_vars
             then
-              match Truth.of_cone net ~leaves ~root:target with
+              match Truth.of_cone ~scratch net ~leaves ~root:target with
               | exception Invalid_argument _ -> ()
               | truth ->
                 let cubes = Qm.minimize ~vars:(Array.length leaves) ~on:truth () in

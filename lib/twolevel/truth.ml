@@ -55,25 +55,43 @@ let eval_op vars op fanins =
   | Gate.Mux ->
     (fanins.(0) land fanins.(1)) lor (lognot vars fanins.(0) land fanins.(2))
 
-let of_cone net ~leaves ~root =
+(* Per-node memo of one [of_cone] call: [value.(id)] is valid while
+   [mark.(id) = stamp]. Leaves are entered first, so the walk stops at
+   them. *)
+type scratch = {
+  mutable mark : int array;
+  mutable value : t array;
+  mutable stamp : int;
+}
+
+let scratch () = { mark = [||]; value = [||]; stamp = 0 }
+
+let of_cone ?(scratch = scratch ()) net ~leaves ~root =
   let vars = Array.length leaves in
   if vars > max_vars then invalid_arg "Truth.of_cone: too many leaves";
-  let leaf_index = Hashtbl.create 8 in
-  Array.iteri (fun i id -> Hashtbl.replace leaf_index id i) leaves;
-  let memo = Hashtbl.create 32 in
+  let s = scratch in
+  let n = Network.num_nodes net in
+  if Array.length s.mark < n then begin
+    s.mark <- Array.make n 0;
+    s.value <- Array.make n 0;
+    s.stamp <- 0
+  end;
+  s.stamp <- s.stamp + 1;
+  let stamp = s.stamp in
+  Array.iteri
+    (fun i id ->
+      s.mark.(id) <- stamp;
+      s.value.(id) <- var vars i)
+    leaves;
   let rec compute id =
-    match Hashtbl.find_opt leaf_index id with
-    | Some i -> var vars i
-    | None -> (
-      match Hashtbl.find_opt memo id with
-      | Some t -> t
-      | None ->
-        let op = Network.op net id in
-        if op = Gate.Input then
-          invalid_arg "Truth.of_cone: cone escapes the cut";
-        let fanins = Array.map compute (Network.fanins net id) in
-        let t = eval_op vars op fanins in
-        Hashtbl.add memo id t;
-        t)
+    if s.mark.(id) = stamp then s.value.(id)
+    else begin
+      let op = Network.op net id in
+      if op = Gate.Input then invalid_arg "Truth.of_cone: cone escapes the cut";
+      let t = eval_op vars op (Array.map compute (Network.fanins net id)) in
+      s.mark.(id) <- stamp;
+      s.value.(id) <- t;
+      t
+    end
   in
   compute root

@@ -35,9 +35,16 @@ val ones : int -> t -> int
 val eval_op : int -> Accals_network.Gate.op -> t array -> t
 (** Apply a gate operator to fanin truth tables. *)
 
+type scratch
+(** Reusable per-node working memory for {!of_cone}; one per domain. *)
+
+val scratch : unit -> scratch
+(** Empty scratch; it grows to the network on first use. *)
+
 val of_cone :
-  Accals_network.Network.t -> leaves:int array -> root:int -> t
+  ?scratch:scratch -> Accals_network.Network.t -> leaves:int array -> root:int -> t
 (** Exact local function of [root] in terms of [leaves]: every path from
     [root] must reach a leaf or a constant; raises [Invalid_argument] when
     the cone escapes the leaves (i.e. the leaves are not a cut) or when
-    there are more than {!max_vars} leaves. *)
+    there are more than {!max_vars} leaves. [scratch] (a fresh one by
+    default) holds the walk's per-node memo. *)

@@ -164,7 +164,8 @@ let prop_get_after_of_bool_array =
 
 (* Fused kernels against the compositions they replace, at lengths that
    put the tail mask on a short, an exactly full and a one-bit last word.
-   Vectors are uniform, sparse (an AND of two) or dense (an OR of two). *)
+   Vectors are uniform, sparse (an AND of two), dense (an OR of two),
+   all-zero or all-one. *)
 
 let kernel_lengths = [ 1; 61; 62; 63; 124; 2048 ]
 
@@ -177,11 +178,18 @@ let vectors (len, seed) n =
     Bitvec.randomize rng v;
     v
   in
+  let constant b =
+    let v = Bitvec.create len in
+    Bitvec.fill v b;
+    v
+  in
   Array.init n (fun i ->
-      match (seed + i) mod 3 with
+      match (seed + i) mod 5 with
       | 0 -> random ()
       | 1 -> Bitvec.logand (random ()) (random ())
-      | _ -> Bitvec.logor (random ()) (random ()))
+      | 2 -> Bitvec.logor (random ()) (random ())
+      | 3 -> constant false
+      | _ -> constant true)
 
 let kernel_case name n prop =
   Test_util.qcheck_case ~count:60 name gen_vectors (fun g -> prop (vectors g n))
@@ -205,11 +213,61 @@ let prop_and_popcount =
   kernel_case "and_popcount" 2 (fun v ->
       Bitvec.and_popcount v.(0) v.(1) = Bitvec.popcount (Bitvec.logand v.(0) v.(1)))
 
-let prop_masked_diff_count =
-  kernel_case "masked_diff_count" 4 (fun v ->
-      Bitvec.masked_diff_count v.(0) v.(1) v.(2) v.(3)
-      = Bitvec.popcount
-          (Bitvec.logand (Bitvec.logand (Bitvec.logxor v.(0) v.(1)) v.(2)) v.(3)))
+let prop_masked_kernels =
+  kernel_case "masked kernels" 5 (fun v ->
+      let m = v.(0) and t = v.(1) and a = v.(2) and b = v.(3) and c = v.(4) in
+      let masked g = Bitvec.popcount (Bitvec.logand m (Bitvec.logxor t g)) in
+      let mux = Bitvec.create (Bitvec.length t) in
+      Bitvec.mux_into ~sel:a b c ~dst:mux;
+      Bitvec.masked_hamming m t a = masked a
+      && Bitvec.masked_hamming_and m t a b = masked (Bitvec.logand a b)
+      && Bitvec.masked_hamming_or m t a b = masked (Bitvec.logor a b)
+      && Bitvec.masked_hamming_xor m t a b = masked (Bitvec.logxor a b)
+      && Bitvec.masked_hamming_and3 m t a b c
+         = masked (Bitvec.logand (Bitvec.logand a b) c)
+      && Bitvec.masked_hamming_or3 m t a b c
+         = masked (Bitvec.logor (Bitvec.logor a b) c)
+      && Bitvec.masked_hamming_xor3 m t a b c
+         = masked (Bitvec.logxor (Bitvec.logxor a b) c)
+      && Bitvec.masked_hamming_mux m t ~sel:a b c = masked mux)
+
+(* Every C counting kernel against the OCaml loop it replaced
+   (bitvec_ref.ml). CI reruns these 100 times longer. *)
+let oracle_case name n prop =
+  Test_util.qcheck_case ~count:200 ~long_factor:100 ("kernel oracle: " ^ name)
+    gen_vectors (fun g -> prop (vectors g n))
+
+let prop_oracle_counts =
+  oracle_case "popcount, hamming, and_popcount, mux_popcount" 3 (fun v ->
+      let a = v.(0) and b = v.(1) and c = v.(2) in
+      Bitvec.popcount a = Bitvec_ref.popcount a
+      && Bitvec.hamming a b = Bitvec_ref.hamming a b
+      && Bitvec.and_popcount a b = Bitvec_ref.and_popcount a b
+      && Bitvec.mux_popcount ~sel:a b c = Bitvec_ref.mux_popcount ~sel:a b c)
+
+let prop_oracle_hamming_ops =
+  oracle_case "hamming_*" 4 (fun v ->
+      let t = v.(0) and a = v.(1) and b = v.(2) and c = v.(3) in
+      Bitvec.hamming_and t a b = Bitvec_ref.hamming_and t a b
+      && Bitvec.hamming_or t a b = Bitvec_ref.hamming_or t a b
+      && Bitvec.hamming_xor t a b = Bitvec_ref.hamming_xor t a b
+      && Bitvec.hamming_and3 t a b c = Bitvec_ref.hamming_and3 t a b c
+      && Bitvec.hamming_or3 t a b c = Bitvec_ref.hamming_or3 t a b c
+      && Bitvec.hamming_xor3 t a b c = Bitvec_ref.hamming_xor3 t a b c
+      && Bitvec.hamming_mux t ~sel:a b c = Bitvec_ref.hamming_mux t ~sel:a b c)
+
+let prop_oracle_masked =
+  oracle_case "masked_hamming_*" 5 (fun v ->
+      let m = v.(0) and t = v.(1) and a = v.(2) and b = v.(3) and c = v.(4) in
+      Bitvec.masked_hamming m t a = Bitvec_ref.masked_hamming m t a
+      && Bitvec.masked_hamming_and m t a b = Bitvec_ref.masked_hamming_and m t a b
+      && Bitvec.masked_hamming_or m t a b = Bitvec_ref.masked_hamming_or m t a b
+      && Bitvec.masked_hamming_xor m t a b = Bitvec_ref.masked_hamming_xor m t a b
+      && Bitvec.masked_hamming_and3 m t a b c = Bitvec_ref.masked_hamming_and3 m t a b c
+      && Bitvec.masked_hamming_or3 m t a b c = Bitvec_ref.masked_hamming_or3 m t a b c
+      && Bitvec.masked_hamming_xor3 m t a b c = Bitvec_ref.masked_hamming_xor3 m t a b c
+      && Bitvec.masked_hamming_mux m t ~sel:a b c
+         = Bitvec_ref.masked_hamming_mux m t ~sel:a b c)
 
 let prop_hamming_ops =
   kernel_case "op hamming kernels" 4 (fun v ->
@@ -278,7 +336,10 @@ let suite =
         prop_get_after_of_bool_array;
         prop_popcount_table;
         prop_and_popcount;
-        prop_masked_diff_count;
+        prop_masked_kernels;
+        prop_oracle_counts;
+        prop_oracle_hamming_ops;
+        prop_oracle_masked;
         prop_hamming_ops;
         prop_xor_or_into;
         prop_not_prefix_word;

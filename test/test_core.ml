@@ -347,7 +347,13 @@ let stream_key lacs =
   ( List.length lacs,
     Digest.to_hex (Digest.string (Marshal.to_string lacs [ Marshal.No_sharing ])) )
 
-type memo_coverage = { rounds : int; after_revert : int; after_reset : int }
+type memo_coverage = {
+  rounds : int;
+  after_revert : int;
+  after_reset : int;
+  rekeyed : int;  (** targets re-emitted after a prefix re-key *)
+  sops_copied : int;  (** regenerated targets whose SOP tail was copied *)
+}
 
 (* Every round of [Engine.run]'s loop, driven by hand through the
    incremental [Round_eval]: the memoized stream must equal a fresh
@@ -373,8 +379,17 @@ let drive_memo ?(reset_after = 0) name metric bound =
     else begin
       let ctx, est = Round_eval.begin_round ev in
       let memoized = ref [] in
-      Candidate_gen.iter ?memo:(Round_eval.generator ev) ctx gen (fun lac ->
-          memoized := lac :: !memoized);
+      let memo = Round_eval.generator ev in
+      let work () =
+        Option.fold ~none:(0, 0)
+          ~some:(fun m ->
+            let w = Candidate_gen.memo_work m in
+            Candidate_gen.(w.targets_rekeyed, w.sop_sections_reused))
+          memo
+      in
+      let rekeyed0, copied0 = work () in
+      Candidate_gen.iter ?memo ctx gen (fun lac -> memoized := lac :: !memoized);
+      let rekeyed1, copied1 = work () in
       let memoized = List.rev !memoized in
       let label =
         Printf.sprintf "%s %s round %d" name (Metric.kind_to_string metric) round
@@ -386,6 +401,8 @@ let drive_memo ?(reset_after = 0) name metric bound =
           rounds = cov.rounds + 1;
           after_revert = (cov.after_revert + if reverted then 1 else 0);
           after_reset = (cov.after_reset + if was_reset then 1 else 0);
+          rekeyed = cov.rekeyed + rekeyed1 - rekeyed0;
+          sops_copied = cov.sops_copied + copied1 - copied0;
         }
       in
       let r =
@@ -410,20 +427,31 @@ let drive_memo ?(reset_after = 0) name metric bound =
     end
   in
   loop 1 0.0 ~reverted:false ~was_reset:false
-    { rounds = 0; after_revert = 0; after_reset = 0 }
+    { rounds = 0; after_revert = 0; after_reset = 0; rekeyed = 0; sops_copied = 0 }
 
+(* Besides exact re-emission, the memo re-emits an entry whose ranked
+   prefix still matches (a re-key) and copies the SOP tail of an entry
+   whose MFFC and cuts are fresh: both paths must fire on the circuits
+   that run several rounds under ER, or their streams went unchecked. *)
 let test_memo_rounds_match_fresh () =
   let cov =
     List.fold_left
       (fun acc (name, metric, bound, reset_after) ->
         let c = drive_memo ~reset_after name metric bound in
         check (name ^ " ran several rounds") true (c.rounds > 3);
+        if metric = Metric.Error_rate && List.mem name [ "alu4"; "frg2"; "sin"; "sqrt" ]
+        then begin
+          check (name ^ ": a prefix re-key fired") true (c.rekeyed > 0);
+          check (name ^ ": a SOP tail was copied") true (c.sops_copied > 0)
+        end;
         {
           rounds = acc.rounds + c.rounds;
           after_revert = acc.after_revert + c.after_revert;
           after_reset = acc.after_reset + c.after_reset;
+          rekeyed = acc.rekeyed + c.rekeyed;
+          sops_copied = acc.sops_copied + c.sops_copied;
         })
-      { rounds = 0; after_revert = 0; after_reset = 0 }
+      { rounds = 0; after_revert = 0; after_reset = 0; rekeyed = 0; sops_copied = 0 }
       [
         ("alu4", Metric.Error_rate, 0.03, 0);
         ("frg2", Metric.Error_rate, 0.03, 4);

@@ -234,15 +234,31 @@ let test_stream_matches_list () =
          "sqrt"; "sin"; "log2"; "apex6"; "frg2" ]
     @ [ ("mtp8", Metric.Nmed); ("sqrt", Metric.Nmed) ])
 
-(* Stream-fed bounded selection is the sorted prefix under a total order:
-   values with duplicates, tie-broken by position. *)
+(* Stream-fed bounded selection is the stable sort by (rank, descending
+   gain) truncated to k. Ranks and gains come from small ranges, so equal
+   keys are common and the emission-order tie-break decides; k runs from 0
+   past the stream's length. *)
 let prop_top_k_smallest =
-  Test_util.qcheck_case "top-k equals sort-then-take"
-    QCheck2.Gen.(pair (int_range 0 40) (list_size (int_range 0 200) (int_range 0 20)))
-    (fun (k, values) ->
-      let items = List.mapi (fun i v -> (v, i)) values in
-      Accals_esterr.Top_k.smallest ~k ~compare (fun f -> List.iter f items)
-      = List.filteri (fun i _ -> i < k) (List.sort compare items))
+  Test_util.qcheck_case ~count:300 "top-k equals sort-then-take"
+    QCheck2.Gen.(
+      pair (int_range 0 40)
+        (list_size (int_range 0 200) (pair (int_range 0 6) (int_range 0 3))))
+    (fun (k, keys) ->
+      let items =
+        List.mapi (fun i (r, g) -> (float_of_int r /. 4.0, float_of_int g, i)) keys
+      in
+      let top = Accals_esterr.Top_k.create ~k in
+      List.iter (fun (rank, gain, i) -> Accals_esterr.Top_k.push top ~rank ~gain i) items;
+      let expected =
+        List.stable_sort
+          (fun (ra, ga, _) (rb, gb, _) ->
+            match Float.compare ra rb with 0 -> Float.compare gb ga | c -> c)
+          items
+        |> List.filteri (fun i _ -> i < k)
+        |> List.map (fun (r, _, i) -> (r, i))
+      in
+      Accals_esterr.Top_k.pushed top = List.length items
+      && Array.to_list (Accals_esterr.Top_k.sorted top) = expected)
 
 (* Criticality sanity: a PO driver is fully critical; masks are subsets of
    the full pattern set. *)

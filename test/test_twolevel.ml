@@ -388,12 +388,14 @@ let test_cut_function_matches_node () =
   (* Evaluate all nodes for each input vector via signatures. *)
   let patterns = Sim.exhaustive k in
   let sigs = Sim.run net patterns ~order in
+  (* One scratch serves every cut, as in the generator. *)
+  let scratch = Truth.scratch () in
   for id = 0 to Network.num_nodes net - 1 do
     if live.(id) && not (Network.is_input net id) then
       List.iter
         (fun leaves ->
           if Array.length leaves <= Truth.max_vars then begin
-            let truth = Truth.of_cone net ~leaves ~root:id in
+            let truth = Truth.of_cone ~scratch net ~leaves ~root:id in
             for p = 0 to patterns.Sim.count - 1 do
               let minterm = ref 0 in
               Array.iteri
