@@ -103,7 +103,53 @@ let[@inline] push h ~rank ~gain x =
          h.index.(0)
   then replace_root h rank gain index x
 
+let swap h a b =
+  let rank = Float.Array.get h.rank a and gain = Float.Array.get h.gain a in
+  let index = h.index.(a) and x = h.payload.(a) in
+  move h ~src:b ~dst:a;
+  Float.Array.set h.rank b rank;
+  Float.Array.set h.gain b gain;
+  h.index.(b) <- index;
+  h.payload.(b) <- x
+
+(* Heap sort in place: each step moves the root, the worst item left, to
+   the end of the shrinking heap and sinks the item it displaced from the
+   root's place, as [replace_root] does, so the slots end up best first.
+   The key is a total order, so this is the one sorted order. The sink is
+   written out here, not a call to [replace_root], so that the displaced
+   key stays unboxed. Reversing the slots afterwards leaves them worst
+   first, which is again a valid max-heap. *)
 let sorted h =
-  let order = Array.init h.size Fun.id in
-  Array.sort (fun a b -> if a = b then 0 else if slot_before h a b then -1 else 1) order;
-  Array.map (fun s -> (Float.Array.get h.rank s, h.payload.(s))) order
+  let n = h.size in
+  for last = n - 1 downto 1 do
+    let rank = Float.Array.get h.rank last and gain = Float.Array.get h.gain last in
+    let index = h.index.(last) and x = h.payload.(last) in
+    move h ~src:0 ~dst:last;
+    let hole = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !hole) + 1 in
+      if l >= last then continue := false
+      else begin
+        let r = l + 1 in
+        let c = if r < last && slot_before h l r then r else l in
+        if
+          before rank gain index (Float.Array.get h.rank c) (Float.Array.get h.gain c)
+            h.index.(c)
+        then begin
+          move h ~src:c ~dst:!hole;
+          hole := c
+        end
+        else continue := false
+      end
+    done;
+    Float.Array.set h.rank !hole rank;
+    Float.Array.set h.gain !hole gain;
+    h.index.(!hole) <- index;
+    h.payload.(!hole) <- x
+  done;
+  let out = Array.init n (fun s -> (Float.Array.get h.rank s, h.payload.(s))) in
+  for s = 0 to (n / 2) - 1 do
+    swap h s (n - 1 - s)
+  done;
+  out

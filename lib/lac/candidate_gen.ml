@@ -601,6 +601,61 @@ let minterm_counts ~products (ctx : Round_ctx.t) leaves =
   done;
   counts
 
+(* [sort_by_count counts a] is [Array.sort] of [a] by ascending
+   [counts.(a.(i))]: a copy of the stdlib's ternary heap sort, specialized
+   to that comparison so that it needs no closure, and making the same
+   comparisons in the same order, so that ties end up in the same order.
+   [maxson] returns -1 where the stdlib raises [Bottom]. *)
+let maxson counts a l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if counts.(a.(i31)) < counts.(a.(i31 + 1)) then i31 + 1 else i31 in
+    if counts.(a.(x)) < counts.(a.(i31 + 2)) then i31 + 2 else x
+  end
+  else if i31 + 1 < l && counts.(a.(i31)) < counts.(a.(i31 + 1)) then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let rec trickle counts a l i e =
+  let j = maxson counts a l i in
+  if j >= 0 && counts.(a.(j)) > counts.(e) then begin
+    a.(i) <- a.(j);
+    trickle counts a l j e
+  end
+  else a.(i) <- e
+
+let rec bubble counts a l i =
+  let j = maxson counts a l i in
+  if j < 0 then i
+  else begin
+    a.(i) <- a.(j);
+    bubble counts a l j
+  end
+
+let rec trickleup counts a i e =
+  let father = (i - 1) / 3 in
+  if counts.(a.(father)) < counts.(e) then begin
+    a.(i) <- a.(father);
+    if father > 0 then trickleup counts a father e else a.(0) <- e
+  end
+  else a.(i) <- e
+
+let sort_by_count counts a =
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle counts a l i a.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup counts a (bubble counts a i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 (* SOP cover [i] of the scratch comes before cover [j]: larger gain first,
    then the smaller LAC kind under [compare]. *)
 let sop_before s i j =
@@ -640,7 +695,7 @@ let sop_candidates s (ctx : Round_ctx.t) config cone target cuts_of_target ~emit
           let counts = minterm_counts ~products:s.products ctx leaves in
           let order =
             let idx = Array.init (Truth.rows vars) (fun i -> i) in
-            Array.sort (fun a b -> Int.compare counts.(a) counts.(b)) idx;
+            sort_by_count counts idx;
             idx
           in
           let dc_of count =

@@ -93,6 +93,12 @@ val minterm_counts :
     scratch: at least [Array.length leaves - 2] vectors of the sample
     count. The SOP generator declares the rarest minterms don't-care. *)
 
+val sort_by_count : int array -> int array -> unit
+(** [sort_by_count counts a] sorts [a] in place by ascending
+    [counts.(a.(i))], leaving ties exactly where
+    [Array.sort (fun x y -> Int.compare counts.(x) counts.(y)) a] leaves
+    them. The SOP generator orders a cut's minterms with it. *)
+
 val generate :
   ?pool:Accals_runtime.Pool.t -> Round_ctx.t -> config -> Lac.t list
 (** [iter] collected into a list: for tests and perfbench replay. *)

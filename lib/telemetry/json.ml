@@ -36,9 +36,13 @@ let add_quoted buf s =
     Buffer.add_substring buf s !run (String.length s - !run);
   Buffer.add_char buf '"'
 
+(* The runtime primitive that [Printf.sprintf "%.17g"] ends in, called
+   without the format interpreter: same bytes, about a third of the time. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_str x =
   if Float.is_nan x || x = Float.infinity || x = Float.neg_infinity then "null"
-  else Printf.sprintf "%.17g" x
+  else format_float "%.17g" x
 
 let rec to_buffer_at buf indent v =
   let pretty = indent >= 0 in

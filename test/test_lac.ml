@@ -372,11 +372,30 @@ let test_minterm_counts_oracle () =
         cuts)
     [ ("c880", 2048, 14); ("frg2", 1000, 14); ("mtp8", 2048, 16) ]
 
+(* The SOP generator's monomorphic minterm sort against [Array.sort] with
+   the comparator it replaced: cuts of 2, 3 and 4 leaves, counts drawn from
+   at most three values so that most comparisons tie, from any start. *)
+let prop_sort_by_count =
+  Test_util.qcheck_case ~count:1000 "sort_by_count orders ties like Array.sort"
+    QCheck2.Gen.(
+      oneofl [ 4; 8; 16 ] >>= fun rows ->
+      triple
+        (array_size (return rows) (int_bound 2))
+        (array_size (return 3) (int_bound 2048))
+        (shuffle_a (Array.init rows Fun.id)))
+    (fun (choice, values, start) ->
+      let counts = Array.map (fun c -> values.(c)) choice in
+      let expected = Array.copy start and got = Array.copy start in
+      Array.sort (fun a b -> Int.compare counts.(a) counts.(b)) expected;
+      Candidate_gen.sort_by_count counts got;
+      got = expected)
+
 let suite =
   [
     ( "lac",
       [
         Alcotest.test_case "kind definitions" `Quick test_kinds_definitions;
+        prop_sort_by_count;
         Alcotest.test_case "substitute nodes" `Quick test_substitute_nodes;
         Alcotest.test_case "type-1 conflict" `Quick test_conflicts_type1;
         Alcotest.test_case "type-2 conflict" `Quick test_conflicts_type2;

@@ -151,6 +151,27 @@ let test_json_printer_differential =
       Json.to_buffer buf v;
       Buffer.contents buf = Json_ref.to_string v)
 
+(* [Json] prints a finite float through the runtime primitive behind
+   [Printf.sprintf "%.17g"]: any bit pattern (NaNs, infinities, zeros,
+   subnormals and the extremes among them) must print the same bytes. *)
+let test_json_float_format =
+  Test_util.qcheck_case ~count:2000 ~long_factor:100 ~print:Int64.to_string
+    "json floats print as %.17g"
+    QCheck2.Gen.(
+      frequency
+        [
+          (8, int64);
+          (1, map Int64.of_int (int_range (-4096) 4096));
+          ( 1,
+            oneofl
+              (List.map Int64.bits_of_float
+                 [ 0.0; -0.0; max_float; -.max_float; min_float; 5e-324; nan; infinity ]) );
+        ])
+    (fun bits ->
+      let x = Int64.float_of_bits bits in
+      Json.to_string (Json.Float x)
+      = if Float.is_finite x then Printf.sprintf "%.17g" x else "null")
+
 (* Trees compared with floats by bit pattern, so -0.0 and 0.0 differ. *)
 let rec same_tree a b =
   match (a, b) with
@@ -974,7 +995,11 @@ let test_report_json () =
 let suite =
   [
     ( "json differential",
-      [ test_json_printer_differential; test_json_parser_differential ] );
+      [
+        test_json_printer_differential;
+        test_json_parser_differential;
+        test_json_float_format;
+      ] );
     ( "telemetry",
       [
         Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;
