@@ -592,7 +592,7 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
        -j>1 the per-target candidate lists. The
        runtime paces major work by allocation volume, so finish the cycle
        here: the peak heap then holds one round's state, not several
-       (perfbench er-suite peak heap 3.4-3.6 MiB with this call, 4.5-4.6
+       (perfbench er-suite peak heap 2.4-2.5 MiB with this call, 3.0-3.2
        MiB without; DESIGN.md section 3.1). *)
     Gc.major ();
     let ctx, est = phase "simulate" (fun () -> Round_eval.begin_round ev) in

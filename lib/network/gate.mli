@@ -29,3 +29,7 @@ val eval : op -> bool array -> bool
 val to_string : op -> string
 
 val equal : op -> op -> bool
+
+val tag : op -> int
+(** A distinct small int per operator ([Const false] is 0, [Mux] 11): the
+    operator's code in {!Network.digest}, and a hash key for it. *)

@@ -21,17 +21,12 @@ let create net ~live ~fanout_counts =
 
 let counts t = t.counts
 
-(* Whether fanin [j] of [fis] repeats an earlier one: each distinct fanin
-   counts once, mirroring how [Structure.fanout_counts] counts. *)
-let rec seen_before fis fi k j = k < j && (fis.(k) = fi || seen_before fis fi (k + 1) j)
-
-let repeated fis j = seen_before fis fis.(j) 0 j
-
+(* Each distinct fanin counts once, as [Structure.fanout_counts] counts. *)
 let rec deref (t : t) nodes x =
   let fis = Network.fanins t.net x in
   let nodes = ref nodes in
   for j = 0 to Array.length fis - 1 do
-    if not (repeated fis j) then begin
+    if not (Structure.repeated fis j) then begin
       let f = fis.(j) in
       t.counts.(f) <- t.counts.(f) - 1;
       if t.counts.(f) = 0 && t.live.(f) && not (Network.is_input t.net f) then
@@ -43,7 +38,7 @@ let rec deref (t : t) nodes x =
 let reref (t : t) x =
   let fis = Network.fanins t.net x in
   for j = 0 to Array.length fis - 1 do
-    if not (repeated fis j) then t.counts.(fis.(j)) <- t.counts.(fis.(j)) + 1
+    if not (Structure.repeated fis j) then t.counts.(fis.(j)) <- t.counts.(fis.(j)) + 1
   done
 
 let cone (t : t) id =

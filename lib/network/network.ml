@@ -95,8 +95,14 @@ let check_def t op fanins =
       if f < 0 || f >= t.used then invalid_arg "Network: unknown fanin id")
     fanins
 
+let is_input_op = function
+  | Gate.Input -> true
+  | Gate.Const _ | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor
+  | Gate.Xor | Gate.Xnor | Gate.Mux ->
+    false
+
 let add_node t op fanins =
-  if op = Gate.Input then invalid_arg "Network.add_node: use add_input";
+  if is_input_op op then invalid_arg "Network.add_node: use add_input";
   check_def t op fanins;
   alloc t op fanins
 
@@ -118,7 +124,7 @@ let inputs t = t.input_ids
 let outputs t = t.output_ids
 let output_names t = t.output_name_array
 let input_names t = t.input_name_list
-let is_input t id = t.ops.(id) = Gate.Input
+let is_input t id = is_input_op t.ops.(id)
 
 (* Is [src] in the transitive fanin of [dst]? Iterative DFS over fanins. *)
 let reaches t ~src ~dst =
@@ -144,10 +150,12 @@ let reaches t ~src ~dst =
     !found
   end
 
+let same_ids a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
 let replace ?(check_cycle = true) t id op fanins =
   if id < 0 || id >= t.used then invalid_arg "Network.replace: unknown id";
-  if t.ops.(id) = Gate.Input then invalid_arg "Network.replace: primary input";
-  if op = Gate.Input then invalid_arg "Network.replace: cannot become input";
+  if is_input_op t.ops.(id) then invalid_arg "Network.replace: primary input";
+  if is_input_op op then invalid_arg "Network.replace: cannot become input";
   check_def t op fanins;
   if check_cycle then
     Array.iter
@@ -156,7 +164,7 @@ let replace ?(check_cycle = true) t id op fanins =
   (* Skip definition-preserving rewrites (common during [Cleanup.sweep]):
      they carry no information for change listeners, and the assignment
      would be a no-op anyway. *)
-  if not (t.ops.(id) = op && t.fanin_arrays.(id) = fanins) then begin
+  if not (Gate.equal t.ops.(id) op && same_ids t.fanin_arrays.(id) fanins) then begin
     let old_op = t.ops.(id) and old_fanins = t.fanin_arrays.(id) in
     t.ops.(id) <- op;
     t.fanin_arrays.(id) <- fanins;
@@ -218,20 +226,6 @@ let copy t =
    cache entry.  SHA-256 (lib/network/sha256.ml, dependency-free) over
    the canonical encoding closes that off. *)
 
-let op_tag = function
-  | Gate.Const false -> 0
-  | Gate.Const true -> 1
-  | Gate.Input -> 2
-  | Gate.Buf -> 3
-  | Gate.Not -> 4
-  | Gate.And -> 5
-  | Gate.Or -> 6
-  | Gate.Nand -> 7
-  | Gate.Nor -> 8
-  | Gate.Xor -> 9
-  | Gate.Xnor -> 10
-  | Gate.Mux -> 11
-
 let digest t =
   (* Canonical ids: pre-order DFS from the outputs in declaration order,
      fanins in order.  The numbering depends only on the reachable graph
@@ -291,7 +285,7 @@ let digest t =
   for c = 0 to !count - 1 do
     let id = by_canon.(c) in
     let op = t.ops.(id) in
-    add (op_tag op);
+    add (Gate.tag op);
     match op with
     | Gate.Input -> add input_pos.(id)
     | _ ->

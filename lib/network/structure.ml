@@ -28,7 +28,26 @@ let live_set t =
   walk ();
   live
 
-(* Kahn's algorithm over the relevant node set. *)
+let rec occurs_before (fis : int array) j i =
+  i < j && (fis.(i) = fis.(j) || occurs_before fis j (i + 1))
+
+(* Fanin lists are short, so scanning them deduplicates without a table. *)
+let repeated fis j = occurs_before fis j 0
+
+(* One Kahn step: lower the in-degree of each fanout in [gs] and queue at
+   [order.(tail)] those that reach zero; returns the new tail. *)
+let rec release indeg order tail = function
+  | [] -> tail
+  | g :: gs ->
+    indeg.(g) <- indeg.(g) - 1;
+    if indeg.(g) = 0 then begin
+      order.(tail) <- g;
+      release indeg order (tail + 1) gs
+    end
+    else release indeg order tail gs
+
+(* Kahn's algorithm over the relevant node set. [order] doubles as the
+   FIFO queue: nodes are popped from [head] in the order they were pushed. *)
 let topo_order ?live ?(live_only = true) t =
   let n = Network.num_nodes t in
   let keep =
@@ -40,52 +59,59 @@ let topo_order ?live ?(live_only = true) t =
   let fanout_lists = Array.make n [] in
   for id = 0 to n - 1 do
     if keep.(id) then begin
-      let seen_fanin = Hashtbl.create 4 in
-      Array.iter
-        (fun f ->
-          if keep.(f) && not (Hashtbl.mem seen_fanin f) then begin
-            Hashtbl.add seen_fanin f ();
-            indeg.(id) <- indeg.(id) + 1;
-            fanout_lists.(f) <- id :: fanout_lists.(f)
-          end)
-        (Network.fanins t id)
+      let fis = Network.fanins t id in
+      for j = 0 to Array.length fis - 1 do
+        let f = fis.(j) in
+        if keep.(f) && not (repeated fis j) then begin
+          indeg.(id) <- indeg.(id) + 1;
+          fanout_lists.(f) <- id :: fanout_lists.(f)
+        end
+      done
     end
   done;
   let order = Array.make n 0 in
-  let count = ref 0 in
-  let queue = Queue.create () in
+  let tail = ref 0 in
   for id = 0 to n - 1 do
-    if keep.(id) && indeg.(id) = 0 then Queue.add id queue
+    if keep.(id) && indeg.(id) = 0 then begin
+      order.(!tail) <- id;
+      incr tail
+    end
   done;
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    order.(!count) <- id;
-    incr count;
-    List.iter
-      (fun g ->
-        indeg.(g) <- indeg.(g) - 1;
-        if indeg.(g) = 0 then Queue.add g queue)
-      fanout_lists.(id)
+  let head = ref 0 in
+  while !head < !tail do
+    tail := release indeg order !tail fanout_lists.(order.(!head));
+    incr head
   done;
-  Array.sub order 0 !count
+  Array.sub order 0 !tail
 
+(* Counted first, then filled from the back, so each list holds its
+   fanouts in descending id order. *)
 let fanouts ?(live_only = true) t =
   let n = Network.num_nodes t in
   let keep = if live_only then live_set t else Array.make n true in
-  let lists = Array.make n [] in
+  let counts = Array.make n 0 in
   for id = 0 to n - 1 do
     if keep.(id) then begin
-      let seen = Hashtbl.create 4 in
-      Array.iter
-        (fun f ->
-          if not (Hashtbl.mem seen f) then begin
-            Hashtbl.add seen f ();
-            lists.(f) <- id :: lists.(f)
-          end)
-        (Network.fanins t id)
+      let fis = Network.fanins t id in
+      for j = 0 to Array.length fis - 1 do
+        if not (repeated fis j) then counts.(fis.(j)) <- counts.(fis.(j)) + 1
+      done
     end
   done;
-  Array.map Array.of_list lists
+  let lists = Array.map (fun c -> if c = 0 then [||] else Array.make c 0) counts in
+  for id = 0 to n - 1 do
+    if keep.(id) then begin
+      let fis = Network.fanins t id in
+      for j = 0 to Array.length fis - 1 do
+        let f = fis.(j) in
+        if not (repeated fis j) then begin
+          counts.(f) <- counts.(f) - 1;
+          lists.(f).(counts.(f)) <- id
+        end
+      done
+    end
+  done;
+  lists
 
 let levels t =
   let n = Network.num_nodes t in
@@ -225,14 +251,10 @@ let fanout_counts t ~live =
   let counts = Array.make n 0 in
   for id = 0 to n - 1 do
     if live.(id) then begin
-      let seen = Hashtbl.create 4 in
-      Array.iter
-        (fun f ->
-          if not (Hashtbl.mem seen f) then begin
-            Hashtbl.add seen f ();
-            counts.(f) <- counts.(f) + 1
-          end)
-        (Network.fanins t id)
+      let fis = Network.fanins t id in
+      for j = 0 to Array.length fis - 1 do
+        if not (repeated fis j) then counts.(fis.(j)) <- counts.(fis.(j)) + 1
+      done
     end
   done;
   Array.iter (fun id -> counts.(id) <- counts.(id) + 1) (Network.outputs t);

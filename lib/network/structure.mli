@@ -8,6 +8,10 @@ val live_set : Network.t -> bool array
 (** [live_set t].(id) is true when node [id] is reachable from some primary
     output through fanin edges (primary outputs themselves included). *)
 
+val repeated : int array -> int -> bool
+(** [repeated fis j] is true when [fis.(j)] already occurs among
+    [fis.(0 .. j-1)]: the analyses count each distinct fanin once. *)
+
 val topo_order : ?live:bool array -> ?live_only:bool -> Network.t -> int array
 (** Topological order (fanins before fanouts). With [live_only] (default
     true) only live nodes appear. Passing [live] (a precomputed

@@ -11,6 +11,9 @@ let run net =
   let mffc = Mffc.create net ~live ~fanout_counts:(Structure.fanout_counts net ~live) in
   let proposals = ref [] in
   let scratch = Truth.scratch () in
+  (* Covers are a pure function of their key, so sharing them across the
+     call's cuts cannot change a rewrite. *)
+  let qm = Qm.memo () in
   Array.iter
     (fun target ->
       if live.(target) && not (Network.is_input net target) then begin
@@ -23,7 +26,8 @@ let run net =
               match Truth.of_cone ~scratch net ~leaves ~root:target with
               | exception Invalid_argument _ -> ()
               | truth ->
-                let cubes = Qm.minimize ~vars:(Array.length leaves) ~on:truth () in
+                let vars = Array.length leaves in
+                let cubes = Qm.minimize_memo qm ~vars ~on:truth ~dc:0 in
                 let gain =
                   Mffc.freed_area mffc cone (Array.to_list leaves)
                   -. Sop_synth.estimated_area cubes

@@ -12,15 +12,21 @@ let mask vars = (1 lsl rows vars) - 1
 
 let const_ vars b = if b then mask vars else 0
 
-(* Projection patterns: var 0 = 0b...1010, var 1 = 0b...1100, etc. *)
+(* Projection patterns: var 0 = 0b...1010, var 1 = 0b...1100, etc.
+   [projections.(vars).(i)] is [var vars i]. *)
+let projections =
+  Array.init (max_vars + 1) (fun vars ->
+      Array.init vars (fun i ->
+          let stripe = ref 0 in
+          for row = 0 to rows vars - 1 do
+            if row lsr i land 1 = 1 then stripe := !stripe lor (1 lsl row)
+          done;
+          !stripe land mask vars))
+
 let var vars i =
   if i < 0 || i >= vars then invalid_arg "Truth.var";
-  let m = mask vars in
-  let stripe = ref 0 in
-  for row = 0 to rows vars - 1 do
-    if row lsr i land 1 = 1 then stripe := !stripe lor (1 lsl row)
-  done;
-  !stripe land m
+  if vars > max_vars then invalid_arg "Truth: too many variables";
+  projections.(vars).(i)
 
 let get t m = t lsr m land 1 = 1
 
@@ -66,6 +72,47 @@ type scratch = {
 
 let scratch () = { mark = [||]; value = [||]; stamp = 0 }
 
+(* [root]'s table over the cone marked in [s]: each node's op evaluated
+   over its fanins' tables, memoized in [s] for the rest of the walk. *)
+let rec compute s net vars id =
+  if s.mark.(id) = s.stamp then s.value.(id)
+  else begin
+    let fis = Network.fanins net id in
+    let t =
+      match Network.op net id with
+      | Gate.Const b -> const_ vars b
+      | Gate.Input -> invalid_arg "Truth.of_cone: cone escapes the cut"
+      | Gate.Buf -> compute s net vars fis.(0)
+      | Gate.Not -> lognot vars (compute s net vars fis.(0))
+      | Gate.And -> fold_and s net vars fis 0 (mask vars)
+      | Gate.Nand -> lognot vars (fold_and s net vars fis 0 (mask vars))
+      | Gate.Or -> fold_or s net vars fis 0 0
+      | Gate.Nor -> lognot vars (fold_or s net vars fis 0 0)
+      | Gate.Xor -> fold_xor s net vars fis 0 0 land mask vars
+      | Gate.Xnor -> lognot vars (fold_xor s net vars fis 0 0 land mask vars)
+      | Gate.Mux ->
+        let sel = compute s net vars fis.(0) in
+        let a = compute s net vars fis.(1) in
+        let b = compute s net vars fis.(2) in
+        (sel land a) lor (lognot vars sel land b)
+    in
+    s.mark.(id) <- s.stamp;
+    s.value.(id) <- t;
+    t
+  end
+
+and fold_and s net vars fis i acc =
+  if i = Array.length fis then acc
+  else fold_and s net vars fis (i + 1) (acc land compute s net vars fis.(i))
+
+and fold_or s net vars fis i acc =
+  if i = Array.length fis then acc
+  else fold_or s net vars fis (i + 1) (acc lor compute s net vars fis.(i))
+
+and fold_xor s net vars fis i acc =
+  if i = Array.length fis then acc
+  else fold_xor s net vars fis (i + 1) (acc lxor compute s net vars fis.(i))
+
 let of_cone ?(scratch = scratch ()) net ~leaves ~root =
   let vars = Array.length leaves in
   if vars > max_vars then invalid_arg "Truth.of_cone: too many leaves";
@@ -77,21 +124,8 @@ let of_cone ?(scratch = scratch ()) net ~leaves ~root =
     s.stamp <- 0
   end;
   s.stamp <- s.stamp + 1;
-  let stamp = s.stamp in
-  Array.iteri
-    (fun i id ->
-      s.mark.(id) <- stamp;
-      s.value.(id) <- var vars i)
-    leaves;
-  let rec compute id =
-    if s.mark.(id) = stamp then s.value.(id)
-    else begin
-      let op = Network.op net id in
-      if op = Gate.Input then invalid_arg "Truth.of_cone: cone escapes the cut";
-      let t = eval_op vars op (Array.map compute (Network.fanins net id)) in
-      s.mark.(id) <- stamp;
-      s.value.(id) <- t;
-      t
-    end
-  in
-  compute root
+  for i = 0 to vars - 1 do
+    s.mark.(leaves.(i)) <- s.stamp;
+    s.value.(leaves.(i)) <- var vars i
+  done;
+  compute s net vars root

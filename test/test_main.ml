@@ -7,4 +7,4 @@ let () =
    @ Test_analysis.suite @ Test_dsp.suite @ Test_refactor.suite @ Test_fuzz.suite
    @ Test_runtime.suite @ Test_resilience.suite @ Test_sigdb.suite
    @ Test_audit.suite @ Test_telemetry.suite @ Test_server.suite
-   @ Test_observe.suite @ Test_sha256.suite)
+   @ Test_observe.suite @ Test_sha256.suite @ Test_structure.suite)

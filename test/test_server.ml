@@ -262,6 +262,14 @@ let test_digest_golden () =
     (List.length Bench_suite.all - 3)
     (List.length golden_digests)
 
+(* The synthetic scale points load through sweep, strash and sweep alone,
+   which "golden digests" (quick circuits only) does not reach: pin the
+   smallest. *)
+let test_synth10k_digest_golden () =
+  check_string "digest of synth10k"
+    "9e11c4af40521feadad285821b6b420be29203a7a4360e26088130847edcda6d"
+    (Network.digest (Bench_suite.load "synth10k"))
+
 (* --- hardened JSON parsing --- *)
 
 let test_json_hardening () =
@@ -2091,6 +2099,7 @@ let suite =
           test_sha256_feed_int;
         test_sha256_feed_string_chunks;
         Alcotest.test_case "golden digests" `Quick test_digest_golden;
+        Alcotest.test_case "golden synth10k digest" `Quick test_synth10k_digest_golden;
       ] );
     ( "server json hardening",
       [ Alcotest.test_case "untrusted input limits" `Quick test_json_hardening ] );
