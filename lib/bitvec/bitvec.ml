@@ -337,8 +337,3 @@ let fold_words t ~init ~f =
     acc := f !acc t.words.(i)
   done;
   !acc
-
-let pp fmt t =
-  for i = 0 to t.len - 1 do
-    Format.pp_print_char fmt (if get t i then '1' else '0')
-  done

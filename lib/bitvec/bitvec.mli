@@ -131,6 +131,3 @@ val not_prefix_word : t -> int
 val fold_words : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** Fold over the payload words in order, for hashing/fingerprinting.
     Padding bits are always zero, so equal vectors fold identically. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints as a 0/1 string, bit 0 first. *)

@@ -13,9 +13,6 @@ val create : int -> t
 val copy : t -> t
 (** Independent copy continuing from the same state. *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit state output. *)
-
 val bits62 : t -> int
 (** 62 uniformly random bits as a non-negative OCaml [int]. *)
 

@@ -9,7 +9,6 @@ let buf t a = Network.add_node t Gate.Buf [| a |]
 let and2 t a b = Network.add_node t Gate.And [| a; b |]
 let or2 t a b = Network.add_node t Gate.Or [| a; b |]
 let xor2 t a b = Network.add_node t Gate.Xor [| a; b |]
-let nand2 t a b = Network.add_node t Gate.Nand [| a; b |]
 let nor2 t a b = Network.add_node t Gate.Nor [| a; b |]
 let xnor2 t a b = Network.add_node t Gate.Xnor [| a; b |]
 let mux t ~sel a b = Network.add_node t Gate.Mux [| sel; a; b |]
@@ -26,8 +25,6 @@ let rec tree f t = function
 let andn t xs = tree and2 t xs
 let orn t xs = tree or2 t xs
 let xorn t xs = tree xor2 t xs
-
-let maj3 t a b c = orn t [| and2 t a b; and2 t a c; and2 t b c |]
 
 let half_adder t a b = (xor2 t a b, and2 t a b)
 

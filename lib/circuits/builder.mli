@@ -15,7 +15,6 @@ val buf : Network.t -> int -> int
 val and2 : Network.t -> int -> int -> int
 val or2 : Network.t -> int -> int -> int
 val xor2 : Network.t -> int -> int -> int
-val nand2 : Network.t -> int -> int -> int
 val nor2 : Network.t -> int -> int -> int
 val xnor2 : Network.t -> int -> int -> int
 val mux : Network.t -> sel:int -> int -> int -> int
@@ -25,9 +24,6 @@ val andn : Network.t -> int array -> int
 val orn : Network.t -> int array -> int
 val xorn : Network.t -> int array -> int
 (** Balanced trees of 2-input gates; singleton arrays return the signal. *)
-
-val maj3 : Network.t -> int -> int -> int -> int
-(** Majority of three, built from 2-input gates (carry function). *)
 
 val half_adder : Network.t -> int -> int -> int * int
 (** (sum, carry) *)

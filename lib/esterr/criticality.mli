@@ -34,9 +34,3 @@ val update :
     fanout set, liveness or output-driver status changed. The result is
     bit-identical to {!masks} [ctx]. *)
 
-val edge_sensitivity :
-  Accals_network.Network.t -> Bitvec.t array -> int -> int -> dst:Bitvec.t -> unit
-(** [edge_sensitivity net sigs id which ~dst] writes the mask of patterns
-    on which the output of node [id] flips when its fanin at position
-    [which] flips, all other fanins held at their values in [sigs]. This
-    is the per-edge ingredient of {!masks}. *)

@@ -4,19 +4,18 @@ module Bitvec = Accals_bitvec.Bitvec
 module Metric = Accals_metrics.Metric
 module Pool = Accals_runtime.Pool
 module Fan_out = Accals_runtime.Fan_out
-module Arena = Accals_sigdb.Arena
+module Overlay = Accals_sigdb.Overlay
 
 (* Resimulation scratch. Every domain participating in a parallel shortlist
-   pass owns a private, persistent [scratch] (an {!Arena} instance that
-   lives as long as the estimator); the estimator's own one serves the
-   sequential entry points. All buffers are write-before-read, so a fresh
-   scratch produces bit-identical results to a reused one — which is what
-   makes per-domain reuse sound, and what stops signature-buffer
+   pass owns a private, persistent [scratch] (a domain-local slot that
+   lives as long as the estimator; slots cannot be reclaimed, so there is
+   one per estimator, not one per fan-out); the estimator's own one serves
+   the sequential entry points. All buffers are write-before-read, so a
+   fresh scratch produces bit-identical results to a reused one — which is
+   what makes per-domain reuse sound, and what stops signature-buffer
    allocations from bouncing between domains on every chunk. *)
 type scratch = {
-  overlay : Bitvec.t array;  (* per-node substituted signatures *)
-  have : bool array;  (* overlay validity *)
-  mutable pool : Bitvec.t list;  (* recycled signature buffers *)
+  overlay : Overlay.t;  (* flip-response cone evaluation and buffer pool *)
   flipped : Metric.terms;  (* error terms with the current target complemented *)
 }
 
@@ -35,8 +34,8 @@ type t = {
   rank_mask : Bitvec.t;  (* the ranked target's [crit] AND [err_free] *)
   current : Metric.terms;  (* per-sample error terms; [err_mask] under ER *)
   cone_cache : (int, int array) Hashtbl.t;
-  mutable scratch : scratch;
-  arena : scratch ref Arena.t;  (* per-worker-domain scratches *)
+  scratch : scratch;
+  domain_scratch : scratch Domain.DLS.key;  (* per-worker-domain scratches *)
   evaluations : int Atomic.t;
   cache_hits : int Atomic.t;
   cache_misses : int Atomic.t;
@@ -44,28 +43,13 @@ type t = {
 
 let samples t = t.ctx.Round_ctx.patterns.Sim.count
 
-(* A scratch for no nodes yet: [grown] sizes it. [flipped] starts as any
-   buffer of the prepared kind: it is overwritten before every read. *)
-let make_scratch prepared golden =
+(* [flipped] starts as any buffer of the prepared kind: it is overwritten
+   before every read. *)
+let make_scratch ~samples prepared golden =
   {
-    overlay = [||];
-    have = [||];
-    pool = [];
+    overlay = Overlay.create samples;
     flipped = Metric.terms prepared ~approx:golden;
   }
-
-(* [s] with room for [n] nodes. The overlay grows (never shrinks); the
-   buffer pool and the flipped buffer carry over. *)
-let grown s n =
-  if Array.length s.overlay >= n then s
-  else
-    { s with overlay = Array.make n (Bitvec.create 0); have = Array.make n false }
-
-(* This domain's persistent scratch, grown to the current node count. *)
-let domain_scratch t =
-  let cell = Arena.local t.arena in
-  cell := grown !cell (Network.num_nodes t.ctx.Round_ctx.net);
-  !cell
 
 let base_error t = t.base_error
 
@@ -92,8 +76,7 @@ let refresh t ctx ~sig_changed ~struct_dirty =
   (match t.current with
    | Metric.Wrong _ -> ()
    | Metric.Distance _ -> Metric.terms_into t.prepared ~approx:out t.current);
-  t.base_error <- Metric.total t.prepared t.current;
-  t.scratch <- grown t.scratch (Network.num_nodes ctx.Round_ctx.net)
+  t.base_error <- Metric.total t.prepared t.current
 
 let create ctx ~golden ~metric =
   let samples = ctx.Round_ctx.patterns.Sim.count in
@@ -114,8 +97,9 @@ let create ctx ~golden ~metric =
          | Metric.Nmed | Metric.Mred | Metric.Med | Metric.Wce ->
            Metric.terms prepared ~approx:golden);
       cone_cache = Hashtbl.create 64;
-      scratch = make_scratch prepared golden;
-      arena = Arena.create (fun () -> ref (make_scratch prepared golden));
+      scratch = make_scratch ~samples prepared golden;
+      domain_scratch =
+        Domain.DLS.new_key (fun () -> make_scratch ~samples prepared golden);
       evaluations = Atomic.make 0;
       cache_hits = Atomic.make 0;
       cache_misses = Atomic.make 0;
@@ -125,22 +109,16 @@ let create ctx ~golden ~metric =
     ~struct_dirty:(Array.make (Network.num_nodes ctx.Round_ctx.net) true);
   t
 
-let take_buf t s =
-  match s.pool with
-  | b :: rest ->
-    s.pool <- rest;
-    b
-  | [] -> Bitvec.create (samples t)
-
-let give_buf s b = s.pool <- b :: s.pool
+let take_buf s = Overlay.take s.overlay
+let give_buf s b = Overlay.give s.overlay b
 
 let candidate_signature_in t s lac =
   let sigs = t.ctx.Round_ctx.sigs in
-  let dst = take_buf t s in
+  let dst = take_buf s in
   (match lac.Lac.kind with
    | Lac.Sop { leaves; cubes } ->
-     let product = take_buf t s in
-     let negated = take_buf t s in
+     let product = take_buf s in
+     let negated = take_buf s in
      Bitvec.fill dst false;
      List.iter
        (fun cube ->
@@ -235,31 +213,13 @@ let cone t target =
 let flip_response t s ~cone target =
   let net = t.ctx.Round_ctx.net in
   let sigs = t.ctx.Round_ctx.sigs in
-  let flipped = take_buf t s in
+  let o = s.overlay in
+  let flipped = Overlay.take o in
   Bitvec.lognot_into sigs.(target) ~dst:flipped;
-  let touched = ref [ target ] in
-  s.overlay.(target) <- flipped;
-  s.have.(target) <- true;
-  let lookup id = if s.have.(id) then s.overlay.(id) else sigs.(id) in
-  Array.iter
-    (fun id ->
-      if Array.exists (fun f -> s.have.(f)) (Network.fanins net id) then begin
-        let dst = take_buf t s in
-        Sim.eval_node_into net ~lookup id ~dst;
-        if Bitvec.equal dst sigs.(id) then give_buf s dst
-        else begin
-          s.overlay.(id) <- dst;
-          s.have.(id) <- true;
-          touched := id :: !touched
-        end
-      end)
-    cone;
-  Metric.terms_into t.prepared ~approx:(Array.map lookup (Network.outputs net)) s.flipped;
-  List.iter
-    (fun id ->
-      give_buf s s.overlay.(id);
-      s.have.(id) <- false)
-    !touched
+  Overlay.seed o target flipped;
+  Overlay.propagate o net ~sigs ~roots:[] cone;
+  Metric.terms_into t.prepared ~approx:(Overlay.outputs o net ~sigs) s.flipped;
+  Overlay.release o
 
 (* ΔE of each LAC of one target, in order. A LAC whose signature equals
    the target's scores 0 and is not counted as an evaluation; the others
@@ -352,7 +312,7 @@ let evaluate ?(mode = Exact) ?pool t { ranked; seen = _ } =
              distinct targets out over the pool, each chunk on a private
              resimulation scratch. *)
           Fan_out.map_list_with ~label:"estimate" pool
-            ~state:(fun () -> domain_scratch t)
+            ~state:(fun () -> Domain.DLS.get t.domain_scratch)
             ~f:group_deltas groups
         | _ -> List.map (group_deltas t.scratch) groups
       in

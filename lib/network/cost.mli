@@ -10,9 +10,6 @@ val gate_area : Gate.op -> int -> float
 (** [gate_area op k] is the area of a gate with operator [op] and [k]
     fanins. Inputs, constants and buffers are free. *)
 
-val gate_delay : Gate.op -> int -> float
-(** Pin-to-pin delay under the same normalization. *)
-
 val area : Network.t -> float
 (** Total area of live gates. *)
 

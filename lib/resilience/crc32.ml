@@ -29,16 +29,12 @@ let add_int crc x =
   done;
   !crc
 
-let add_subbytes crc b pos len =
+let add_string crc s =
   let crc = ref crc in
-  for i = pos to pos + len - 1 do
-    crc := add_byte !crc (Char.code (Bytes.unsafe_get b i))
-  done;
+  String.iter (fun c -> crc := add_byte !crc (Char.code c)) s;
   !crc
 
-let add_bytes crc b = add_subbytes crc b 0 (Bytes.length b)
-let add_string crc s = add_bytes crc (Bytes.unsafe_of_string s)
 let finish crc = crc lxor mask land mask
-let digest_bytes b = finish (add_bytes init b)
 let digest_string s = finish (add_string init s)
+let digest_bytes b = digest_string (Bytes.unsafe_to_string b)
 let to_hex crc = Printf.sprintf "%08x" (crc land mask)

@@ -14,8 +14,6 @@ val add_byte : int -> int -> int
 val add_int : int -> int -> int
 (** [add_int crc x] folds [x] as 8 little-endian bytes into [crc]. *)
 
-val add_bytes : int -> bytes -> int
-val add_subbytes : int -> bytes -> int -> int -> int
 val add_string : int -> string -> int
 
 val finish : int -> int

@@ -9,12 +9,6 @@ type clause = {
 
 type spec = { seed : int; clauses : clause list }
 
-let site_name = function
-  | Open -> "open"
-  | Write -> "write"
-  | Rename -> "rename"
-  | Fsync -> "fsync"
-
 let kind_name = function
   | Enospc -> "enospc"
   | Emfile -> "emfile"

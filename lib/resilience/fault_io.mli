@@ -52,7 +52,6 @@ val current : unit -> spec option
 val injected_count : unit -> int
 (** Total faults injected since the last {!arm} (or process start). *)
 
-val site_name : site -> string
 val kind_name : kind -> string
 
 (** {2 Governed operations}

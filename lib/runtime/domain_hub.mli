@@ -29,11 +29,8 @@ val submit : t -> (unit -> unit) -> handle
     reports failures through its scheduler). Raises [Invalid_argument]
     after {!shutdown}. *)
 
-val is_done : handle -> bool
-(** The thunk has returned (or raised) and unwound. *)
-
 val wait : handle -> unit
-(** Block until {!is_done}. *)
+(** Block until the thunk has returned (or raised) and unwound. *)
 
 val abandon : t -> handle -> unit
 (** Mark the job's domain as not-reusable: when (if ever) the thunk

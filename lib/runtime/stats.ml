@@ -43,7 +43,6 @@ let create ~jobs =
 let jobs t = t.jobs
 let metrics t = t.metrics
 
-let incr_tasks t = Metrics.incr t.tasks
 let add_tasks t n = Metrics.add t.tasks n
 let incr_batches t = Metrics.incr t.batches
 let incr_waits t = Metrics.incr t.waits

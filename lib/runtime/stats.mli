@@ -29,7 +29,6 @@ val metrics : t -> Accals_telemetry.Metrics.t
 
 (** {1 Counters (used by [Pool])} *)
 
-val incr_tasks : t -> unit
 val add_tasks : t -> int -> unit
 val incr_batches : t -> unit
 val incr_waits : t -> unit

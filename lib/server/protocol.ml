@@ -210,10 +210,10 @@ let reject_message = function
     Printf.sprintf "unsupported protocol version %d (server speaks %d)" w
       version
 
-let parse_request_full line =
-  Result.map_error reject_message (parse_request_v line)
-
-let parse_request line = Result.map fst (parse_request_full line)
+let parse_request line =
+  match parse_request_v line with
+  | Ok (req, _) -> Ok req
+  | Error r -> Error (reject_message r)
 
 (* Requests that control or read other tenants' jobs.  Over TCP these
    require the daemon's shared token; the Unix socket is trusted (access

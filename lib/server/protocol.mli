@@ -96,21 +96,18 @@ val version : int
     request without ["v"] is treated as version 1. *)
 
 val request_to_json : request -> Json.t
-val request_of_json : Json.t -> (request, string) result
 
 val parse_request : string -> (request, string) result
 (** Parse one request line under the hardened limits. *)
-
-val parse_request_full : string -> (request * string option, string) result
-(** As {!parse_request}, also returning the optional ["token"] field —
-    parsed from the same JSON tree, so a 16 MiB submit is decoded once. *)
 
 type reject =
   | Malformed of string  (** bad JSON or a bad request shape *)
   | Unsupported_version of int  (** the client's ["v"] *)
 
 val parse_request_v : string -> (request * string option, reject) result
-(** As {!parse_request_full} with a typed rejection, so servers can
+(** As {!parse_request}, also returning the optional ["token"] field —
+    parsed from the same JSON tree, so a 16 MiB submit is decoded once —
+    with a typed rejection, so servers can
     answer an {!Unsupported_version} with the structured error instead
     of a generic parse failure. *)
 

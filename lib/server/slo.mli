@@ -40,9 +40,6 @@ type spec = {
 val default_spec : spec
 (** 30 s at 99%. *)
 
-val window_minutes : int
-(** Size of the rolling burn-rate window (60). *)
-
 type t
 
 val create : ?spec:spec -> unit -> t

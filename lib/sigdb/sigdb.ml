@@ -1,17 +1,23 @@
 open Accals_network
 module Bitvec = Accals_bitvec.Bitvec
 
-(* A versioned per-node signature database.
+(* A per-node signature database.
 
    The database owns the node signatures of one concrete network and keeps
    them valid across in-place mutation: it listens to [Network.change]
    events, maintains the full fanout lists incrementally, and after a batch
    of definition changes re-evaluates only the transitive fanout cone of
    the changed nodes, stopping early wherever a recomputed signature equals
-   the stored one (event-driven resimulation). Candidate LAC sets are
-   evaluated under an undo journal: the set is applied to the live network,
-   the affected outputs are recomputed into a throwaway overlay, and the
-   journal restores the network (and the incremental structures) exactly.
+   the stored one (event-driven resimulation, through {!Overlay}).
+   Candidate LAC sets are evaluated under an undo journal: the set is
+   applied to the live network, the affected outputs are recomputed into
+   the overlay, and the journal restores the network (and the incremental
+   structures) exactly.
+
+   Every change event lands in one change log (resimulation roots,
+   structurally touched nodes, redefined nodes) whether or not a journal
+   is open; a journal only remembers where the log stood and cuts it back
+   on undo.
 
    Exactness contract: for live nodes, [sigs db] is always bit-identical to
    a from-scratch [Sim.run] over a topological order of the current
@@ -22,7 +28,7 @@ module Bitvec = Accals_bitvec.Bitvec
    the rebuild-everything path. Only the expensive bitvector work is
    incremental. *)
 
-type counters = {
+type counters = Overlay.counters = {
   mutable resim_nodes : int;
   mutable resim_converged : int;
   mutable buffers_recycled : int;
@@ -41,7 +47,15 @@ type journal_entry =
   | J_replace of { id : int; old_op : Gate.op; old_fanins : int array }
   | J_outputs of { old_ids : int array; old_names : string array }
 
-type mode = Pending | Journal | Silent
+(* An open journal: the node count and the change log as they stood at
+   [begin_journal], and the entries to replay, newest first. *)
+type journal = {
+  nodes : int;
+  log_roots : int list;
+  log_touched : int list;
+  log_redefined : int list;
+  mutable entries : journal_entry list;
+}
 
 type t = {
   net : Network.t;
@@ -56,31 +70,20 @@ type t = {
          superset of [Structure.fanouts ~live_only:true] *)
   mutable fanouts : int array array;  (* live-filtered view *)
   mutable fanout_counts : int array;
-  mutable version : int;
-  mutable free : Bitvec.t list;  (* recycled signature buffers *)
-  counters : counters;
-  (* committed-change accumulation (between refreshes) *)
-  mutable pending_roots : int list;
-  mutable pending_touched : int list;
-  mutable redefined : int list;  (* committed definition changes and additions *)
+  overlay : Overlay.t;  (* cone evaluation and the buffer pool *)
+  (* change log since the last refresh *)
+  mutable roots : int list;  (* resimulation roots not yet consumed *)
+  mutable touched : int list;
+  mutable redefined : int list;  (* definition changes and additions *)
   mutable sig_changed : int list;
-  (* undo journal *)
-  mutable mode : mode;
-  mutable j_entries : journal_entry list;  (* newest first *)
-  mutable j_mark : int;
-  mutable j_roots : int list;
-  mutable j_touched : int list;
-  (* overlay scratch for journal evaluation *)
-  mutable overlay : Bitvec.t array;
-  mutable have : bool array;
+  mutable journal : journal option;
 }
 
 let dummy = Bitvec.create 0
 
 let network db = db.net
 let patterns db = db.patterns
-let version db = db.version
-let counters db = db.counters
+let counters db = Overlay.counters db.overlay
 
 let live_view db = db.live
 let order_view db = db.order
@@ -89,33 +92,11 @@ let fanouts_view db = db.fanouts
 let fanout_counts_view db = db.fanout_counts
 let sigs_view db = db.sigs
 
-(* ------------------------------------------------------------------ *)
-(* Buffer pool *)
-
-let take_buf db =
-  match db.free with
-  | b :: rest ->
-    db.free <- rest;
-    db.counters.buffers_recycled <- db.counters.buffers_recycled + 1;
-    b
-  | [] -> Bitvec.create db.patterns.Sim.count
-
-let release_buf db b = if Bitvec.length b > 0 then db.free <- b :: db.free
-
-let buf_bytes b =
-  let bpw = Bitvec.bits_per_word in
-  (Bitvec.length b + bpw - 1) / bpw * (bpw / 8)
-
-let pool_size db = List.length db.free
-let pool_bytes db = List.fold_left (fun acc b -> acc + buf_bytes b) 0 db.free
-
 (* Memory-pressure relief: drop the recycled buffers. Purely a perf/space
    trade — the next resimulation allocates fresh ones, and nothing about
    signatures or enumeration order changes. *)
-let trim_pool db =
-  let n = pool_size db in
-  db.free <- [];
-  n
+let pool_bytes db = Overlay.pool_bytes db.overlay
+let trim_pool db = Overlay.trim db.overlay
 
 (* ------------------------------------------------------------------ *)
 (* Incremental full-fanout maintenance.
@@ -147,69 +128,43 @@ let ensure_capacity db =
     db.sigs <- sigs;
     let fos = Array.make cap' [] in
     Array.blit db.fanouts_all 0 fos 0 cap;
-    db.fanouts_all <- fos;
-    let overlay = Array.make cap' dummy in
-    Array.blit db.overlay 0 overlay 0 (Array.length db.have);
-    db.overlay <- overlay;
-    let have = Array.make cap' false in
-    Array.blit db.have 0 have 0 (Array.length db.have);
-    db.have <- have
+    db.fanouts_all <- fos
   end
 
 (* ------------------------------------------------------------------ *)
 (* Change tracking *)
 
-let on_change db change =
-  (match change with
-   | Network.Replaced { id; old_fanins; _ } ->
-     Array.iter (fun f -> remove_fanout db f id) old_fanins;
-     let nf = Network.fanins db.net id in
-     Array.iter (fun f -> insert_fanout db f id) nf;
-     (match db.mode with
-      | Silent -> ()
-      | Journal ->
-        (match change with
-         | Network.Replaced { id; old_op; old_fanins } ->
-           db.j_entries <- J_replace { id; old_op; old_fanins } :: db.j_entries
-         | _ -> ());
-        db.j_roots <- id :: db.j_roots;
-        db.j_touched <-
-          id :: List.rev_append (Array.to_list old_fanins)
-                  (List.rev_append (Array.to_list nf) db.j_touched)
-      | Pending ->
-        db.pending_roots <- id :: db.pending_roots;
-        db.redefined <- id :: db.redefined;
-        db.pending_touched <-
-          id :: List.rev_append (Array.to_list old_fanins)
-                  (List.rev_append (Array.to_list nf) db.pending_touched))
-   | Network.Added id ->
-     ensure_capacity db;
-     let nf = Network.fanins db.net id in
-     Array.iter (fun f -> insert_fanout db f id) nf;
-     (match db.mode with
-      | Silent -> ()
-      | Journal ->
-        db.j_roots <- id :: db.j_roots;
-        db.j_touched <- id :: List.rev_append (Array.to_list nf) db.j_touched
-      | Pending ->
-        db.pending_roots <- id :: db.pending_roots;
-        db.redefined <- id :: db.redefined;
-        db.pending_touched <- id :: List.rev_append (Array.to_list nf) db.pending_touched)
-   | Network.Outputs_changed { old_ids; old_names } ->
-     (* Output rewiring changes no signature, so no resimulation root; but
-        which nodes drive outputs feeds criticality, so both the old and
-        the new driver sets count as structurally touched. *)
-     let touched acc =
-       Array.to_list old_ids
-       @ Array.to_list (Network.outputs db.net)
-       @ acc
-     in
-     (match db.mode with
-      | Silent -> ()
-      | Journal ->
-        db.j_entries <- J_outputs { old_ids; old_names } :: db.j_entries;
-        db.j_touched <- touched db.j_touched
-      | Pending -> db.pending_touched <- touched db.pending_touched))
+let journal_add db e =
+  match db.journal with Some j -> j.entries <- e :: j.entries | None -> ()
+
+(* A definition change or addition: a resimulation root, structurally
+   touched together with its old and new fanins. *)
+let log_definition db id ~old_fanins nf =
+  db.roots <- id :: db.roots;
+  db.redefined <- id :: db.redefined;
+  db.touched <-
+    id :: List.rev_append (Array.to_list old_fanins)
+            (List.rev_append (Array.to_list nf) db.touched)
+
+let on_change db = function
+  | Network.Replaced { id; old_op; old_fanins } ->
+    Array.iter (fun f -> remove_fanout db f id) old_fanins;
+    let nf = Network.fanins db.net id in
+    Array.iter (fun f -> insert_fanout db f id) nf;
+    journal_add db (J_replace { id; old_op; old_fanins });
+    log_definition db id ~old_fanins nf
+  | Network.Added id ->
+    ensure_capacity db;
+    let nf = Network.fanins db.net id in
+    Array.iter (fun f -> insert_fanout db f id) nf;
+    log_definition db id ~old_fanins:[||] nf
+  | Network.Outputs_changed { old_ids; old_names } ->
+    (* Output rewiring changes no signature, so no resimulation root; but
+       which nodes drive outputs feeds criticality, so both the old and
+       the new driver sets count as structurally touched. *)
+    journal_add db (J_outputs { old_ids; old_names });
+    db.touched <-
+      Array.to_list old_ids @ Array.to_list (Network.outputs db.net) @ db.touched
 
 (* ------------------------------------------------------------------ *)
 (* Cone collection: transitive fanout of the roots over the full fanout
@@ -279,31 +234,36 @@ let collect_order db roots =
     end
   in
   List.iter visit (List.rev !members);
-  (Array.of_list (List.rev !acc), in_cone)
+  Array.of_list (List.rev !acc)
 
 (* ------------------------------------------------------------------ *)
 (* Journal *)
 
 let begin_journal db =
-  if db.mode = Journal then invalid_arg "Sigdb.begin_journal: journal already active";
-  db.mode <- Journal;
-  db.j_mark <- Network.num_nodes db.net;
-  db.j_entries <- [];
-  db.j_roots <- [];
-  db.j_touched <- []
+  if db.journal <> None then
+    invalid_arg "Sigdb.begin_journal: journal already active";
+  db.journal <-
+    Some
+      {
+        nodes = Network.num_nodes db.net;
+        log_roots = db.roots;
+        log_touched = db.touched;
+        log_redefined = db.redefined;
+        entries = [];
+      }
 
-let end_journal db =
-  db.j_entries <- [];
-  db.j_roots <- [];
-  db.j_touched <- [];
-  db.mode <- Pending
-
+(* Replaying the entries logs their reversal like any change; cutting the
+   log back to the mark then drops both. *)
 let undo_journal db =
-  if db.mode <> Journal then invalid_arg "Sigdb.undo_journal: no active journal";
-  db.counters.journal_undos <- db.counters.journal_undos + 1;
-  db.counters.journal_entries_undone <-
-    db.counters.journal_entries_undone + List.length db.j_entries;
-  db.mode <- Silent;
+  let j =
+    match db.journal with
+    | Some j -> j
+    | None -> invalid_arg "Sigdb.undo_journal: no active journal"
+  in
+  db.journal <- None;
+  let c = counters db in
+  c.journal_undos <- c.journal_undos + 1;
+  c.journal_entries_undone <- c.journal_entries_undone + List.length j.entries;
   List.iter
     (function
       | J_replace { id; old_op; old_fanins } ->
@@ -311,63 +271,27 @@ let undo_journal db =
       | J_outputs { old_ids; old_names } ->
         Network.set_outputs db.net
           (Array.map2 (fun nm id -> (nm, id)) old_names old_ids))
-    db.j_entries;
-  for id = db.j_mark to Network.num_nodes db.net - 1 do
+    j.entries;
+  for id = j.nodes to Network.num_nodes db.net - 1 do
     Array.iter (fun f -> remove_fanout db f id) (Network.fanins db.net id)
   done;
-  Network.truncate db.net db.j_mark;
-  end_journal db
+  Network.truncate db.net j.nodes;
+  db.roots <- j.log_roots;
+  db.touched <- j.log_touched;
+  db.redefined <- j.log_redefined
 
-let commit_journal db =
-  if db.mode <> Journal then invalid_arg "Sigdb.commit_journal: no active journal";
-  db.pending_roots <- List.rev_append db.j_roots db.pending_roots;
-  db.redefined <- List.rev_append db.j_roots db.redefined;
-  db.pending_touched <- List.rev_append db.j_touched db.pending_touched;
-  end_journal db
-
-(* Overlay evaluation of the journaled changes: recompute the affected part
-   of the cone into recycled buffers, hand the resulting primary-output
-   signatures to [k], then return every buffer to the pool. The stored
-   signatures are never touched. *)
+(* Overlay evaluation of every logged change not yet resimulated — under
+   the usage protocol, exactly the journaled ones: recompute the affected
+   part of the cone, hand the resulting primary-output signatures to [k],
+   then return every overlay buffer to the pool. The stored signatures are
+   never touched. *)
 let with_journal_outputs db k =
-  if db.mode <> Journal then
+  if db.journal = None then
     invalid_arg "Sigdb.with_journal_outputs: no active journal";
-  let order, in_cone = collect_order db db.j_roots in
-  let roots = Hashtbl.create 16 in
-  List.iter (fun r -> Hashtbl.replace roots r ()) db.j_roots;
-  ignore in_cone;
-  let touched = ref [] in
-  let lookup id = if db.have.(id) then db.overlay.(id) else db.sigs.(id) in
-  Array.iter
-    (fun id ->
-      let fis = Network.fanins db.net id in
-      let dirty =
-        Hashtbl.mem roots id || Array.exists (fun f -> db.have.(f)) fis
-      in
-      if dirty then begin
-        let dst = take_buf db in
-        db.counters.resim_nodes <- db.counters.resim_nodes + 1;
-        Sim.eval_node_into db.net ~lookup id ~dst;
-        let old = db.sigs.(id) in
-        if Bitvec.length old > 0 && Bitvec.equal dst old then begin
-          release_buf db dst;
-          db.counters.resim_converged <- db.counters.resim_converged + 1
-        end
-        else begin
-          db.overlay.(id) <- dst;
-          db.have.(id) <- true;
-          touched := id :: !touched
-        end
-      end)
-    order;
-  let approx = Array.map lookup (Network.outputs db.net) in
-  let result = k approx in
-  List.iter
-    (fun id ->
-      release_buf db db.overlay.(id);
-      db.overlay.(id) <- dummy;
-      db.have.(id) <- false)
-    !touched;
+  let roots = db.roots in
+  Overlay.propagate db.overlay db.net ~sigs:db.sigs ~roots (collect_order db roots);
+  let result = k (Overlay.outputs db.overlay db.net ~sigs:db.sigs) in
+  Overlay.release db.overlay;
   result
 
 (* ------------------------------------------------------------------ *)
@@ -377,42 +301,13 @@ let with_journal_outputs db k =
    to the pool. *)
 
 let resimulate db =
-  if db.mode = Journal then
-    invalid_arg "Sigdb.resimulate: commit or undo the journal first";
-  let roots = db.pending_roots in
-  db.pending_roots <- [];
-  if roots <> [] then begin
-    let order, _ = collect_order db roots in
-    let is_root = Hashtbl.create 16 in
-    List.iter (fun r -> Hashtbl.replace is_root r ()) roots;
-    let changed = Hashtbl.create 64 in
-    let lookup id = db.sigs.(id) in
-    Array.iter
-      (fun id ->
-        let fis = Network.fanins db.net id in
-        let dirty =
-          Hashtbl.mem is_root id || Array.exists (Hashtbl.mem changed) fis
-        in
-        if dirty then begin
-          let dst = take_buf db in
-          db.counters.resim_nodes <- db.counters.resim_nodes + 1;
-          Sim.eval_node_into db.net ~lookup id ~dst;
-          let old = db.sigs.(id) in
-          if Bitvec.length old > 0 && Bitvec.equal dst old then begin
-            release_buf db dst;
-            db.counters.resim_converged <- db.counters.resim_converged + 1
-          end
-          else begin
-            Hashtbl.replace changed id ();
-            if Bitvec.length old > 0 && not (Network.is_input db.net id) then
-              release_buf db old;
-            db.sigs.(id) <- dst;
-            db.sig_changed <- id :: db.sig_changed
-          end
-        end)
-      order;
-    db.version <- db.version + 1
-  end
+  if db.journal <> None then invalid_arg "Sigdb.resimulate: undo the journal first";
+  let roots = db.roots in
+  db.roots <- [];
+  if roots <> [] then
+    db.sig_changed <-
+      Overlay.commit db.overlay db.net ~sigs:db.sigs ~roots (collect_order db roots)
+      @ db.sig_changed
 
 (* ------------------------------------------------------------------ *)
 (* Per-round structural refresh.
@@ -423,8 +318,7 @@ let resimulate db =
    stored signatures are already correct for the current definitions. *)
 
 let refresh db =
-  if db.mode = Journal then
-    invalid_arg "Sigdb.refresh: commit or undo the journal first";
+  if db.journal <> None then invalid_arg "Sigdb.refresh: undo the journal first";
   let net = db.net in
   let n = Network.num_nodes net in
   let old_live = db.live in
@@ -451,14 +345,12 @@ let refresh db =
        && (not (Network.is_input net id))
        && Bitvec.length db.sigs.(id) > 0
     then begin
-      release_buf db db.sigs.(id);
+      Overlay.give db.overlay db.sigs.(id);
       db.sigs.(id) <- dummy
     end
   done;
   let struct_dirty = Array.make n false in
-  List.iter
-    (fun id -> if id < n then struct_dirty.(id) <- true)
-    db.pending_touched;
+  List.iter (fun id -> if id < n then struct_dirty.(id) <- true) db.touched;
   (* A liveness flip also dirties the node's fanins: a revived consumer
      extends its fanins' fanout cones, a dying one shrinks them. *)
   List.iter
@@ -479,72 +371,48 @@ let refresh db =
   db.topo_pos <- topo_pos;
   db.fanouts <- fanouts;
   db.fanout_counts <- fanout_counts;
-  db.pending_roots <- [];
-  db.pending_touched <- [];
+  db.roots <- [];
+  db.touched <- [];
   db.redefined <- [];
   db.sig_changed <- [];
-  db.version <- db.version + 1;
   delta
 
 (* ------------------------------------------------------------------ *)
 
+(* The consumer lists are the only state [refresh] does not derive; an
+   empty database refreshed once holds every view, and one full
+   simulation over its order fills the signatures. *)
 let create net patterns =
   let n = Network.num_nodes net in
-  let live = Structure.live_set net in
-  let order = Structure.topo_order ~live net in
-  let topo_pos = Array.make n (-1) in
-  Array.iteri (fun i id -> topo_pos.(id) <- i) order;
   let fanouts_all = Array.make (max 1 n) [] in
   for c = 0 to n - 1 do
-    let seen = Hashtbl.create 4 in
-    Array.iter
-      (fun f ->
-        if not (Hashtbl.mem seen f) then begin
-          Hashtbl.add seen f ();
-          fanouts_all.(f) <- c :: fanouts_all.(f)
-        end)
-      (Network.fanins net c)
+    let fis = Network.fanins net c in
+    Array.iteri
+      (fun j f ->
+        if not (Structure.repeated fis j) then fanouts_all.(f) <- c :: fanouts_all.(f))
+      fis
   done;
-  let fanouts =
-    Array.init n (fun id ->
-        Array.of_list (List.filter (fun c -> live.(c)) fanouts_all.(id)))
-  in
-  let fanout_counts = Structure.fanout_counts net ~live in
-  let sigs = Sim.run ~live net patterns ~order in
   let db =
     {
       net;
       patterns;
-      sigs;
-      live;
-      order;
-      topo_pos;
+      sigs = Array.make n dummy;
+      live = [||];
+      order = [||];
+      topo_pos = [||];
       fanouts_all;
-      fanouts;
-      fanout_counts;
-      version = 0;
-      free = [];
-      counters =
-        {
-          resim_nodes = 0;
-          resim_converged = 0;
-          buffers_recycled = 0;
-          journal_undos = 0;
-          journal_entries_undone = 0;
-        };
-      pending_roots = [];
-      pending_touched = [];
+      fanouts = [||];
+      fanout_counts = [||];
+      overlay = Overlay.create patterns.Sim.count;
+      roots = [];
+      touched = [];
       redefined = [];
       sig_changed = [];
-      mode = Pending;
-      j_entries = [];
-      j_mark = n;
-      j_roots = [];
-      j_touched = [];
-      overlay = Array.make (max 1 n) dummy;
-      have = Array.make (max 1 n) false;
+      journal = None;
     }
   in
+  ignore (refresh db);
+  db.sigs <- Sim.run ~live:db.live net patterns ~order:db.order;
   Network.set_tracker net (Some (on_change db));
   db
 

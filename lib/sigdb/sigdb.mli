@@ -1,4 +1,4 @@
-(** Versioned per-node signature database with event-driven resimulation.
+(** Per-node signature database with event-driven resimulation.
 
     A [Sigdb.t] attaches to one {!Accals_network.Network.t} (via the
     network's change tracker) and keeps per-node simulation signatures
@@ -6,13 +6,15 @@
     and resimulating the whole circuit each round, it
 
     - maintains full fanout lists incrementally from change events,
+    - logs every change (resimulation roots, structurally touched and
+      redefined nodes) in one change log, journal or not,
     - re-evaluates only the transitive fanout cone of changed nodes,
       stopping early where a recomputed signature is bit-equal to the
-      stored one,
-    - recycles displaced signature buffers through an internal pool, and
+      stored one, and recycles displaced signature buffers — both through
+      one {!Overlay}, and
     - supports speculative mutation under an undo journal, evaluating the
-      journaled changes into a throwaway overlay without touching the
-      committed signatures.
+      journaled changes into the overlay without touching the committed
+      signatures.
 
     Exactness contract: for every live node the stored signature is
     bit-identical to what a from-scratch {!Accals_network.Sim.run} over the
@@ -34,17 +36,14 @@
     must be function-preserving per node (cleanup rewrites): the stored
     signatures are assumed still correct for the current definitions. *)
 
-type counters = {
-  mutable resim_nodes : int;  (** node evaluations performed *)
+type counters = Overlay.counters = {
+  mutable resim_nodes : int;
   mutable resim_converged : int;
-      (** evaluations whose result was bit-equal to the stored signature,
-          pruning their downstream cone *)
-  mutable buffers_recycled : int;  (** pool hits when acquiring a buffer *)
-  mutable journal_undos : int;  (** {!undo_journal} invocations *)
+  mutable buffers_recycled : int;
+  mutable journal_undos : int;
   mutable journal_entries_undone : int;
-      (** total journal entries reverted across all undos (the journal's
-          depth at each undo, summed) *)
 }
+(** The incremental engine's counters, documented at {!Overlay.counters}. *)
 
 type delta = {
   sig_changed : int list;
@@ -64,8 +63,8 @@ type delta = {
 type t
 
 val create : Accals_network.Network.t -> Accals_network.Sim.patterns -> t
-(** Build the database: full structural analysis plus one full (live-only)
-    simulation. Attaches the network's change tracker; raises
+(** Build the database: the consumer lists, one {!refresh} of the empty
+    database, and one full (live-only) simulation. Attaches the network's change tracker; raises
     [Invalid_argument] if another tracker is already attached. The network
     must not be marshaled while attached — checkpoint a
     {!Accals_network.Network.copy} instead (copies carry no tracker). *)
@@ -84,9 +83,6 @@ val corrupt_signature : t -> int option
 val network : t -> Accals_network.Network.t
 val patterns : t -> Accals_network.Sim.patterns
 
-val version : t -> int
-(** Monotonic counter bumped by {!resimulate} and {!refresh}. *)
-
 val counters : t -> counters
 (** Live counter record (monotonic); callers snapshot and diff. *)
 
@@ -95,9 +91,6 @@ val counters : t -> counters
     The recycled-buffer pool trades memory for allocation churn; under a
     [--max-memory-mb] budget the governor reads its footprint and, at soft
     pressure, gives the memory back. *)
-
-val pool_size : t -> int
-(** Buffers currently idle in the pool. *)
 
 val pool_bytes : t -> int
 (** Estimated bytes held by idle pooled buffers. *)
@@ -124,23 +117,21 @@ val fanout_counts_view : t -> int array
 (** {2 Speculative evaluation} *)
 
 val begin_journal : t -> unit
-(** Start recording mutations for undo. At most one journal at a time. *)
+(** Start recording mutations for undo and mark where the change log
+    stands. At most one journal at a time. *)
 
 val with_journal_outputs : t -> (Accals_bitvec.Bitvec.t array -> 'a) -> 'a
-(** Evaluate the journaled mutations into a throwaway overlay (cone-only,
-    early-stopping) and pass the resulting primary-output signatures to
-    the callback. Committed signatures are untouched; overlay buffers are
+(** Evaluate the journaled mutations into the overlay (cone-only,
+    early-stopping, rooted at every change since the last {!resimulate})
+    and pass the resulting primary-output signatures to the callback. Committed signatures are untouched; overlay buffers are
     returned to the pool afterwards. The journal stays open. *)
 
 val undo_journal : t -> unit
 (** Revert every journaled mutation — node definitions, the output table,
     and speculative node allocations (the network is truncated back to its
     pre-journal node count) — restoring the incremental structures
-    exactly. *)
-
-val commit_journal : t -> unit
-(** Keep the journaled mutations: fold them into the pending set consumed
-    by {!resimulate}/{!refresh}, then close the journal. *)
+    exactly, and cut the change log back to where it stood at
+    {!begin_journal}. *)
 
 (** {2 Committed updates} *)
 

@@ -11,14 +11,11 @@ val now_ns : unit -> int64
 val now : unit -> float
 (** Seconds on the monotonic clock (same epoch as {!now_ns}). *)
 
-val cpu_ns : unit -> int64
-(** Nanoseconds of CPU consumed by the whole process
-    ([CLOCK_PROCESS_CPUTIME_ID]). Alloc-free. Unlike wall time it is
-    barely disturbed by other tenants of the machine, which makes it
-    the right clock for overhead gates. *)
-
 val cpu : unit -> float
-(** Seconds of process CPU time (same source as {!cpu_ns}). *)
+(** Seconds of CPU consumed by the whole process
+    ([CLOCK_PROCESS_CPUTIME_ID]). Unlike wall time it is barely disturbed
+    by other tenants of the machine, which makes it the right clock for
+    overhead gates. *)
 
 val ns_to_us : int64 -> float
 (** Nanoseconds to fractional microseconds (the Chrome trace unit). *)

@@ -35,12 +35,6 @@ type t
 
 val create : unit -> t
 
-val valid_metric_name : string -> bool
-(** Prometheus metric-name grammar: [[a-zA-Z_:][a-zA-Z0-9_:]*]. *)
-
-val valid_label_name : string -> bool
-(** Prometheus label-name grammar: [[a-zA-Z_][a-zA-Z0-9_]*] (no colons). *)
-
 val counter : t -> ?help:string -> ?labels:labels -> string -> counter
 (** Register (or fetch) a counter. Raises [Invalid_argument] if the
     (name, labels) pair is already registered as a different instrument
@@ -60,7 +54,6 @@ val counter_value : counter -> float
 
 val gauge : t -> ?help:string -> ?labels:labels -> string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram :
   t -> ?help:string -> ?labels:labels -> buckets:float array -> string -> histogram

@@ -36,7 +36,6 @@ let get () =
   match Domain.DLS.get local with Some t -> t | None -> Atomic.get current
 
 let set_local t = Domain.DLS.set local (Some t)
-let clear_local () = Domain.DLS.set local None
 
 let with_handle t f =
   let prev = Domain.DLS.get local in
@@ -74,12 +73,6 @@ let metrics () = (get ()).metrics
 
 let count ?labels ?help name n =
   Metrics.add (Metrics.counter (metrics ()) ?help ?labels name) n
-
-let countf ?labels ?help name x =
-  Metrics.addf (Metrics.counter (metrics ()) ?help ?labels name) x
-
-let gauge_set ?labels ?help name x =
-  Metrics.set (Metrics.gauge (metrics ()) ?help ?labels name) x
 
 (* ------------------------------------------------------------------ *)
 (* Events and progress *)

@@ -61,8 +61,6 @@ val set_local : t -> unit
 (** Set the calling domain's override without scoping — used by pool
     workers at domain startup. *)
 
-val clear_local : unit -> unit
-
 (** {1 Tracing} *)
 
 val tracing : unit -> bool
@@ -92,8 +90,6 @@ val metrics : unit -> Metrics.t
 val count : ?labels:Metrics.labels -> ?help:string -> string -> int -> unit
 (** Add to a counter in the ambient registry. *)
 
-val countf : ?labels:Metrics.labels -> ?help:string -> string -> float -> unit
-val gauge_set : ?labels:Metrics.labels -> ?help:string -> string -> float -> unit
 
 (** {1 Events and progress} *)
 

@@ -44,22 +44,6 @@ let ones vars t =
   done;
   !count
 
-let eval_op vars op fanins =
-  let m = mask vars in
-  let fold f init = Array.fold_left f init fanins in
-  match op with
-  | Gate.Const b -> const_ vars b
-  | Gate.Input -> invalid_arg "Truth.eval_op: Input"
-  | Gate.Buf -> fanins.(0)
-  | Gate.Not -> lognot vars fanins.(0)
-  | Gate.And -> fold ( land ) m
-  | Gate.Nand -> lognot vars (fold ( land ) m)
-  | Gate.Or -> fold ( lor ) 0
-  | Gate.Nor -> lognot vars (fold ( lor ) 0)
-  | Gate.Xor -> fold ( lxor ) 0 land m
-  | Gate.Xnor -> lognot vars (fold ( lxor ) 0 land m)
-  | Gate.Mux ->
-    (fanins.(0) land fanins.(1)) lor (lognot vars fanins.(0) land fanins.(2))
 
 (* Per-node memo of one [of_cone] call: [value.(id)] is valid while
    [mark.(id) = stamp]. Leaves are entered first, so the walk stops at

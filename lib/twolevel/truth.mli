@@ -32,9 +32,6 @@ val lognot : int -> t -> t
 val ones : int -> t -> int
 (** Number of ON-set minterms. *)
 
-val eval_op : int -> Accals_network.Gate.op -> t array -> t
-(** Apply a gate operator to fanin truth tables. *)
-
 type scratch
 (** Reusable per-node working memory for {!of_cone}; one per domain. *)
 

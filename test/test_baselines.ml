@@ -132,6 +132,34 @@ let test_amosa_pinned () =
        (String.concat ";"
           (List.map (fun (e, a) -> Printf.sprintf "%h,%h" e a) r.Amosa.archive)))
 
+(* AMOSA probes run [Cleanup.sweep] inside a journal, a path the AccALS
+   step never takes. The signature engine must match the rebuild backend
+   there too: BLIF text, trace (minus the resimulation counters, which
+   only the engine keeps) and error. *)
+let test_amosa_incremental_identity () =
+  List.iter
+    (fun name ->
+      let net = Accals_circuits.Bench_suite.load name in
+      let run incremental =
+        let config =
+          Accals.Config.for_network
+            ~base:{ Accals.Config.default with incremental }
+            net
+        in
+        let r =
+          (Amosa.run ~config net ~metric:Metric.Error_rate ~error_bound:0.03)
+            .Amosa.report
+        in
+        let strip round =
+          { round with Trace.resim_nodes = 0; resim_converged = 0; resim_recycled = 0 }
+        in
+        ( Accals_io.Blif.to_string r.Engine.approximate,
+          List.map strip r.Engine.rounds,
+          r.Engine.error )
+      in
+      check (name ^ ": incremental = rebuild") true (run true = run false))
+    [ "mtp8"; "alu4" ]
+
 (* Run-level settings apply to every method, since all three run
    Engine's round loop. *)
 let baselines =
@@ -253,6 +281,8 @@ let suite =
         Alcotest.test_case "archive is a pareto front" `Quick test_amosa_archive_pareto;
         Alcotest.test_case "deterministic" `Quick test_amosa_deterministic;
         Alcotest.test_case "pinned digests" `Quick test_amosa_pinned;
+        Alcotest.test_case "incremental = rebuild" `Quick
+          test_amosa_incremental_identity;
       ] );
     ( "baselines",
       [

@@ -159,26 +159,46 @@ let test_journal_eval_and_undo () =
       Sigdb.detach db)
     [ 1; 2; 3 ]
 
-(* --- journal commit path --- *)
+(* --- speculative path with cleanup: sweep inside the journal --- *)
 
-let test_commit_journal_matches_scratch () =
-  let net = random_net 9 in
-  let patterns = patterns_for net in
-  let rng = Prng.create 99 in
-  let db = Sigdb.create net patterns in
-  for _round = 1 to 3 do
-    let ctx = Round_ctx.of_sigdb db in
-    let candidates = Candidate_gen.generate ctx Candidate_gen.default_config in
-    let subset = random_subset rng 4 candidates in
-    Sigdb.begin_journal db;
-    let _ = Lac.apply_many net subset in
-    Sigdb.commit_journal db;
-    Sigdb.resimulate db;
-    Cleanup.sweep net;
-    ignore (Sigdb.refresh db);
-    check_views_against_scratch db net patterns
-  done;
-  Sigdb.detach db
+(* AMOSA-style probes sweep inside the journal, which rewires outputs
+   driven through buffers; the undo must restore the output table as well
+   as every definition. *)
+let test_journal_sweep_undo () =
+  let rewired = ref 0 in
+  List.iter
+    (fun seed ->
+      let net = random_net seed in
+      let patterns = patterns_for net in
+      let golden = Evaluate.output_signatures net patterns in
+      let rng = Prng.create (400 + seed) in
+      let db = Sigdb.create net patterns in
+      let ctx = Round_ctx.of_sigdb db in
+      let candidates = Candidate_gen.generate ctx Candidate_gen.default_config in
+      for _attempt = 1 to 6 do
+        let subset = random_subset rng 5 candidates in
+        let before = net_fingerprint net in
+        let copy = Network.copy net in
+        let _ = Lac.apply_many copy subset in
+        Cleanup.sweep copy;
+        let e_ref = Evaluate.actual_error copy patterns ~golden Metric.Error_rate in
+        Sigdb.begin_journal db;
+        let _ = Lac.apply_many net subset in
+        let outputs = Network.outputs net in
+        Cleanup.sweep net;
+        if Network.outputs net <> outputs then incr rewired;
+        let e =
+          Sigdb.with_journal_outputs db (fun out ->
+              Metric.measure Metric.Error_rate ~golden ~approx:out)
+        in
+        Sigdb.undo_journal db;
+        Alcotest.(check (float 0.0)) "swept overlay error = from-scratch error" e_ref e;
+        check "undo after sweep restores the network exactly" true
+          (net_fingerprint net = before)
+      done;
+      Sigdb.detach db)
+    [ 1; 2; 3; 4; 5; 6 ];
+  check "some sweep rewired an output" true (!rewired > 0)
 
 (* --- estimator refresh: persistent estimator = fresh estimator --- *)
 
@@ -295,8 +315,8 @@ let suite =
           test_resimulate_matches_scratch;
         Alcotest.test_case "journal eval and undo" `Quick
           test_journal_eval_and_undo;
-        Alcotest.test_case "commit journal" `Quick
-          test_commit_journal_matches_scratch;
+        Alcotest.test_case "journal sweep and undo" `Quick
+          test_journal_sweep_undo;
         Alcotest.test_case "estimator refresh" `Quick
           test_estimator_refresh_matches_fresh;
         Alcotest.test_case "engine incremental identity" `Quick

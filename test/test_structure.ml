@@ -188,8 +188,8 @@ let prop_update =
              round stamp (fun id -> edited.(id)))
            [ 1; 2; 3; 4 ])
 
-(* The evaluation of_cone replaced: [Truth.eval_op] over the fanins'
-   tables, gathered with [Array.map]. *)
+(* The evaluation of_cone replaced: [Test_util.truth_eval_op] over the
+   fanins' tables, gathered with [Array.map]. *)
 let of_cone_ref net ~leaves ~root =
   let vars = Array.length leaves in
   let memo = Hashtbl.create 16 in
@@ -200,7 +200,7 @@ let of_cone_ref net ~leaves ~root =
     | None ->
       let op = Network.op net id in
       if op = Gate.Input then invalid_arg "of_cone_ref: cone escapes the cut";
-      let t = Truth.eval_op vars op (Array.map compute (Network.fanins net id)) in
+      let t = Test_util.truth_eval_op vars op (Array.map compute (Network.fanins net id)) in
       Hashtbl.replace memo id t;
       t
   in

@@ -19,16 +19,16 @@ let test_truth_var () =
 
 let test_truth_ops () =
   let a = Truth.var 2 0 and b = Truth.var 2 1 in
-  check_int "and" 0b1000 (Truth.eval_op 2 Gate.And [| a; b |]);
-  check_int "or" 0b1110 (Truth.eval_op 2 Gate.Or [| a; b |]);
-  check_int "xor" 0b0110 (Truth.eval_op 2 Gate.Xor [| a; b |]);
-  check_int "nand" 0b0111 (Truth.eval_op 2 Gate.Nand [| a; b |]);
-  check_int "not" 0b0101 (Truth.eval_op 2 Gate.Not [| a |]);
-  check_int "const1" 0b1111 (Truth.eval_op 2 (Gate.Const true) [||])
+  check_int "and" 0b1000 (Test_util.truth_eval_op 2 Gate.And [| a; b |]);
+  check_int "or" 0b1110 (Test_util.truth_eval_op 2 Gate.Or [| a; b |]);
+  check_int "xor" 0b0110 (Test_util.truth_eval_op 2 Gate.Xor [| a; b |]);
+  check_int "nand" 0b0111 (Test_util.truth_eval_op 2 Gate.Nand [| a; b |]);
+  check_int "not" 0b0101 (Test_util.truth_eval_op 2 Gate.Not [| a |]);
+  check_int "const1" 0b1111 (Test_util.truth_eval_op 2 (Gate.Const true) [||])
 
 let test_truth_mux () =
   let s = Truth.var 3 0 and a = Truth.var 3 1 and b = Truth.var 3 2 in
-  let m = Truth.eval_op 3 Gate.Mux [| s; a; b |] in
+  let m = Test_util.truth_eval_op 3 Gate.Mux [| s; a; b |] in
   for row = 0 to 7 do
     let sv = row land 1 = 1 and av = row lsr 1 land 1 = 1 and bv = row lsr 2 land 1 = 1 in
     check "mux row" (if sv then av else bv) (Truth.get m row)

@@ -9,6 +9,27 @@ let int_of_bits bits =
     (0, 0) bits
   |> fst
 
+(* A gate operator applied to fanin truth tables over [vars] variables:
+   the reference for [Truth.of_cone]'s per-node evaluation. *)
+let truth_eval_op vars op fanins =
+  let module Truth = Accals_twolevel.Truth in
+  let m = Truth.mask vars in
+  let fold f init = Array.fold_left f init fanins in
+  match op with
+  | Gate.Const b -> Truth.const_ vars b
+  | Gate.Input -> invalid_arg "truth_eval_op: Input"
+  | Gate.Buf -> fanins.(0)
+  | Gate.Not -> Truth.lognot vars fanins.(0)
+  | Gate.And -> fold ( land ) m
+  | Gate.Nand -> Truth.lognot vars (fold ( land ) m)
+  | Gate.Or -> fold ( lor ) 0
+  | Gate.Nor -> Truth.lognot vars (fold ( lor ) 0)
+  | Gate.Xor -> fold ( lxor ) 0 land m
+  | Gate.Xnor -> Truth.lognot vars (fold ( lxor ) 0 land m)
+  | Gate.Mux ->
+    (fanins.(0) land fanins.(1))
+    lor (Truth.lognot vars fanins.(0) land fanins.(2))
+
 (* Evaluate a network with input values given by name. *)
 let eval_named net env =
   let values =
