@@ -511,7 +511,7 @@ let sensitivity () =
       let r = Engine.run ~config net ~metric:Metric.Error_rate ~error_bound:0.01 in
       let exact =
         Accals_analysis.Exhaustive.compare_networks ~golden:net
-          ~approx:r.Engine.approximate
+          ~approx:r.Engine.approximate ()
       in
       Printf.printf "%-8d %14.5f %16.5f %12.3f %10d\n" samples r.Engine.error
         exact.Accals_analysis.Exhaustive.error_rate r.Engine.area_ratio

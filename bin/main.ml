@@ -665,52 +665,42 @@ let verify_cmd =
     let jobs = resolve_jobs jobs in
     let golden = load_circuit golden_spec in
     let approx = load_circuit approx_spec in
-    let report =
+    let module Exhaustive = Accals_analysis.Exhaustive in
+    let check pool = Exhaustive.compare_networks ?pool ~golden ~approx () in
+    let r =
       if jobs > 1 then
-        Accals_runtime.Pool.with_pool ~jobs (fun pool ->
-            Accals_analysis.Exhaustive.compare_networks_with ~pool ~golden
-              ~approx)
-      else Accals_analysis.Exhaustive.compare_networks ~golden ~approx
+        Accals_runtime.Pool.with_pool ~jobs (fun pool -> check (Some pool))
+      else check None
+    in
+    (* JSON key and metric (its name labels the text line) with the text
+       report's decimals. *)
+    let fields =
+      [
+        ("error_rate", Metric.Error_rate, 8);
+        ("mean_error_distance", Metric.Med, 6);
+        ("normalized_mean_error_distance", Metric.Nmed, 8);
+        ("mean_relative_error_distance", Metric.Mred, 8);
+        ("worst_case_error", Metric.Wce, 1);
+      ]
     in
     if json then
       print_string
         (Json.to_string ~pretty:true
            (Json.Obj
-              [
-                ("golden", Json.String (Network.name golden));
-                ("approx", Json.String (Network.name approx));
-                ("vectors", Json.Int report.Accals_analysis.Exhaustive.vectors);
-                ( "error_rate",
-                  Json.Float report.Accals_analysis.Exhaustive.error_rate );
-                ( "mean_error_distance",
-                  Json.Float
-                    report.Accals_analysis.Exhaustive.mean_error_distance );
-                ( "normalized_mean_error_distance",
-                  Json.Float
-                    report.Accals_analysis.Exhaustive
-                      .normalized_mean_error_distance );
-                ( "mean_relative_error_distance",
-                  Json.Float
-                    report.Accals_analysis.Exhaustive
-                      .mean_relative_error_distance );
-                ( "worst_case_error",
-                  Json.Float report.Accals_analysis.Exhaustive.worst_case_error
-                );
-              ])
+              (("golden", Json.String (Network.name golden))
+               :: ("approx", Json.String (Network.name approx))
+               :: ("vectors", Json.Int r.Exhaustive.vectors)
+               :: List.map
+                    (fun (key, kind, _) -> (key, Json.Float (Exhaustive.value r kind)))
+                    fields))
          ^ "\n")
     else begin
-      Printf.printf "vectors      : %d (exhaustive)\n"
-        report.Accals_analysis.Exhaustive.vectors;
-      Printf.printf "ER           : %.8f\n"
-        report.Accals_analysis.Exhaustive.error_rate;
-      Printf.printf "MED          : %.6f\n"
-        report.Accals_analysis.Exhaustive.mean_error_distance;
-      Printf.printf "NMED         : %.8f\n"
-        report.Accals_analysis.Exhaustive.normalized_mean_error_distance;
-      Printf.printf "MRED         : %.8f\n"
-        report.Accals_analysis.Exhaustive.mean_relative_error_distance;
-      Printf.printf "WCE          : %.1f\n"
-        report.Accals_analysis.Exhaustive.worst_case_error
+      Printf.printf "%-13s: %d (exhaustive)\n" "vectors" r.Exhaustive.vectors;
+      List.iter
+        (fun (_, kind, decimals) ->
+          Printf.printf "%-13s: %.*f\n" (Metric.kind_to_string kind) decimals
+            (Exhaustive.value r kind))
+        fields
     end
   in
   Cmd.v (Cmd.info "verify" ~doc)

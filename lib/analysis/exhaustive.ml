@@ -15,29 +15,69 @@ type report = {
   vectors : int;
 }
 
-(* Patterns for the input-vector range [base, base + 2^chunk_bits). *)
-let chunk_patterns k base =
-  let count = 1 lsl min k chunk_bits in
-  let by_input =
-    Array.init k (fun i ->
-        let bv = Bitvec.create count in
-        for p = 0 to count - 1 do
-          if (base + p) lsr i land 1 = 1 then Bitvec.set bv p true
-        done;
-        bv)
-  in
-  { Sim.count; by_input }
+(* One circuit simulated chunk after chunk into a buffer per live gate. *)
+type sim = { net : Network.t; gates : int list (* topological *); sigs : Bitvec.t array }
 
-(* Per-chunk error tallies; chunks are independent, so they fan out over a
-   pool and merge in chunk order. *)
-type partial = {
-  p_wrong : int;
-  p_distance : float;
-  p_relative : float;
-  p_worst : int;
+let sim_create net ~count =
+  let order = Array.to_list (Structure.topo_order net) in
+  let gates = List.filter (fun id -> not (Network.is_input net id)) order in
+  let sigs = Array.make (Network.num_nodes net) (Bitvec.create 0) in
+  List.iter (fun id -> sigs.(id) <- Bitvec.create count) gates;
+  { net; gates; sigs }
+
+(* The output signatures over chunk [c], the vectors [c * 2^chunk_bits + p]:
+   the low [chunk_bits] inputs enumerate [p] ([low]) the same way in every
+   chunk, and input [i] above them is bit [i - chunk_bits] of [c], constant
+   within the chunk ([ones] or [zeros]). *)
+let simulate (low, zeros, ones) sim c =
+  Array.iteri
+    (fun i id ->
+      sim.sigs.(id) <-
+        (if i < chunk_bits then low.(i)
+         else if (c lsr (i - chunk_bits)) land 1 = 1 then ones
+         else zeros))
+    (Network.inputs sim.net);
+  let lookup id = sim.sigs.(id) in
+  List.iter (fun id -> Sim.eval_node_into sim.net ~lookup id ~dst:sim.sigs.(id))
+    sim.gates;
+  Array.map lookup (Network.outputs sim.net)
+
+(* A task's scratch, reused by every chunk it runs. *)
+type state = {
+  golden_sim : sim;
+  approx_sim : sim;
+  wrong_buf : Bitvec.t;
+  terms : Metric.terms;
 }
 
-let compare_gen pool ~golden ~approx =
+(* One chunk's (or a run of chunks') {!Metric.sum}s. *)
+type sums = { wrong : float; distance : float; relative : float; worst : float }
+
+let zero = { wrong = 0.0; distance = 0.0; relative = 0.0; worst = 0.0 }
+
+let tally inputs st c =
+  let golden = simulate inputs st.golden_sim c in
+  let approx = simulate inputs st.approx_sim c in
+  Metric.wrong_into (Metric.prepare Metric.Error_rate ~golden) ~approx st.wrong_buf;
+  let wrong = Metric.sum Metric.Error_rate (Metric.Wrong st.wrong_buf) in
+  let sum kind =
+    Metric.terms_into (Metric.prepare kind ~golden) ~approx st.terms;
+    Metric.sum kind st.terms
+  in
+  let relative = sum Metric.Mred in
+  let distance = sum Metric.Med in
+  (* WCE folds the MED terms still in [st.terms]. *)
+  { wrong; distance; relative; worst = Metric.sum Metric.Wce st.terms }
+
+let add a b =
+  {
+    wrong = a.wrong +. b.wrong;
+    distance = a.distance +. b.distance;
+    relative = a.relative +. b.relative;
+    worst = Float.max a.worst b.worst;
+  }
+
+let compare_networks ?pool ~golden ~approx () =
   let k = Array.length (Network.inputs golden) in
   if k > max_inputs then invalid_arg "Exhaustive: too many inputs";
   if Array.length (Network.inputs approx) <> k then
@@ -46,74 +86,39 @@ let compare_gen pool ~golden ~approx =
   if Array.length (Network.outputs approx) <> m then
     invalid_arg "Exhaustive: output interface mismatch";
   if m > 60 then invalid_arg "Exhaustive: more than 60 outputs";
-  let golden_order = Structure.topo_order golden in
-  let approx_order = Structure.topo_order approx in
   let total = 1 lsl k in
   let per_chunk = 1 lsl min k chunk_bits in
-  let chunks = total / per_chunk in
+  let zeros = Bitvec.create per_chunk in
+  let low = (Sim.exhaustive (min k chunk_bits)).Sim.by_input in
+  let inputs = (low, zeros, Bitvec.lognot zeros) in
+  let state () =
+    {
+      golden_sim = sim_create golden ~count:per_chunk;
+      approx_sim = sim_create approx ~count:per_chunk;
+      wrong_buf = Bitvec.create per_chunk;
+      terms = Metric.Distance (Array.make per_chunk 0.0);
+    }
+  in
   (* The chunk layout depends only on the input count, never on the pool
-     size, so the merged result is identical for every [jobs]. *)
-  let tally c =
-    let patterns = chunk_patterns k (c * per_chunk) in
-    let gs = Sim.run golden patterns ~order:golden_order in
-    let asigs = Sim.run approx patterns ~order:approx_order in
-    let gout = Array.map (fun id -> gs.(id)) (Network.outputs golden) in
-    let aout = Array.map (fun id -> asigs.(id)) (Network.outputs approx) in
-    let wrong = ref 0 in
-    let distance_sum = ref 0.0 in
-    let relative_sum = ref 0.0 in
-    let worst = ref 0 in
-    for p = 0 to per_chunk - 1 do
-      let gv = Metric.output_value gout ~pattern:p in
-      let av = Metric.output_value aout ~pattern:p in
-      if gv <> av then begin
-        incr wrong;
-        let d = abs (av - gv) in
-        distance_sum := !distance_sum +. float_of_int d;
-        relative_sum := !relative_sum +. (float_of_int d /. float_of_int (max 1 gv));
-        if d > !worst then worst := d
-      end
-    done;
-    {
-      p_wrong = !wrong;
-      p_distance = !distance_sum;
-      p_relative = !relative_sum;
-      p_worst = !worst;
-    }
+     size, and the sums fold in chunk order (vector order within a chunk),
+     so the report is identical for every [jobs]. Without outputs nothing
+     can differ, and there is nothing to simulate. *)
+  let chunks = Array.init (if m = 0 then 0 else total / per_chunk) Fun.id in
+  let sums =
+    Array.fold_left add zero
+      (match pool with
+       | Some pool ->
+         Accals_runtime.Fan_out.map_array_with ~label:"exhaustive" pool ~state
+           ~f:(tally inputs) chunks
+       | None -> Array.map (tally inputs (state ())) chunks)
   in
-  let merge a b =
-    {
-      p_wrong = a.p_wrong + b.p_wrong;
-      p_distance = a.p_distance +. b.p_distance;
-      p_relative = a.p_relative +. b.p_relative;
-      p_worst = max a.p_worst b.p_worst;
-    }
-  in
-  let zero = { p_wrong = 0; p_distance = 0.0; p_relative = 0.0; p_worst = 0 } in
-  let totals =
-    match pool with
-    | Some pool ->
-      Accals_runtime.Fan_out.map_reduce ~label:"exhaustive" pool ~n:chunks
-        ~map:tally ~merge ~init:zero
-    | None ->
-      let acc = ref zero in
-      for c = 0 to chunks - 1 do
-        acc := merge !acc (tally c)
-      done;
-      !acc
-  in
-  let wrong = ref totals.p_wrong in
-  let distance_sum = ref totals.p_distance in
-  let relative_sum = ref totals.p_relative in
-  let worst = ref totals.p_worst in
-  let n = float_of_int total in
-  let max_value = float_of_int ((1 lsl m) - 1) in
+  let normalize kind sum = Metric.normalize kind ~outputs:m ~samples:total sum in
   {
-    error_rate = float_of_int !wrong /. n;
-    mean_error_distance = !distance_sum /. n;
-    normalized_mean_error_distance = !distance_sum /. n /. max_value;
-    mean_relative_error_distance = !relative_sum /. n;
-    worst_case_error = float_of_int !worst;
+    error_rate = normalize Metric.Error_rate sums.wrong;
+    mean_error_distance = normalize Metric.Med sums.distance;
+    normalized_mean_error_distance = normalize Metric.Nmed sums.distance;
+    mean_relative_error_distance = normalize Metric.Mred sums.relative;
+    worst_case_error = normalize Metric.Wce sums.worst;
     vectors = total;
   }
 
@@ -123,8 +128,3 @@ let value r = function
   | Metric.Nmed -> r.normalized_mean_error_distance
   | Metric.Mred -> r.mean_relative_error_distance
   | Metric.Wce -> r.worst_case_error
-
-let compare_networks ~golden ~approx = compare_gen None ~golden ~approx
-
-let compare_networks_with ~pool ~golden ~approx =
-  compare_gen (Some pool) ~golden ~approx

@@ -22,15 +22,13 @@ type report = {
   vectors : int;  (** number of input vectors examined *)
 }
 
-val compare_networks : golden:Network.t -> approx:Network.t -> report
+val compare_networks :
+  ?pool:Accals_runtime.Pool.t -> golden:Network.t -> approx:Network.t -> unit -> report
 (** Both networks must have identical input and output interfaces. Raises
     [Invalid_argument] when interfaces differ or the input count exceeds
-    {!max_inputs}. *)
-
-val compare_networks_with :
-  pool:Accals_runtime.Pool.t -> golden:Network.t -> approx:Network.t -> report
-(** Like {!compare_networks}, with the simulation chunks fanned out across
-    the pool's domains. The chunk layout and merge order are fixed, so the
-    report is identical to {!compare_networks} for every pool size. *)
+    {!max_inputs}. Chunks of [2^13] vectors, simulated into one buffer per
+    live gate, each add {!Metric.sum} of their terms; with [pool] they fan
+    out over its domains. The chunk layout and the fold order are fixed, so
+    the report is identical for every pool size. *)
 
 val value : report -> Metric.kind -> float

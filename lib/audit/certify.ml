@@ -22,10 +22,10 @@ let method_to_string = function
    uses [seed + 77]) while staying a pure function of the run seed. *)
 let independent_seed seed = (seed * 2654435761) lxor 0x5DEECE66D
 
-let measure ~golden ~approx ~metric ~seed ~samples ~exhaustive_limit =
+let measure ~golden ~approx ~metric ~seed ~samples =
   let n_inputs = Array.length (Network.inputs golden) in
-  if n_inputs <= exhaustive_limit && n_inputs <= Exhaustive.max_inputs then begin
-    let report = Exhaustive.compare_networks ~golden ~approx in
+  if n_inputs <= Exhaustive.max_inputs then begin
+    let report = Exhaustive.compare_networks ~golden ~approx () in
     (Exhaustive.value report metric, Exhaustive report.Exhaustive.vectors)
   end
   else begin

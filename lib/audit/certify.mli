@@ -35,10 +35,9 @@ val measure :
   metric:Accals_metrics.Metric.kind ->
   seed:int ->
   samples:int ->
-  exhaustive_limit:int ->
   float * method_
-(** Independent error of [approx] against [golden]: exhaustive when the
-    input width is within [exhaustive_limit] (and {!Exhaustive.max_inputs}),
+(** Independent error of [approx] against [golden]: exhaustive up to
+    {!Exhaustive.max_inputs} (24) inputs, whatever limit steered the run,
     otherwise sampled on [samples] fresh vectors. *)
 
 val certify_with_rollback :

@@ -748,7 +748,6 @@ let run_loop ~step ?patterns ?pool ?checkpoint st =
           let measure circuit =
             Certify.measure ~golden:net ~approx:circuit ~metric
               ~seed:config.Config.seed ~samples:config.Config.samples
-              ~exhaustive_limit:config.Config.exhaustive_limit
           in
           let candidates =
             (fun () -> (approximate0, st.s_best_error))

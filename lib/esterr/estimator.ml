@@ -7,12 +7,11 @@ module Fan_out = Accals_runtime.Fan_out
 module Overlay = Accals_sigdb.Overlay
 
 (* Resimulation scratch. Every domain participating in a parallel shortlist
-   pass owns a private, persistent [scratch] (a domain-local slot that
-   lives as long as the estimator; slots cannot be reclaimed, so there is
-   one per estimator, not one per fan-out); the estimator's own one serves
-   the sequential entry points. All buffers are write-before-read, so a
-   fresh scratch produces bit-identical results to a reused one — which is
-   what makes per-domain reuse sound, and what stops signature-buffer
+   pass owns a private, persistent [scratch] in the estimator's table, so
+   it dies with the estimator; the estimator's own one serves the
+   sequential entry points. All buffers are write-before-read, so a fresh
+   scratch produces bit-identical results to a reused one — which is what
+   makes per-domain reuse sound, and what stops signature-buffer
    allocations from bouncing between domains on every chunk. *)
 type scratch = {
   overlay : Overlay.t;  (* flip-response cone evaluation and buffer pool *)
@@ -35,7 +34,8 @@ type t = {
   current : Metric.terms;  (* per-sample error terms; [err_mask] under ER *)
   cone_cache : (int, int array) Hashtbl.t;
   scratch : scratch;
-  domain_scratch : scratch Domain.DLS.key;  (* per-worker-domain scratches *)
+  new_scratch : unit -> scratch;
+  domain_scratches : (int, scratch) Hashtbl.t * Mutex.t;  (* by domain id *)
   evaluations : int Atomic.t;
   cache_hits : int Atomic.t;
   cache_misses : int Atomic.t;
@@ -98,8 +98,8 @@ let create ctx ~golden ~metric =
            Metric.terms prepared ~approx:golden);
       cone_cache = Hashtbl.create 64;
       scratch = make_scratch ~samples prepared golden;
-      domain_scratch =
-        Domain.DLS.new_key (fun () -> make_scratch ~samples prepared golden);
+      new_scratch = (fun () -> make_scratch ~samples prepared golden);
+      domain_scratches = (Hashtbl.create 4, Mutex.create ());
       evaluations = Atomic.make 0;
       cache_hits = Atomic.make 0;
       cache_misses = Atomic.make 0;
@@ -108,6 +108,17 @@ let create ctx ~golden ~metric =
   refresh t ctx ~sig_changed:[]
     ~struct_dirty:(Array.make (Network.num_nodes ctx.Round_ctx.net) true);
   t
+
+let domain_scratch t =
+  let table, lock = t.domain_scratches in
+  let d = (Domain.self () :> int) in
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt table d with
+      | Some s -> s
+      | None ->
+        let s = t.new_scratch () in
+        Hashtbl.add table d s;
+        s)
 
 let take_buf s = Overlay.take s.overlay
 let give_buf s b = Overlay.give s.overlay b
@@ -312,7 +323,7 @@ let evaluate ?(mode = Exact) ?pool t { ranked; seen = _ } =
              distinct targets out over the pool, each chunk on a private
              resimulation scratch. *)
           Fan_out.map_list_with ~label:"estimate" pool
-            ~state:(fun () -> Domain.DLS.get t.domain_scratch)
+            ~state:(fun () -> domain_scratch t)
             ~f:group_deltas groups
         | _ -> List.map (group_deltas t.scratch) groups
       in

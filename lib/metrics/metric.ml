@@ -31,33 +31,21 @@ let check golden approx =
     approx;
   samples
 
-let output_value sigs ~pattern =
-  let v = ref 0 in
-  for i = Array.length sigs - 1 downto 0 do
-    v := (!v lsl 1) lor (if Bitvec.get sigs.(i) pattern then 1 else 0)
-  done;
-  !v
-
-(* [f p word] for every sample [p] of [bv] in order, where bit 0 of [word]
-   is sample [p]'s bit. *)
-let iter_words bv ~samples f =
-  let p = ref 0 in
-  Bitvec.fold_words bv ~init:() ~f:(fun () word ->
-      let stop = min samples (!p + Bitvec.bits_per_word) in
-      let word = ref word in
-      while !p < stop do
-        f !p !word;
-        word := !word lsr 1;
-        incr p
-      done)
-
-(* {!output_value} of every sample, extracted word by word. *)
+(* The unsigned value of the outputs on every sample (output 0 is the least
+   significant bit), extracted word by word: the fold carries the word's
+   first sample, so no closure runs per sample. *)
 let sample_values sigs ~samples =
   let values = Array.make samples 0 in
   Array.iteri
     (fun i bv ->
-      iter_words bv ~samples (fun p word ->
-          values.(p) <- values.(p) lor ((word land 1) lsl i)))
+      ignore
+        (Bitvec.fold_words bv ~init:0 ~f:(fun first word ->
+             let stop = min samples (first + Bitvec.bits_per_word) in
+             for p = first to stop - 1 do
+               values.(p) <- values.(p) lor (((word lsr (p - first)) land 1) lsl i)
+             done;
+             stop)
+          : int))
     sigs;
   values
 
@@ -65,7 +53,6 @@ type prepared = {
   p_kind : kind;
   p_golden : Bitvec.t array;
   p_values : int array;  (* golden per-sample values (distance metrics) *)
-  p_max_value : float;
   p_samples : int;
 }
 
@@ -78,14 +65,7 @@ let prepare kind ~golden =
       if Array.length golden > 60 then invalid_arg "Metric.prepare: > 60 outputs";
       sample_values golden ~samples
   in
-  let m = Array.length golden in
-  {
-    p_kind = kind;
-    p_golden = golden;
-    p_values = values;
-    p_max_value = float_of_int ((1 lsl min m 60) - 1);
-    p_samples = samples;
-  }
+  { p_kind = kind; p_golden = golden; p_values = values; p_samples = samples }
 
 (* Per-sample error terms. A metric is a fold of its terms in sample
    order, so a circuit whose outputs are, per sample, either those behind
@@ -124,38 +104,51 @@ let terms prep ~approx =
   terms_into prep ~approx dst;
   dst
 
-let normalize prep ~samples total =
+let normalize kind ~outputs ~samples sum =
   if samples = 0 then 0.0
   else
-    match prep.p_kind with
-    | Error_rate -> total /. float_of_int samples
-    | Nmed -> total /. float_of_int samples /. prep.p_max_value
-    | Med | Mred -> total /. float_of_int samples
-    | Wce -> total
+    match kind with
+    | Error_rate | Med | Mred -> sum /. float_of_int samples
+    | Nmed -> sum /. float_of_int samples /. float_of_int ((1 lsl min outputs 60) - 1)
+    | Wce -> sum
 
 (* WCE folds a running maximum: [Stdlib.max] specialized to the
    (non-NaN) float terms. *)
 let max_term (acc : float) x = if acc >= x then acc else x
 
-let select_total prep ~diff ~current ~flipped =
+(* The un-normalized fold, in sample order, of [flipped]'s terms on the
+   samples set in [diff] and [current]'s elsewhere. *)
+let fold kind ~diff ~current ~flipped =
   match (current, flipped) with
-  | Wrong cur, Wrong flip ->
-    normalize prep ~samples:(Bitvec.length cur)
-      (float_of_int (Bitvec.mux_popcount ~sel:diff flip cur))
+  | Wrong cur, Wrong flip -> float_of_int (Bitvec.mux_popcount ~sel:diff flip cur)
   | Distance cur, Distance flip ->
     let samples = Array.length cur in
-    let total = ref 0.0 in
-    let term p word = if word land 1 = 1 then flip.(p) else cur.(p) in
-    (match prep.p_kind with
-     | Wce -> iter_words diff ~samples (fun p word -> total := max_term !total (term p word))
-     | Error_rate | Nmed | Mred | Med ->
-       iter_words diff ~samples (fun p word -> total := !total +. term p word));
-    normalize prep ~samples !total
+    let wce = match kind with Wce -> true | Error_rate | Nmed | Mred | Med -> false in
+    (* Word by word, like [sample_values]: no closure runs per sample. *)
+    snd
+      (Bitvec.fold_words diff ~init:(0, 0.0) ~f:(fun (first, total) word ->
+           let total = ref total in
+           for p = first to min samples (first + Bitvec.bits_per_word) - 1 do
+             let term = if (word lsr (p - first)) land 1 = 1 then flip.(p) else cur.(p) in
+             total := if wce then max_term !total term else !total +. term
+           done;
+           (first + Bitvec.bits_per_word, !total)))
   | (Wrong _ | Distance _), (Wrong _ | Distance _) ->
-    invalid_arg "Metric.select_total: terms of different kinds"
+    invalid_arg "Metric: terms of different kinds"
 
-let total prep terms =
-  select_total prep ~diff:(Bitvec.create prep.p_samples) ~current:terms ~flipped:terms
+let sum kind terms =
+  let samples =
+    match terms with Wrong w -> Bitvec.length w | Distance d -> Array.length d
+  in
+  fold kind ~diff:(Bitvec.create samples) ~current:terms ~flipped:terms
+
+let normalize_prepared prep sum =
+  normalize prep.p_kind ~outputs:(Array.length prep.p_golden) ~samples:prep.p_samples sum
+
+let select_total prep ~diff ~current ~flipped =
+  normalize_prepared prep (fold prep.p_kind ~diff ~current ~flipped)
+
+let total prep terms = normalize_prepared prep (sum prep.p_kind terms)
 
 let measure_prepared prep ~approx = total prep (terms prep ~approx)
 

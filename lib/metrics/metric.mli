@@ -13,8 +13,9 @@
     There is one implementation of each metric: the golden outputs are
     {!prepare}d once, the approximate outputs become one error term per
     sample ({!terms}), and the metric is the fold of those terms in sample
-    order ({!total}). {!measure} is that pipeline in one call, and the
-    estimator's per-candidate {!select_total} folds the same terms. *)
+    order, normalized ({!total}). {!measure} is that pipeline in one call;
+    the estimator's {!select_total} and the exhaustive checker's per-chunk
+    {!sum}s fold the same terms. *)
 
 open Accals_bitvec
 
@@ -35,10 +36,6 @@ val measure : kind -> golden:Bitvec.t array -> approx:Bitvec.t array -> float
     arrays must have equal lengths (same output count) and equal
     per-signature bit lengths (same pattern count). Output count must be at
     most 60 for the distance metrics. *)
-
-val output_value : Bitvec.t array -> pattern:int -> int
-(** Unsigned integer value of the outputs on one pattern (output 0 is the
-    least significant bit). *)
 
 (** {1 Prepared measurement}
 
@@ -79,9 +76,18 @@ val wrong_into : prepared -> approx:Bitvec.t array -> Bitvec.t -> unit
     differs from the prepared golden, whatever the prepared kind. Under ER
     this is {!terms_into}. *)
 
+val sum : kind -> terms -> float
+(** The fold of [terms] in sample order, from [0.0]: a count (ER), a running
+    maximum (WCE) or a sum. [terms] must be [kind]'s: [Wrong] for ER,
+    [Distance] otherwise. *)
+
+val normalize : kind -> outputs:int -> samples:int -> float -> float
+(** The metric of [samples] samples over [outputs] outputs from their
+    {!sum}: its mean, over [2^outputs - 1] for NMED, itself for WCE. *)
+
 val total : prepared -> terms -> float
-(** The metric whose per-sample terms are [terms]: {!select_total} with an
-    empty [diff]. *)
+(** {!normalize} of the {!sum} of [terms]: {!select_total} with an empty
+    [diff]. *)
 
 val select_total :
   prepared -> diff:Bitvec.t -> current:terms -> flipped:terms -> float

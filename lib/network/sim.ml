@@ -83,6 +83,3 @@ let run ?live t pats ~order =
       end)
     order;
   sigs
-
-let output_values t sigs ~pattern =
-  Array.map (fun id -> Bitvec.get sigs.(id) pattern) (Network.outputs t)

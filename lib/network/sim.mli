@@ -57,6 +57,3 @@ val eval_node_into :
 (** Recompute one node's signature from fanin signatures provided by
     [lookup]: {!eval_op_into} on the node's op and fanins. Used for cone
     resimulation in the error estimator. *)
-
-val output_values : Network.t -> Accals_bitvec.Bitvec.t array -> pattern:int -> bool array
-(** Extract the primary-output vector of one pattern from node signatures. *)

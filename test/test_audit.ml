@@ -652,31 +652,35 @@ let test_independent_seed () =
   check "seed-sensitive" true
     (Certify.independent_seed 1 <> Certify.independent_seed 2)
 
-let test_measure_exhaustive_and_sampled () =
-  let golden = Random_logic.make ~name:"cert" ~inputs:8 ~outputs:4 ~gates:30 ~seed:5 in
+(* A copy of [golden] with its first live gate stubbed out; any induced
+   error is fine, the point is the agreement between [measure] and the
+   exhaustive analyzer. *)
+let stub_first_gate golden =
   let approx = Network.copy golden in
-  (* Stub out one live gate; any induced error is fine, the point is the
-     agreement between [measure] and the exhaustive analyzer. *)
   let live = Structure.live_set approx in
   let id = ref (-1) in
   Array.iteri
     (fun i l -> if !id < 0 && l && not (Network.is_input approx i) then id := i)
     live;
   Network.replace approx !id Gate.(Const false) [||];
+  approx
+
+let test_measure_exhaustive_and_sampled () =
+  let golden = Random_logic.make ~name:"cert" ~inputs:8 ~outputs:4 ~gates:30 ~seed:5 in
+  let approx = stub_first_gate golden in
   let err, method_ =
-    Certify.measure ~golden ~approx ~metric:Metric.Error_rate ~seed:1
-      ~samples:256 ~exhaustive_limit:8
+    Certify.measure ~golden ~approx ~metric:Metric.Error_rate ~seed:1 ~samples:256
   in
   check "exhaustive over 2^8 vectors" true (method_ = Certify.Exhaustive 256);
-  let exact = Exhaustive.compare_networks ~golden ~approx in
+  let exact = Exhaustive.compare_networks ~golden ~approx () in
   check "agrees with the exhaustive analyzer" true
     (err = exact.Exhaustive.error_rate);
+  let wide = Random_logic.make ~name:"wide" ~inputs:26 ~outputs:4 ~gates:60 ~seed:5 in
   let err2, method2 =
-    Certify.measure ~golden ~approx ~metric:Metric.Error_rate ~seed:1
-      ~samples:256 ~exhaustive_limit:4
+    Certify.measure ~golden:wide ~approx:(stub_first_gate wide)
+      ~metric:Metric.Error_rate ~seed:1 ~samples:256
   in
-  check "sampled when the width exceeds the limit" true
-    (method2 = Certify.Sampled 256);
+  check "sampled above Exhaustive.max_inputs" true (method2 = Certify.Sampled 256);
   check "sampled error is a probability" true (err2 >= 0.0 && err2 <= 1.0)
 
 let test_certify_with_rollback () =

@@ -264,7 +264,7 @@ let prop_engine_bound_on_random_nets =
       (* Exhaustive cross-check: 8 inputs. *)
       let exact =
         Accals_analysis.Exhaustive.compare_networks ~golden:net
-          ~approx:r.Engine.approximate
+          ~approx:r.Engine.approximate ()
       in
       r.Engine.error <= 0.04
       && exact.Accals_analysis.Exhaustive.error_rate <= 0.04 +. 1e-9)

@@ -414,7 +414,7 @@ let test_sim_matches_eval () =
   for p = 0 to 7 do
     let ins = Test_util.bits_of_int p 3 in
     let expected = Network.eval t ins in
-    let got = Sim.output_values t sigs ~pattern:p in
+    let got = Test_util.sim_output_values t sigs ~pattern:p in
     Alcotest.(check (array bool)) "sim = eval" expected got
   done
 
@@ -428,7 +428,7 @@ let prop_sim_matches_eval_random =
       let ok = ref true in
       for p = 0 to 63 do
         let ins = Test_util.bits_of_int p 6 in
-        if Network.eval t ins <> Sim.output_values t sigs ~pattern:p then ok := false
+        if Network.eval t ins <> Test_util.sim_output_values t sigs ~pattern:p then ok := false
       done;
       !ok)
 

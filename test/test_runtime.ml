@@ -226,14 +226,38 @@ let test_exhaustive_pool_deterministic () =
       ~error_bound:0.05
   in
   let approx = r.Engine.approximate in
-  let seq = Accals_analysis.Exhaustive.compare_networks ~golden:net ~approx in
+  let seq = Accals_analysis.Exhaustive.compare_networks ~golden:net ~approx () in
   let par =
     Pool.with_pool ~jobs:4 (fun pool ->
-        Accals_analysis.Exhaustive.compare_networks_with ~pool ~golden:net
-          ~approx)
+        Accals_analysis.Exhaustive.compare_networks ~pool ~golden:net ~approx ())
   in
   check "exhaustive reports identical" true (seq = par)
 
+(* Every run's estimator keeps per-domain scratches; on a pool shared
+   across runs (the daemon's) they must die with the estimator, so the live
+   heap stays flat run after run. *)
+let test_shared_pool_runs_do_not_leak () =
+  let net = Accals_circuits.Bench_suite.load "mtp8" in
+  let config = small_config ~jobs:2 net in
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let run () =
+        ignore
+          (Engine.run ~pool ~config net ~metric:Metric.Nmed ~error_bound:0.002
+            : Engine.report)
+      in
+      let live () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      run ();
+      run ();
+      let before = live () in
+      for _ = 1 to 8 do
+        run ()
+      done;
+      let growth = live () - before in
+      if growth > 8 * 1_000 then
+        Alcotest.failf "live words grew by %d over 8 runs" growth)
 
 (* --- exactly-once execution at the pool level --- *)
 
@@ -414,5 +438,7 @@ let suite =
           test_cone_cache_counters_jobs_independent;
         Alcotest.test_case "exhaustive comparison" `Quick
           test_exhaustive_pool_deterministic;
+        Alcotest.test_case "shared pool runs keep the heap flat" `Quick
+          test_shared_pool_runs_do_not_leak;
       ] );
   ]

@@ -30,6 +30,10 @@ let truth_eval_op vars op fanins =
     (fanins.(0) land fanins.(1))
     lor (Truth.lognot vars fanins.(0) land fanins.(2))
 
+(* The primary-output vector of one pattern, read from node signatures. *)
+let sim_output_values t sigs ~pattern =
+  Array.map (fun id -> Accals_bitvec.Bitvec.get sigs.(id) pattern) (Network.outputs t)
+
 (* Evaluate a network with input values given by name. *)
 let eval_named net env =
   let values =
