@@ -47,7 +47,9 @@ type state = {
   golden_sim : sim;
   approx_sim : sim;
   wrong_buf : Bitvec.t;
-  terms : Metric.terms;
+  golden_values : int array;
+  approx_values : int array;
+  distances : float array;
 }
 
 (* One chunk's (or a run of chunks') {!Metric.sum}s. *)
@@ -60,14 +62,20 @@ let tally inputs st c =
   let approx = simulate inputs st.approx_sim c in
   Metric.wrong_into (Metric.prepare Metric.Error_rate ~golden) ~approx st.wrong_buf;
   let wrong = Metric.sum Metric.Error_rate (Metric.Wrong st.wrong_buf) in
+  (* One extraction of each side's per-sample values serves MRED, MED and
+     WCE. *)
+  Metric.sample_values_into golden st.golden_values;
+  Metric.sample_values_into approx st.approx_values;
+  let terms = Metric.Distance st.distances in
   let sum kind =
-    Metric.terms_into (Metric.prepare kind ~golden) ~approx st.terms;
-    Metric.sum kind st.terms
+    Metric.distance_terms_into kind ~golden:st.golden_values
+      ~approx:st.approx_values st.distances;
+    Metric.sum kind terms
   in
   let relative = sum Metric.Mred in
   let distance = sum Metric.Med in
-  (* WCE folds the MED terms still in [st.terms]. *)
-  { wrong; distance; relative; worst = Metric.sum Metric.Wce st.terms }
+  (* WCE folds the MED terms still in [st.distances]. *)
+  { wrong; distance; relative; worst = Metric.sum Metric.Wce terms }
 
 let add a b =
   {
@@ -96,7 +104,9 @@ let compare_networks ?pool ~golden ~approx () =
       golden_sim = sim_create golden ~count:per_chunk;
       approx_sim = sim_create approx ~count:per_chunk;
       wrong_buf = Bitvec.create per_chunk;
-      terms = Metric.Distance (Array.make per_chunk 0.0);
+      golden_values = Array.make per_chunk 0;
+      approx_values = Array.make per_chunk 0;
+      distances = Array.make per_chunk 0.0;
     }
   in
   (* The chunk layout depends only on the input count, never on the pool

@@ -34,8 +34,9 @@ let check golden approx =
 (* The unsigned value of the outputs on every sample (output 0 is the least
    significant bit), extracted word by word: the fold carries the word's
    first sample, so no closure runs per sample. *)
-let sample_values sigs ~samples =
-  let values = Array.make samples 0 in
+let sample_values_into sigs values =
+  let samples = Array.length values in
+  Array.fill values 0 samples 0;
   Array.iteri
     (fun i bv ->
       ignore
@@ -46,8 +47,22 @@ let sample_values sigs ~samples =
              done;
              stop)
           : int))
-    sigs;
+    sigs
+
+let sample_values sigs ~samples =
+  let values = Array.make samples 0 in
+  sample_values_into sigs values;
   values
+
+let distance_terms_into kind ~golden ~approx terms =
+  for p = 0 to Array.length golden - 1 do
+    let g = golden.(p) in
+    let distance = float_of_int (abs (approx.(p) - g)) in
+    terms.(p) <-
+      (match kind with
+       | Mred -> distance /. float_of_int (max 1 g)
+       | Nmed | Med | Wce | Error_rate -> distance)
+  done
 
 type prepared = {
   p_kind : kind;
@@ -83,15 +98,8 @@ let terms_into prep ~approx dst =
   | Error_rate, Wrong wrong -> wrong_into prep ~approx wrong
   | (Nmed | Mred | Med | Wce), Distance terms ->
     let samples = check prep.p_golden approx in
-    let values = sample_values approx ~samples in
-    for p = 0 to samples - 1 do
-      let g = prep.p_values.(p) in
-      let distance = float_of_int (abs (values.(p) - g)) in
-      terms.(p) <-
-        (match prep.p_kind with
-         | Mred -> distance /. float_of_int (max 1 g)
-         | Nmed | Med | Wce | Error_rate -> distance)
-    done
+    distance_terms_into prep.p_kind ~golden:prep.p_values
+      ~approx:(sample_values approx ~samples) terms
   | (Error_rate | Nmed | Mred | Med | Wce), (Wrong _ | Distance _) ->
     invalid_arg "Metric.terms_into: terms of another kind"
 

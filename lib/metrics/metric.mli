@@ -76,6 +76,18 @@ val wrong_into : prepared -> approx:Bitvec.t array -> Bitvec.t -> unit
     differs from the prepared golden, whatever the prepared kind. Under ER
     this is {!terms_into}. *)
 
+val sample_values_into : Bitvec.t array -> int array -> unit
+(** Overwrite the array with the unsigned value of the outputs (output 0
+    least significant) on each of its samples: at most 60 outputs, one
+    entry per signature bit. *)
+
+val distance_terms_into :
+  kind -> golden:int array -> approx:int array -> float array -> unit
+(** Overwrite [Distance] terms of a distance [kind] from both circuits'
+    {!sample_values_into}, one per golden value: what {!terms_into} makes
+    after extracting them. A caller that needs several distance metrics of
+    one pair extracts the values once. *)
+
 val sum : kind -> terms -> float
 (** The fold of [terms] in sample order, from [0.0]: a count (ER), a running
     maximum (WCE) or a sum. [terms] must be [kind]'s: [Wrong] for ER,

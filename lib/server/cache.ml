@@ -142,17 +142,23 @@ let evict t ~max_bytes =
 
 module Fault_io = Accals_resilience.Fault_io
 
-let store ?(max_bytes = 0) t e =
-  let final = path t e.key in
+let members e =
+  let buf = Buffer.create (String.length e.blif + 4096) in
+  Json.add_members buf [ ("report", e.report); ("blif", Json.String e.blif) ];
+  Buffer.contents buf
+
+let store_members ?(max_bytes = 0) t ~key members =
+  let final = path t key in
+  (* The file is the object {"key":…,"report":…,"blif":…} and a newline,
+     the bytes [Json.to_string] prints for the whole entry. *)
   let payload =
-    Json.to_string
-      (Json.Obj
-         [
-           ("key", Json.String e.key);
-           ("report", e.report);
-           ("blif", Json.String e.blif);
-         ])
-    ^ "\n"
+    let buf = Buffer.create (String.length members + String.length key + 16) in
+    Buffer.add_char buf '{';
+    Json.add_members buf [ ("key", Json.String key) ];
+    Buffer.add_char buf ',';
+    Buffer.add_string buf members;
+    Buffer.add_string buf "}\n";
+    Buffer.contents buf
   in
   (* Make room *before* writing: a store into an almost-full cache must
      never overshoot the cap, even transiently (a concurrent du / quota
@@ -161,7 +167,7 @@ let store ?(max_bytes = 0) t e =
   if max_bytes > 0 && bytes t + String.length payload > max_bytes then
     ignore (evict t ~max_bytes:(max 0 (max_bytes - String.length payload)));
   let tmp =
-    Filename.temp_file ~temp_dir:t.dir ("." ^ e.key) ".tmp"
+    Filename.temp_file ~temp_dir:t.dir ("." ^ key) ".tmp"
   in
   (* Durable I/O runs through [Fault_io] so chaos specs can hand this
      path ENOSPC and torn writes; the temp file is removed on any
@@ -182,3 +188,5 @@ let store ?(max_bytes = 0) t e =
   with ex ->
     (try Sys.remove tmp with Sys_error _ -> ());
     raise ex
+
+let store ?max_bytes t e = store_members ?max_bytes t ~key:e.key (members e)

@@ -52,6 +52,18 @@ val store : ?max_bytes:int -> t -> entry -> unit
     [ENOSPC]/torn write) the temp file is removed and the previous entry
     for the key, if any, survives intact. *)
 
+val members : entry -> string
+(** The entry's report and BLIF as the JSON members
+    ["report":…,"blif":…], byte for byte as {!Json.to_string} prints them
+    inside an object: what a [result] reply splices in, and what an entry
+    file holds after its key. *)
+
+val store_members : ?max_bytes:int -> t -> key:string -> string -> unit
+(** {!store} of the entry whose {!members} are given already encoded:
+    the file gets the same bytes, and the caller encodes an entry once
+    for both the disk and its replies. [store] is this function applied
+    to [members e]. *)
+
 val size : t -> int
 (** Number of entry files currently on disk. *)
 

@@ -20,7 +20,7 @@ let failure_to_string = function
   | Resource_exhausted -> "resource_exhausted"
   | Error msg -> msg
 
-type outcome = [ `Done of Cache.entry * bool | `Failed of failure | `Cancelled ]
+type outcome = [ `Done of string * bool | `Failed of failure | `Cancelled ]
 
 type job = {
   id : string;
@@ -42,7 +42,8 @@ type job = {
   mutable delivered_mono : float option;  (* first successful result fetch *)
   mutable cached : bool;
   mutable degraded : bool;
-  mutable result : Cache.entry option;
+  mutable result : string option;
+      (* the result's encoded JSON members, [Cache.members] *)
   mutable failure : failure option;
   mutable net : Network.t option;
       (* the parsed circuit, until the job leaves the queue *)
@@ -307,10 +308,10 @@ let settle t j (outcome : outcome) =
         j.finished_mono <- Some (Clock.now ());
         t.active <- List.filter (fun x -> x != j) t.active;
         (match outcome with
-         | `Done (entry, degraded) ->
+         | `Done (members, degraded) ->
            j.state <- Done;
            j.degraded <- degraded;
-           j.result <- Some entry;
+           j.result <- Some members;
            push_event j "done" [ ("degraded", Json.Bool degraded) ]
          | `Failed f ->
            j.state <- Failed;

@@ -45,9 +45,10 @@ val failure_to_string : failure -> string
 (** The wire form ({!view}'s [v_failure]): ["deadline_exceeded"],
     ["resource_exhausted"], or the exception text. *)
 
-type outcome = [ `Done of Cache.entry * bool | `Failed of failure | `Cancelled ]
-(** How a job ends: [`Done (entry, degraded)], a failure, or a
-    cancellation. *)
+type outcome = [ `Done of string * bool | `Failed of failure | `Cancelled ]
+(** How a job ends: [`Done (members, degraded)], a failure, or a
+    cancellation. [members] is the result encoded once by
+    {!Cache.members}, the bytes every [result] reply splices in. *)
 
 type job
 (** Opaque; read through {!view} / {!result} / {!events}. *)
@@ -63,17 +64,17 @@ val submit :
   digest:string ->
   key:string ->
   ?net:Network.t ->
-  ?cached:Cache.entry ->
+  ?cached:string ->
   ?lookup_s:float ->
   unit ->
   job
-(** Admit a job. With [cached] it is born [Done] with that result and
-    marked as a cache hit. [net] is the parsed circuit a queued job
-    holds until {!take_circuit} or {!settle} releases it. [circuit] is
-    the display name. [lookup_s] is the cache-lookup cost the daemon
-    paid at admission, drawn as the "cache.lookup" span in the merged
-    trace. A job without a [spec.trace_id] gets one minted here, so
-    every job is traceable. *)
+(** Admit a job. With [cached] (a result encoded by {!Cache.members}) it
+    is born [Done] with that result and marked as a cache hit. [net] is
+    the parsed circuit a queued job holds until {!take_circuit} or
+    {!settle} releases it. [circuit] is the display name. [lookup_s] is
+    the cache-lookup cost the daemon paid at admission, drawn as the
+    "cache.lookup" span in the merged trace. A job without a
+    [spec.trace_id] gets one minted here, so every job is traceable. *)
 
 val resolve : t -> Protocol.source -> (string * string) option
 (** [(digest, circuit)] of the first admitted job with exactly this
@@ -186,7 +187,9 @@ type view = {
 
 val view : t -> job -> view
 val failure : t -> job -> failure option
-val result : t -> job -> Cache.entry option
+val result : t -> job -> string option
+(** The finished job's result as {!Cache.members} encoded it. *)
+
 val events : t -> job -> Json.t list
 (** Chronological. *)
 

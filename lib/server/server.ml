@@ -639,8 +639,8 @@ let admit t (spec : Protocol.job_spec) =
          Metrics.incr t.m_cache_hit_disk;
          let lookup_s = Clock.now () -. lookup_begin in
          let j =
-           Scheduler.submit t.sched ~spec ~circuit ~digest ~key ~cached:entry
-             ~lookup_s ()
+           Scheduler.submit t.sched ~spec ~circuit ~digest ~key
+             ~cached:(Cache.members entry) ~lookup_s ()
          in
          log t "cache hit (disk): %s -> %s" circuit (Scheduler.id j);
          Ok (j, `Cached)
@@ -724,7 +724,7 @@ let max_attached_trace_events = 20_000
    a real ENOSPC as evict-then-retry-once — the entry is an optimization,
    the filesystem's last blocks are not worth crashing over.  Returns the
    disk incident when the store hit ENOSPC. *)
-let store_result t c entry =
+let store_result t c ~key members =
   let headroom = t.cfg.statedir_headroom_mb * 1024 * 1024 in
   if
     headroom > 0
@@ -736,7 +736,9 @@ let store_result t c entry =
       t.cfg.statedir_headroom_mb
       (ev.Cache.removed_corrupt + ev.Cache.removed_lru)
   end;
-  let store () = Cache.store ~max_bytes:t.cfg.cache_max_bytes c entry in
+  let store () =
+    Cache.store_members ~max_bytes:t.cfg.cache_max_bytes c ~key members
+  in
   match store () with
   | () -> []
   | exception Unix.Unix_error (Unix.ENOSPC, _, _) ->
@@ -750,15 +752,14 @@ let store_result t c entry =
       (ev.Cache.removed_corrupt + ev.Cache.removed_lru);
     (try store ()
      with e ->
-       log t "cache store failed for %s after eviction: %s" entry.Cache.key
+       log t "cache store failed for %s after eviction: %s" key
          (Printexc.to_string e));
     [
       Incident.Resource_exhausted
         { resource = "disk"; limit = float_of_int headroom; observed };
     ]
   | exception e ->
-    log t "cache store failed for %s: %s" entry.Cache.key
-      (Printexc.to_string e);
+    log t "cache store failed for %s: %s" key (Printexc.to_string e);
     []
 
 (* Runs on the job's hub domain: run the engine, store the cache entry
@@ -851,22 +852,26 @@ let worker_body t job net =
            (never quarantine-worthy). *)
         (`Failed Scheduler.Resource_exhausted, [ kind ])
       | None ->
-        let entry =
-          {
-            Cache.key = Scheduler.key job;
-            report = Report_json.to_json ~rounds:true report;
-            blif = Blif.to_string report.Engine.approximate;
-          }
+        let key = Scheduler.key job in
+        (* Encoded once, here on the worker's domain: the cache file and
+           every [result] reply take these bytes as they are. *)
+        let members =
+          Cache.members
+            {
+              Cache.key;
+              report = Report_json.to_json ~rounds:true report;
+              blif = Blif.to_string report.Engine.approximate;
+            }
         in
         let degraded = report.Engine.degraded in
         (* A budget-degraded result is request-specific; only converged
            results are content-addressable. *)
         let incidents =
           match t.cache with
-          | Some c when not degraded -> store_result t c entry
+          | Some c when not degraded -> store_result t c ~key members
           | _ -> []
         in
-        (`Done (entry, degraded), incidents)
+        (`Done (members, degraded), incidents)
     with Job_cancelled -> (`Cancelled, []))
 
 (* Join a worker whose outcome is published (the thunk is returning, so
@@ -999,9 +1004,36 @@ let resource_fields t j =
     ]
   else []
 
+(* One reply line: the response's JSON and its newline, encoded into one
+   buffer. *)
+let reply_line resp =
+  let buf = Buffer.create 256 in
+  Json.to_buffer buf resp;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+(* A finished job's [result] line: the [fields] encoded by [Json], then the
+   job's stored result members spliced in before the closing brace, in one
+   exactly sized copy.  The report and BLIF were encoded once, when the job
+   finished or was admitted as a disk hit; no reply encodes them again. *)
+let result_line fields members =
+  let buf = Buffer.create 512 in
+  Json.to_buffer buf (Protocol.ok_response fields);
+  (* [fields] is not empty, so the object ends "...}" and a separator
+     takes the brace's place. *)
+  let head = Buffer.length buf - 1 in
+  let n = String.length members in
+  let line = Bytes.create (head + 1 + n + 2) in
+  Buffer.blit buf 0 line 0 head;
+  Bytes.set line head ',';
+  Bytes.blit_string members 0 line (head + 1) n;
+  Bytes.blit_string "}\n" 0 line (head + 1 + n) 2;
+  Bytes.unsafe_to_string line
+
 let with_job t id f =
   match Scheduler.find t.sched id with
-  | None -> Protocol.error_response (Printf.sprintf "unknown job %S" id)
+  | None ->
+    reply_line (Protocol.error_response (Printf.sprintf "unknown job %S" id))
   | Some j -> f j
 
 let handle_submit t spec =
@@ -1039,29 +1071,28 @@ let handle_submit t spec =
           ("trace_id", Json.String (Scheduler.trace_id j));
         ])
 
+(* Every request's reply line. *)
 let handle_request t req =
+  let ok fields = reply_line (Protocol.ok_response fields) in
   match req with
-  | Protocol.Submit spec -> handle_submit t spec
+  | Protocol.Submit spec -> reply_line (handle_submit t spec)
   | Protocol.Status id -> with_job t id (fun j ->
-      Protocol.ok_response
-        (view_fields (Scheduler.view t.sched j) @ resource_fields t j))
+      ok (view_fields (Scheduler.view t.sched j) @ resource_fields t j))
   | Protocol.Result id ->
     with_job t id (fun j ->
         let fields =
           view_fields (Scheduler.view t.sched j) @ resource_fields t j
         in
         match Scheduler.result t.sched j with
-        | Some e ->
+        | Some members ->
           (* First successful fetch closes the result.delivery span. *)
           Scheduler.note_delivered t.sched j;
-          Protocol.ok_response
-            (fields
-            @ [ ("report", e.Cache.report); ("blif", Json.String e.Cache.blif) ])
-        | None -> Protocol.ok_response fields)
+          result_line fields members
+        | None -> ok fields)
   | Protocol.Cancel id ->
     with_job t id (fun j ->
         let outcome = cancel t j in
-        Protocol.ok_response
+        ok
           (view_fields (Scheduler.view t.sched j)
           @ [ ("cancel", Json.String outcome) ]))
   | Protocol.List ->
@@ -1070,22 +1101,19 @@ let handle_request t req =
         (fun j -> Json.Obj (view_fields (Scheduler.view t.sched j)))
         (Scheduler.all t.sched)
     in
-    Protocol.ok_response [ ("jobs", Json.List jobs) ]
+    ok [ ("jobs", Json.List jobs) ]
   | Protocol.Metrics ->
-    Protocol.ok_response
-      [ ("metrics", Json.String (Metrics.to_prometheus (metrics t))) ]
+    ok [ ("metrics", Json.String (Metrics.to_prometheus (metrics t))) ]
   | Protocol.Trace id ->
     with_job t id (fun j ->
-        Protocol.ok_response
-          [ ("trace", Json.List (Scheduler.trace_events t.sched j)) ])
+        ok [ ("trace", Json.List (Scheduler.trace_events t.sched j)) ])
   | Protocol.Events id ->
     with_job t id (fun j ->
-        Protocol.ok_response
-          [ ("events", Json.List (Scheduler.events t.sched j)) ])
+        ok [ ("events", Json.List (Scheduler.events t.sched j)) ])
   | Protocol.Slo -> (
     match Slo.to_json t.slo with
-    | Json.Obj fields -> Protocol.ok_response fields
-    | other -> Protocol.ok_response [ ("slo", other) ])
+    | Json.Obj fields -> ok fields
+    | other -> ok [ ("slo", other) ])
   | Protocol.Health ->
     (* Everything a load balancer or the CI soak needs in one cheap,
        unprivileged round-trip: the same counters and probes the metrics
@@ -1094,7 +1122,7 @@ let handle_request t req =
        does not leak descriptors under flood. *)
     let queued, running = Scheduler.totals t.sched in
     let total c = Json.Int (int_of_float (Metrics.counter_value c)) in
-    Protocol.ok_response
+    ok
       [
         ("queue_depth", Json.Int queued);
         ("running", Json.Int running);
@@ -1130,7 +1158,7 @@ let handle_request t req =
         ("statedir_bytes", Json.Int (statedir_bytes t));
       ]
   | Protocol.Ping ->
-    Protocol.ok_response
+    ok
       [
         ("pong", Json.Bool true);
         ("uptime_s", Json.Float (Clock.now () -. t.started_mono));
@@ -1139,7 +1167,7 @@ let handle_request t req =
       ]
   | Protocol.Shutdown ->
     Atomic.set t.stopped true;
-    Protocol.ok_response [ ("stopping", Json.Bool true) ]
+    ok [ ("stopping", Json.Bool true) ]
 
 let request_name = function
   | Protocol.Submit _ -> "submit"
@@ -1182,20 +1210,22 @@ let handle_line t origin line =
     (* Structured: a newer client learns the server's version from the
        first response instead of misparsing a generic error. *)
     Metrics.incr (request_counter t "invalid");
-    Protocol.error_response_code ~code:"unsupported_version"
-      ~extra:[ ("v", Json.Int Protocol.version) ]
-      (Protocol.reject_message r)
+    reply_line
+      (Protocol.error_response_code ~code:"unsupported_version"
+         ~extra:[ ("v", Json.Int Protocol.version) ]
+         (Protocol.reject_message r))
   | Error (Protocol.Malformed msg) ->
     Metrics.incr (request_counter t "invalid");
-    Protocol.error_response msg
+    reply_line (Protocol.error_response msg)
   | Ok (req, token) ->
     if not (authorized t origin req ~token) then begin
       Metrics.incr (request_counter t "unauthorized");
-      Protocol.error_response
-        (Printf.sprintf "%s is not allowed over TCP%s" (request_name req)
-           (match t.cfg.tcp_token with
-            | None -> " (daemon started without --tcp-token)"
-            | Some _ -> " without a valid \"token\""))
+      reply_line
+        (Protocol.error_response
+           (Printf.sprintf "%s is not allowed over TCP%s" (request_name req)
+              (match t.cfg.tcp_token with
+               | None -> " (daemon started without --tcp-token)"
+               | Some _ -> " without a valid \"token\"")))
     end
     else begin
       Metrics.incr (request_counter t (request_name req));
@@ -1236,11 +1266,11 @@ let rec flush_outbox t c =
       close_conn t c
   end
 
-let send t c resp =
+(* Queue one reply line ([reply_line]: the response and its newline). *)
+let send t c line =
   if not c.closed then begin
-    let s = Json.to_string resp ^ "\n" in
-    Queue.push s c.outbox;
-    c.out_bytes <- c.out_bytes + String.length s;
+    Queue.push line c.outbox;
+    c.out_bytes <- c.out_bytes + String.length line;
     if c.out_bytes > max_outbox_bytes then begin
       log t "dropping connection %s (outbound buffer over %d bytes)" c.peer
         max_outbox_bytes;
@@ -1286,11 +1316,10 @@ let shed_accept t listener =
         (Incident.Resource_exhausted { resource = "fds"; limit; observed })
     end;
     let resp =
-      Json.to_string
+      reply_line
         (Protocol.error_response_code ~code:"resource_exhausted"
            ~extra:[ ("retry_after_ms", Json.Int (retry_after_ms t)) ]
            "file descriptor budget exhausted")
-      ^ "\n"
     in
     (try
        Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0;
@@ -1337,7 +1366,8 @@ let rec process_pending t c =
     match String.index_opt c.pending '\n' with
     | None ->
       if String.length c.pending > Protocol.max_request_bytes then begin
-        send t c (Protocol.error_response "request exceeds maximum size");
+        send t c
+          (reply_line (Protocol.error_response "request exceeds maximum size"));
         close_conn t c
       end
     | Some i ->

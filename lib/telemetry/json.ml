@@ -97,6 +97,15 @@ let rec to_buffer_at buf indent v =
 
 let to_buffer buf v = to_buffer_at buf (-1) v
 
+let add_members buf fields =
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_quoted buf k;
+      Buffer.add_char buf ':';
+      to_buffer buf v)
+    fields
+
 let to_string ?(pretty = false) v =
   let buf = Buffer.create 256 in
   to_buffer_at buf (if pretty then 0 else -1) v;
@@ -113,11 +122,25 @@ let write_file path v =
   close_out oc
 
 (* ------------------------------------------------------------------ *)
-(* Parser: recursive descent that scans runs in place.  A string without
-   escapes is one [String.sub] (with escapes, one [add_substring] per run
-   between them), an integer of up to 18 characters is accumulated
-   without copying it, and a peek is a bounds check and a
-   [String.unsafe_get], never an [option]. *)
+(* Parser: recursive descent that scans runs in place.  A string body is
+   decoded by the C kernel in json_stubs.c: one pass finds the closing
+   quote and the decoded length, a second fills one exactly sized string.
+   A body the kernel declines ([\u] escapes and every malformed one) goes
+   through the run scanner below, one [add_substring] per run between
+   escapes.  An integer of up to 18 characters is accumulated without
+   copying it, and a peek is a bounds check and a [String.unsafe_get],
+   never an [option]. *)
+
+(* The decoded length of the string body at [start], or -1 when the run
+   scanner must decode it. *)
+external unescaped_length : string -> int -> int
+  = "accals_json_unescaped_length"
+[@@noalloc]
+
+(* Decode the body at [start] into [dst], exactly [unescaped_length]
+   bytes long, and return the index of its closing quote. *)
+external unescape : string -> int -> Bytes.t -> int = "accals_json_unescape"
+[@@noalloc]
 
 exception Parse_error of string
 
@@ -214,10 +237,11 @@ let parse_exn ?(max_depth = default_max_depth) ?max_bytes s =
       end
     | c -> fail "bad escape \\%c" c
   in
-  let parse_string () =
-    expect '"';
-    (* [scan i] is the index of the first quote, backslash or control
-       character at or after [i]; [n] if there is none. *)
+  (* The run scanner, for a body the kernel declines: it holds a [\u]
+     escape or an error.  [scan i] is the index of the first quote,
+     backslash or control character at or after [i]; [n] if there is
+     none. *)
+  let scan_string () =
     let rec scan i =
       if i >= n then n
       else
@@ -259,6 +283,16 @@ let parse_exn ?(max_depth = default_max_depth) ?max_bytes s =
       end
     in
     finish None (scan !pos)
+  in
+  let parse_string () =
+    expect '"';
+    let len = unescaped_length s !pos in
+    if len < 0 then scan_string ()
+    else begin
+      let dst = Bytes.create len in
+      pos := unescape s !pos dst + 1;
+      Bytes.unsafe_to_string dst
+    end
   in
   let skip_digits () =
     while digit_here () do

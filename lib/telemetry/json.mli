@@ -24,6 +24,11 @@ val to_string : ?pretty:bool -> t -> string
 
 val to_buffer : Buffer.t -> t -> unit
 
+val add_members : Buffer.t -> (string * t) list -> unit
+(** The members of [Obj fields] as the compact {!to_string} prints them
+    between the braces: ["key":value] pairs joined by commas, so a
+    caller can encode some members once and splice them into objects. *)
+
 val write_file : string -> t -> unit
 (** Write [to_string ~pretty:true] plus a trailing newline. *)
 

@@ -706,7 +706,7 @@ let test_scheduler_coalescing () =
   (* A degraded result is not reusable; a converged one is, regardless of
      budget. *)
   ignore (Scheduler.pick s);
-  let entry = { Cache.key = "kk"; report = Json.Null; blif = "b" } in
+  let entry = Cache.members { Cache.key = "kk"; report = Json.Null; blif = "b" } in
   ignore (Scheduler.settle s j (`Done (entry, true)));
   check "degraded result is not a hit" true
     (Scheduler.active_by_key s "kk" ~budget:None = None);
@@ -764,7 +764,8 @@ let test_scheduler_quota () =
   (* Finishing a job frees the quota and the waiting job runs. *)
   ignore
     (Scheduler.settle s a1
-       (`Done ({ Cache.key = "a1"; report = Json.Null; blif = "b" }, false)));
+       (`Done
+          (Cache.members { Cache.key = "a1"; report = Json.Null; blif = "b" }, false)));
   (match Scheduler.pick ~tenant_max_running:1 s with
   | Some j ->
     check "freed quota admits the waiting job" true
@@ -816,7 +817,8 @@ let test_scheduler_deadline () =
     && (Scheduler.view s j_r).Scheduler.v_failure = Some "deadline_exceeded");
   check "late success report is a no-op" true
     (Scheduler.settle s j_r
-       (`Done ({ Cache.key = "r"; report = Json.Null; blif = "b" }, false))
+       (`Done
+          (Cache.members { Cache.key = "r"; report = Json.Null; blif = "b" }, false))
     = None);
   check "late success leaves the verdict" true
     (Scheduler.state s j_r = Scheduler.Failed
@@ -868,7 +870,7 @@ let test_scheduler_history_differential () =
   let tenants = [ "a"; "b"; "c" ] and keys = [ "k0"; "k1"; "k2"; "k3"; "k4" ] in
   let budgets = [ None; Some 1.0 ] in
   let pick_from l = List.nth l (Random.State.int rng (List.length l)) in
-  let entry = { Cache.key = "k"; report = Json.Null; blif = "b" } in
+  let entry = Cache.members { Cache.key = "k"; report = Json.Null; blif = "b" } in
   let live j =
     match Scheduler.state s j with
     | Scheduler.Queued | Scheduler.Running -> true
@@ -1363,6 +1365,129 @@ let boot_server cfg =
   let server = Server.create cfg in
   let daemon = Domain.spawn (fun () -> Server.run server) in
   (server, daemon)
+
+(* A finished job keeps its report and BLIF encoded, and every [result]
+   reply splices those bytes in after the view fields.  The reply line
+   must still be what encoding the whole reply tree prints: the oracle
+   below builds that tree from the [status] reply's fields and the job's
+   own cache entry.  Checked for a cold job, a coalesced repeat and a disk
+   hit after a restart, each fetched twice; the cache files must be the
+   whole entry object as [Json] prints it. *)
+let test_result_reply_bytes () =
+  let dir = temp_dir "accals_daemon_bytes" in
+  let cache_dir = Filename.concat dir "cache" in
+  let samples = 256 in
+  let sock n = Filename.concat dir (Printf.sprintf "t%d.sock" n) in
+  let boot n =
+    boot_server
+      {
+        Server.default_config with
+        Server.socket = sock n;
+        jobs = 1;
+        max_concurrent = 1;
+        cache_dir = Some cache_dir;
+        default_samples = samples;
+        log = false;
+      }
+  in
+  let jobs = [ ("mtp8", 0.02); ("c880", 0.01) ] in
+  let key (name, bound) =
+    Cache.key ~digest:(Network.digest (Bench_suite.load name))
+      ~metric:Metric.Error_rate ~bound ~samples ~seed:1
+  in
+  let fetch fd ic req =
+    raw_write fd (Json.to_string (Protocol.request_to_json req) ^ "\n");
+    input_line ic
+  in
+  let oracle fd ic job id =
+    let status =
+      match Json.parse_exn (fetch fd ic (Protocol.Status id)) with
+      | Json.Obj fields -> fields
+      | _ -> Alcotest.fail "status reply is not an object"
+    in
+    match Cache.find (Cache.create ~dir:cache_dir) (key job) with
+    | Some e ->
+      Json.to_string
+        (Json.Obj
+           (status
+           @ [ ("report", e.Cache.report); ("blif", Json.String e.Cache.blif) ]))
+    | None -> Alcotest.failf "no cache entry for %s" (fst job)
+  in
+  let check_reply fd ic what job id =
+    let tag s = Printf.sprintf "%s %s: %s" (fst job) what s in
+    let line = fetch fd ic (Protocol.Result id) in
+    check_string (tag "reply equals the encoded reply tree")
+      (oracle fd ic job id) line;
+    check_string (tag "a second fetch returns the same line") line
+      (fetch fd ic (Protocol.Result id));
+    line
+  in
+  let with_daemon n f =
+    let server, daemon = boot n in
+    let c = Client.connect_unix_retry (sock n) in
+    let fd = raw_connect (sock n) in
+    let ic = Unix.in_channel_of_descr fd in
+    Fun.protect
+      ~finally:(fun () ->
+        close_in_noerr ic;
+        Client.close c;
+        Server.stop server;
+        Domain.join daemon)
+      (fun () -> f c fd ic)
+  in
+  let spec (name, bound) = e2e_spec ~samples name bound in
+  let cold =
+    with_daemon 1 (fun c fd ic ->
+        let ids =
+          List.map
+            (fun job ->
+              let id, cached = ok_exn "submit" (Client.submit c (spec job)) in
+              check "cold submit" false cached;
+              let again, _ = ok_exn "repeat" (Client.submit c (spec job)) in
+              check_string "the repeat coalesces onto the job" id again;
+              id)
+            jobs
+        in
+        List.map2
+          (fun job id ->
+            ignore (ok_exn "wait" (Client.wait ~timeout:300.0 c id));
+            let line = check_reply fd ic "cold job" job id in
+            let again, cached = ok_exn "repeat" (Client.submit c (spec job)) in
+            check "a finished repeat is cached" true cached;
+            check_string "a finished repeat coalesces" id again;
+            ignore (check_reply fd ic "coalesced repeat" job again);
+            line)
+          jobs ids)
+  in
+  List.iter
+    (fun job ->
+      match Cache.find (Cache.create ~dir:cache_dir) (key job) with
+      | None -> Alcotest.failf "no cache entry for %s" (fst job)
+      | Some e ->
+        let file = Filename.concat cache_dir (key job ^ ".json") in
+        check_string (fst job ^ ": cache file is the encoded entry")
+          (Json.to_string
+             (Json.Obj
+                [
+                  ("key", Json.String e.Cache.key);
+                  ("report", e.Cache.report);
+                  ("blif", Json.String e.Cache.blif);
+                ])
+          ^ "\n")
+          (In_channel.with_open_bin file In_channel.input_all))
+    jobs;
+  with_daemon 2 (fun c fd ic ->
+      List.iter2
+        (fun job cold_line ->
+          let id, cached = ok_exn "resubmit" (Client.submit c (spec job)) in
+          check "disk hit after a restart" true cached;
+          let line = check_reply fd ic "disk hit" job id in
+          let member k l =
+            Option.bind (Json.member k (Json.parse_exn l)) Json.string_opt
+          in
+          check "the disk hit serves the cold job's BLIF" true
+            (member "blif" line = member "blif" cold_line))
+        jobs cold)
 
 (* A client that sends a request and slams the connection shut before
    reading the response makes the daemon write into a closed socket.
@@ -2155,6 +2280,8 @@ let suite =
       [
         Alcotest.test_case "e2e: submit/cache/cancel/metrics/restart" `Slow
           test_daemon_e2e;
+        Alcotest.test_case "result replies are byte-identical" `Quick
+          test_result_reply_bytes;
         Alcotest.test_case "error handling on the wire" `Quick
           test_server_rejects_bad_requests;
         Alcotest.test_case "repeat sources build once" `Quick

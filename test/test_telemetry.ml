@@ -212,6 +212,51 @@ let gen_json_number =
       (1, map (fun n -> "{\"k\":" ^ n ^ "}") number);
     ]
 
+(* String literals for the C decoder and its fallback: bodies dense in
+   every two-character escape, with good and bad [\u] escapes, unknown
+   escapes, raw control characters and runs past 4 KB, closed, cut off
+   anywhere (inside an escape too), or set as an array item or an object
+   key. *)
+let gen_json_string_literal =
+  let open QCheck2.Gen in
+  let piece =
+    frequency
+      [
+        ( 6,
+          oneofl
+            [ {|\"|}; {|\\|}; {|\/|}; {|\n|}; {|\t|}; {|\r|}; {|\b|}; {|\f|} ] );
+        (4, string_size ~gen:(char_range 'a' 'z') (int_range 0 12));
+        ( 1,
+          oneofl
+            [ {|\u00e9|}; {|\u0041|}; {|\u20AC|}; {|\uD83D|}; {|\u0000|};
+              {|\u12G4|}; {|\u12|}; {|\x|}; {|\'|}; {|\|} ] );
+        (1, map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f));
+        (1, oneofl [ "\x7f"; "\xc2\xb5"; "\xff"; " " ]);
+      ]
+  in
+  let pieces = map (String.concat "") (list_size (int_range 0 20) piece) in
+  let long_run =
+    string_size
+      ~gen:(oneofl [ 'a'; 'Z'; '0'; ' '; '~'; '\x80' ])
+      (int_range 4097 6000)
+  in
+  let body =
+    map3
+      (fun a run b -> a ^ run ^ b)
+      pieces (frequency [ (3, pure ""); (1, long_run) ]) pieces
+  in
+  frequency
+    [
+      (4, map (fun b -> "\"" ^ b ^ "\"") body);
+      (1, map (fun b -> "\"" ^ b) body);
+      ( 2,
+        map2
+          (fun b cut -> "\"" ^ String.sub b 0 (cut mod (String.length b + 1)))
+          body nat );
+      (1, map (fun b -> "[\"" ^ b ^ "\",1]") body);
+      (1, map (fun b -> "{\"" ^ b ^ "\":\"v\"}") body);
+    ]
+
 let gen_json_input =
   let open QCheck2.Gen in
   let alphabet =
@@ -247,6 +292,7 @@ let gen_json_input =
             (list_size (int_range 1 3)
                (triple (int_range 0 3) (int_range 0 10_000) alphabet)) );
         (4, gen_json_number);
+        (4, gen_json_string_literal);
       ]
   in
   (* Mostly the defaults; sometimes a shallow depth or a byte cap. *)
