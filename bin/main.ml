@@ -902,25 +902,6 @@ let serve_cmd =
   let quiet_arg =
     Arg.(value & flag & info [ "quiet" ] ~doc:"No chatter on stderr.")
   in
-  let slo_target_arg =
-    Arg.(
-      value
-      & opt float Server.default_config.Server.slo_target_ms
-      & info [ "slo-target-ms" ] ~docv:"MS"
-          ~doc:
-            "End-to-end latency a job must beat to count as good in the \
-             per-tenant SLO accounting (the \"slo\" request and the \
-             accals_slo_* metrics).")
-  in
-  let slo_objective_arg =
-    Arg.(
-      value
-      & opt float Server.default_config.Server.slo_objective
-      & info [ "slo-objective" ] ~docv:"FRACTION"
-          ~doc:
-            "Target good fraction in (0, 1), e.g. 0.99; the rolling \
-             burn rate is the observed bad fraction over the allowed one.")
-  in
   let profile_dir_arg =
     Arg.(
       value
@@ -940,8 +921,8 @@ let serve_cmd =
   let run socket tcp tcp_token jobs max_concurrent max_queue tenant_max_queued
       tenant_max_running deadline_grace quarantine_threshold
       quarantine_cooldown cache_dir cache_max_mb state_dir samples
-      max_memory_mb statedir_headroom_mb fd_reserve slo_target_ms
-      slo_objective profile_dir profile_hz quiet =
+      max_memory_mb statedir_headroom_mb fd_reserve profile_dir profile_hz
+      quiet =
     if max_concurrent < 1 then user_error "--max-concurrent must be >= 1";
     if deadline_grace < 0.0 then user_error "--deadline-grace must be >= 0";
     if cache_max_mb < 0 then user_error "--cache-max-mb must be >= 0";
@@ -949,9 +930,6 @@ let serve_cmd =
     if statedir_headroom_mb < 0 then
       user_error "--statedir-headroom-mb must be >= 0";
     if fd_reserve < 0 then user_error "--fd-reserve must be >= 0";
-    if slo_target_ms <= 0.0 then user_error "--slo-target-ms must be > 0";
-    if not (slo_objective > 0.0 && slo_objective < 1.0) then
-      user_error "--slo-objective must be in (0, 1)";
     if profile_hz < 1 then user_error "--profile-hz must be >= 1";
     let server =
       Server.create
@@ -974,8 +952,6 @@ let serve_cmd =
           max_memory_mb;
           statedir_headroom_mb;
           fd_reserve;
-          slo_target_ms;
-          slo_objective;
           profile_dir;
           profile_hz;
           log = not quiet;
@@ -998,9 +974,8 @@ let serve_cmd =
       $ tenant_max_running_arg $ deadline_grace_arg
       $ quarantine_threshold_arg $ quarantine_cooldown_arg $ cache_dir_arg
       $ cache_max_mb_arg $ state_dir_arg $ samples_arg $ max_memory_arg
-      $ statedir_headroom_arg $ fd_reserve_arg $ slo_target_arg
-      $ slo_objective_arg $ profile_dir_arg $ serve_profile_hz_arg
-      $ quiet_arg)
+      $ statedir_headroom_arg $ fd_reserve_arg $ profile_dir_arg
+      $ serve_profile_hz_arg $ quiet_arg)
 
 let client_cmd =
   let doc = "Talk to a running daemon (submit jobs, poll them, scrape metrics)." in
@@ -1011,7 +986,7 @@ let client_cmd =
       & info [] ~docv:"REQ"
           ~doc:
             "One of: submit, status, result, cancel, list, metrics, health, \
-             slo, trace, events, ping, shutdown.")
+             trace, events, ping, shutdown.")
   in
   let operand_arg =
     Arg.(
@@ -1167,13 +1142,12 @@ let client_cmd =
       | "list" -> Sproto.List
       | "metrics" -> Sproto.Metrics
       | "health" -> Sproto.Health
-      | "slo" -> Sproto.Slo
       | "ping" -> Sproto.Ping
       | "shutdown" -> Sproto.Shutdown
       | other ->
         user_error
           "unknown request %s (expected submit, status, result, cancel, \
-           list, metrics, health, slo, trace, events, ping or shutdown)"
+           list, metrics, health, trace, events, ping or shutdown)"
           other
     in
     let c =
@@ -1226,209 +1200,6 @@ let client_cmd =
       $ priority_arg $ tenant_arg $ client_samples_arg $ seed_arg
       $ trace_id_arg $ wait_flag $ retry_flag)
 
-(* --- top --- *)
-
-let top_cmd =
-  let doc =
-    "Live terminal dashboard over a running daemon: queue and slot \
-     occupancy, per-tenant SLO burn, resource gauges and recent jobs."
-  in
-  let interval_arg =
-    Arg.(
-      value
-      & opt float 2.0
-      & info [ "interval" ] ~docv:"SECS" ~doc:"Refresh period.")
-  in
-  let once_flag =
-    Arg.(
-      value
-      & flag
-      & info [ "once" ] ~doc:"Render a single snapshot and exit (no screen \
-                              clearing) — for scripts and CI.")
-  in
-  let top_json_flag =
-    Arg.(
-      value
-      & flag
-      & info [ "json" ]
-          ~doc:
-            "With $(b,--once): emit the raw snapshot (health + slo + jobs) \
-             as one JSON object on stdout instead of the rendered board.")
-  in
-  let token_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "token" ] ~docv:"SECRET" ~doc:"Shared secret for TCP daemons.")
-  in
-  (* Tolerant readers: a field the daemon does not send renders as a
-     dash, never a crash — top must work against older daemons too. *)
-  let jint resp key =
-    match Option.bind (Json.member key resp) Json.int_opt with
-    | Some v -> string_of_int v
-    | None -> "-"
-  in
-  let jnum resp key = Option.bind (Json.member key resp) Json.number_opt in
-  let mib bytes = float_of_int bytes /. (1024.0 *. 1024.0) in
-  let render health slo jobs =
-    let b = Buffer.create 2048 in
-    let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-    let build =
-      match Json.member "build" health with
-      | Some bj ->
-        let f k =
-          Option.value
-            (Option.bind (Json.member k bj) Json.string_opt)
-            ~default:"?"
-        in
-        Printf.sprintf "%s (%s)" (f "version") (f "commit")
-      | None -> "-"
-    in
-    line "accals top — up %.0fs — build %s — protocol v%s"
-      (Option.value (jnum health "uptime_seconds") ~default:0.0)
-      build
-      (jint health "protocol_version");
-    line "queue %s   running %s/%s (free %s)   conns %s   zombies %s"
-      (jint health "queue_depth") (jint health "running")
-      (jint health "slots") (jint health "slots_free")
-      (jint health "connections") (jint health "zombies");
-    (let gauge k =
-       match Option.bind (Json.member k health) Json.int_opt with
-       | Some v -> Printf.sprintf "%.1f MiB" (mib v)
-       | None -> "-"
-     in
-     line "mem %s   statedir %s   cache %s entries   fds %s/%s"
-       (gauge "memory_bytes") (gauge "statedir_bytes")
-       (jint health "cache_entries") (jint health "open_fds")
-       (jint health "fd_limit"));
-    line "shed %s   deadline %s   quarantined %s   resource %s"
-      (jint health "shed_total")
-      (jint health "deadline_exceeded_total")
-      (jint health "quarantined_total")
-      (jint health "resource_exhausted_total");
-    (match (jnum slo "target_ms", jnum slo "objective") with
-     | Some target, Some obj ->
-       line "tenants (SLO: %.0fms at %.3g):" target obj
-     | _ -> line "tenants:");
-    (match Json.member "tenants" slo with
-     | Some (Json.List tenants) when tenants <> [] ->
-       List.iter
-         (fun tn ->
-           let s k =
-             Option.value
-               (Option.bind (Json.member k tn) Json.string_opt)
-               ~default:"?"
-           in
-           let latency phase =
-             match Json.member "latency" tn with
-             | Some lat -> (
-               match Json.member phase lat with
-               | Some p -> (
-                 match Option.bind (Json.member "p99_ms" p) Json.number_opt with
-                 | Some ms -> Printf.sprintf "%.0fms" ms
-                 | None -> "-")
-               | None -> "-")
-             | None -> "-"
-           in
-           line "  %-12s good %-5s violated %-4s burn %-6.2f p99 wait %s run %s e2e %s"
-             (s "tenant") (jint tn "good") (jint tn "violated")
-             (Option.value (jnum tn "burn_rate") ~default:0.0)
-             (latency "queue_wait") (latency "run") (latency "end_to_end"))
-         tenants
-     | _ -> line "  (no traffic yet)");
-    (match Json.member "jobs" jobs with
-     | Some (Json.List all) ->
-       let n = List.length all in
-       let recent =
-         (* Last 8, newest last (list is submission-ordered). *)
-         let rec drop k = function
-           | l when k <= 0 -> l
-           | _ :: tl -> drop (k - 1) tl
-           | [] -> []
-         in
-         drop (max 0 (n - 8)) all
-       in
-       line "jobs (%d total, showing %d):" n (List.length recent);
-       List.iter
-         (fun j ->
-           let s k =
-             Option.value
-               (Option.bind (Json.member k j) Json.string_opt)
-               ~default:"-"
-           in
-           line "  %-24s %-9s %-10s tenant %-10s run %ss"
-             (s "job") (s "state") (s "circuit") (s "tenant")
-             (match jnum j "run_s" with
-              | Some r -> Printf.sprintf "%.2f" r
-              | None -> "-"))
-         recent
-     | _ -> ());
-    Buffer.contents b
-  in
-  let run socket tcp token interval once json =
-    if interval <= 0.0 then user_error "--interval must be > 0";
-    if json && not once then user_error "--json requires --once";
-    let c =
-      try
-        match tcp with
-        | Some hp ->
-          let host, port = parse_hostport hp in
-          Client.connect_tcp ?token host port
-        | None -> Client.connect_unix ?token socket
-      with Unix.Unix_error (e, _, _) ->
-        user_error "cannot connect to the daemon: %s" (Unix.error_message e)
-    in
-    Graceful.install ();
-    let fail msg =
-      Printf.eprintf "accals: %s\n" msg;
-      exit failure_exit
-    in
-    let snapshot () =
-      match (Client.health c, Client.slo c, Client.rpc c Sproto.List) with
-      | Ok health, Ok slo, Ok jobs -> (health, slo, jobs)
-      | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> fail msg
-    in
-    let tick () =
-      let health, slo, jobs = snapshot () in
-      if json then
-        print_string
-          (Json.to_string ~pretty:true
-             (Json.Obj
-                [
-                  ("health", health); ("slo", slo); ("jobs", jobs);
-                  ("build", Build_info.to_json ());
-                ])
-           ^ "\n")
-      else begin
-        if not once then
-          (* Clear screen + home, like top(1); never emitted in --once
-             mode so piped output stays clean. *)
-          print_string "\x1b[2J\x1b[H";
-        print_string (render health slo jobs)
-      end;
-      flush stdout
-    in
-    tick ();
-    if not once then begin
-      let stop = ref false in
-      while not !stop do
-        Unix.sleepf interval;
-        (match Graceful.stop_requested () with
-         | Some _ -> stop := true
-         | None -> tick ());
-      done
-    end;
-    Client.close c;
-    Graceful.run_hooks ();
-    match Graceful.stop_requested () with
-    | Some signal -> exit (Graceful.exit_code signal)
-    | None -> ()
-  in
-  Cmd.v (Cmd.info "top" ~doc)
-    Term.(
-      const run $ socket_arg $ tcp_arg $ token_arg $ interval_arg $ once_flag
-      $ top_json_flag)
-
 let () =
   let doc = "Approximate logic synthesis with multi-LAC selection (AccALS)." in
   let exits =
@@ -1457,7 +1228,7 @@ let () =
     Cmd.group info
       [
         list_cmd; stats_cmd; synth_cmd; convert_cmd; verify_cmd; sweep_cmd;
-        serve_cmd; client_cmd; top_cmd;
+        serve_cmd; client_cmd;
       ]
   in
   let fail code fmt =

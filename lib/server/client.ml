@@ -177,9 +177,3 @@ let health t =
   | Error _ as e -> e
   | Ok resp when not (ok resp) -> Error (error_message resp)
   | Ok resp -> Ok resp
-
-let slo t =
-  match rpc t Protocol.Slo with
-  | Error _ as e -> e
-  | Ok resp when not (ok resp) -> Error (error_message resp)
-  | Ok resp -> Ok resp

@@ -81,7 +81,3 @@ val ping : t -> bool
 val health : t -> (Json.t, string) result
 (** The daemon's [health] response (queue depth, slots, cache size,
     shed / deadline / quarantine totals, open fds). *)
-
-val slo : t -> (Json.t, string) result
-(** The daemon's [slo] response: per-tenant latency percentiles by
-    phase, outcome breakdowns and rolling burn rates. *)

@@ -35,7 +35,6 @@ type request =
   | Health
   | Trace of string
   | Events of string
-  | Slo
   | Ping
   | Shutdown
 
@@ -95,7 +94,6 @@ let request_to_json req =
   | Health -> obj [ ("req", Json.String "health") ]
   | Trace job -> obj [ ("req", Json.String "trace"); ("job", Json.String job) ]
   | Events job -> obj [ ("req", Json.String "events"); ("job", Json.String job) ]
-  | Slo -> obj [ ("req", Json.String "slo") ]
   | Ping -> obj [ ("req", Json.String "ping") ]
   | Shutdown -> obj [ ("req", Json.String "shutdown") ]
 
@@ -176,7 +174,6 @@ let request_of_json v =
     | "health" -> Ok Health
     | "trace" -> with_job (fun j -> Trace j)
     | "events" -> with_job (fun j -> Events j)
-    | "slo" -> Ok Slo
     | "ping" -> Ok Ping
     | "shutdown" -> Ok Shutdown
     | other -> Error (Printf.sprintf "unknown request %S" other))
@@ -222,7 +219,7 @@ let parse_request line =
    destroy. *)
 let privileged = function
   | Result _ | Cancel _ | Trace _ | Events _ | Shutdown -> true
-  | Submit _ | Status _ | List | Metrics | Health | Slo | Ping -> false
+  | Submit _ | Status _ | List | Metrics | Health | Ping -> false
 
 let error_response msg =
   Json.Obj [ ("ok", Json.Bool false); ("error", Json.String msg) ]

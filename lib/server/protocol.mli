@@ -77,10 +77,6 @@ type request =
           identity *)
   | Trace of string
   | Events of string
-  | Slo
-      (** per-tenant SLO accounting: latency percentiles by phase,
-          failure breakdowns, rolling burn rate (server-wide, no job
-          payloads — unprivileged like [metrics]) *)
   | Ping
   | Shutdown
 

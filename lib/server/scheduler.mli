@@ -41,10 +41,6 @@ type failure =
 (** Why a job failed. The first two are the environment's verdict, not
     the job's fault: neither counts toward quarantine. *)
 
-val failure_to_string : failure -> string
-(** The wire form ({!view}'s [v_failure]): ["deadline_exceeded"],
-    ["resource_exhausted"], or the exception text. *)
-
 type outcome = [ `Done of string * bool | `Failed of failure | `Cancelled ]
 (** How a job ends: [`Done (members, degraded)], a failure, or a
     cancellation. [members] is the result encoded once by
@@ -182,7 +178,9 @@ type view = {
   v_submitted_at : float;  (** wall clock, Unix epoch seconds *)
   v_wait_s : float option;  (** submit -> start *)
   v_run_s : float option;  (** start -> finish *)
-  v_failure : string option;  (** {!failure_to_string} *)
+  v_failure : string option;
+      (** ["deadline_exceeded"], ["resource_exhausted"], or the
+          exception text *)
 }
 
 val view : t -> job -> view

@@ -35,8 +35,6 @@ type config = {
   max_memory_mb : int;
   statedir_headroom_mb : int;
   fd_reserve : int;
-  slo_target_ms : float;
-  slo_objective : float;
   profile_dir : string option;
       (** run the sampling profiler for the daemon's lifetime and write
           folded stacks + a summary here at drain *)
@@ -64,8 +62,6 @@ let default_config =
     max_memory_mb = 0;
     statedir_headroom_mb = 0;
     fd_reserve = 8;
-    slo_target_ms = Slo.default_spec.Slo.target_ms;
-    slo_objective = Slo.default_spec.Slo.objective;
     profile_dir = None;
     profile_hz = 97;
     log = true;
@@ -138,11 +134,13 @@ type t = {
           one per refused connection *)
   stopped : bool Atomic.t;
   started_mono : float;
-  slo : Slo.t;
   lanes : (string, int) Hashtbl.t;
       (** job id -> concurrency-slot lane, assigned at dispatch; drives
           the per-slot lanes of the server-wide trace (main-loop only) *)
   mutable profiler : Profiler.t option;
+  read_buf : Bytes.t;
+      (** socket read buffer, reused by every readable event (main-loop
+          only: the bytes are copied out before the next read) *)
   reg : Metrics.t;
   m_submitted : Metrics.counter;
   m_cache_hit_mem : Metrics.counter;
@@ -282,16 +280,9 @@ let create cfg =
       fd_shedding = false;
       stopped = Atomic.make false;
       started_mono = Clock.now ();
-      slo =
-        Slo.create
-          ~spec:
-            {
-              Slo.target_ms = cfg.slo_target_ms;
-              Slo.objective = cfg.slo_objective;
-            }
-          ();
       lanes = Hashtbl.create 16;
       profiler = None;
+      read_buf = Bytes.create 65536;
       reg;
       m_submitted =
         counter "accals_server_jobs_submitted_total" "Jobs admitted";
@@ -406,9 +397,7 @@ let update_gauges t =
 
 let metrics t =
   update_gauges t;
-  (* The SLO module keeps its own registry (per-tenant instruments are
-     created on demand there); the exposition is the union. *)
-  Metrics.merge (Metrics.snapshot t.reg) (Slo.registry_snapshot t.slo)
+  Metrics.snapshot t.reg
 
 (* -- incidents and overload hints ---------------------------------------- *)
 
@@ -503,7 +492,7 @@ let note_quarantine t job (outcome : Scheduler.outcome) =
    cancel, a deadline expiry and the workers the shutdown drain joins
    all land here on the select loop, so the scheduler transition and
    every tally happen together and exactly once: a status that shows a
-   terminal job is never ahead of the metrics, health or SLO.  An
+   terminal job is never ahead of the metrics or health.  An
    outcome for a job that is already terminal (an abandoned worker's
    late report) is discarded; the incidents its worker met are still
    recorded, since they happened either way. *)
@@ -515,28 +504,12 @@ let settle ?(incidents = []) t job (outcome : Scheduler.outcome) =
     let v = Scheduler.view t.sched job in
     Metrics.incr
       (finished_counter t (Scheduler.state_to_string v.Scheduler.v_state));
-    (* SLO accounting: good/violated on success, a bounded-cardinality
-       failure kind otherwise (free-form exception text must not mint
-       Prometheus label values). *)
-    let failure =
-      match outcome with
-      | `Done _ -> None
-      | `Cancelled -> Some "cancelled"
-      | `Failed (Scheduler.Error _) -> Some "error"
-      | `Failed f -> Some (Scheduler.failure_to_string f)
-    in
-    let tenant = v.Scheduler.v_tenant in
-    (match (phase, failure) with
-     | Scheduler.Queued, Some kind ->
-       (* Never started: an outcome without latencies. *)
-       Slo.observe_shed t.slo ~tenant ~kind
-     | _ ->
-       let wait_s = Option.value v.Scheduler.v_wait_s ~default:0.0 in
-       let run_s = Option.value v.Scheduler.v_run_s ~default:0.0 in
-       Metrics.observe t.h_wait wait_s;
-       Metrics.observe t.h_run run_s;
-       Slo.observe_job t.slo ~tenant ?failure ~wait_s ~run_s
-         ~total_s:(wait_s +. run_s) ());
+    (* A job settled while still queued never started: it has no
+       latencies to observe. *)
+    if phase = Scheduler.Running then begin
+      Metrics.observe t.h_wait (Option.value v.Scheduler.v_wait_s ~default:0.0);
+      Metrics.observe t.h_run (Option.value v.Scheduler.v_run_s ~default:0.0)
+    end;
     (match outcome with
      | `Failed Scheduler.Deadline_exceeded ->
        Metrics.incr t.m_deadline;
@@ -649,13 +622,10 @@ let admit t (spec : Protocol.job_spec) =
          match quarantined t fp with
          | Some retry_after_ms ->
            log t "refused %s: fingerprint %s is quarantined" circuit fp;
-           Slo.observe_shed t.slo ~tenant:spec.Protocol.tenant
-             ~kind:"quarantined";
            Error (Quarantined { fingerprint = fp; retry_after_ms })
          | None ->
            let shed scope =
              Metrics.incr t.m_shed;
-             Slo.observe_shed t.slo ~tenant:spec.Protocol.tenant ~kind:"shed";
              let retry_after_ms = retry_after_ms t in
              log t "shed %s (%s; retry in ~%dms)" circuit scope retry_after_ms;
              Error (Overloaded { scope; retry_after_ms })
@@ -1110,10 +1080,6 @@ let handle_request t req =
   | Protocol.Events id ->
     with_job t id (fun j ->
         ok [ ("events", Json.List (Scheduler.events t.sched j)) ])
-  | Protocol.Slo -> (
-    match Slo.to_json t.slo with
-    | Json.Obj fields -> ok fields
-    | other -> ok [ ("slo", other) ])
   | Protocol.Health ->
     (* Everything a load balancer or the CI soak needs in one cheap,
        unprivileged round-trip: the same counters and probes the metrics
@@ -1179,7 +1145,6 @@ let request_name = function
   | Protocol.Health -> "health"
   | Protocol.Trace _ -> "trace"
   | Protocol.Events _ -> "events"
-  | Protocol.Slo -> "slo"
   | Protocol.Ping -> "ping"
   | Protocol.Shutdown -> "shutdown"
 
@@ -1383,11 +1348,10 @@ let rec process_pending t c =
       process_pending t c
 
 let handle_readable t c =
-  let buf = Bytes.create 65536 in
-  match Unix.read c.fd buf 0 65536 with
+  match Unix.read c.fd t.read_buf 0 (Bytes.length t.read_buf) with
   | 0 -> close_conn t c
   | n ->
-    c.pending <- c.pending ^ Bytes.sub_string buf 0 n;
+    c.pending <- c.pending ^ Bytes.sub_string t.read_buf 0 n;
     process_pending t c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()

@@ -18,12 +18,11 @@
     outcomes, queued cancels, deadline expiries and shutdown all go
     through it on the select loop — and it makes the scheduler
     transition together with every tally (finished-job counters,
-    wait/run histograms, SLO, quarantine, incidents), so a [status]
-    showing a terminal job is never ahead of [metrics], [health] or
-    [slo]. Cancellation is
-    cooperative: the worker's checkpoint hook polls the job's cancel
-    flag at every round boundary and unwinds through the engine's
-    [Fun.protect], so the job's domains are released.
+    wait/run histograms, quarantine, incidents), so a [status] showing
+    a terminal job is never ahead of [metrics] or [health].
+    Cancellation is cooperative: the worker's checkpoint hook polls the
+    job's cancel flag at every round boundary and unwinds through the
+    engine's [Fun.protect], so the job's domains are released.
 
     Client sockets are non-blocking and responses are buffered per
     connection (bounded; overflow drops the connection), so a client
@@ -117,12 +116,6 @@ type config = {
           connections are refused with a structured
           [code = "resource_exhausted"] error once accepting one more
           would leave less than this under the soft [RLIMIT_NOFILE]. *)
-  slo_target_ms : float;
-      (** end-to-end latency a job must beat to count as {e good} in
-          the per-tenant SLO accounting (see {!Slo}) *)
-  slo_objective : float;
-      (** target good fraction in (0, 1); drives the burn-rate
-          denominator *)
   profile_dir : string option;
       (** run the sampling {!Accals_telemetry.Profiler} (CPU mode) for
           the daemon's lifetime and write [server.folded] +
@@ -138,8 +131,7 @@ val default_config : config
     [deadline_grace = 2.0], [quarantine_threshold = 3],
     [quarantine_cooldown = 300.0], no cache, [cache_max_bytes = 0], no
     state dir, [default_samples = 2048], [max_memory_mb = 0],
-    [statedir_headroom_mb = 0], [fd_reserve = 8],
-    [slo_target_ms = 30000.0], [slo_objective = 0.99], no profiling,
+    [statedir_headroom_mb = 0], [fd_reserve = 8], no profiling,
     [profile_hz = 97], logging on. *)
 
 type t

@@ -1,7 +1,7 @@
 (* Observability: trace-context ids and their end-to-end propagation
    through the daemon, Prometheus exposition hygiene (name validation,
-   escaping), the sampling profiler (including the determinism
-   contract) and per-tenant SLO accounting. *)
+   escaping) and the sampling profiler (including the determinism
+   contract). *)
 
 module Engine = Accals.Engine
 module Config = Accals.Config
@@ -13,7 +13,6 @@ module Metrics = Accals_telemetry.Metrics
 module Trace_context = Accals_telemetry.Trace_context
 module Profiler = Accals_telemetry.Profiler
 module Protocol = Accals_server.Protocol
-module Slo = Accals_server.Slo
 module Server = Accals_server.Server
 module Client = Accals_server.Client
 
@@ -190,92 +189,6 @@ let test_profiler_determinism () =
   Profiler.stop p;
   check_string "profiling does not change synthesis results" plain profiled
 
-(* --- SLO accounting --- *)
-
-let test_slo_spec_validation () =
-  let raises spec =
-    match Slo.create ~spec () with
-    | _ -> false
-    | exception Invalid_argument _ -> true
-  in
-  check "non-positive target rejected" true
-    (raises { Slo.target_ms = 0.0; objective = 0.99 });
-  check "objective 0 rejected" true
-    (raises { Slo.target_ms = 1000.0; objective = 0.0 });
-  check "objective 1 rejected" true
-    (raises { Slo.target_ms = 1000.0; objective = 1.0 });
-  let t = Slo.create () in
-  check "default spec" true (Slo.spec t = Slo.default_spec)
-
-let slo_field tenant_json name =
-  match Option.bind (Json.member name tenant_json) Json.int_opt with
-  | Some v -> v
-  | None -> Alcotest.failf "slo tenant field %s missing" name
-
-let find_tenant doc name =
-  match Json.member "tenants" doc with
-  | Some (Json.List l) -> (
-    match
-      List.find_opt
-        (fun tn -> Json.member "tenant" tn = Some (Json.String name))
-        l
-    with
-    | Some tn -> tn
-    | None -> Alcotest.failf "tenant %s missing from slo json" name)
-  | _ -> Alcotest.fail "slo json without tenants list"
-
-let test_slo_accounting () =
-  (* target 1s at 50%: half the traffic may be bad before burn hits 1. *)
-  let t = Slo.create ~spec:{ Slo.target_ms = 1000.0; objective = 0.5 } () in
-  check "unknown tenant burns nothing" true (Slo.burn_rate t ~tenant:"t0" = 0.0);
-  (* Three good, one slow success, one deadline failure, one shed. *)
-  for _ = 1 to 3 do
-    Slo.observe_job t ~tenant:"t0" ~wait_s:0.01 ~run_s:0.2 ~total_s:0.21 ()
-  done;
-  Slo.observe_job t ~tenant:"t0" ~wait_s:0.5 ~run_s:2.0 ~total_s:2.5 ();
-  Slo.observe_job t ~tenant:"t0" ~failure:"deadline_exceeded" ~wait_s:1.0
-    ~run_s:0.0 ~total_s:1.0 ();
-  Slo.observe_shed t ~tenant:"t0" ~kind:"shed";
-  (* A second, clean tenant must be accounted independently. *)
-  Slo.observe_job t ~tenant:"t1" ~wait_s:0.0 ~run_s:0.1 ~total_s:0.1 ();
-  let doc = Slo.to_json t in
-  let t0 = find_tenant doc "t0" in
-  check_int "good" 3 (slo_field t0 "good");
-  check_int "violated" 1 (slo_field t0 "violated");
-  (match Json.member "failures" t0 with
-   | Some f ->
-     check "deadline failure counted" true
-       (Option.bind (Json.member "deadline_exceeded" f) Json.int_opt = Some 1);
-     check "shed counted" true
-       (Option.bind (Json.member "shed" f) Json.int_opt = Some 1)
-   | None -> Alcotest.fail "failures object missing");
-  (* 3 bad of 6 observations = 0.5 bad fraction; allowed 0.5 → burn 1. *)
-  let burn = Slo.burn_rate t ~tenant:"t0" in
-  check "burn rate at budget" true (abs_float (burn -. 1.0) < 1e-9);
-  check "clean tenant burns nothing" true (Slo.burn_rate t ~tenant:"t1" = 0.0);
-  (* Latency percentiles: e2e p50 of {0.21,0.21,0.21,2.5,1.0} sits in
-     the 0.21s bucket region, well under a second. *)
-  (match Json.member "latency" t0 with
-   | Some lat -> (
-     match Json.member "end_to_end" lat with
-     | Some e2e ->
-       let p50 =
-         match Option.bind (Json.member "p50_ms" e2e) Json.number_opt with
-         | Some v -> v
-         | None -> Alcotest.fail "p50_ms missing"
-       in
-       check "p50 plausible" true (p50 > 50.0 && p50 < 1000.0)
-     | None -> Alcotest.fail "end_to_end latency missing")
-   | None -> Alcotest.fail "latency object missing");
-  (* The Prometheus mirror exports cleanly and carries the burn gauge. *)
-  let text = Metrics.to_prometheus (Slo.registry_snapshot t) in
-  ignore (Test_telemetry.prometheus_lint text);
-  check "burn gauge exported" true (contains text "accals_slo_burn_rate");
-  check "latency histogram exported" true
-    (contains text "accals_slo_latency_seconds");
-  check "outcome counters exported" true
-    (contains text "accals_slo_jobs_total")
-
 (* --- end-to-end trace propagation through the daemon --- *)
 
 let get_string field v =
@@ -380,10 +293,6 @@ let test_trace_propagation_e2e () =
   ignore
     (ok_exn "wait unmarked"
        (Client.wait ~timeout:300.0 c (get_string "job" resp2)));
-  (* SLO endpoint reflects the finished jobs. *)
-  let slo = ok_exn "slo" (Client.slo c) in
-  let obs = find_tenant slo "obs" in
-  check "slo counted the jobs" true (slo_field obs "good" >= 1);
   (* Health carries identity fields. *)
   let h = ok_exn "health" (Client.health c) in
   check "uptime exported" true
@@ -396,12 +305,9 @@ let test_trace_propagation_e2e () =
    | Some b -> check "build version non-empty" true
                  (String.length (get_string "version" b) > 0)
    | None -> Alcotest.fail "build identity missing from health");
-  (* The merged daemon exposition (server + SLO registries) lints. *)
+  (* The daemon exposition lints. *)
   let m = ok_exn "metrics" (Client.rpc c Protocol.Metrics) in
-  let prom = get_string "metrics" m in
-  ignore (Test_telemetry.prometheus_lint prom);
-  check "slo families merged into exposition" true
-    (contains prom "accals_slo_latency_seconds");
+  ignore (Test_telemetry.prometheus_lint (get_string "metrics" m));
   Server.stop server;
   Domain.join daemon;
   Client.close c;
@@ -430,9 +336,6 @@ let suite =
         Alcotest.test_case "profiler sampling" `Quick test_profiler_sampling;
         Alcotest.test_case "profiler determinism" `Slow
           test_profiler_determinism;
-        Alcotest.test_case "slo spec validation" `Quick
-          test_slo_spec_validation;
-        Alcotest.test_case "slo accounting" `Quick test_slo_accounting;
         Alcotest.test_case "trace propagation e2e" `Slow
           test_trace_propagation_e2e;
       ] );

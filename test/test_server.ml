@@ -354,6 +354,7 @@ let test_protocol_validation () =
   in
   reject "not json";
   reject {|{"req": "warp"}|};
+  reject {|{"req": "slo"}|};
   reject {|{"req": "submit"}|};
   reject {|{"req": "submit", "name": "rca32"}|};
   reject {|{"req": "submit", "name": "rca32", "metric": "XYZ", "bound": 0.1}|};
@@ -1731,8 +1732,8 @@ let test_daemon_deadline () =
 (* Every terminal path is counted once, before status shows it: on a
    one-slot daemon a job expires while running, one is cancelled while
    queued, one expires while queued and one finishes.  Right after the
-   waits — no polling — the finished-job counters, the SLO and health
-   agree with the job list. *)
+   waits — no polling — the finished-job counters and health agree with
+   the job list. *)
 let test_daemon_outcomes_counted () =
   let dir = temp_dir "accals_daemon_outcomes" in
   let sock = Filename.concat dir "t.sock" in
@@ -1797,29 +1798,11 @@ let test_daemon_outcomes_counted () =
       check_int ("finished " ^ st) n (finished st);
       check_int ("listed " ^ st) n (listed st))
     [ ("failed", 2); ("cancelled", 1); ("done", 1) ];
-  let slo = ok_exn "slo" (Client.slo c) in
-  let pinned =
-    match Json.member "tenants" slo with
-    | Some (Json.List ts) -> (
-      match
-        List.find_opt (fun t -> Json.member "tenant" t = Some (Json.String tenant)) ts
-      with
-      | Some t -> t
-      | None -> Alcotest.fail "slo missing the tenant")
-    | _ -> Alcotest.fail "slo missing tenants"
-  in
-  let int_of path v =
-    match List.fold_left (fun v k -> Option.bind v (Json.member k)) (Some v) path with
-    | Some (Json.Int n) -> n
-    | _ -> Alcotest.failf "missing %s" (String.concat "." path)
-  in
-  check_int "slo counts every job" 4 (int_of [ "jobs_total" ] pinned);
-  check_int "slo deadline_exceeded" 2
-    (int_of [ "failures"; "deadline_exceeded" ] pinned);
-  check_int "slo cancelled" 1 (int_of [ "failures"; "cancelled" ] pinned);
   let h = ok_exn "health" (Client.health c) in
   check_int "health deadline_exceeded_total" 2
-    (int_of [ "deadline_exceeded_total" ] h);
+    (match Json.member "deadline_exceeded_total" h with
+     | Some (Json.Int n) -> n
+     | _ -> Alcotest.fail "health missing deadline_exceeded_total");
   Server.stop server;
   Domain.join daemon;
   Client.close c
